@@ -1,19 +1,22 @@
 """Propagation of the 2x2 fundamental system of -psi'' + q(x) psi = E psi.
 
-The state is the fundamental matrix written as four scalars
+The state is the fundamental matrix written as four entries
 
     (a, b, c, d)  =  [[psi_a, psi_b], [psi_a', psi_b']]
 
 so the system reads a' = c, b' = d, c' = w a, d' = w b with w = q(x) - E.
-Keeping scalars instead of arrays makes the step loop fast enough in pure
-Python to serve both one-period Floquet solves and very long adiabatic runs.
 Complex energies work through ordinary numeric promotion because q is only
 ever evaluated at real x.
 
-Two integration routes live here:
+Three integration routes live here:
 
-* ``propagate``: Dormand-Prince 5(4) with per-step error control, for
-  smooth (trigonometric-sum) potentials;
+* ``propagate``: Dormand-Prince 5(4) on four scalars with per-step error
+  control, for single smooth-potential solves (one-period Floquet maps,
+  complex-energy continuation);
+* ``transfer_batch``: the same tableau with a fixed step, advancing a whole
+  batch of independent problems over one shared interval as numpy arrays,
+  for the many unit blocks of a long adiabatic run; every step of every
+  member passes the same embedded error test as ``propagate``;
 * ``constant_coefficient_step``: the exact whole-interval propagator for a
   constant potential, combined segment-by-segment for piecewise data.
 """
@@ -22,6 +25,8 @@ from __future__ import annotations
 
 import cmath
 import math
+
+import numpy as np
 
 from .errors import ConvergenceFailure, InvalidInputError
 
@@ -61,6 +66,8 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 )
 
 _MAX_STEPS = 5_000_000
+# transfer_batch gives up after this many doublings of its step count
+_MAX_DOUBLINGS = 10
 
 
 def propagate(q, E, x0, x1, rtol=1e-10, atol=1e-12, y0=(1.0, 0.0, 0.0, 1.0)):
@@ -70,8 +77,9 @@ def propagate(q, E, x0, x1, rtol=1e-10, atol=1e-12, y0=(1.0, 0.0, 0.0, 1.0)):
     ``(y, err_accum, nsteps)`` where y is the final 4-tuple, err_accum a
     crude accumulated global error bound and nsteps the accepted step
     count.  Raises ConvergenceFailure when step size underflows before
-    the local tolerance is met; the achieved per-step error (in units of
-    the requested tolerance) is attached.
+    the local tolerance is met, or when the error estimate is not finite
+    (a potential returning NaN or inf); the achieved per-step error (in
+    units of the requested tolerance) is attached.
     """
     if not (x1 > x0):
         raise InvalidInputError(f"need x1 > x0, got [{x0}, {x1}]")
@@ -154,6 +162,10 @@ def propagate(q, E, x0, x1, rtol=1e-10, atol=1e-12, y0=(1.0, 0.0, 0.0, 1.0)):
                 + (abs(ed) / sd) ** 2
             )
         )
+        if not math.isfinite(err):
+            raise ConvergenceFailure(
+                f"non-finite error estimate at x={x!r}", achieved=err_accum
+            )
         if err <= 1.0:
             x = x1 if last else x + h
             a, b, c, d = na, nb, nc, nd
@@ -171,6 +183,78 @@ def propagate(q, E, x0, x1, rtol=1e-10, atol=1e-12, y0=(1.0, 0.0, 0.0, 1.0)):
         else:
             h *= max(0.1, min(1.0, 0.9 * err ** -0.2))
     return (a, b, c, d), err_accum, nsteps
+
+
+def transfer_batch(w, t0, t1, y0, rtol=1e-10, atol=1e-12):
+    """Advance a batch of fundamental systems over the shared interval [t0, t1].
+
+    ``w(t)`` gives q - E at a real scalar t for every member of the batch,
+    as an array broadcasting against ``y0[0]`` (a scalar when all members
+    share it).  ``y0`` is the initial state, shape (4, ...), rows
+    (a, b, c, d).  Returns the final state.
+
+    The first step count follows ``propagate``'s initial-step rule with the
+    largest |w(t0)| of the batch.  Every step of every member must pass
+    ``propagate``'s scaled-RMS embedded error test; at the first step where
+    one does not, the whole batch restarts with twice the steps.  Raises
+    ConvergenceFailure after ``_MAX_DOUBLINGS`` doublings, and at once when
+    an error estimate is not finite.
+    """
+    if not (t1 > t0):
+        raise InvalidInputError(f"need t1 > t0, got [{t0}, {t1}]")
+    w0 = w(t0)
+    wmax = float(np.max(np.abs(w0)))
+    if not math.isfinite(wmax):
+        raise ConvergenceFailure(f"non-finite potential at t={t0!r}")
+    span = t1 - t0
+    n = math.ceil(span / min(span, 0.35 / (1.0 + wmax ** 0.5)))
+    y0 = np.asarray(y0, dtype=np.result_type(y0, w0))
+    for _ in range(_MAX_DOUBLINGS + 1):
+        y = _fixed_steps(w, w0, t0, t1, n, y0, rtol, atol)
+        if y is not None:
+            return y
+        n *= 2
+    raise ConvergenceFailure(
+        f"{n // 2} fixed steps on [{t0}, {t1}] still miss the tolerance"
+    )
+
+
+def _rhs(w, y):
+    return np.concatenate((y[2:], w * y[:2]))
+
+
+def _fixed_steps(w, w0, t0, t1, n, y, rtol, atol):
+    """n equal DOPRI5 steps; None as soon as one step fails the error test."""
+    h = (t1 - t0) / n
+    k1 = _rhs(w0, y)
+    ay = np.abs(y)
+    for i in range(n):
+        t = t0 + i * h
+        k2 = _rhs(w(t + _C2 * h), y + (h * _A21) * k1)
+        k3 = _rhs(w(t + _C3 * h), y + (h * _A31) * k1 + (h * _A32) * k2)
+        k4 = _rhs(w(t + _C4 * h),
+                  y + (h * _A41) * k1 + (h * _A42) * k2 + (h * _A43) * k3)
+        k5 = _rhs(w(t + _C5 * h),
+                  y + (h * _A51) * k1 + (h * _A52) * k2 + (h * _A53) * k3
+                  + (h * _A54) * k4)
+        # the last node lands on t1 exactly, not a rounding away from it
+        w1 = w(t1 if i == n - 1 else t0 + (i + 1) * h)
+        k6 = _rhs(w1, y + (h * _A61) * k1 + (h * _A62) * k2 + (h * _A63) * k3
+                  + (h * _A64) * k4 + (h * _A65) * k5)
+        yn = (y + (h * _B1) * k1 + (h * _B3) * k3 + (h * _B4) * k4
+              + (h * _B5) * k5 + (h * _B6) * k6)
+        k7 = _rhs(w1, yn)
+        e = ((h * _E1) * k1 + (h * _E3) * k3 + (h * _E4) * k4
+             + (h * _E5) * k5 + (h * _E6) * k6 + (h * _E7) * k7)
+        ayn = np.abs(yn)
+        ratio = np.abs(e) / (atol + rtol * np.maximum(ay, ayn))
+        worst = float(np.max(np.sum(ratio * ratio, axis=0)))
+        if not math.isfinite(worst):
+            raise ConvergenceFailure(f"non-finite error estimate at t={t!r}")
+        if worst > 4.0:  # 0.25 * sum > 1: the RMS test of propagate
+            return None
+        y, k1, ay = yn, k7, ayn
+    return y
 
 
 def constant_coefficient_step(w, length):

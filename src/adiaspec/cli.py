@@ -10,6 +10,7 @@ wall time, never file contents.
 from __future__ import annotations
 
 import argparse
+import cmath
 import configparser
 import json
 import math
@@ -17,6 +18,8 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import actions as actions_mod
 from . import cocycle as cocycle_mod
@@ -91,28 +94,30 @@ def load_config(path: str) -> RunConfig:
     n = _int_at_least(need("window", "n"), 1, "window.n")
     m = _int_at_least(need("window", "m"), 0, "window.m")
     e_raw = opt("window", "energy", "auto").strip()
-    energy = None if e_raw.lower() == "auto" else float(e_raw)
+    energy = None if e_raw.lower() == "auto" else _number(e_raw, "window.energy")
     grid_raw = opt("window", "energy_grid", "").split()
     energy_grid = None
     if grid_raw:
         if len(grid_raw) != 3:
             raise ConfigError("window.energy_grid needs: min max count")
-        energy_grid = (float(grid_raw[0]), float(grid_raw[1]),
+        energy_grid = (_number(grid_raw[0], "window.energy_grid min"),
+                       _number(grid_raw[1], "window.energy_grid max"),
                        _int_at_least(grid_raw[2], 1, "window.energy_grid count"))
 
     ceiling = _positive(need("grid", "ceiling"), "grid.ceiling")
 
-    eps = tuple(float(t) for t in opt("cocycle", "epsilons", "0.2 0.1 0.05").split())
+    eps = tuple(_number(t, "cocycle.epsilons")
+                for t in opt("cocycle", "epsilons", "0.2 0.1 0.05").split())
     if not eps or any(e <= 0 for e in eps):
         raise ConfigError("cocycle.epsilons must be positive numbers")
     periods = _positive(opt("cocycle", "periods", "200"), "cocycle.periods")
-    z = float(opt("cocycle", "z", "0.0"))
+    z = _number(opt("cocycle", "z", "0.0"), "cocycle.z")
     z_samples = _int_at_least(opt("cocycle", "z_samples", "8"), 1,
                               "cocycle.z_samples")
     iterations = _int_at_least(opt("cocycle", "N", "20000"), 1, "cocycle.N")
     stride = _int_at_least(opt("cocycle", "renorm_stride", "8"), 1,
                            "cocycle.renorm_stride")
-    seed = int(opt("cocycle", "seed", "0"))
+    seed = _number(opt("cocycle", "seed", "0"), "cocycle.seed", int)
 
     tol_edge = _positive(opt("tolerances", "edge", "1e-10"), "tolerances.edge")
     tol_quad = _positive(opt("tolerances", "quadrature", "1e-10"),
@@ -171,7 +176,8 @@ def _parse_potential_v(cp, need) -> hill.PeriodicPotential:
                 raise ConfigError(
                     "potential_v.segments lines need: breakpoint value"
                 )
-            segs.append((float(parts[0]), float(parts[1])))
+            segs.append((_number(parts[0], "potential_v.segments"),
+                         _number(parts[1], "potential_v.segments")))
         return hill.PeriodicPotential.piecewise(segs)
     if kind == "zero":
         return hill.PeriodicPotential.zero()
@@ -186,21 +192,35 @@ def _parse_terms(text: str, where: str):
             continue
         if len(parts) != 3:
             raise ConfigError(f"{where} lines need: frequency cos_amp sin_amp")
-        terms.append((int(parts[0]), float(parts[1]), float(parts[2])))
+        terms.append((_number(parts[0], where, int), _number(parts[1], where),
+                      _number(parts[2], where)))
     if not terms:
         raise ConfigError(f"{where} is empty")
     return terms
 
 
+def _number(text: str, where: str, kind=float):
+    """text as a finite kind (float, int or complex); ConfigError naming
+    the key otherwise."""
+    try:
+        val = kind(text.strip())
+    except ValueError:
+        val = None
+    # ints are exact: no finiteness test, which would overflow on huge ones
+    if val is None or (kind is not int and not cmath.isfinite(val)):
+        raise ConfigError(f"{where} must be a finite {kind.__name__}, got {text!r}")
+    return val
+
+
 def _positive(text: str, where: str) -> float:
-    val = float(text)
+    val = _number(text, where)
     if not val > 0:
         raise ConfigError(f"{where} must be positive")
     return val
 
 
 def _int_at_least(text: str, least: int, where: str) -> int:
-    val = int(text)
+    val = _number(text, where, int)
     if val < least:
         raise ConfigError(f"{where} must be >= {least}")
     return val
@@ -211,8 +231,11 @@ def _int_at_least(text: str, least: int, where: str) -> int:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
+    # numpy >= 2 reprs its scalars as np.float64(...); write plain numbers
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    if isinstance(x, np.integer):
+        return str(int(x))
     return str(x)
 
 
@@ -371,8 +394,8 @@ def cmd_stokes(cfg: RunConfig, seed: int) -> int:
         print("no admissible energy for the line tracer", file=sys.stderr)
         return EXIT_ASSUMPTION
     family = cfg.stokes.get("family", "kappa")
-    direction = int(cfg.stokes.get("direction", "1"))
-    max_length = float(cfg.stokes.get("max_length", "1.0"))
+    direction = _number(cfg.stokes.get("direction", "1"), "stokes.direction", int)
+    max_length = _number(cfg.stokes.get("max_length", "1.0"), "stokes.max_length")
     starts: list[complex] = []
     for line in cfg.stokes.get("starts", "").splitlines():
         parts = line.split()
@@ -380,7 +403,8 @@ def cmd_stokes(cfg: RunConfig, seed: int) -> int:
             continue
         if len(parts) != 2:
             raise ConfigError("stokes.starts lines need: re_zeta im_zeta")
-        starts.append(complex(float(parts[0]), float(parts[1])))
+        starts.append(complex(_number(parts[0], "stokes.starts"),
+                              _number(parts[1], "stokes.starts")))
     if not starts:
         # default: just below each branch point on the left half-period
         rep = geometry_mod.analyze_window(cfg.potential_w, bands, E, cfg.n, cfg.m)
@@ -421,16 +445,17 @@ def cmd_cocycle(cfg: RunConfig, seed: int) -> int:
     kind = cfg.model.get("kind", "model")
     h = cocycle_mod.frequency_from_epsilon(cfg.epsilons[0])
     if kind == "model":
-        coeffs = [complex(cfg.model.get(k, "0")) for k in ("a0", "a1", "b0", "b1")]
+        coeffs = [_number(cfg.model.get(k, "0"), f"model.{k}", complex)
+                  for k in ("a0", "a1", "b0", "b1")]
         family = cocycle_mod.model_matrix(*coeffs)
         params = {k: [c.real, c.imag] for k, c in zip(("a0", "a1", "b0", "b1"),
                                                       coeffs)}
     elif kind == "herman":
-        lam = complex(cfg.model.get("lam", "2"))
-        n0 = int(cfg.model.get("n0", "1"))
-        alpha = complex(cfg.model.get("alpha", "0.5"))
-        beta = complex(cfg.model.get("beta", "0"))
-        m_amp = float(cfg.model.get("m_amp", "0"))
+        lam = _number(cfg.model.get("lam", "2"), "model.lam", complex)
+        n0 = _number(cfg.model.get("n0", "1"), "model.n0", int)
+        alpha = _number(cfg.model.get("alpha", "0.5"), "model.alpha", complex)
+        beta = _number(cfg.model.get("beta", "0"), "model.beta", complex)
+        m_amp = _number(cfg.model.get("m_amp", "0"), "model.m_amp")
         family = cocycle_mod.herman_family(lam, n0, alpha, beta, m_amp,
                                            cfg.epsilons[0], seed=seed)
         params = {"lam": [lam.real, lam.imag], "n0": n0,

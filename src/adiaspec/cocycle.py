@@ -29,6 +29,10 @@ from .hill import PeriodicPotential
 
 _KINDS = ("model-M0", "herman-test", "user-table")
 
+# unit blocks integrated together by direct_lyapunov; bounds the memory of
+# a run and fixes where chunks start, independently of the caller
+_CHUNK = 2048
+
 _SIGMA = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
@@ -233,50 +237,44 @@ def direct_lyapunov(V: PeriodicPotential, W, epsilon: float, E: float,
                     tol: float = 1e-8) -> LyapunovEstimate:
     """Exponent of -psi'' + (V(x - z) + W(eps x)) psi = E psi over [0, L].
 
-    The fundamental matrix advances in unit blocks (one V period) with a
-    rescaling after each block; Theta = (sum of block log norms) / L.
-    The standard error is the spread of slopes over ten consecutive
-    segments of the run.  W may be None for the unmodulated operator.
+    The run is cut into unit blocks [j, j + 1] (one V period), each an
+    independent linear problem.  Blocks are integrated together, in
+    chunks of at most ``_CHUNK``, by ``_ode.transfer_batch``: fixed-step
+    Dormand-Prince 5(4) in which every step of every block passes the
+    embedded error test with rtol = tol and atol = tol * 1e-2, the chunk
+    being redone with twice the steps until it does.  Piecewise-constant V
+    is integrated sub-interval by sub-interval between its jumps.  The
+    block matrices are then multiplied in order with a rescaling after
+    each block; Theta = (sum of block log norms) / L.  The standard error
+    is the spread of slopes over ten consecutive segments of the run.
+    W may be None for the unmodulated operator.
     """
     if epsilon <= 0:
         raise InvalidInputError("epsilon must be positive")
+    if not (math.isfinite(z) and cmath.isfinite(E)):
+        raise InvalidInputError("z and E must be finite")
     nblocks = int(math.floor(L + 1e-9))
     if nblocks < 10:
         raise InsufficientLengthError(
             f"L={L} gives {nblocks} unit blocks; need at least 10"
         )
-    vf = V.evaluator()
-    if W is None:
-        def q(x: float) -> float:
-            return vf(x - z)
-    else:
-        terms = tuple((f * epsilon, c, s) for f, c, s in W.coefficients)
-        cos, sin = math.cos, math.sin
-
-        def q(x: float) -> float:
-            w = 0.0
-            for om, c, s in terms:
-                w += c * cos(om * x) + s * sin(om * x)
-            return vf(x - z) + w
-
-    cuts_in_unit: tuple[float, ...] = ()
-    if V.kind == "piecewise-constant":
-        cuts_in_unit = tuple(sorted({(b + z) % 1.0 for b, _ in V.segments
-                                     if (b + z) % 1.0 > 0.0}))
-
-    F = np.eye(2, dtype=complex if isinstance(E, complex) else float)
+    f11, f12, f21, f22 = 1.0, 0.0, 0.0, 1.0
     acc = 0.0
     blocks: list[float] = []
-    for j in range(nblocks):
-        B = _unit_block(q, E, float(j), cuts_in_unit, tol)
-        F = B @ F
-        nrm = float(np.linalg.norm(F))
-        if nrm == 0.0 or not math.isfinite(nrm):
-            raise DegeneracyError(f"block product degenerated at x={j + 1}")
-        lg = math.log(nrm)
-        acc += lg
-        blocks.append(lg)
-        F /= nrm
+    for j0 in range(0, nblocks, _CHUNK):
+        y = _block_transfers(V, W, epsilon, E, z,
+                             j0, min(j0 + _CHUNK, nblocks), tol)
+        for j, (a, b, c, d) in enumerate(zip(*y.tolist()), start=j0):
+            f11, f12, f21, f22 = (a * f11 + b * f21, a * f12 + b * f22,
+                                  c * f11 + d * f21, c * f12 + d * f22)
+            nrm = math.hypot(abs(f11), abs(f12), abs(f21), abs(f22))
+            if nrm == 0.0 or not math.isfinite(nrm):
+                raise DegeneracyError(
+                    f"block product degenerated at x={j + 1}")
+            lg = math.log(nrm)
+            acc += lg
+            blocks.append(lg)
+            f11, f12, f21, f22 = f11 / nrm, f12 / nrm, f21 / nrm, f22 / nrm
     value = acc / nblocks
     groups = np.array_split(np.array(blocks), 10)
     slopes = [g.mean() for g in groups]
@@ -286,13 +284,42 @@ def direct_lyapunov(V: PeriodicPotential, W, epsilon: float, E: float,
                             z_samples=(float(z),))
 
 
-def _unit_block(q, E, x0: float, cuts_in_unit, tol: float) -> np.ndarray:
-    """Fundamental matrix over [x0, x0 + 1], split at potential jumps."""
-    xs = [x0] + [x0 + c for c in cuts_in_unit] + [x0 + 1.0]
-    y = (1.0, 0.0, 0.0, 1.0)
-    for a, b in zip(xs[:-1], xs[1:]):
-        y, _, _ = _ode.propagate(q, E, a, b, rtol=tol, atol=tol * 1e-2, y0=y)
-    return np.array([[y[0], y[1]], [y[2], y[3]]])
+def _block_transfers(V: PeriodicPotential, W, epsilon: float, E, z: float,
+                     j0: int, j1: int, tol: float) -> np.ndarray:
+    """Fundamental matrices of the unit blocks j0 <= j < j1, rows (a, b, c, d).
+
+    V(j + t - z) = V(t - z) is shared by every block and evaluated once
+    per stage node.  Each W term c cos(om x) + s sin(om x) at x = j + t is
+    P_j cos(om t) + Q_j sin(om t) by angle addition, so only P_j and Q_j
+    are per-block arrays.
+    """
+    js = np.arange(j0, j1, dtype=float)
+    terms = []
+    for f, c, s in (() if W is None else W.coefficients):
+        om = f * epsilon
+        cj, sj = np.cos(om * js), np.sin(om * js)
+        terms.append((om, c * cj + s * sj, s * cj - c * sj))
+    vf = V.evaluator()
+    piecewise = V.kind == "piecewise-constant"
+    knots = [0.0, 1.0]
+    if piecewise:
+        knots[1:1] = sorted({(b + z) % 1.0 for b, _ in V.segments
+                             if (b + z) % 1.0 > 0.0})
+    y = np.zeros((4, len(js)))
+    y[0] = y[3] = 1.0
+    for t0, t1 in zip(knots[:-1], knots[1:]):
+        # V is constant between its jumps; a node on a jump would pick
+        # either side's value, so take the sub-interval's midpoint instead
+        v_mid = vf(0.5 * (t0 + t1) - z) if piecewise else None
+
+        def w(t: float, v_mid=v_mid):
+            out = (vf(t - z) if v_mid is None else v_mid) - E
+            for om, P, Q in terms:
+                out = out + P * math.cos(om * t) + Q * math.sin(om * t)
+            return out
+
+        y = _ode.transfer_batch(w, t0, t1, y, rtol=tol, atol=tol * 1e-2)
+    return y
 
 
 def theta_to_Theta(theta: float, epsilon: float) -> float:

@@ -79,6 +79,15 @@ def load_json(out, name):
     return json.loads((out / name).read_text())
 
 
+def assert_numeric_fields(out, name, labels=()):
+    # every field outside the label columns is a plain number
+    header, rows = csv_rows(out, name)
+    cols = [i for i, h in enumerate(header) if h not in labels]
+    for row in rows:
+        for i in cols:
+            float(row[i])
+
+
 def csv_rows(out, name):
     lines = (out / name).read_text().splitlines()
     assert lines[0].startswith("# config: ")
@@ -155,6 +164,19 @@ def test_unknown_potential_kind_exits_input_error(tmp_path, capsys):
     assert "potential_v.kind" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("cocycle", "N", "2.5"),
+    ("cocycle", "z", "nan"),
+    ("cocycle", "epsilons", "inf"),
+    ("window", "energy", "abc"),
+])
+def test_malformed_number_exits_input_error(tmp_path, capsys, section, key,
+                                            value):
+    cfg, _ = prepare(tmp_path, {section: {key: value}})
+    assert main(["verify", "--config", cfg]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_input_error(tmp_path, capsys):
     assert main(["bands", "--config", str(tmp_path / "nope.ini")]) == 2
     assert "config file not found" in capsys.readouterr().err
@@ -181,6 +203,8 @@ def test_geometry_reference_outputs(tmp_path):
     header, rows = csv_rows(out, "branch_z1m.csv")
     assert header == ["kappa", "zeta"]
     assert len(rows) > 100
+    for name in ("branch_z1m.csv", "branch_z1p.csv"):
+        assert_numeric_fields(out, name)
 
 
 def test_geometry_energy_override_reports_failed_window(tmp_path):
@@ -247,6 +271,7 @@ def test_stokes_reference_traces(tmp_path):
                                 "branch-point", "stall", "step-limit"}
         assert tr["level_drift"] <= 1e-6 * tr["length"]
     assert {int(r[0]) for r in rows} == {0, 1}
+    assert_numeric_fields(out, "stokes.csv")
 
 
 # ---------------------------------------------------------------------------

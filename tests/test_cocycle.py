@@ -7,9 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from adiaspec import _ode
 from adiaspec import (
     AnalyticPotential,
     CocycleSpec,
+    ConvergenceFailure,
     DegeneracyError,
     InsufficientLengthError,
     InvalidInputError,
@@ -28,7 +30,8 @@ from adiaspec import (
     total_T,
 )
 
-from oracles import plain_cocycle, wkb_average_rate
+from adiaspec.cocycle import _CHUNK, _block_transfers
+from oracles import plain_cocycle, rk4_transfer, wkb_average_rate
 
 H_REF = frequency_from_epsilon(0.1)
 
@@ -268,3 +271,132 @@ def test_below_window_rate_matches_wkb(V_zero):
 def test_full_operator_rate_non_negative(V_ref, W_ref, E_ref):
     est = direct_lyapunov(V_ref, W_ref, 0.2, E_ref, L=300.0)
     assert est.value >= -3.0 * est.standard_error
+
+
+# ---------------------------------------------------------------------------
+# batched unit blocks against scalar adaptive DOPRI and fixed-step RK4
+
+
+def block_knots(V, z):
+    # sub-interval ends of a unit block: the jumps of V(t - z) in (0, 1)
+    if V.kind != "piecewise-constant":
+        return [0.0, 1.0]
+    return [0.0] + sorted({(b + z) % 1.0 for b, _ in V.segments
+                           if (b + z) % 1.0 > 0.0}) + [1.0]
+
+
+def block_potential(V, W, eps, z, j, t0, t1):
+    """q(x) on [j + t0, j + t1]; piecewise V is read at the sub-interval
+    midpoint, where it is unambiguous."""
+    v_mid = V(0.5 * (t0 + t1) - z)
+
+    def q(x):
+        v = v_mid if V.kind == "piecewise-constant" else V(x - z)
+        return v + (0.0 if W is None else W.value(eps * x))
+
+    return q
+
+
+def scalar_block(V, W, eps, E, z, j, rtol):
+    knots = block_knots(V, z)
+    y = (1.0, 0.0, 0.0, 1.0)
+    for t0, t1 in zip(knots[:-1], knots[1:]):
+        q = block_potential(V, W, eps, z, j, t0, t1)
+        y, _, _ = _ode.propagate(q, E, j + t0, j + t1, rtol=rtol,
+                                 atol=rtol * 1e-2, y0=y)
+    return np.array(y).reshape(2, 2)
+
+
+def rk4_block(V, W, eps, E, z, j, steps=1000):
+    knots = block_knots(V, z)
+    Y = np.eye(2, dtype=complex)
+    for t0, t1 in zip(knots[:-1], knots[1:]):
+        q = block_potential(V, W, eps, z, j, t0, t1)
+        n = max(8, math.ceil(steps * (t1 - t0)))
+        Y = rk4_transfer(q, np.array([E]), j + t0, j + t1, n)[..., 0] @ Y
+    return Y
+
+
+BLOCK_CASES = {
+    # name: (V fixture, with W_ref, z, energy offset from E_ref)
+    "trig-shifted": ("V_ref", True, 0.37, 0.0),
+    "piecewise-cuts": ("V_kp", True, 0.2, -1.0),
+    "zero-no-W": ("V_zero", False, 0.0, -5.4),
+    "complex-E": ("V_ref", True, 0.1, 0.3j),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_block_transfers_match_scalar_and_oracle(case, request, W_ref, E_ref):
+    fixture, with_w, z, dE = BLOCK_CASES[case]
+    V = request.getfixturevalue(fixture)
+    W = W_ref if with_w else None
+    E = E_ref + dE
+    eps, tol, j0, j1 = 0.1, 1e-9, 1998, 2001
+    batch = _block_transfers(V, W, eps, E, z, j0, j1, tol)
+    assert batch.shape == (4, j1 - j0)
+    assert np.iscomplexobj(batch) == isinstance(E, complex)
+    for i, j in enumerate(range(j0, j1)):
+        got = batch[:, i].reshape(2, 2)
+        ref = scalar_block(V, W, eps, E, z, j, rtol=1e-12)
+        oracle = rk4_block(V, W, eps, E, z, j)
+        scale = max(1.0, float(np.abs(ref).max()))
+        assert np.abs(got - ref).max() <= tol * scale, (case, j)
+        assert np.abs(got - oracle).max() <= tol * scale, (case, j)
+        assert abs(np.linalg.det(got) - 1.0) <= tol * scale
+
+
+def test_transfer_batch_constant_potential_closed_form():
+    # w = q - E constant per member: [[cosh, sinh/k], [k sinh, cosh]]
+    w = np.array([-9.0, -1.0, 0.5, 4.0])
+    y0 = np.zeros((4, w.size))
+    y0[0] = y0[3] = 1.0
+    y = _ode.transfer_batch(lambda t: w, 0.0, 1.0, y0, rtol=1e-10, atol=1e-12)
+    k = np.sqrt(w.astype(complex))
+    want = np.array([np.cosh(k), np.sinh(k) / k, k * np.sinh(k), np.cosh(k)])
+    assert np.abs(y - want).max() <= 1e-8
+
+
+@pytest.mark.parametrize("integrate", ["propagate", "transfer_batch"])
+def test_nan_potential_raises(integrate):
+    if integrate == "propagate":
+        with pytest.raises(ConvergenceFailure):
+            _ode.propagate(lambda x: math.nan, 1.0, 0.0, 1.0)
+    else:
+        y0 = np.array([[1.0], [0.0], [0.0], [1.0]])
+        with pytest.raises(ConvergenceFailure):
+            _ode.transfer_batch(lambda t: math.nan, 0.0, 1.0, y0)
+        # finite at t0, NaN further in: caught by the error test
+        with pytest.raises(ConvergenceFailure):
+            _ode.transfer_batch(lambda t: 1.0 if t == 0.0 else math.nan,
+                                0.0, 1.0, y0)
+
+
+def test_direct_lyapunov_matches_scalar_block_loop(V_ref, W_ref, E_ref):
+    eps, z, tol = 0.2, 0.37, 1e-8
+    est = direct_lyapunov(V_ref, W_ref, eps, E_ref, z=z, L=300.0, tol=tol)
+    F = np.eye(2)
+    logs = []
+    for j in range(300):
+        F = scalar_block(V_ref, W_ref, eps, E_ref, z, j, rtol=1e-10) @ F
+        nrm = np.linalg.norm(F)
+        logs.append(math.log(nrm))
+        F /= nrm
+    assert est.N_used == 300
+    assert abs(est.value - sum(logs) / 300) <= 1e-8
+    assert np.abs(est.per_block - np.array(logs)).max() <= 1e-8
+
+
+def test_direct_lyapunov_repeats_across_chunks(V_zero):
+    W = AnalyticPotential.cosine(1.5, 0.5)
+    L = _CHUNK + 700.0
+    one = direct_lyapunov(V_zero, W, 0.3, -2.0, z=0.25, L=L)
+    two = direct_lyapunov(V_zero, W, 0.3, -2.0, z=0.25, L=L)
+    assert one.N_used == _CHUNK + 700
+    assert np.array_equal(one.per_block, two.per_block)
+    assert one.value == two.value and one.standard_error == two.standard_error
+
+
+def test_direct_lyapunov_rejects_non_finite_phase(V_ref, W_ref, E_ref):
+    with pytest.raises(InvalidInputError):
+        direct_lyapunov(V_ref, W_ref, 0.2, E_ref, z=math.nan, L=50.0)
