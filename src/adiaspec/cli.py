@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,7 +62,30 @@ class RunConfig:
     formats: tuple[str, ...]
     model: dict
     stokes: dict
-    resolved: dict  # plain-data mirror embedded in every output
+
+    @property
+    def resolved(self) -> dict:
+        """Plain-data mirror of the config, embedded in every output."""
+        v, w = self.potential_v, self.potential_w
+        return {
+            "potential_v": {"kind": v.kind,
+                            "coefficients": [list(t) for t in v.coefficients],
+                            "segments": [list(t) for t in v.segments]},
+            "potential_w": {"terms": [list(t) for t in w.coefficients],
+                            "strip_half_width": w.strip_half_width},
+            "window": {"n": self.n, "m": self.m, "energy": self.energy,
+                       "energy_grid": (list(self.energy_grid) if self.energy_grid
+                                       else None)},
+            "grid": {"ceiling": self.ceiling},
+            "cocycle": {"epsilons": list(self.epsilons), "periods": self.periods,
+                        "z": self.z, "z_samples": self.z_samples, "N": self.iterations,
+                        "renorm_stride": self.renorm_stride, "seed": self.seed},
+            "tolerances": {"edge": self.tol_edge, "quadrature": self.tol_quad,
+                           "ode": self.tol_ode},
+            "output": {"directory": self.out_dir, "formats": list(self.formats)},
+            "model": dict(sorted(self.model.items())),
+            "stokes": dict(sorted(self.stokes.items())),
+        }
 
 
 def load_config(path: str) -> RunConfig:
@@ -133,31 +156,13 @@ def load_config(path: str) -> RunConfig:
     model = {k: v2 for k, v2 in cp.items("model")} if cp.has_section("model") else {}
     stokes = {k: v2 for k, v2 in cp.items("stokes")} if cp.has_section("stokes") else {}
 
-    resolved = {
-        "potential_v": {"kind": v.kind,
-                        "coefficients": [list(t) for t in v.coefficients],
-                        "segments": [list(t) for t in v.segments]},
-        "potential_w": {"terms": [list(t) for t in w.coefficients],
-                        "strip_half_width": w.strip_half_width},
-        "window": {"n": n, "m": m,
-                   "energy": energy,
-                   "energy_grid": list(energy_grid) if energy_grid else None},
-        "grid": {"ceiling": ceiling},
-        "cocycle": {"epsilons": list(eps), "periods": periods, "z": z,
-                    "z_samples": z_samples, "N": iterations,
-                    "renorm_stride": stride, "seed": seed},
-        "tolerances": {"edge": tol_edge, "quadrature": tol_quad, "ode": tol_ode},
-        "output": {"directory": out_dir, "formats": list(formats)},
-        "model": dict(sorted(model.items())),
-        "stokes": dict(sorted(stokes.items())),
-    }
     return RunConfig(
         potential_v=v, potential_w=w, n=n, m=m, energy=energy,
         energy_grid=energy_grid, ceiling=ceiling, epsilons=eps,
         periods=periods, z=z, z_samples=z_samples, iterations=iterations,
         renorm_stride=stride, seed=seed, tol_edge=tol_edge,
         tol_quad=tol_quad, tol_ode=tol_ode, out_dir=out_dir,
-        formats=formats, model=model, stokes=stokes, resolved=resolved,
+        formats=formats, model=model, stokes=stokes,
     )
 
 
@@ -244,20 +249,25 @@ def _config_stamp(cfg: RunConfig, seed: int) -> str:
     return f"# config: {blob}\n# seed: {seed}\n"
 
 
-def _write_csv(path: str, cfg: RunConfig, seed: int, header: list[str],
+def _write_csv(cfg: RunConfig, seed: int, name: str, header: list[str],
                rows: list[list]) -> None:
     lines = [_config_stamp(cfg, seed)]
     lines.append(",".join(header) + "\n")
     for row in rows:
         lines.append(",".join(_fmt(c) for c in row) + "\n")
-    with open(path, "w", newline="") as fh:
-        fh.write("".join(lines))
+    _write(cfg, name, "".join(lines))
 
 
-def _write_json(path: str, cfg: RunConfig, seed: int, payload: dict) -> None:
+def _write_json(cfg: RunConfig, seed: int, name: str, payload: dict) -> None:
     doc = {"config": cfg.resolved, "seed": seed, "result": payload}
+    _write(cfg, name, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
+def _write(cfg: RunConfig, name: str, text: str) -> None:
+    path = os.path.join(cfg.out_dir, name)
     with open(path, "w", newline="") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        fh.write(text)
+    print(f"wrote {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -268,32 +278,44 @@ def _band_structure(cfg: RunConfig) -> hill.BandStructure:
     return hill.band_edges(cfg.potential_v, cfg.ceiling, tol=cfg.tol_edge)
 
 
-def _energy_candidates(cfg: RunConfig, bands) -> list[float]:
-    if cfg.energy is not None:
-        return [cfg.energy]
-    if cfg.energy_grid is not None:
+def _windows(cfg: RunConfig, bands,
+             energy: float | None = None) -> list[geometry_mod.WindowReport]:
+    """Window reports for the candidate energies, in order: the override, else
+    window.energy, else the grid, else the margin maximizer (none when that
+    search is infeasible)."""
+    energy = cfg.energy if energy is None else energy
+    if energy is not None:
+        candidates = [energy]
+    elif cfg.energy_grid is not None:
         lo, hi, count = cfg.energy_grid
         if count == 1:
-            return [lo]
-        step = (hi - lo) / (count - 1)
-        return [lo + i * step for i in range(count)]
-    try:
-        return [geometry_mod.best_window_energy(cfg.potential_w, bands,
-                                                cfg.n, cfg.m)]
-    except InvalidInputError:
-        # an infeasible automatic search is an assumption failure, not a
-        # malformed config; let the caller report it
-        return []
+            candidates = [lo]
+        else:
+            step = (hi - lo) / (count - 1)
+            candidates = [lo + i * step for i in range(count)]
+    else:
+        try:
+            candidates = [geometry_mod.best_window_energy(
+                cfg.potential_w, bands, cfg.n, cfg.m)]
+        except InvalidInputError:
+            # an infeasible automatic search is an assumption failure, not
+            # a malformed config; let the caller report it
+            return []
+    return [geometry_mod.analyze_window(cfg.potential_w, bands, E, cfg.n, cfg.m)
+            for E in candidates]
 
 
-def _best_energy(cfg: RunConfig, bands) -> float | None:
-    """Admissible energy with the largest window margin, None if there is none."""
-    best, best_margin = None, -math.inf
-    for E in _energy_candidates(cfg, bands):
-        rep = geometry_mod.analyze_window(cfg.potential_w, bands, E, cfg.n, cfg.m)
-        if rep.all_ok and rep.margin > best_margin:
-            best, best_margin = E, rep.margin
-    return best
+def _best(reports):
+    """Admissible report with the largest margin (the first on ties), or None."""
+    return max((r for r in reports if r.all_ok), key=lambda r: r.margin,
+               default=None)
+
+
+def _actions(cfg: RunConfig, bands, report) -> actions_mod.ActionSet:
+    geom = geometry_mod.branch_points(cfg.potential_w, bands, report,
+                                      V=cfg.potential_v)
+    return actions_mod.compute_actions(cfg.potential_v, cfg.potential_w, bands,
+                                       geom, tol=cfg.tol_quad)
 
 
 # ---------------------------------------------------------------------------
@@ -310,26 +332,20 @@ def cmd_bands(cfg: RunConfig, seed: int) -> int:
             if k <= len(bands.gap_open):
                 gap_flag = "open" if bands.is_gap_open(k) else "closed"
         rows.append([j, e, gap_flag])
-    path = os.path.join(cfg.out_dir, "bands.csv")
-    _write_csv(path, cfg, seed, ["edge_index", "energy", "gap_after"], rows)
-    print(f"wrote {path}")
+    _write_csv(cfg, seed, "bands.csv", ["edge_index", "energy", "gap_after"], rows)
     return EXIT_OK
 
 
 def cmd_geometry(cfg: RunConfig, seed: int, energy: float | None = None) -> int:
     bands = _band_structure(cfg)
-    E = energy if energy is not None else _best_energy(cfg, bands)
-    if E is None:
-        # report the first candidate's failed flags; analysis, not failure
-        candidates = _energy_candidates(cfg, bands)
-        if not candidates:
-            print("window conditions unsatisfied on the whole energy grid",
-                  file=sys.stderr)
-            return EXIT_ASSUMPTION
-        E = candidates[0]
-    report = geometry_mod.analyze_window(cfg.potential_w, bands, E, cfg.n, cfg.m)
+    reports = _windows(cfg, bands, energy)
+    if not reports:
+        print("window conditions unsatisfied on the whole energy grid",
+              file=sys.stderr)
+        return EXIT_ASSUMPTION
+    # no admissible energy: report the first candidate's failed flags
+    report = _best(reports) or reports[0]
     payload: dict = {"window_report": report.to_dict()}
-    written = []
     if report.all_ok:
         geom = geometry_mod.branch_points(cfg.potential_w, bands, report,
                                           V=cfg.potential_v)
@@ -338,39 +354,27 @@ def cmd_geometry(cfg: RunConfig, seed: int, energy: float | None = None) -> int:
             for label in geom.band_labels:
                 branch = geometry_mod.real_branch(geom, label)
                 name = str(label).replace("+", "p").replace("-", "m")
-                path = os.path.join(cfg.out_dir, f"branch_{name}.csv")
-                rows = [[k, zv] for k, zv in branch.table()]
-                _write_csv(path, cfg, seed, ["kappa", "zeta"], rows)
-                written.append(path)
-    out = os.path.join(cfg.out_dir, "geometry.json")
-    _write_json(out, cfg, seed, payload)
-    written.append(out)
-    for p in written:
-        print(f"wrote {p}")
+                _write_csv(cfg, seed, f"branch_{name}.csv", ["kappa", "zeta"],
+                           [[k, zv] for k, zv in branch.table()])
+    _write_json(cfg, seed, "geometry.json", payload)
     return EXIT_OK
 
 
 def cmd_actions(cfg: RunConfig, seed: int) -> int:
     bands = _band_structure(cfg)
-    admissible = []
-    for E in _energy_candidates(cfg, bands):
-        rep = geometry_mod.analyze_window(cfg.potential_w, bands, E, cfg.n, cfg.m)
-        if rep.all_ok:
-            admissible.append((E, rep))
+    admissible = sorted((r for r in _windows(cfg, bands) if r.all_ok),
+                        key=lambda r: r.energy)
     if not admissible:
         print("no admissible energy in the grid", file=sys.stderr)
         return EXIT_ASSUMPTION
     rows = []
-    for E, rep in sorted(admissible):
-        geom = geometry_mod.branch_points(cfg.potential_w, bands, rep,
-                                          V=cfg.potential_v)
-        aset = actions_mod.compute_actions(cfg.potential_v, cfg.potential_w,
-                                           bands, geom, tol=cfg.tol_quad)
+    for rep in admissible:
+        aset = _actions(cfg, bands, rep)
         asym = actions_mod.lyapunov_asymptotic(aset, cfg.epsilons[0])
         logT_cols = {eps: actions_mod.total_T(aset, eps)[1]
                      for eps in cfg.epsilons}
         for label, s_val, _err in aset.entries:
-            row = [E, str(label), s_val]
+            row = [rep.energy, str(label), s_val]
             for eps in cfg.epsilons:
                 row.append(actions_mod.tunneling_coefficient(s_val, eps).value)
             for eps in cfg.epsilons:
@@ -381,18 +385,11 @@ def cmd_actions(cfg: RunConfig, seed: int) -> int:
     header += [f"t_eps_{_fmt(e)}" for e in cfg.epsilons]
     header += [f"logT_eps_{_fmt(e)}" for e in cfg.epsilons]
     header += ["theta_asym"]
-    path = os.path.join(cfg.out_dir, "actions.csv")
-    _write_csv(path, cfg, seed, header, rows)
-    print(f"wrote {path}")
+    _write_csv(cfg, seed, "actions.csv", header, rows)
     return EXIT_OK
 
 
 def cmd_stokes(cfg: RunConfig, seed: int) -> int:
-    bands = _band_structure(cfg)
-    E = _best_energy(cfg, bands)
-    if E is None:
-        print("no admissible energy for the line tracer", file=sys.stderr)
-        return EXIT_ASSUMPTION
     family = cfg.stokes.get("family", "kappa")
     direction = _number(cfg.stokes.get("direction", "1"), "stokes.direction", int)
     max_length = _number(cfg.stokes.get("max_length", "1.0"), "stokes.max_length")
@@ -405,9 +402,13 @@ def cmd_stokes(cfg: RunConfig, seed: int) -> int:
             raise ConfigError("stokes.starts lines need: re_zeta im_zeta")
         starts.append(complex(_number(parts[0], "stokes.starts"),
                               _number(parts[1], "stokes.starts")))
+    bands = _band_structure(cfg)
+    rep = _best(_windows(cfg, bands))
+    if rep is None:
+        print("no admissible energy for the line tracer", file=sys.stderr)
+        return EXIT_ASSUMPTION
     if not starts:
         # default: just below each branch point on the left half-period
-        rep = geometry_mod.analyze_window(cfg.potential_w, bands, E, cfg.n, cfg.m)
         geom = geometry_mod.branch_points(cfg.potential_w, bands, rep,
                                           V=cfg.potential_v)
         starts = [complex(zv, -0.02) for j, s, zv in geom.branch_zetas
@@ -416,7 +417,7 @@ def cmd_stokes(cfg: RunConfig, seed: int) -> int:
     traces = []
     for idx, start in enumerate(starts):
         line = geometry_mod.trace_stokes_line(
-            cfg.potential_v, cfg.potential_w, bands, E, start,
+            cfg.potential_v, cfg.potential_w, bands, rep.energy, start,
             family=family, direction=direction, max_length=max_length,
         )
         traces.append({
@@ -428,14 +429,10 @@ def cmd_stokes(cfg: RunConfig, seed: int) -> int:
         })
         for i, (p, k) in enumerate(zip(line.points, line.kappa)):
             rows.append([idx, i, p.real, p.imag, k.real, k.imag])
-    path = os.path.join(cfg.out_dir, "stokes.csv")
-    _write_csv(path, cfg, seed, ["trace", "node", "re_zeta", "im_zeta",
-                                 "re_kappa", "im_kappa"], rows)
-    out = os.path.join(cfg.out_dir, "stokes.json")
-    _write_json(out, cfg, seed, {"energy": E, "family": family,
-                                 "direction": direction, "traces": traces})
-    print(f"wrote {path}")
-    print(f"wrote {out}")
+    _write_csv(cfg, seed, "stokes.csv", ["trace", "node", "re_zeta", "im_zeta",
+                                         "re_kappa", "im_kappa"], rows)
+    _write_json(cfg, seed, "stokes.json", {"energy": rep.energy, "family": family,
+                                           "direction": direction, "traces": traces})
     return EXIT_OK
 
 
@@ -482,24 +479,19 @@ def cmd_cocycle(cfg: RunConfig, seed: int) -> int:
     }
     if include_blocks:
         payload["block_log_norms"] = [float(v) for v in est.per_block]
-    out = os.path.join(cfg.out_dir, "cocycle.json")
-    _write_json(out, cfg, seed, payload)
-    print(f"wrote {out}")
+    _write_json(cfg, seed, "cocycle.json", payload)
     return EXIT_OK
 
 
 def cmd_verify(cfg: RunConfig, seed: int, threads: int = 1) -> int:
     bands = _band_structure(cfg)
-    E = _best_energy(cfg, bands)
-    if E is None:
+    rep = _best(_windows(cfg, bands))
+    if rep is None:
         print("window conditions unsatisfied on the whole energy grid",
               file=sys.stderr)
         return EXIT_ASSUMPTION
-    rep = geometry_mod.analyze_window(cfg.potential_w, bands, E, cfg.n, cfg.m)
-    geom = geometry_mod.branch_points(cfg.potential_w, bands, rep,
-                                      V=cfg.potential_v)
-    aset = actions_mod.compute_actions(cfg.potential_v, cfg.potential_w,
-                                       bands, geom, tol=cfg.tol_quad)
+    E = rep.energy
+    aset = _actions(cfg, bands, rep)
     theta_asym = actions_mod.lyapunov_asymptotic(aset, cfg.epsilons[0]).theta_asym
     eps_order = sorted(cfg.epsilons, reverse=True)
 
@@ -533,8 +525,7 @@ def cmd_verify(cfg: RunConfig, seed: int, threads: int = 1) -> int:
         trend = "insufficient points"
     final_ok = rel_errors[-1] <= 0.20
     verdict = "PASS" if (all(positives) and trend_ok and final_ok) else "FAIL"
-    path = os.path.join(cfg.out_dir, "verify.csv")
-    _write_csv(path, cfg, seed,
+    _write_csv(cfg, seed, "verify.csv",
                ["E", "epsilon", "theta_asym", "theta_num", "rel_error",
                 "standard_error"], rows)
     payload = {
@@ -551,10 +542,7 @@ def cmd_verify(cfg: RunConfig, seed: int, threads: int = 1) -> int:
         "final_rel_error": rel_errors[-1],
         "verdict": verdict,
     }
-    out = os.path.join(cfg.out_dir, "verify.json")
-    _write_json(out, cfg, seed, payload)
-    print(f"wrote {path}")
-    print(f"wrote {out}")
+    _write_json(cfg, seed, "verify.json", payload)
     print(verdict)
     return EXIT_OK
 
@@ -589,9 +577,9 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.out is not None:
-            cfg = _replace_out(cfg, args.out)
+            cfg = replace(cfg, out_dir=args.out)
         if args.format is not None:
-            cfg = _replace_formats(cfg, (args.format,))
+            cfg = replace(cfg, formats=(args.format,))
         seed = args.seed if args.seed is not None else cfg.seed
         os.makedirs(cfg.out_dir, exist_ok=True)
         if args.command == "bands":
@@ -613,24 +601,6 @@ def main(argv=None) -> int:
     except AdiaspecError as exc:
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-
-
-def _replace_out(cfg: RunConfig, out_dir: str) -> RunConfig:
-    resolved = dict(cfg.resolved)
-    resolved["output"] = dict(resolved["output"], directory=out_dir)
-    return _dataclass_replace(cfg, out_dir=out_dir, resolved=resolved)
-
-
-def _replace_formats(cfg: RunConfig, formats: tuple[str, ...]) -> RunConfig:
-    resolved = dict(cfg.resolved)
-    resolved["output"] = dict(resolved["output"], formats=list(formats))
-    return _dataclass_replace(cfg, formats=formats, resolved=resolved)
-
-
-def _dataclass_replace(cfg: RunConfig, **changes) -> RunConfig:
-    from dataclasses import replace
-
-    return replace(cfg, **changes)
 
 
 if __name__ == "__main__":

@@ -210,10 +210,9 @@ def fundamental_matrix(V: PeriodicPotential, E, x0: float = 0.0, x1: float = 1.0
         raise InvalidInputError("tolerance must be positive")
     if V.kind == "piecewise-constant":
         (a, b, c, d), err = _propagate_piecewise(V, E, x0, x1)
-        nsteps = 1
     else:
         q = V.evaluator()
-        (a, b, c, d), err, nsteps = _ode.propagate(
+        (a, b, c, d), err, _ = _ode.propagate(
             q, E, x0, x1, rtol=tol, atol=tol * 1e-2
         )
     m = np.array([[a, b], [c, d]])
@@ -418,9 +417,11 @@ def band_edges(V: PeriodicPotential, ceiling: float, tol: float = 1e-10) -> Band
     start = vmin - 1e-3 * (1.0 + abs(vmin))
     if ceiling <= start:
         raise InvalidInputError(f"ceiling {ceiling} below the potential minimum")
+    # the grid first: its size guard must fire before the model lays out
+    # its panels, which grow with the ceiling
+    grid = _weyl_grid(start, ceiling, offset=vmin)
     model = DiscriminantModel(V, start - 0.5, ceiling + 0.5,
                               node_tol=min(1e-12, tol * 1e-2))
-    grid = _weyl_grid(start, ceiling, offset=vmin)
     delta = model(grid)
 
     # refine until the discriminant is resolved between neighbours

@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import adiaspec
-from adiaspec.cli import main
+from adiaspec import analyze_window, hill
+from adiaspec.cli import load_config, main
 
 
 def reference_sections(out_dir):
@@ -64,6 +65,17 @@ def prepare(tmp_path, overrides=None, drop=()):
 
 
 ZERO_V = {"potential_v": {"kind": "zero", "terms": ""}, "grid": {"ceiling": "42.0"}}
+
+# four energies across the reference window: the two inner ones are
+# admissible, the two outer ones are not
+GRID = {"window": {"energy_grid": "3.9 4.8 4"}}
+GRID_ENERGIES = [3.9, 4.2, 4.5, 4.8]
+
+
+def grid_reports(cfg, bands):
+    c = load_config(cfg)
+    return [analyze_window(c.potential_w, bands, E, c.n, c.m)
+            for E in GRID_ENERGIES]
 
 
 def out_bytes(out):
@@ -217,6 +229,17 @@ def test_geometry_energy_override_reports_failed_window(tmp_path):
     assert "geometry" not in doc["result"]
 
 
+def test_geometry_energy_grid_picks_largest_margin(tmp_path, bands_ref):
+    cfg, out = prepare(tmp_path, GRID)
+    assert main(["geometry", "--config", cfg, "--format", "json"]) == 0
+    admissible = [r for r in grid_reports(cfg, bands_ref) if r.all_ok]
+    assert 0 < len(admissible) < len(GRID_ENERGIES)
+    best = max(admissible, key=lambda r: r.margin)
+    assert best is not admissible[0]
+    geom = load_json(out, "geometry.json")["result"]["geometry"]
+    assert geom["energy"] == pytest.approx(best.energy, abs=1e-12)
+
+
 def test_geometry_narrow_window_exits_assumption(tmp_path, capsys):
     # A = 0.5 leaves no admissible energy anywhere, so the automatic
     # search cannot even produce a candidate to report on
@@ -251,6 +274,18 @@ def test_actions_reference_table(tmp_path):
     assert theta.pop() == pytest.approx(sum(actions) / (4 * math.pi), rel=1e-9)
 
 
+def test_actions_energy_grid_keeps_admissible_energies(tmp_path, bands_ref):
+    cfg, out = prepare(tmp_path, GRID)
+    assert main(["actions", "--config", cfg]) == 0
+    admissible = [r.energy for r in grid_reports(cfg, bands_ref) if r.all_ok]
+    assert 0 < len(admissible) < len(GRID_ENERGIES)
+    _, rows = csv_rows(out, "actions.csv")
+    # one row per gap label at each admissible energy, energies ascending
+    assert [r[1] for r in rows] == ["g0", "g1"] * len(admissible)
+    want = [E for E in admissible for _ in ("g0", "g1")]
+    assert [float(r[0]) for r in rows] == pytest.approx(want, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # stokes
 
@@ -272,6 +307,32 @@ def test_stokes_reference_traces(tmp_path):
         assert tr["level_drift"] <= 1e-6 * tr["length"]
     assert {int(r[0]) for r in rows} == {0, 1}
     assert_numeric_fields(out, "stokes.csv")
+
+
+@pytest.mark.parametrize("key,value", [
+    ("direction", "x"),
+    ("starts", "0.1 -0.02 7"),
+])
+def test_stokes_malformed_section_exits_before_band_scan(tmp_path, capsys,
+                                                         monkeypatch, key,
+                                                         value):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("band scan ran before [stokes] was parsed")
+
+    monkeypatch.setattr(hill, "band_edges", no_scan)
+    cfg, _ = prepare(tmp_path, {"stokes": {key: value}})
+    assert main(["stokes", "--config", cfg]) == 2
+    assert f"stokes.{key}" in capsys.readouterr().err
+
+
+def test_geometry_stokes_verify_report_one_energy(tmp_path):
+    # a short trace: only the energy matters here
+    cfg, out = prepare(tmp_path, {"stokes": {"max_length": "0.05"}})
+    for command in ("geometry", "stokes", "verify"):
+        assert main([command, "--config", cfg, "--format", "json"]) == 0
+    energy = load_json(out, "geometry.json")["result"]["geometry"]["energy"]
+    assert load_json(out, "stokes.json")["result"]["energy"] == energy
+    assert load_json(out, "verify.json")["result"]["energy"] == energy
 
 
 # ---------------------------------------------------------------------------

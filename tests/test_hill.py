@@ -18,10 +18,12 @@ from adiaspec import (
     DegeneratePointError,
     InvalidInputError,
     PeriodicPotential,
+    ResolutionFailure,
     band_edges,
     bloch_floquet,
     discriminant,
     fundamental_matrix,
+    hill,
     quasimomentum_main,
 )
 
@@ -168,6 +170,17 @@ def test_free_band_edges_all_gaps_closed(V_zero):
     assert np.allclose(bands.edges[:5], pis, atol=1e-8)
     for k in range(1, len(bands.gap_open) + 1):
         assert not bands.is_gap_open(k)
+
+
+def test_huge_ceiling_rejected_before_any_model_build(V_ref, monkeypatch):
+    # the scan grid's size guard must fire before the discriminant model
+    # lays out ceiling / 4 panels
+    def no_model(*args, **kwargs):
+        raise AssertionError("DiscriminantModel built before the grid guard")
+
+    monkeypatch.setattr(hill, "DiscriminantModel", no_model)
+    with pytest.raises(ResolutionFailure, match="scan grid exploded"):
+        band_edges(V_ref, 1e9)
 
 
 def test_kronig_penney_edges_match_closed_form(bands_kp):
