@@ -15,8 +15,9 @@ Three integration routes live here:
   complex-energy continuation);
 * ``transfer_batch``: the same tableau with a fixed step, advancing a whole
   batch of independent problems over one shared interval as numpy arrays,
-  for the many unit blocks of a long adiabatic run; every step of every
-  member passes the same embedded error test as ``propagate``;
+  for the many unit blocks of a long adiabatic run and the many real
+  energies of a Chebyshev discriminant model; every step of every member
+  passes the same embedded error test as ``propagate``;
 * ``constant_coefficient_step``: the exact whole-interval propagator for a
   constant potential, combined segment-by-segment for piecewise data.
 """
@@ -66,8 +67,14 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 )
 
 _MAX_STEPS = 5_000_000
-# transfer_batch gives up after this many doublings of its step count
-_MAX_DOUBLINGS = 10
+# most members one transfer_batch call takes from its callers (unit blocks,
+# energies); bounds the memory of a batch, and fixes where chunks start
+# whatever the caller's thread count
+CHUNK = 2048
+# transfer_batch gives up after this many step counts, each one between
+# _MIN_GROWTH and _MAX_GROWTH times the one before
+_MAX_ATTEMPTS = 12
+_MIN_GROWTH, _MAX_GROWTH = 1.25, 10.0
 
 
 def propagate(q, E, x0, x1, rtol=1e-10, atol=1e-12, y0=(1.0, 0.0, 0.0, 1.0)):
@@ -196,8 +203,11 @@ def transfer_batch(w, t0, t1, y0, rtol=1e-10, atol=1e-12):
     The first step count follows ``propagate``'s initial-step rule with the
     largest |w(t0)| of the batch.  Every step of every member must pass
     ``propagate``'s scaled-RMS embedded error test; at the first step where
-    one does not, the whole batch restarts with twice the steps.  Raises
-    ConvergenceFailure after ``_MAX_DOUBLINGS`` doublings, and at once when
+    one does not, the whole batch restarts with a step count scaled from
+    that step's worst RMS error as ``propagate`` scales its step
+    (err**(1/5) / 0.9, the estimate being fifth order in h), but by no less
+    than ``_MIN_GROWTH`` and no more than ``_MAX_GROWTH``.  Raises
+    ConvergenceFailure after ``_MAX_ATTEMPTS`` step counts, and at once when
     an error estimate is not finite.
     """
     if not (t1 > t0):
@@ -209,13 +219,16 @@ def transfer_batch(w, t0, t1, y0, rtol=1e-10, atol=1e-12):
     span = t1 - t0
     n = math.ceil(span / min(span, 0.35 / (1.0 + wmax ** 0.5)))
     y0 = np.asarray(y0, dtype=np.result_type(y0, w0))
-    for _ in range(_MAX_DOUBLINGS + 1):
-        y = _fixed_steps(w, w0, t0, t1, n, y0, rtol, atol)
+    for _ in range(_MAX_ATTEMPTS):
+        y, err = _fixed_steps(w, w0, t0, t1, n, y0, rtol, atol)
         if y is not None:
             return y
-        n *= 2
+        last = n
+        growth = min(_MAX_GROWTH, max(_MIN_GROWTH, err ** 0.2 / 0.9))
+        n = math.ceil(n * growth)
     raise ConvergenceFailure(
-        f"{n // 2} fixed steps on [{t0}, {t1}] still miss the tolerance"
+        f"{last} fixed steps on [{t0}, {t1}] still miss the tolerance",
+        achieved=err,
     )
 
 
@@ -224,7 +237,8 @@ def _rhs(w, y):
 
 
 def _fixed_steps(w, w0, t0, t1, n, y, rtol, atol):
-    """n equal DOPRI5 steps; None as soon as one step fails the error test."""
+    """n equal DOPRI5 steps: (final state, None), or (None, RMS error in
+    units of the tolerance) as soon as one step fails the error test."""
     h = (t1 - t0) / n
     k1 = _rhs(w0, y)
     ay = np.abs(y)
@@ -252,9 +266,9 @@ def _fixed_steps(w, w0, t0, t1, n, y, rtol, atol):
         if not math.isfinite(worst):
             raise ConvergenceFailure(f"non-finite error estimate at t={t!r}")
         if worst > 4.0:  # 0.25 * sum > 1: the RMS test of propagate
-            return None
+            return None, math.sqrt(0.25 * worst)
         y, k1, ay = yn, k7, ayn
-    return y
+    return y, None
 
 
 def constant_coefficient_step(w, length):

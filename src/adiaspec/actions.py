@@ -96,19 +96,14 @@ class Coefficient:
 # the action integral
 
 
-_WINDOW_MODEL_CACHE: dict = {}
+def _window_model(V: PeriodicPotential, W: AnalyticPotential,
+                  geom: IsoEnergyGeometry) -> DiscriminantModel:
+    """Discriminant model over every local energy E - W(zeta) of the window."""
+    pad = 0.2 * (W.w_plus - W.w_minus) + 1.0
+    return DiscriminantModel(V, geom.window[0] - pad, geom.window[1] + pad)
 
 
-def _window_model(V: PeriodicPotential, lo: float, hi: float) -> DiscriminantModel:
-    key = (id(V), round(lo, 9), round(hi, 9))
-    model = _WINDOW_MODEL_CACHE.get(key)
-    if model is None:
-        model = DiscriminantModel(V, lo, hi)
-        _WINDOW_MODEL_CACHE[key] = model
-    return model
-
-
-def _im_kappa_factory(V, W, bands, geom, label: GapLabel):
+def _im_kappa_factory(model: DiscriminantModel, W, bands, geom, label: GapLabel):
     """Integrand Im kappa(zeta + i0) on the pre-gap, with branch validation.
 
     The local energy must stay in the spectral gap carrying the label's
@@ -116,8 +111,6 @@ def _im_kappa_factory(V, W, bands, geom, label: GapLabel):
     branch or a broken geometry, not a quadrature problem.
     """
     E = geom.energy
-    pad = 0.2 * (W.w_plus - W.w_minus) + 1.0
-    model = _window_model(V, geom.window[0] - pad, geom.window[1] + pad)
     gap_lo, gap_hi = bands.gap(label.index)
     slack = 1e-9 * max(1.0, abs(E))
 
@@ -153,10 +146,16 @@ def action_with_error(V, W, bands, geom, label: GapLabel, side: str = "+i0",
                       tol: float = 1e-10) -> tuple[float, float]:
     if label not in geom.gap_labels:
         raise InvalidInputError(f"{label} is not a pre-gap of this geometry")
+    return _action(_window_model(V, W, geom), W, bands, geom, label, side)
+
+
+def _action(model, W, bands, geom, label: GapLabel,
+            side: str) -> tuple[float, float]:
+    """(S, quadrature error) of one pre-gap through a window model."""
     a, b = geom.pre_gap(label)
     if not b > a:
         raise InvalidInputError(f"pre-gap {label} has no interior")
-    im_kappa = _im_kappa_factory(V, W, bands, geom, label)
+    im_kappa = _im_kappa_factory(model, W, bands, geom, label)
     mid = 0.5 * (a + b)
     if side == "+i0":
         total, err = 0.0, 0.0
@@ -209,10 +208,12 @@ def _gauss_doubling(f, a: float, b: float, rtol: float = 1e-12,
 def compute_actions(V: PeriodicPotential, W: AnalyticPotential,
                     bands: BandStructure, geom: IsoEnergyGeometry,
                     side: str = "+i0", tol: float = 1e-10) -> ActionSet:
-    """ActionSet over every pre-gap of the geometry."""
+    """ActionSet over every pre-gap of the geometry, all read from one
+    window model."""
+    model = _window_model(V, W, geom)
     entries = []
     for label in geom.gap_labels:
-        s, e = action_with_error(V, W, bands, geom, label, side=side, tol=tol)
+        s, e = _action(model, W, bands, geom, label, side)
         entries.append((label, s, e))
     total = sum(v for _, v, _ in entries)
     return ActionSet(energy=geom.energy, entries=tuple(entries),

@@ -29,6 +29,7 @@ from .errors import (
     AdiaspecError,
     ConfigError,
     InvalidInputError,
+    NonFiniteResultError,
 )
 
 EXIT_OK = 0
@@ -244,14 +245,23 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _config_stamp(cfg: RunConfig, seed: int) -> str:
-    blob = json.dumps(cfg.resolved, sort_keys=True, separators=(",", ":"))
+def _json(name: str, obj, **kwargs) -> str:
+    """Strict JSON text of obj; a NaN or infinity is a numeric failure
+    naming the output file, never a bare NaN token."""
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False, **kwargs)
+    except ValueError as exc:
+        raise NonFiniteResultError(f"{name} would hold a non-finite number ({exc})") from exc
+
+
+def _config_stamp(cfg: RunConfig, seed: int, name: str) -> str:
+    blob = _json(name, cfg.resolved, separators=(",", ":"))
     return f"# config: {blob}\n# seed: {seed}\n"
 
 
 def _write_csv(cfg: RunConfig, seed: int, name: str, header: list[str],
                rows: list[list]) -> None:
-    lines = [_config_stamp(cfg, seed)]
+    lines = [_config_stamp(cfg, seed, name)]
     lines.append(",".join(header) + "\n")
     for row in rows:
         lines.append(",".join(_fmt(c) for c in row) + "\n")
@@ -260,7 +270,7 @@ def _write_csv(cfg: RunConfig, seed: int, name: str, header: list[str],
 
 def _write_json(cfg: RunConfig, seed: int, name: str, payload: dict) -> None:
     doc = {"config": cfg.resolved, "seed": seed, "result": payload}
-    _write(cfg, name, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write(cfg, name, _json(name, doc, indent=2) + "\n")
 
 
 def _write(cfg: RunConfig, name: str, text: str) -> None:
@@ -305,6 +315,22 @@ def _windows(cfg: RunConfig, bands,
             for E in candidates]
 
 
+def _no_admissible(cfg: RunConfig) -> int:
+    """Name what the window search looked at, which held no admissible
+    energy; returns the assumption exit code."""
+    if cfg.energy is not None:
+        searched = f"at the fixed energy window.energy = {_fmt(cfg.energy)}"
+    elif cfg.energy_grid is not None:
+        lo, hi, count = cfg.energy_grid
+        searched = (f"at all {count} energies of window.energy_grid = "
+                    f"{_fmt(lo)} {_fmt(hi)} {count}")
+    else:
+        searched = "anywhere the automatic search (window.energy = auto) looked"
+    print(f"no admissible energy: window conditions unsatisfied {searched}",
+          file=sys.stderr)
+    return EXIT_ASSUMPTION
+
+
 def _best(reports):
     """Admissible report with the largest margin (the first on ties), or None."""
     return max((r for r in reports if r.all_ok), key=lambda r: r.margin,
@@ -340,9 +366,7 @@ def cmd_geometry(cfg: RunConfig, seed: int, energy: float | None = None) -> int:
     bands = _band_structure(cfg)
     reports = _windows(cfg, bands, energy)
     if not reports:
-        print("window conditions unsatisfied on the whole energy grid",
-              file=sys.stderr)
-        return EXIT_ASSUMPTION
+        return _no_admissible(cfg)
     # no admissible energy: report the first candidate's failed flags
     report = _best(reports) or reports[0]
     payload: dict = {"window_report": report.to_dict()}
@@ -365,8 +389,7 @@ def cmd_actions(cfg: RunConfig, seed: int) -> int:
     admissible = sorted((r for r in _windows(cfg, bands) if r.all_ok),
                         key=lambda r: r.energy)
     if not admissible:
-        print("no admissible energy in the grid", file=sys.stderr)
-        return EXIT_ASSUMPTION
+        return _no_admissible(cfg)
     rows = []
     for rep in admissible:
         aset = _actions(cfg, bands, rep)
@@ -405,8 +428,7 @@ def cmd_stokes(cfg: RunConfig, seed: int) -> int:
     bands = _band_structure(cfg)
     rep = _best(_windows(cfg, bands))
     if rep is None:
-        print("no admissible energy for the line tracer", file=sys.stderr)
-        return EXIT_ASSUMPTION
+        return _no_admissible(cfg)
     if not starts:
         # default: just below each branch point on the left half-period
         geom = geometry_mod.branch_points(cfg.potential_w, bands, rep,
@@ -487,9 +509,7 @@ def cmd_verify(cfg: RunConfig, seed: int, threads: int = 1) -> int:
     bands = _band_structure(cfg)
     rep = _best(_windows(cfg, bands))
     if rep is None:
-        print("window conditions unsatisfied on the whole energy grid",
-              file=sys.stderr)
-        return EXIT_ASSUMPTION
+        return _no_admissible(cfg)
     E = rep.energy
     aset = _actions(cfg, bands, rep)
     theta_asym = actions_mod.lyapunov_asymptotic(aset, cfg.epsilons[0]).theta_asym
@@ -562,7 +582,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  "cocycle", "verify"])
     parser.add_argument("--config", required=True, help="INI config file")
     parser.add_argument("--out", default=None, help="output directory override")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=None,
+                        help="parallel epsilon cells for the verify command")
     parser.add_argument("--seed", type=int, default=None,
                         help="seed override (recorded in outputs)")
     parser.add_argument("--format", choices=["csv", "json"], default=None,
@@ -575,6 +596,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # a flag the command does not read is an input error, not a no-op
+        if args.energy is not None:
+            if args.command != "geometry":
+                raise ConfigError(
+                    f"--energy applies only to geometry, not to {args.command}")
+            if not math.isfinite(args.energy):
+                raise ConfigError(f"--energy must be finite, got {args.energy}")
+        if args.threads is not None:
+            if args.command != "verify":
+                raise ConfigError(
+                    f"--threads applies only to verify, not to {args.command}")
+            if args.threads < 1:
+                raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         cfg = load_config(args.config)
         if args.out is not None:
             cfg = replace(cfg, out_dir=args.out)
@@ -593,7 +627,7 @@ def main(argv=None) -> int:
         if args.command == "cocycle":
             return cmd_cocycle(cfg, seed)
         if args.command == "verify":
-            return cmd_verify(cfg, seed, threads=max(1, args.threads))
+            return cmd_verify(cfg, seed, threads=args.threads or 1)
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)

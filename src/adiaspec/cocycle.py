@@ -29,10 +29,6 @@ from .hill import PeriodicPotential
 
 _KINDS = ("model-M0", "herman-test", "user-table")
 
-# unit blocks integrated together by direct_lyapunov; bounds the memory of
-# a run and fixes where chunks start, independently of the caller
-_CHUNK = 2048
-
 _SIGMA = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
@@ -239,10 +235,10 @@ def direct_lyapunov(V: PeriodicPotential, W, epsilon: float, E: float,
 
     The run is cut into unit blocks [j, j + 1] (one V period), each an
     independent linear problem.  Blocks are integrated together, in
-    chunks of at most ``_CHUNK``, by ``_ode.transfer_batch``: fixed-step
+    chunks of at most ``_ode.CHUNK``, by ``_ode.transfer_batch``: fixed-step
     Dormand-Prince 5(4) in which every step of every block passes the
     embedded error test with rtol = tol and atol = tol * 1e-2, the chunk
-    being redone with twice the steps until it does.  Piecewise-constant V
+    being redone with more steps until it does.  Piecewise-constant V
     is integrated sub-interval by sub-interval between its jumps.  The
     block matrices are then multiplied in order with a rescaling after
     each block; Theta = (sum of block log norms) / L.  The standard error
@@ -261,9 +257,9 @@ def direct_lyapunov(V: PeriodicPotential, W, epsilon: float, E: float,
     f11, f12, f21, f22 = 1.0, 0.0, 0.0, 1.0
     acc = 0.0
     blocks: list[float] = []
-    for j0 in range(0, nblocks, _CHUNK):
+    for j0 in range(0, nblocks, _ode.CHUNK):
         y = _block_transfers(V, W, epsilon, E, z,
-                             j0, min(j0 + _CHUNK, nblocks), tol)
+                             j0, min(j0 + _ode.CHUNK, nblocks), tol)
         for j, (a, b, c, d) in enumerate(zip(*y.tolist()), start=j0):
             f11, f12, f21, f22 = (a * f11 + b * f21, a * f12 + b * f22,
                                   c * f11 + d * f21, c * f12 + d * f22)

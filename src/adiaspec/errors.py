@@ -69,5 +69,9 @@ class DegeneracyError(AdiaspecError, RuntimeError):
     """A matrix product became numerically singular."""
 
 
+class NonFiniteResultError(AdiaspecError, ArithmeticError):
+    """A result to be written holds a NaN or an infinity."""
+
+
 class ConfigError(AdiaspecError, ValueError):
     """A run configuration file is missing keys or contains bad values."""

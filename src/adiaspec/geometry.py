@@ -33,6 +33,7 @@ from .errors import (
 )
 from .hill import (
     BandStructure,
+    DiscriminantModel,
     PeriodicPotential,
     _acos_branch_candidates,
     _track_momentum,
@@ -625,7 +626,8 @@ def real_branch(geom: IsoEnergyGeometry, label: BandLabel,
     """Tabulated real branch zeta(kappa) on the pre-band `label`.
 
     Interior nodes invert the quasi-momentum on the spectral band through
-    a Chebyshev model of the discriminant, then invert W on the proper
+    a Chebyshev model of the discriminant (one degree-96 panel over the
+    band, built per call), then invert W on the proper
     half-period; the two endpoints are taken verbatim from the branch
     points so the table is exactly consistent with the geometry.
     """
@@ -634,7 +636,8 @@ def real_branch(geom: IsoEnergyGeometry, label: BandLabel,
     lo_zeta, hi_zeta = geom.pre_band(label)
     j, side = label.index, label.side
     band_lo, band_hi = geom.bands.band(j)
-    model = _band_model(geom, j)
+    model = DiscriminantModel(geom.V, band_lo, band_hi,
+                              panel_width=max(band_hi - band_lo, 1e-6), degree=96)
     sgn = (-1.0) ** (j - 1)
 
     # Nodes cluster quadratically toward kappa = 0 and pi: the inverse map
@@ -683,23 +686,6 @@ def real_branch(geom: IsoEnergyGeometry, label: BandLabel,
         dE_dz = -float(W.derivative(zetas[i]))
         slopes[i] = 1.0 / (dk_dE * dE_dz)
     return RealBranch(label, kg, zetas, derivatives=slopes)
-
-
-def _band_model(geom: IsoEnergyGeometry, j: int):
-    cache = _BAND_MODEL_CACHE
-    key = (id(geom.V), j)
-    model = cache.get(key)
-    if model is None:
-        from .hill import DiscriminantModel
-
-        lo, hi = geom.bands.band(j)
-        model = DiscriminantModel(geom.V, lo, hi, panel_width=max(hi - lo, 1e-6),
-                                  degree=96)
-        cache[key] = model
-    return model
-
-
-_BAND_MODEL_CACHE: dict = {}
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.chebyshev import Chebyshev
+from numpy.polynomial.chebyshev import Chebyshev, chebpts1, chebvander
 from scipy.optimize import brentq, minimize_scalar
 
 from . import _ode
@@ -216,12 +216,20 @@ def fundamental_matrix(V: PeriodicPotential, E, x0: float = 0.0, x1: float = 1.0
             q, E, x0, x1, rtol=tol, atol=tol * 1e-2
         )
     m = np.array([[a, b], [c, d]])
-    fm = FundamentalMatrix(matrix=m, energy=E, x0=x0, x1=x1, tolerance_achieved=err)
-    if abs(fm.det - 1.0) > 10.0 * max(tol, 1e-13) * max(1.0, abs(a), abs(d)) + 1e4 * err:
+    _check_unimodular(a, b, c, d, 10.0 * max(tol, 1e-13) * max(1.0, abs(a), abs(d))
+                      + 1e4 * err)
+    return FundamentalMatrix(matrix=m, energy=E, x0=x0, x1=x1,
+                             tolerance_achieved=err)
+
+
+def _check_unimodular(a, b, c, d, bound) -> None:
+    """ConsistencyError where |ad - bc - 1| exceeds the bound (entries and
+    bound may be arrays, one propagator per element)."""
+    drift = np.abs(a * d - b * c - 1.0)
+    if np.any(drift > bound):
         raise ConsistencyError(
-            f"propagator determinant drifted from 1 by {abs(fm.det - 1.0):.3e}"
+            f"propagator determinant drifted from 1 by {np.max(drift):.3e}"
         )
-    return fm
 
 
 def discriminant(V: PeriodicPotential, E, tol: float = 1e-10):
@@ -235,15 +243,42 @@ def discriminant(V: PeriodicPotential, E, tol: float = 1e-10):
     return m[0, 0] + m[1, 1]
 
 
+def _discriminant_batch(V: PeriodicPotential, energies: np.ndarray,
+                        tol: float) -> np.ndarray:
+    """Discriminant of a trigonometric V at many real energies.
+
+    The energies go through ``_ode.transfer_batch`` together, in chunks of
+    at most ``_ode.CHUNK``: fixed-step DOPRI5 in which every step of every
+    energy passes ``propagate``'s error test at rtol = tol, atol = tol *
+    1e-2.  V is sampled once per stage node and shared by all energies.
+    """
+    q = V.evaluator()
+    out = np.empty(len(energies))
+    for i in range(0, len(energies), _ode.CHUNK):
+        Es = energies[i:i + _ode.CHUNK]
+        y0 = np.zeros((4, len(Es)))
+        y0[0] = y0[3] = 1.0
+        a, b, c, d = _ode.transfer_batch(lambda t: q(t) - Es, 0.0, 1.0, y0,
+                                         rtol=tol, atol=tol * 1e-2)
+        # the batch keeps no accumulated error estimate; each entry is
+        # accurate relative to its own size, so the bound scales with the
+        # products ad and bc whose difference is checked
+        scale = np.maximum.reduce([np.abs(a), np.abs(d), np.abs(a * d) + np.abs(b * c)])
+        _check_unimodular(a, b, c, d, 10.0 * max(tol, 1e-13) * np.maximum(scale, 1.0))
+        out[i:i + len(Es)] = a + d
+    return out
+
+
 class DiscriminantModel:
     """Chebyshev acceleration of the discriminant on a real energy interval.
 
     The discriminant is entire in E, so moderate-degree panels reproduce it
-    to near machine precision; nodes are filled by the adaptive integrator.
-    Used internally wherever many real-energy evaluations are needed (band
-    scans, branch tables, action quadratures).  Piecewise-constant
-    potentials skip the panels: their exact product formula is already
-    cheap.
+    to near machine precision.  The first-kind Chebyshev nodes of every
+    panel (those of ``Chebyshev.interpolate``) are filled in one batched
+    integration over energies (``_discriminant_batch``).  Used internally
+    wherever many real-energy evaluations are needed (band scans, branch
+    tables, action quadratures).  Piecewise-constant potentials skip the
+    panels: their exact product formula is already cheap.
     """
 
     def __init__(self, V: PeriodicPotential, lo: float, hi: float, *,
@@ -261,12 +296,16 @@ class DiscriminantModel:
             return
         npanels = max(1, math.ceil((hi - lo) / panel_width))
         self._bounds = np.linspace(lo, hi, npanels + 1)
-        self._panels = []
-        for a, b in zip(self._bounds[:-1], self._bounds[1:]):
-            fn = lambda xs: np.array(
-                [discriminant(self.V, float(e), self.node_tol) for e in np.atleast_1d(xs)]
-            )
-            self._panels.append(Chebyshev.interpolate(fn, degree, domain=[a, b]))
+        domains = np.column_stack([self._bounds[:-1], self._bounds[1:]])
+        mid, half = domains.mean(axis=1), 0.5 * np.diff(domains, axis=1)[:, 0]
+        x = chebpts1(degree + 1)
+        values = _discriminant_batch(V, (mid[:, None] + half[:, None] * x).ravel(),
+                                     node_tol).reshape(npanels, degree + 1)
+        # interpolation coefficients at the first-kind nodes, as in
+        # numpy's chebinterpolate
+        coef = values @ chebvander(x, degree) / (0.5 * (degree + 1))
+        coef[:, 0] *= 0.5
+        self._panels = [Chebyshev(c, domain=d) for c, d in zip(coef, domains)]
 
     def __call__(self, E):
         arr = np.asarray(E, dtype=float)

@@ -7,12 +7,13 @@ import shutil
 import stat
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import adiaspec
-from adiaspec import analyze_window, hill
+from adiaspec import analyze_window, cli, hill
 from adiaspec.cli import load_config, main
 
 
@@ -194,6 +195,91 @@ def test_missing_config_file_exits_input_error(tmp_path, capsys):
     assert "config file not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["bands", "actions", "stokes", "cocycle",
+                                     "verify"])
+def test_energy_flag_outside_geometry_exits_input_error(tmp_path, capsys,
+                                                        command):
+    cfg, out = prepare(tmp_path)
+    assert main([command, "--config", cfg, "--energy", "4.4"]) == 2
+    err = capsys.readouterr().err
+    assert "--energy" in err and command in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["bands", "geometry", "actions", "stokes",
+                                     "cocycle"])
+def test_threads_flag_outside_verify_exits_input_error(tmp_path, capsys,
+                                                       command):
+    cfg, out = prepare(tmp_path)
+    assert main([command, "--config", cfg, "--threads", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "--threads" in err and command in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exits_input_error(tmp_path, capsys, threads):
+    cfg, out = prepare(tmp_path)
+    assert main(["verify", "--config", cfg, "--threads", threads]) == 2
+    assert "--threads must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_energy_flag_exits_input_error(tmp_path, capsys, value):
+    cfg, out = prepare(tmp_path)
+    assert main(["geometry", "--config", cfg, "--energy", value]) == 2
+    assert "--energy must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_result_exits_numeric_without_writing(tmp_path, capsys,
+                                                         monkeypatch):
+    real = cli.cocycle_mod.cocycle_lyapunov
+
+    def nan_theta(spec):
+        return replace(real(spec), value=math.nan)
+
+    monkeypatch.setattr(cli.cocycle_mod, "cocycle_lyapunov", nan_theta)
+    cfg, out = prepare(tmp_path)
+    assert main(["cocycle", "--config", cfg]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numeric failure: NonFiniteResultError")
+    assert "cocycle.json" in captured.err
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
+
+
+def test_non_finite_config_stamp_is_refused(tmp_path):
+    cfg, _ = prepare(tmp_path)
+    bad = replace(load_config(cfg), z=math.nan)
+    with pytest.raises(adiaspec.NonFiniteResultError, match="bands.csv"):
+        cli._write_csv(bad, 0, "bands.csv", ["edge_index"], [[1]])
+
+
+# no admissible energy: each candidate source is named in the one message
+NARROW_W = {"potential_w": {"terms": "1 0.5 0.0"}}
+SEARCHED = [
+    ({}, "automatic search"),
+    ({"window": {"energy": "40.0"}}, "fixed energy window.energy = 40.0"),
+    (GRID, "all 4 energies of window.energy_grid = 3.9 4.8 4"),
+]
+
+
+@pytest.mark.parametrize("command", ["actions", "stokes", "verify"])
+@pytest.mark.parametrize("extra,searched", SEARCHED,
+                         ids=["auto", "fixed", "grid"])
+def test_no_admissible_energy_names_what_was_searched(tmp_path, capsys,
+                                                      command, extra, searched):
+    overrides = dict(NARROW_W)
+    overrides.update(extra)
+    cfg, out = prepare(tmp_path, overrides)
+    assert main([command, "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("no admissible energy: window conditions unsatisfied")
+    assert searched in err
+
+
 # ---------------------------------------------------------------------------
 # geometry
 
@@ -245,7 +331,9 @@ def test_geometry_narrow_window_exits_assumption(tmp_path, capsys):
     # search cannot even produce a candidate to report on
     cfg, _ = prepare(tmp_path, {"potential_w": {"terms": "1 0.5 0.0"}})
     assert main(["geometry", "--config", cfg]) == 3
-    assert "window conditions unsatisfied" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "window conditions unsatisfied" in err
+    assert "automatic search" in err
 
 
 def test_geometry_format_json_suppresses_tables(tmp_path):

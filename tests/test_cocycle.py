@@ -30,7 +30,8 @@ from adiaspec import (
     total_T,
 )
 
-from adiaspec.cocycle import _CHUNK, _block_transfers
+from adiaspec._ode import CHUNK
+from adiaspec.cocycle import _block_transfers
 from oracles import plain_cocycle, rk4_transfer, wkb_average_rate
 
 H_REF = frequency_from_epsilon(0.1)
@@ -357,6 +358,57 @@ def test_transfer_batch_constant_potential_closed_form():
     assert np.abs(y - want).max() <= 1e-8
 
 
+def step_count_cases(V_ref):
+    """name -> (w, rtol, q - E of each member) for an energy batch like the
+    band-scan fill and a unit-block batch like direct_lyapunov's."""
+    q = V_ref.evaluator()
+    Es = np.linspace(-2.5, 45.5, 300)
+    phases = np.linspace(0.0, 2.0 * math.pi, 300, endpoint=False)
+    E = 4.4
+    return {
+        "energies": (lambda t: q(t) - Es, 1e-12,
+                     [lambda x, e=e: q(x) - e for e in Es]),
+        "blocks": (lambda t: q(t) - E + 4.8 * np.cos(0.2 * t + phases), 1e-8,
+                   [lambda x, p=p: q(x) - E + 4.8 * math.cos(0.2 * x + p)
+                    for p in phases]),
+    }
+
+
+@pytest.mark.parametrize("case", ["energies", "blocks"])
+def test_transfer_batch_step_count_follows_the_error(case, V_ref, monkeypatch):
+    w, rtol, members = step_count_cases(V_ref)[case]
+    y0 = np.zeros((4, len(members)))
+    y0[0] = y0[3] = 1.0
+    tried = []
+    real = _ode._fixed_steps
+
+    def spy(*args):
+        out = real(*args)
+        tried.append((args[4], out[0] is not None))
+        return out
+
+    monkeypatch.setattr(_ode, "_fixed_steps", spy)
+    y = _ode.transfer_batch(w, 0.0, 1.0, y0, rtol=rtol, atol=rtol * 1e-2)
+    (n_fail, ok_fail), (n, ok) = tried[-2], tried[-1]
+    assert ok and not ok_fail
+    # smallest passing count above the last failure, by bisection
+    lo, hi = n_fail, n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if real(w, w(0.0), 0.0, 1.0, mid, y0, rtol, rtol * 1e-2)[0] is None:
+            lo = mid
+        else:
+            hi = mid
+    # a count taken from the error lands 1.18x / 1.09x above it here;
+    # doubling landed 1.36x / 1.6x above it
+    assert n <= 1.3 * hi
+    for i in range(0, len(members), 30):
+        want, _, _ = _ode.propagate(members[i], 0.0, 0.0, 1.0, rtol=1e-12,
+                                    atol=1e-14)
+        scale = max(1.0, max(abs(v) for v in want))
+        assert np.abs(y[:, i] - want).max() <= 10 * rtol * scale
+
+
 @pytest.mark.parametrize("integrate", ["propagate", "transfer_batch"])
 def test_nan_potential_raises(integrate):
     if integrate == "propagate":
@@ -389,10 +441,10 @@ def test_direct_lyapunov_matches_scalar_block_loop(V_ref, W_ref, E_ref):
 
 def test_direct_lyapunov_repeats_across_chunks(V_zero):
     W = AnalyticPotential.cosine(1.5, 0.5)
-    L = _CHUNK + 700.0
+    L = CHUNK + 700.0
     one = direct_lyapunov(V_zero, W, 0.3, -2.0, z=0.25, L=L)
     two = direct_lyapunov(V_zero, W, 0.3, -2.0, z=0.25, L=L)
-    assert one.N_used == _CHUNK + 700
+    assert one.N_used == CHUNK + 700
     assert np.array_equal(one.per_block, two.per_block)
     assert one.value == two.value and one.standard_error == two.standard_error
 

@@ -7,24 +7,33 @@ share no code with the adaptive machinery inside the package.
 from __future__ import annotations
 
 import cmath
+import gc
 import math
+import weakref
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adiaspec import (
+    ConsistencyError,
     DegeneratePointError,
+    DiscriminantModel,
     InvalidInputError,
     PeriodicPotential,
     ResolutionFailure,
+    _ode,
     band_edges,
     bloch_floquet,
+    branch_points,
+    compute_actions,
     discriminant,
     fundamental_matrix,
     hill,
     quasimomentum_main,
+    real_branch,
 )
 
 from oracles import (
@@ -158,6 +167,98 @@ def test_kronig_penney_closed_form_discriminant(V_kp):
         want = kp_discriminant(KP_SEGMENTS, E)
         got = discriminant(V_kp, E, tol=1e-11)
         assert got == pytest.approx(want, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Chebyshev discriminant model (batched node fill)
+
+
+def mp_discriminant(V, E, dps=25):
+    """Trace of the period map by mpmath's Taylor-series ODE solver at dps
+    digits: independent of both DOPRI5 and the RK4 oracle."""
+    with mpmath.workdps(dps):
+        terms = [(2 * mpmath.pi * f, mpmath.mpf(c), mpmath.mpf(s))
+                 for f, c, s in V.coefficients]
+        E = mpmath.mpf(E)
+
+        def rhs(x, y):
+            w = sum(c * mpmath.cos(om * x) + s * mpmath.sin(om * x)
+                    for om, c, s in terms) - E
+            return [y[1], w * y[0], y[3], w * y[2]]
+
+        y = mpmath.odefun(rhs, 0, [1, 0, 0, 1])(1)
+        return float(y[0] + y[3])
+
+
+def test_model_fill_crosses_a_chunk_and_matches_scalar_and_oracle(
+        V_ref, V_mix, monkeypatch):
+    batches = []
+    real = _ode.transfer_batch
+
+    def counted(w, t0, t1, y0, **kw):
+        batches.append(np.shape(y0)[1])
+        return real(w, t0, t1, y0, **kw)
+
+    monkeypatch.setattr(_ode, "transfer_batch", counted)
+    # 34 panels of 65 nodes: 2210 energies, more than one chunk
+    lo, hi = -4.0, 13.0
+    Es = np.concatenate([np.linspace(lo, hi, 25),
+                         # around the first chunk boundary, node 2048
+                         np.linspace(lo + 31 * 0.5, lo + 32 * 0.5, 5)])
+    for V in (V_ref, V_mix):
+        batches.clear()
+        model = DiscriminantModel(V, lo, hi, panel_width=0.5)
+        assert batches == [_ode.CHUNK, 34 * 65 - _ode.CHUNK]
+        got = model(Es)
+        scalar = np.array([discriminant(V, float(e), tol=1e-12) for e in Es])
+        assert np.max(np.abs(got - scalar)) < 1e-10
+        assert np.max(np.abs(got - oracle_discriminant(V, Es, steps=6000))) < 1e-9
+
+
+def test_model_fill_matches_high_precision_oracle(V_ref):
+    # the band-scan model of the reference bands, at three energies:
+    # below the spectrum, inside the first gaps, high up
+    model = DiscriminantModel(V_ref, -2.5, 45.5)
+    for E in (-1.0, 7.3, 40.0):
+        assert abs(model(E) - mp_discriminant(V_ref, E)) < 1e-11
+
+
+def test_model_fill_rejects_a_drifted_determinant(V_ref, monkeypatch):
+    real = _ode.transfer_batch
+
+    def corrupted(*args, **kwargs):
+        y = real(*args, **kwargs)
+        y[1, 7] *= 1.0 + 1e-6  # one energy's b entry
+        return y
+
+    monkeypatch.setattr(_ode, "transfer_batch", corrupted)
+    with pytest.raises(ConsistencyError, match="determinant"):
+        DiscriminantModel(V_ref, 0.0, 8.0)
+
+
+def test_model_fill_accepts_large_entries_of_a_strong_potential():
+    # below the spectrum the period map has entries ~1e4 whose products
+    # ad and bc cancel to 1 only at their own rounding scale
+    V = PeriodicPotential.trig([(1, 120.0, 0.0), (2, 36.0, 12.0)])
+    lo = V.min_value() - 0.5
+    model = DiscriminantModel(V, lo, lo + 40.0)
+    for E in (lo + 0.1, lo + 20.0, lo + 39.0):
+        assert model(E) == pytest.approx(discriminant(V, E, tol=1e-12),
+                                         rel=1e-10, abs=1e-10)
+
+
+def test_model_users_keep_no_potential_alive(W_ref, bands_ref, report_ref):
+    # a fresh potential equal to V_ref: nothing may hold it once the
+    # actions and the real branches are computed
+    V = PeriodicPotential.trig([(1, 2.0, 0.0)])
+    geom = branch_points(W_ref, bands_ref, report_ref, V=V)
+    assert compute_actions(V, W_ref, bands_ref, geom).total_action > 0
+    for label in geom.band_labels:
+        real_branch(geom, label, points=16)
+    ref = weakref.ref(V)
+    del V, geom
+    gc.collect()
+    assert ref() is None
 
 
 # ---------------------------------------------------------------------------
