@@ -375,9 +375,8 @@ def cmd_geometry(cfg: RunConfig, seed: int, energy: float | None = None) -> int:
                                           V=cfg.potential_v)
         payload["geometry"] = geom.to_dict()
         if "csv" in cfg.formats:
-            for label in geom.band_labels:
-                branch = geometry_mod.real_branch(geom, label)
-                name = str(label).replace("+", "p").replace("-", "m")
+            for branch in geometry_mod.real_branches(geom):
+                name = str(branch.label).replace("+", "p").replace("-", "m")
                 _write_csv(cfg, seed, f"branch_{name}.csv", ["kappa", "zeta"],
                            [[k, zv] for k, zv in branch.table()])
     _write_json(cfg, seed, "geometry.json", payload)

@@ -33,6 +33,7 @@ from .errors import (
 )
 from .hill import (
     BandStructure,
+    ComplexDiscriminantModel,
     DiscriminantModel,
     PeriodicPotential,
     _acos_branch_candidates,
@@ -621,23 +622,83 @@ class RealBranch:
         return np.column_stack([self.kappa_grid, self.zeta_values])
 
 
+def _bisect(f, lo, hi, xtol: float, rtol: float = 4.0 * np.finfo(float).eps):
+    """Roots of the vectorised f, one per bracket [lo, hi] (f takes opposite
+    signs at the ends; the brackets broadcast to the shape of f's values),
+    by bisection until each bracket is no wider than xtol + rtol |x|, the
+    stopping rule of ``brentq``."""
+    neg_lo = np.asarray(f(np.asarray(lo, dtype=float)) < 0.0)
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), neg_lo.shape).copy()
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), neg_lo.shape).copy()
+    while True:
+        mid = 0.5 * (lo + hi)
+        active = hi - lo > xtol + rtol * np.abs(mid)
+        if not active.any():
+            return mid
+        f_mid = f(mid)
+        hit = active & (f_mid == 0.0)
+        lo[hit] = hi[hit] = mid[hit]
+        left = active & ~hit & ((f_mid < 0.0) == neg_lo)
+        lo[left] = mid[left]
+        right = active & ~hit & ~left
+        hi[right] = mid[right]
+
+
+def _invert_w(W: AnalyticPotential, targets, side: str, xtol: float):
+    """zeta with W(zeta) = target on the monotone half-period of `side`
+    ('-': (0, zeta_star), '+': (zeta_star, 2 pi)), one per target."""
+    a, b = (0.0, W.zeta_star) if side == "-" else (W.zeta_star, TWO_PI)
+    targets = np.asarray(targets, dtype=float)
+    return _bisect(lambda z: W.value(z) - targets, a, b, xtol)
+
+
+def _band_model(geom: IsoEnergyGeometry, j: int) -> DiscriminantModel:
+    """The degree-96 discriminant panel over spectral band j."""
+    band_lo, band_hi = geom.bands.band(j)
+    return DiscriminantModel(geom.V, band_lo, band_hi,
+                             panel_width=max(band_hi - band_lo, 1e-6), degree=96)
+
+
+def _require_context(geom: IsoEnergyGeometry) -> None:
+    if geom.V is None or geom.W is None or geom.bands is None:
+        raise InvalidInputError("geometry lacks operator context (V, W, bands)")
+
+
+def real_branches(geom: IsoEnergyGeometry,
+                  points: int = 512) -> tuple[RealBranch, ...]:
+    """Real branches on every pre-band of `geom`, in ``band_labels`` order.
+
+    Both sides of a spectral band share one band model.
+    """
+    _require_context(geom)
+    models: dict[int, DiscriminantModel] = {}
+    out = []
+    for label in geom.band_labels:
+        if label.index not in models:
+            models[label.index] = _band_model(geom, label.index)
+        out.append(_real_branch(geom, label, models[label.index], points))
+    return tuple(out)
+
+
 def real_branch(geom: IsoEnergyGeometry, label: BandLabel,
                 points: int = 512) -> RealBranch:
     """Tabulated real branch zeta(kappa) on the pre-band `label`.
 
     Interior nodes invert the quasi-momentum on the spectral band through
     a Chebyshev model of the discriminant (one degree-96 panel over the
-    band, built per call), then invert W on the proper
-    half-period; the two endpoints are taken verbatim from the branch
-    points so the table is exactly consistent with the geometry.
+    band), then invert W on the proper half-period, all nodes at once by
+    vectorised bisection; the two endpoints are taken verbatim from the
+    branch points so the table is exactly consistent with the geometry.
     """
-    if geom.V is None or geom.W is None or geom.bands is None:
-        raise InvalidInputError("geometry lacks operator context (V, W, bands)")
-    lo_zeta, hi_zeta = geom.pre_band(label)
+    _require_context(geom)
+    geom.pre_band(label)
+    return _real_branch(geom, label, _band_model(geom, label.index), points)
+
+
+def _real_branch(geom: IsoEnergyGeometry, label: BandLabel,
+                 model: DiscriminantModel, points: int) -> RealBranch:
     j, side = label.index, label.side
     band_lo, band_hi = geom.bands.band(j)
-    model = DiscriminantModel(geom.V, band_lo, band_hi,
-                              panel_width=max(band_hi - band_lo, 1e-6), degree=96)
     sgn = (-1.0) ** (j - 1)
 
     # Nodes cluster quadratically toward kappa = 0 and pi: the inverse map
@@ -645,46 +706,28 @@ def real_branch(geom: IsoEnergyGeometry, label: BandLabel,
     # the round trip to stay uniformly accurate.
     kg = 0.5 * math.pi * (1.0 - np.cos(np.linspace(0.0, math.pi, points)))
     kg[0], kg[-1] = 0.0, math.pi
-    zetas = np.empty_like(kg)
-    slopes = np.empty_like(kg)
-    z_at_k0 = geom.branch_zeta(2 * j - 1, side)
-    z_at_kpi = geom.branch_zeta(2 * j, side)
-    zs = geom.zeta_star
-    E = geom.energy
-    W = geom.W
-    interval = (0.0, zs) if side == "-" else (zs, TWO_PI)
+    kap = kg[1:-1]
+    # solve in the discriminant, not in k: the residual stays
+    # well-conditioned at the edges where dk/dE blows up
+    want = 2.0 * np.cos(kap)
     pad = 1e-12 * max(1.0, band_hi - band_lo)
-    for i, kap in enumerate(kg):
-        if kap == 0.0:
-            zetas[i] = z_at_k0
-            slopes[i] = 0.0
-            continue
-        if kap == math.pi:
-            zetas[i] = z_at_kpi
-            slopes[i] = 0.0
-            continue
-        # solve in the discriminant, not in k: the residual stays
-        # well-conditioned at the edges where dk/dE blows up
-        want = 2.0 * math.cos(kap)
-        f_lo = sgn * model(band_lo + pad) - want
-        f_hi = sgn * model(band_hi - pad) - want
-        if f_lo <= 0.0:
-            e = band_lo + pad
-        elif f_hi >= 0.0:
-            e = band_hi - pad
-        else:
-            e = brentq(lambda t: sgn * model(t) - want,
-                       band_lo + pad, band_hi - pad, xtol=1e-14, rtol=1e-15)
-        target = E - e
-
-        def g(z):
-            return float(W.value(z)) - target
-
-        zetas[i] = brentq(g, interval[0], interval[1], xtol=1e-13)
-        # d zeta / d kappa through the chain kappa = k(E - W(zeta))
-        dk_dE = -sgn * model.derivative(e) / (2.0 * math.sin(kap))
-        dE_dz = -float(W.derivative(zetas[i]))
-        slopes[i] = 1.0 / (dk_dE * dE_dz)
+    e_lo, e_hi = band_lo + pad, band_hi - pad
+    f_lo = sgn * model(e_lo) - want
+    f_hi = sgn * model(e_hi) - want
+    # nodes whose target the model misses inside the padded band are
+    # clamped to the nearer end
+    inside = (f_lo > 0.0) & (f_hi < 0.0)
+    e = np.where(f_lo <= 0.0, e_lo, e_hi)
+    if inside.any():
+        e[inside] = _bisect(lambda t: sgn * model(t) - want[inside],
+                            e_lo, e_hi, xtol=1e-14, rtol=1e-15)
+    zeta_in = _invert_w(geom.W, geom.energy - e, side, xtol=1e-13)
+    # d zeta / d kappa through the chain kappa = k(E - W(zeta))
+    dk_dE = -sgn * model.derivative(e) / (2.0 * np.sin(kap))
+    dE_dz = -geom.W.derivative(zeta_in)
+    zetas = np.concatenate(([geom.branch_zeta(2 * j - 1, side)], zeta_in,
+                            [geom.branch_zeta(2 * j, side)]))
+    slopes = np.concatenate(([0.0], 1.0 / (dk_dE * dE_dz), [0.0]))
     return RealBranch(label, kg, zetas, derivatives=slopes)
 
 
@@ -698,7 +741,8 @@ class StokesLine:
 
     ``points``/``kappa`` sample the accepted nodes, ``mids``/``mid_kappa``
     the step midpoints (used for Simpson-type level integration).  `reason`
-    records why tracing stopped.
+    records why tracing stopped; `fallbacks` counts the discriminant values
+    the complex-energy model left to the scalar integrator.
     """
 
     family: str
@@ -710,6 +754,7 @@ class StokesLine:
     steps: np.ndarray
     length: float
     reason: str
+    fallbacks: int = 0
 
     @property
     def shift(self) -> float:
@@ -754,6 +799,13 @@ def trace_stokes_line(V: PeriodicPotential, W: AnalyticPotential,
     control; the complex momentum is branch-tracked along the curve.
     Tracing stops at the strip boundary, near a branch point, at
     `max_length`, or when the tangent field stalls.
+
+    The discriminant at E - W(zeta) comes from one bounded Chebyshev panel
+    over the real projection of E - W(strip)
+    (:class:`~adiaspec.hill.ComplexDiscriminantModel`), which falls back to
+    the scalar integrator at `tol` wherever its error bound exceeds `tol`.
+    Each accepted step evaluates it 12 times: every point is evaluated
+    once, and the end of a step serves the start of the next.
     """
     if family not in ("kappa", "kappa-pi"):
         raise InvalidInputError(f"unknown family {family!r}")
@@ -769,24 +821,27 @@ def trace_stokes_line(V: PeriodicPotential, W: AnalyticPotential,
     Y = W.strip_half_width
     z0 = complex(start)
 
-    def delta_of(p: complex):
-        return discriminant(V, E - W.value(p), tol)
-
     # branch points of this energy, with 2 pi translates, for stop radius
-    stops: list[complex] = []
-    w_lo, w_hi = W.w_minus, W.w_plus
-    for j, e in enumerate(bands.edges, start=1):
-        t = E - e
-        if w_lo < t < w_hi:
-            for a, b in ((0.0, W.zeta_star), (W.zeta_star, TWO_PI)):
-                r = brentq(lambda z: float(W.value(z)) - t, a, b, xtol=1e-12)
-                for shift2 in (-TWO_PI, 0.0, TWO_PI):
-                    stops.append(complex(r + shift2, 0.0))
+    targets = [E - e for e in bands.edges if W.w_minus < E - e < W.w_plus]
+    stops: list[complex] = [
+        complex(r + shift2, 0.0)
+        for side in ("-", "+") for r in _invert_w(W, targets, side, xtol=1e-12)
+        for shift2 in (-TWO_PI, 0.0, TWO_PI)
+    ]
     r_stop = max(1e3 * bands.edge_tol, 1e-7)
     if stops and min(abs(z0 - s) for s in stops) < r_stop:
         raise DegeneratePointError(
             "cannot start a level line at a branch point"
         )
+
+    # |Re (c cos f zeta + s sin f zeta)| <= hypot(c, s) cosh(f Y) on the strip
+    center = E - sum(c for f, c, _ in W.coefficients if f == 0)
+    reach = sum(math.hypot(c, s) * math.cosh(f * Y)
+                for f, c, s in W.coefficients if f > 0)
+    model = ComplexDiscriminantModel(V, center - reach, center + reach, tol)
+
+    def delta_of(p: complex):
+        return model(E - W.value(p))
 
     anchor = _regular_anchor(V, W, bands, E, z0.real, tol)
     k0 = quasimomentum_main(V, bands, E - float(W.value(anchor)), tol=tol).value
@@ -797,8 +852,7 @@ def trace_stokes_line(V: PeriodicPotential, W: AnalyticPotential,
         k_mid = _track_momentum(delta_of, complex(anchor), complex(k0), way)
         k_cur = _track_momentum(delta_of, way, k_mid, z0)
 
-    def tangent(p: complex, k_ref: complex):
-        d = delta_of(p)
+    def tangent(d: complex, k_ref: complex):
         k = _acos_branch_candidates(d / 2.0, k_ref)
         if abs(k - k_ref) > 0.35:
             raise PathError("momentum jumped within one step")
@@ -808,8 +862,21 @@ def trace_stokes_line(V: PeriodicPotential, W: AnalyticPotential,
             raise StallError("tangent field vanished (level line terminates)")
         return direction * u / mag, k
 
+    def rk4_step(p: complex, d: complex, k_ref: complex, h: float):
+        # classic RK4 on the unit field from p, where the discriminant is d;
+        # returns the end point with its momentum and discriminant
+        f1, k1 = tangent(d, k_ref)
+        f2, _ = tangent(delta_of(p + 0.5 * h * f1), k1)
+        f3, _ = tangent(delta_of(p + 0.5 * h * f2), k1)
+        f4, _ = tangent(delta_of(p + h * f3), k1)
+        p_new = p + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+        d_new = delta_of(p_new)
+        _, k_new = tangent(d_new, k1)
+        return p_new, k_new, d_new
+
     pts = [z0]
     ks = [complex(k_cur)]
+    d_cur = delta_of(z0)
     mids: list[complex] = []
     mid_ks: list[complex] = []
     hs: list[float] = []
@@ -829,10 +896,10 @@ def trace_stokes_line(V: PeriodicPotential, W: AnalyticPotential,
         h = min(h, max_length - length + 1e-12)
         p0, k0c = pts[-1], ks[-1]
         try:
-            # one full step and two half steps, classic RK4 on the unit field
-            full, _ = _rk4_step(tangent, p0, k0c, h)
-            half1, k_half = _rk4_step(tangent, p0, k0c, h / 2.0)
-            half2, k_end = _rk4_step(tangent, half1, k_half, h / 2.0)
+            # one full step and two half steps
+            full, _, _ = rk4_step(p0, d_cur, k0c, h)
+            half1, k_half, d_half = rk4_step(p0, d_cur, k0c, h / 2.0)
+            half2, k_end, d_end = rk4_step(half1, d_half, k_half, h / 2.0)
         except (PathError, StallError) as exc:
             if h > 1e-9:
                 h /= 2.0
@@ -848,6 +915,7 @@ def trace_stokes_line(V: PeriodicPotential, W: AnalyticPotential,
             continue
         pts.append(half2)
         ks.append(k_end)
+        d_cur = d_end
         mids.append(half1)
         mid_ks.append(k_half)
         hs.append(h)
@@ -861,17 +929,8 @@ def trace_stokes_line(V: PeriodicPotential, W: AnalyticPotential,
         points=np.array(pts), kappa=np.array(ks),
         mids=np.array(mids), mid_kappa=np.array(mid_ks),
         steps=np.array(hs), length=length, reason=reason,
+        fallbacks=model.fallbacks,
     )
-
-
-def _rk4_step(tangent, p: complex, k_ref: complex, h: float):
-    f1, k1 = tangent(p, k_ref)
-    f2, _ = tangent(p + 0.5 * h * f1, k1)
-    f3, _ = tangent(p + 0.5 * h * f2, k1)
-    f4, _ = tangent(p + h * f3, k1)
-    p_new = p + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-    _, k_new = tangent(p_new, k1)
-    return p_new, k_new
 
 
 # ---------------------------------------------------------------------------

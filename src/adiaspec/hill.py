@@ -269,6 +269,15 @@ def _discriminant_batch(V: PeriodicPotential, energies: np.ndarray,
     return out
 
 
+def _interpolation_coefficients(values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients of the interpolant through values at the
+    first-kind nodes x (last axis), as in numpy's chebinterpolate."""
+    degree = len(x) - 1
+    coef = values @ chebvander(x, degree) / (0.5 * (degree + 1))
+    coef[..., 0] *= 0.5
+    return coef
+
+
 class DiscriminantModel:
     """Chebyshev acceleration of the discriminant on a real energy interval.
 
@@ -301,10 +310,7 @@ class DiscriminantModel:
         x = chebpts1(degree + 1)
         values = _discriminant_batch(V, (mid[:, None] + half[:, None] * x).ravel(),
                                      node_tol).reshape(npanels, degree + 1)
-        # interpolation coefficients at the first-kind nodes, as in
-        # numpy's chebinterpolate
-        coef = values @ chebvander(x, degree) / (0.5 * (degree + 1))
-        coef[:, 0] *= 0.5
+        coef = _interpolation_coefficients(values, x)
         self._panels = [Chebyshev(c, domain=d) for c, d in zip(coef, domains)]
 
     def __call__(self, E):
@@ -327,23 +333,144 @@ class DiscriminantModel:
                     out[mask] = panel(xs[mask])
         return float(out[0]) if scalar else out
 
-    def derivative(self, E: float) -> float:
+    def derivative(self, E):
         """d/dE of the discriminant (panel derivative, or a central
-        difference for the exact piecewise route)."""
-        e = float(E)
-        if not (self.lo - 1e-9 <= e <= self.hi + 1e-9):
+        difference for the exact piecewise route); E scalar or array."""
+        arr = np.asarray(E, dtype=float)
+        xs = np.atleast_1d(arr)
+        if xs.size and (xs.min() < self.lo - 1e-9 or xs.max() > self.hi + 1e-9):
             raise InvalidInputError(
                 f"energy outside model interval [{self.lo}, {self.hi}]"
             )
         if self.direct:
-            h = 1e-6 * (1.0 + abs(e))
-            return (discriminant(self.V, e + h)
-                    - discriminant(self.V, e - h)) / (2.0 * h)
-        if not hasattr(self, "_deriv_panels"):
-            self._deriv_panels = [p.deriv() for p in self._panels]
-        i = int(np.clip(np.searchsorted(self._bounds, e, side="right") - 1, 0,
-                        len(self._panels) - 1))
-        return float(self._deriv_panels[i](e))
+            h = 1e-6 * (1.0 + np.abs(xs))
+            out = np.array([(discriminant(self.V, e + dh)
+                             - discriminant(self.V, e - dh)) / (2.0 * dh)
+                            for e, dh in zip(xs, h)])
+        else:
+            if not hasattr(self, "_deriv_panels"):
+                self._deriv_panels = [p.deriv() for p in self._panels]
+            idx = np.clip(np.searchsorted(self._bounds, xs, side="right") - 1, 0,
+                          len(self._panels) - 1)
+            out = np.empty_like(xs)
+            for i, panel in enumerate(self._deriv_panels):
+                mask = idx == i
+                if mask.any():
+                    out[mask] = panel(xs[mask])
+        return float(out[0]) if arr.ndim == 0 else out
+
+
+def _chop(coeffs: np.ndarray, tol: float) -> int:
+    """How many leading Chebyshev coefficients to keep: the rule of Aurentz
+    and Trefethen ("Chopping a Chebyshev series", ACM TOMS 43, 2017).
+
+    The monotone envelope of |coeffs| must fall to a plateau below
+    tol^(2/3); the cut then sits where the envelope, tilted up by a third
+    of log10(1/tol) across its length, is lowest.  Returns len(coeffs)
+    when the series has not reached its plateau (not resolved).
+    """
+    n = len(coeffs)
+    if n < 17:
+        return n
+    env = np.maximum.accumulate(np.abs(coeffs)[::-1])[::-1]
+    if env[0] == 0.0:
+        return 1
+    env = env / env[0]
+    for j in range(1, n):
+        j2 = math.floor(1.25 * (j + 1) + 5.5) - 1  # 0-based, from 1-based j + 1
+        if j2 >= n:
+            return n
+        e1, e2 = env[j], env[j2]
+        if e1 == 0.0 or e2 / e1 > 3.0 * (1.0 - math.log(e1) / math.log(tol)):
+            plateau = j - 1
+            break
+    if env[plateau] == 0.0:
+        return plateau + 1
+    j3 = int(np.sum(env >= tol ** (7.0 / 6.0)))
+    if j3 < j2 + 1:
+        j2 = j3
+        env = env.copy()
+        env[j2] = tol ** (7.0 / 6.0)
+    cc = np.log10(env[:j2 + 1]) + np.linspace(0.0, -math.log10(tol) / 3.0, j2 + 1)
+    return max(int(np.argmin(cc)), 1)
+
+
+# node accuracy and the fill degrees tried, in order, by the complex model
+_STRIP_NODE_TOL = 1e-12
+_STRIP_DEGREES = (32, 64, 128, 256)
+
+
+class ComplexDiscriminantModel:
+    """The discriminant at complex energies near a real interval [lo, hi].
+
+    One Chebyshev panel over [lo, hi], filled at real nodes in one batched
+    integration (``_discriminant_batch`` at node_tol = 1e-12) and chopped
+    at the noise plateau of its coefficients (``_chop``), is summed by
+    complex Clenshaw.  The fill starts at degree 32 and doubles, up to 256,
+    until the series reaches its plateau.  Each value carries the
+    a-posteriori bound (Trefethen, *Approximation Theory and Approximation
+    Practice*, ch. 8)
+
+        eta * sum_{n <= N} rho^n + sum_{N < n <= degree} |c_n| rho^n,
+
+    with rho the parameter of the Bernstein ellipse through the energy, N
+    the kept degree, eta the coefficient error implied by the node error
+    and the dropped coefficients c_n as the tail.  Where the bound exceeds
+    tol * max(1, |value|) the scalar ``discriminant`` at `tol` is returned
+    instead and counted in ``fallbacks``.  A panel that has not reached its
+    plateau at degree 256 is not used at all, and piecewise-constant
+    potentials keep their exact product route.
+    """
+
+    def __init__(self, V: PeriodicPotential, lo: float, hi: float, tol: float):
+        if not (hi > lo):
+            raise InvalidInputError("empty model interval")
+        self.V = V
+        self.tol = tol
+        self.exact = V.kind == "piecewise-constant"
+        self.fallbacks = 0
+        self._mid, self._half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        self._coef: list[float] = []
+        self._weights: list[float] = []
+        if self.exact:
+            return
+        for degree in _STRIP_DEGREES:
+            x = chebpts1(degree + 1)
+            values = _discriminant_batch(V, self._mid + self._half * x,
+                                         _STRIP_NODE_TOL)
+            coef = _interpolation_coefficients(values, x)
+            keep = _chop(coef, _STRIP_NODE_TOL)
+            if keep <= degree:
+                # interpolation coefficients are node sums weighted by
+                # |T_n| <= 1, so each is off by at most twice the node error
+                eta = 2.0 * _STRIP_NODE_TOL * max(1.0, float(np.max(np.abs(values))))
+                self._coef = coef[:keep].tolist()
+                self._weights = [eta] * keep + np.abs(coef[keep:]).tolist()
+                return
+
+    def bound(self, E: complex) -> tuple[complex, float]:
+        """(panel value, error bound) at E; the bound is inf without a panel."""
+        if not self._coef:
+            return complex("nan"), math.inf
+        x = (complex(E) - self._mid) / self._half
+        b1 = b2 = 0j
+        for c in reversed(self._coef[1:]):
+            b1, b2 = 2.0 * x * b1 - b2 + c, b1
+        value = x * b1 - b2 + self._coef[0]
+        s = cmath.sqrt(x - 1.0) * cmath.sqrt(x + 1.0)
+        rho = max(abs(x + s), abs(x - s))
+        err = 0.0
+        for w in reversed(self._weights):
+            err = err * rho + w
+        return value, err
+
+    def __call__(self, E) -> complex:
+        value, err = self.bound(E)
+        if err <= self.tol * max(1.0, abs(value)):
+            return value
+        if not self.exact:
+            self.fallbacks += 1
+        return discriminant(self.V, E, self.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -429,16 +556,46 @@ class BandStructure:
         return ("gap", pos // 2)
 
 
+_SCAN_STEP_MAX = 0.08
+_SCAN_STEP_SCALE = TWO_PI / 256.0
+_SCAN_POINTS_MAX = 2_000_000
+
+
+def _weyl_grid_size(lo: float, hi: float, offset: float) -> int:
+    """Upper bound on ``len(_weyl_grid(lo, hi, offset))``, in closed form.
+
+    With u = x - offset and c = 2 pi / 256 the step is c for u <= 1,
+    c sqrt(u) up to u* = (0.08 / c)^2 and 0.08 beyond, so tau, the integral
+    of dx / step over [lo, hi], follows piecewise.  From one node to the
+    next the step grows by at most sqrt(1 + c); every step but the last
+    thus covers at least 1 / sqrt(1 + c) of tau, and the grid holds at
+    most tau sqrt(1 + c) + 2 points.
+    """
+    c = _SCAN_STEP_SCALE
+    u_star = (_SCAN_STEP_MAX / c) ** 2
+    a, b = lo - offset, hi - offset
+    tau = max(0.0, min(b, 1.0) - a) / c
+    p, q = max(a, 1.0), min(b, u_star)
+    if q > p:
+        tau += 2.0 * (math.sqrt(q) - math.sqrt(p)) / c
+    tau += max(0.0, b - max(a, u_star)) / _SCAN_STEP_MAX
+    return math.floor(tau * math.sqrt(1.0 + c)) + 2
+
+
 def _weyl_grid(lo: float, hi: float, offset: float) -> np.ndarray:
-    """Scan grid with step tied to the asymptotic edge spacing 2 pi sqrt(E)."""
+    """Scan grid with step tied to the asymptotic edge spacing 2 pi sqrt(E).
+
+    Its size is bounded (``_weyl_grid_size``) before any node is laid.
+    """
+    if _weyl_grid_size(lo, hi, offset) > _SCAN_POINTS_MAX:
+        raise ResolutionFailure("scan grid exploded; ceiling too large?")
     pts = [lo]
     x = lo
     while x < hi:
-        step = min(0.08, TWO_PI * math.sqrt(max(x - offset, 1.0)) / 256.0)
+        step = min(_SCAN_STEP_MAX,
+                   _SCAN_STEP_SCALE * math.sqrt(max(x - offset, 1.0)))
         x = min(x + step, hi)
         pts.append(x)
-        if len(pts) > 2_000_000:
-            raise ResolutionFailure("scan grid exploded; ceiling too large?")
     return np.array(pts)
 
 

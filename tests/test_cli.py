@@ -1,5 +1,6 @@
 """End-to-end checks of the command line driver."""
 
+import csv
 import json
 import math
 import os
@@ -7,10 +8,13 @@ import shutil
 import stat
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import adiaspec
 from adiaspec import analyze_window, cli, hill
@@ -135,6 +139,75 @@ def test_bands_rerun_is_byte_identical(tmp_path):
     wipe(out)
     assert main(["bands", "--config", cfg]) == 0
     assert out_bytes(out) == first
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def _or_malformed(valid, *extra):
+    """valid, or about one time in ten a malformed or extreme value."""
+    bad = st.sampled_from(["", "abc", "nan", "inf", "-inf", "1e400", "1 2",
+                           "0x10", "--3", "0", "-1", *extra])
+    return st.tuples(st.integers(0, 9), valid, bad).map(
+        lambda t: t[2] if t[0] == 9 else t[1])
+
+
+def _number(lo, hi):
+    return st.floats(min_value=lo, max_value=hi).map(repr)
+
+
+def _lines(items):
+    return "\n    " + "\n    ".join(" ".join(map(str, it)) for it in items)
+
+
+# valid ceilings stay at most 30: the scan-grid guard bounds the grid, but
+# not yet the model fill, which grows faster than the ceiling (a ceiling of
+# 400 already takes ~6 s)
+FUZZ_SECTIONS = st.fixed_dictionaries({
+    "grid": st.fixed_dictionaries({
+        "ceiling": _or_malformed(_number(0.5, 30.0), "1e9", "1e300")}),
+    "potential_v": st.one_of(
+        st.fixed_dictionaries({
+            "kind": st.just("trig"),
+            "terms": _or_malformed(st.lists(
+                st.tuples(st.integers(-1, 3), _number(-5.0, 5.0),
+                          _number(-5.0, 5.0)), min_size=1, max_size=3).map(
+                    _lines))}),
+        st.fixed_dictionaries({
+            "kind": st.just("piecewise"),
+            "segments": _or_malformed(st.lists(
+                st.tuples(st.sampled_from([0.3, 0.5, 0.7]), _number(-5.0, 10.0)),
+                max_size=2, unique_by=lambda t: t[0]).map(
+                    lambda ss: _lines([(0.0, 1.0)] + sorted(ss))), "1.2 3")}),
+        st.fixed_dictionaries({"kind": _or_malformed(st.just("zero"))})),
+    "tolerances": st.fixed_dictionaries({
+        key: _or_malformed(st.floats(-14.0, -2.0).map(lambda e: repr(10.0 ** e)),
+                           "1e-300")
+        for key in ("edge", "quadrature", "ode")}),
+})
+
+
+@given(FUZZ_SECTIONS)
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_bands_fuzzed_config_exits_cleanly_with_strict_output(sections):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = prepare(Path(tmp), sections)
+        rc = main(["bands", "--config", cfg])
+        assert rc in (0, 2, 3, 4)
+        written = sorted(p.name for p in out.iterdir()) if out.is_dir() else []
+        assert written == (["bands.csv"] if rc == 0 else [])
+        if rc == 0:
+            lines = (out / "bands.csv").read_text().splitlines()
+            json.loads(lines[0][len("# config: "):],
+                       parse_constant=_reject_constant)
+            rows = list(csv.reader(lines[2:]))
+            assert rows[0] == ["edge_index", "energy", "gap_after"]
+            for j, (index, energy, gap) in enumerate(rows[1:], start=1):
+                assert int(index) == j
+                assert math.isfinite(float(energy))
+                assert gap in ("", "open", "closed")
 
 
 def test_csv_output_uses_unix_newlines(tmp_path):
@@ -303,6 +376,23 @@ def test_geometry_reference_outputs(tmp_path):
     assert len(rows) > 100
     for name in ("branch_z1m.csv", "branch_z1p.csv"):
         assert_numeric_fields(out, name)
+
+
+def test_geometry_builds_one_band_model_per_band(tmp_path, monkeypatch):
+    # the reference window holds one band; both of its pre-band tables
+    # come from the same degree-96 band model
+    built = []
+    real_init = hill.DiscriminantModel.__init__
+
+    def counted(self, V, lo, hi, **kwargs):
+        built.append(kwargs.get("degree"))
+        real_init(self, V, lo, hi, **kwargs)
+
+    monkeypatch.setattr(hill.DiscriminantModel, "__init__", counted)
+    cfg, out = prepare(tmp_path)
+    assert main(["geometry", "--config", cfg]) == 0
+    assert (out / "branch_z1m.csv").exists() and (out / "branch_z1p.csv").exists()
+    assert built.count(96) == 1
 
 
 def test_geometry_energy_override_reports_failed_window(tmp_path):

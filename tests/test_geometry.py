@@ -14,26 +14,30 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from adiaspec import (
     AnalyticPotential,
     BandStructure,
     CoverageError,
     DegeneratePointError,
+    DiscriminantModel,
     InvalidInputError,
     analyze_window,
     band_edges,
     best_window_energy,
     branch_points,
     complex_momentum,
+    hill,
     period_index,
     real_branch,
+    real_branches,
     sigma_set,
     strip_clearance,
     trace_stokes_line,
 )
 
-from oracles import chebyshev_discriminant
+from oracles import chebyshev_discriminant, kp_discriminant
 
 TWO_PI = 2.0 * math.pi
 
@@ -311,6 +315,83 @@ def test_branch_depends_continuously_on_energy(V_ref, W_ref, bands_ref, E_ref):
     assert d4 < 0.2 * d3
 
 
+def brentq_branch_nodes(geom, label, kg):
+    """zeta at the interior nodes kg by one brentq in E and one in zeta per
+    node, on the band model real_branch uses; also the clamped nodes."""
+    j, side = label.index, label.side
+    band_lo, band_hi = geom.bands.band(j)
+    model = DiscriminantModel(geom.V, band_lo, band_hi,
+                              panel_width=max(band_hi - band_lo, 1e-6),
+                              degree=96)
+    sgn = (-1.0) ** (j - 1)
+    a, b = (0.0, geom.zeta_star) if side == "-" else (geom.zeta_star, TWO_PI)
+    pad = 1e-12 * max(1.0, band_hi - band_lo)
+    zetas, clamped = [], []
+    for i, kap in enumerate(kg):
+        want = 2.0 * math.cos(kap)
+        if sgn * model(band_lo + pad) - want <= 0.0:
+            e = band_lo + pad
+            clamped.append(i)
+        elif sgn * model(band_hi - pad) - want >= 0.0:
+            e = band_hi - pad
+            clamped.append(i)
+        else:
+            e = brentq(lambda t: sgn * model(t) - want, band_lo + pad,
+                       band_hi - pad, xtol=1e-14, rtol=1e-15)
+        target = geom.energy - e
+        zetas.append(brentq(lambda z: float(geom.W.value(z)) - target, a, b,
+                            xtol=1e-13))
+    return np.array(zetas), clamped
+
+
+@pytest.fixture(scope="module")
+def geom_mix(V_mix, W_ref):
+    bands = band_edges(V_mix, 30.0)
+    rep = analyze_window(W_ref, bands, best_window_energy(W_ref, bands, 1, 0),
+                         1, 0)
+    return branch_points(W_ref, bands, rep, V=V_mix)
+
+
+@pytest.mark.parametrize("which", ["ref", "mix"])
+def test_branch_tables_match_a_brentq_node_loop(which, geom_ref, geom_mix):
+    geom = geom_ref if which == "ref" else geom_mix
+    for br in real_branches(geom, points=128):
+        kg, table = br.kappa_grid, br.table()[:, 1]
+        want, _ = brentq_branch_nodes(geom, br.label, kg[1:-1])
+        assert np.max(np.abs(table[1:-1] - want)) <= 1e-12
+        assert table[0] == geom.branch_zeta(2 * br.label.index - 1, br.label.side)
+        assert table[-1] == geom.branch_zeta(2 * br.label.index, br.label.side)
+
+
+def test_branch_table_clamps_edge_nodes_like_the_node_loop(geom_ref):
+    # with 3000 nodes the first node past kappa = 0 asks for a discriminant
+    # beyond the model's value at the padded band bottom, and is clamped
+    label = geom_ref.band_labels[0]
+    br = real_branch(geom_ref, label, points=3000)
+    idx = np.r_[1:40, 2960:2999, 40:2960:97]
+    want, clamped = brentq_branch_nodes(geom_ref, label, br.kappa_grid[idx])
+    assert clamped and idx[clamped[0]] == 1
+    assert np.max(np.abs(br.table()[idx, 1] - want)) <= 1e-12
+
+
+def test_real_branches_share_one_model_per_band(two_band_geometry, monkeypatch):
+    _, geom = two_band_geometry
+    built = []
+    real_init = DiscriminantModel.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[1:3])
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DiscriminantModel, "__init__", counted)
+    branches = real_branches(geom, points=64)
+    assert [b.label for b in branches] == list(geom.band_labels)
+    assert built == [geom.bands.band(1), geom.bands.band(2)]
+    for br in branches:
+        one = real_branch(geom, br.label, points=64)
+        assert np.array_equal(one.table(), br.table())
+
+
 # ---------------------------------------------------------------------------
 # level lines
 
@@ -327,6 +408,66 @@ def test_level_drift_stays_below_budget(V_ref, W_ref, bands_ref, E_ref,
             assert line.reason in ("max-length", "strip-boundary")
             assert line.length > 0.1
             assert line.level_drift() < 1e-6 * line.length
+
+
+def test_level_line_to_the_strip_edge_falls_back_to_the_scalar_route(
+        V_ref, W_ref, bands_ref, E_ref, monkeypatch):
+    # this line climbs to |Im (E - W)| = 2.5, where the complex model hands
+    # its points to the scalar integrator; forcing every point there must
+    # give the same trace within the tracer's own accuracy
+    args = (V_ref, W_ref, bands_ref, E_ref, complex(0.3, 0.15))
+    kw = dict(family="kappa-pi", direction=-1, max_length=1.5)
+    line = trace_stokes_line(*args, **kw)
+    assert line.reason == "strip-boundary"
+    assert line.fallbacks > 0
+    assert np.max(np.abs((E_ref - W_ref.value(line.points)).imag)) > 2.4
+    assert line.level_drift() < 1e-6 * line.length
+    monkeypatch.setattr(hill.ComplexDiscriminantModel, "bound",
+                        lambda self, E: (complex("nan"), math.inf))
+    scalar = trace_stokes_line(*args, **kw)
+    assert scalar.reason == line.reason
+    assert len(scalar.points) == len(line.points)
+    assert np.max(np.abs(scalar.points - line.points)) < 1e-8
+    assert np.max(np.abs(scalar.kappa - line.kappa)) < 1e-6
+
+
+def test_stokes_step_evaluates_the_discriminant_twelve_times(V_zero,
+                                                             monkeypatch):
+    # V = 0 is piecewise constant, so every value takes the scalar route;
+    # on the real axis the line is straight, no step is rejected, and the
+    # set-up before the first step does not depend on max_length
+    bands = band_edges(V_zero, 42.0)
+    W = AnalyticPotential.cosine(0.5, 0.5)
+    calls = []
+    real = hill.discriminant
+    monkeypatch.setattr(hill, "discriminant",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    counts = []
+    for length in (0.4, 0.8):
+        calls.clear()
+        line = trace_stokes_line(V_zero, W, bands, 2.0, 1.0, max_length=length)
+        counts.append((len(calls), len(line.steps)))
+    (c1, n1), (c2, n2) = counts
+    assert n2 > n1
+    assert c2 - c1 == 12 * (n2 - n1)
+
+
+def test_piecewise_level_line_solves_the_closed_form_dispersion(V_kp,
+                                                                 bands_kp):
+    W = AnalyticPotential.cosine(5.0, 0.3)
+    E = best_window_energy(W, bands_kp, 1, 0)
+    geom = branch_points(W, bands_kp, analyze_window(W, bands_kp, E, 1, 0),
+                         V=V_kp)
+    z1m = geom.branch_zetas[0][2]
+    line = trace_stokes_line(V_kp, W, bands_kp, E, complex(z1m, -0.02),
+                             max_length=1.0)
+    assert line.reason == "max-length"
+    assert line.fallbacks == 0
+    assert line.level_drift() < 1e-6 * line.length
+    segments = [(0.0, 0.5, 0.0), (0.5, 1.0, 6.0)]
+    for p, k in zip(line.points, line.kappa):
+        half_trace = kp_discriminant(segments, E - W.value(p)) / 2.0
+        assert abs(np.cos(k) - half_trace) < 1e-9 * max(1.0, abs(half_trace))
 
 
 def test_level_values_agree_with_trapezoid(V_ref, W_ref, bands_ref, E_ref,

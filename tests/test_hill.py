@@ -9,6 +9,7 @@ from __future__ import annotations
 import cmath
 import gc
 import math
+import time
 import weakref
 
 import mpmath
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adiaspec import (
+    ComplexDiscriminantModel,
     ConsistencyError,
     DegeneratePointError,
     DiscriminantModel,
@@ -175,11 +177,13 @@ def test_kronig_penney_closed_form_discriminant(V_kp):
 
 def mp_discriminant(V, E, dps=25):
     """Trace of the period map by mpmath's Taylor-series ODE solver at dps
-    digits: independent of both DOPRI5 and the RK4 oracle."""
+    digits: independent of both DOPRI5 and the RK4 oracle.  Real E gives a
+    float, complex E a complex."""
     with mpmath.workdps(dps):
         terms = [(2 * mpmath.pi * f, mpmath.mpf(c), mpmath.mpf(s))
                  for f, c, s in V.coefficients]
-        E = mpmath.mpf(E)
+        kind = complex if isinstance(E, complex) else float
+        E = mpmath.mpmathify(E)
 
         def rhs(x, y):
             w = sum(c * mpmath.cos(om * x) + s * mpmath.sin(om * x)
@@ -187,7 +191,7 @@ def mp_discriminant(V, E, dps=25):
             return [y[1], w * y[0], y[3], w * y[2]]
 
         y = mpmath.odefun(rhs, 0, [1, 0, 0, 1])(1)
-        return float(y[0] + y[3])
+        return kind(y[0] + y[3])
 
 
 def test_model_fill_crosses_a_chunk_and_matches_scalar_and_oracle(
@@ -262,6 +266,66 @@ def test_model_users_keep_no_potential_alive(W_ref, bands_ref, report_ref):
 
 
 # ---------------------------------------------------------------------------
+# complex-energy Chebyshev model
+
+# the strip panel of the reference geometry: E - W over |Im zeta| <= 0.5
+# for W = 4.8 cos at E = 4.4 projects onto E -+ 4.8 cosh 0.5 on the real axis
+STRIP_E, STRIP_REACH = 4.4, 4.8 * math.cosh(0.5)
+
+
+@pytest.fixture(scope="module")
+def strip_model(V_ref):
+    return ComplexDiscriminantModel(V_ref, STRIP_E - STRIP_REACH,
+                                    STRIP_E + STRIP_REACH, tol=1e-9)
+
+
+def test_complex_model_matches_scalar_and_mpmath(V_ref, strip_model):
+    # |Im E| <= 0.1 covers the energies the reference Stokes traces visit
+    rng = np.random.default_rng(6)
+    Es = (rng.uniform(STRIP_E - STRIP_REACH, STRIP_E + STRIP_REACH, 40)
+          + 1j * rng.uniform(-0.1, 0.1, 40))
+    for E in Es:
+        value, bound = strip_model.bound(complex(E))
+        scalar = discriminant(V_ref, complex(E), tol=1e-13)
+        assert bound <= 1e-9 * max(1.0, abs(value))
+        assert abs(value - scalar) <= min(bound, 1e-12 * max(1.0, abs(scalar)))
+    for E in (complex(Es[0]), complex(Es[1])):
+        assert abs(strip_model(E) - mp_discriminant(V_ref, E, dps=20)) < 1e-12
+    assert strip_model.fallbacks == 0
+
+
+def test_complex_model_falls_back_deep_in_the_strip(V_ref, strip_model):
+    # |Im E| = 2.5 is the edge of the reference strip, where rounding in the
+    # coefficients grows past tol: the bound must hand the point over
+    before = strip_model.fallbacks
+    E = complex(STRIP_E + 0.3, 2.5)
+    _, bound = strip_model.bound(E)
+    assert bound > 1e-9 * abs(discriminant(V_ref, E, tol=1e-9))
+    assert strip_model(E) == discriminant(V_ref, E, tol=1e-9)
+    assert strip_model.fallbacks == before + 1
+
+
+def test_complex_model_keeps_the_exact_piecewise_route(V_kp):
+    model = ComplexDiscriminantModel(V_kp, 0.0, 12.0, tol=1e-9)
+    for E in (3.0 + 0.05j, 9.0 - 2.0j):
+        assert model(E) == discriminant(V_kp, E, tol=1e-9)
+        assert model(E) == pytest.approx(kp_discriminant(KP_SEGMENTS, E),
+                                         abs=1e-12)
+    assert model.fallbacks == 0
+
+
+def test_chop_cuts_at_the_noise_plateau():
+    rng = np.random.default_rng(2)
+    n = np.arange(65)
+    coeffs = 0.5 ** n + 1e-13 * rng.standard_normal(65)
+    keep = hill._chop(coeffs, 1e-13)
+    # 0.5^n reaches the noise near n = 43
+    assert 38 <= keep <= 48
+    # a series still decaying at its last coefficient is not resolved
+    assert hill._chop(0.9 ** n, 1e-13) == 65
+
+
+# ---------------------------------------------------------------------------
 # band edges
 
 
@@ -282,6 +346,25 @@ def test_huge_ceiling_rejected_before_any_model_build(V_ref, monkeypatch):
     monkeypatch.setattr(hill, "DiscriminantModel", no_model)
     with pytest.raises(ResolutionFailure, match="scan grid exploded"):
         band_edges(V_ref, 1e9)
+
+
+@pytest.mark.parametrize("lo, hi, offset", [
+    (-2.1, 45.0, -2.0), (0.0, 0.5, 0.0), (-10.0, 3.0, -10.0), (5.0, 6.0, 0.0),
+    (3.0, 200.0, 0.0), (-1.0, 1000.0, 0.5), (-3.0, 12.0, -3.0),
+])
+def test_scan_grid_size_bounds_the_grid(lo, hi, offset):
+    got = len(hill._weyl_grid(lo, hi, offset))
+    want = hill._weyl_grid_size(lo, hi, offset)
+    assert got <= want <= 1.02 * got + 2
+
+
+def test_huge_ceiling_rejected_before_the_scan_grid():
+    # the closed-form size fires before the first node is laid
+    assert hill._weyl_grid_size(-2.0, 1e9, 0.0) > 1e10
+    start = time.perf_counter()
+    with pytest.raises(ResolutionFailure, match="scan grid exploded"):
+        hill._weyl_grid(-2.0, 1e9, 0.0)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_kronig_penney_edges_match_closed_form(bands_kp):
