@@ -69,7 +69,10 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 _MAX_STEPS = 5_000_000
 # most members one transfer_batch call takes from its callers (unit blocks,
 # energies); bounds the memory of a batch, and fixes where chunks start
-# whatever the caller's thread count
+# whatever the caller's thread count.  cocycle._log_norms, the product
+# kernel of both Lyapunov exponents, takes its factors in chunks of this
+# size too: unit blocks from direct_lyapunov, evaluated matrices from
+# cocycle_lyapunov
 CHUNK = 2048
 # transfer_batch gives up after this many step counts, each one between
 # _MIN_GROWTH and _MAX_GROWTH times the one before
@@ -192,6 +195,12 @@ def propagate(q, E, x0, x1, rtol=1e-10, atol=1e-12, y0=(1.0, 0.0, 0.0, 1.0)):
     return (a, b, c, d), err_accum, nsteps
 
 
+def first_step_count(span, wmax):
+    """Steps of ``propagate``'s initial size, 0.35 / (1 + sqrt|w|) at the
+    largest |w| = wmax, that cover an interval of length span."""
+    return math.ceil(span / min(span, 0.35 / (1.0 + wmax ** 0.5)))
+
+
 def transfer_batch(w, t0, t1, y0, rtol=1e-10, atol=1e-12):
     """Advance a batch of fundamental systems over the shared interval [t0, t1].
 
@@ -216,8 +225,7 @@ def transfer_batch(w, t0, t1, y0, rtol=1e-10, atol=1e-12):
     wmax = float(np.max(np.abs(w0)))
     if not math.isfinite(wmax):
         raise ConvergenceFailure(f"non-finite potential at t={t0!r}")
-    span = t1 - t0
-    n = math.ceil(span / min(span, 0.35 / (1.0 + wmax ** 0.5)))
+    n = first_step_count(t1 - t0, wmax)
     y0 = np.asarray(y0, dtype=np.result_type(y0, w0))
     for _ in range(_MAX_ATTEMPTS):
         y, err = _fixed_steps(w, w0, t0, t1, n, y0, rtol, atol)

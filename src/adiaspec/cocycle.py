@@ -1,10 +1,12 @@
 """Matrix cocycles over an irrational shift and direct Lyapunov exponents.
 
 Two routes to an exponent live here.  `cocycle_lyapunov` iterates a
-1-periodic 2x2 matrix family over the circle shift z -> z + h with
-periodic renormalization, the discrete monodromy picture.  `direct_lyapunov`
-integrates the quasi-periodic Schrodinger equation itself over a long
-window in unit-length blocks, the continuous picture.  The bridge is
+1-periodic 2x2 matrix family over the circle shift z -> z + h, the
+discrete monodromy picture.  `direct_lyapunov` integrates the
+quasi-periodic Schrodinger equation itself over a long window in
+unit-length blocks, the continuous picture.  Both hand their factors, in
+chunks of at most ``_ode.CHUNK`` columns (a, b, c, d), to one
+renormalised-product kernel, `_log_norms`.  The bridge is
 Theta = (eps / 2 pi) theta, plus the model matrix M0 and a Herman-type
 lower-bound checker for families with a dominant oscillating mode.
 """
@@ -166,62 +168,76 @@ def frequency_from_epsilon(epsilon: float) -> float:
 # cocycle iteration
 
 
+def _log_norms(chunks, stride: int) -> list[float]:
+    """Logs of the rescalings of a renormalised 2x2 product.
+
+    ``chunks`` yields (4, n) arrays of factors [[a, b], [c, d]] as columns
+    (a, b, c, d), in the order they multiply.  The product, four Python
+    numbers, is rescaled to unit Frobenius norm every ``stride`` factors
+    and after the last; the logs sum to log ||P_N|| whatever the stride.
+    DegeneracyError names the factor where a norm is 0 or not finite.
+    """
+    f11, f12, f21, f22 = 1.0, 0.0, 0.0, 1.0
+    logs: list[float] = []
+    k = 0
+    for chunk in chunks:
+        for a, b, c, d in zip(*chunk.tolist()):
+            f11, f12, f21, f22 = (a * f11 + b * f21, a * f12 + b * f22,
+                                  c * f11 + d * f21, c * f12 + d * f22)
+            k += 1
+            if k % stride == 0:
+                lg, f11, f12, f21, f22 = _rescale(f11, f12, f21, f22, k)
+                logs.append(lg)
+    if k % stride:
+        logs.append(_rescale(f11, f12, f21, f22, k)[0])
+    return logs
+
+
+def _rescale(f11, f12, f21, f22, k: int) -> tuple:
+    try:
+        nrm = math.hypot(abs(f11), abs(f12), abs(f21), abs(f22))
+    except OverflowError:  # |x + iy| of a finite complex entry overflows
+        nrm = math.inf
+    if not 0.0 < nrm < math.inf:
+        raise DegeneracyError(f"product has norm {nrm} after factor {k}")
+    return math.log(nrm), f11 / nrm, f12 / nrm, f21 / nrm, f22 / nrm
+
+
 def cocycle_lyapunov(spec: CocycleSpec) -> LyapunovEstimate:
     """theta = lim (1/N) log ||M(z + (N-1)h) ... M(z)||.
 
-    The running product is rescaled to unit Frobenius norm every
-    `renorm_stride` steps; the rescaling logs telescope to log ||P_N||
-    independently of the stride.  With several z samples the estimate is
-    their mean and the standard error is the spread across samples;
-    with a single z it is the spread of per-block growth rates.
+    For each z the evaluator fills chunks of ``_ode.CHUNK`` matrices, none
+    singular, that ``_log_norms`` multiplies with a rescaling every
+    `renorm_stride` steps.  With several z samples the estimate is their
+    mean and the standard error their spread; with a single z it is the
+    spread of per-block growth rates.
     """
     zs = spec.effective_z_samples
-    ev = spec.family.evaluator
     h, N, stride = spec.h, spec.N, spec.renorm_stride
-    all_blocks: list[float] = []
-    thetas: list[float] = []
-    block_rates: list[float] = []
-    total = 0.0
-    for z in zs:
-        F = np.eye(2, dtype=complex)
-        acc = 0.0
-        since = 0
-        for n in range(N):
-            M = np.asarray(ev((z + n * h) % 1.0), dtype=complex)
-            det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-            if abs(det) < 1e-300:
-                raise DegeneracyError(
-                    f"singular matrix in the cocycle at step {n} (z={z})"
-                )
-            F = M @ F
-            since += 1
-            if since == stride:
-                nrm = float(np.linalg.norm(F))
-                if nrm == 0.0:
-                    raise DegeneracyError("product collapsed to zero")
-                lg = math.log(nrm)
-                acc += lg
-                all_blocks.append(lg)
-                block_rates.append(lg / since)
-                F /= nrm
-                since = 0
-        if since:
-            nrm = float(np.linalg.norm(F))
-            lg = math.log(nrm)
-            acc += lg
-            all_blocks.append(lg)
-            block_rates.append(lg / since)
-        thetas.append(acc / N)
-        total += acc
-    value = total / (N * len(zs))
+
+    def factors(z: float):
+        for n0 in range(0, N, _ode.CHUNK):
+            ms = np.asarray([spec.family.evaluator((z + n * h) % 1.0)
+                             for n in range(n0, min(n0 + _ode.CHUNK, N))],
+                            dtype=complex)
+            det = ms[:, 0, 0] * ms[:, 1, 1] - ms[:, 0, 1] * ms[:, 1, 0]
+            bad = np.flatnonzero(np.abs(det) < 1e-300)
+            if bad.size:
+                raise DegeneracyError(f"singular matrix in the cocycle at "
+                                      f"step {n0 + bad[0]} (z={z})")
+            yield ms.reshape(-1, 4).T
+
+    logs = [_log_norms(factors(z), stride) for z in zs]
+    blocks = np.concatenate(logs)
     if len(zs) > 1:
-        se = float(np.std(thetas, ddof=1) / math.sqrt(len(zs)))
-    elif len(block_rates) > 1:
-        se = float(np.std(block_rates, ddof=1) / math.sqrt(len(block_rates)))
+        samples = [sum(lz) / N for lz in logs]
     else:
-        se = 0.0
-    return LyapunovEstimate(value=value, per_block=np.array(all_blocks),
-                            standard_error=se, N_used=N, z_samples=zs)
+        samples = blocks / np.minimum(stride, N - stride * np.arange(len(blocks)))
+    se = (float(np.std(samples, ddof=1) / math.sqrt(len(samples)))
+          if len(samples) > 1 else 0.0)
+    return LyapunovEstimate(value=sum(map(sum, logs)) / (N * len(zs)),
+                            per_block=blocks, standard_error=se, N_used=N,
+                            z_samples=zs)
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +255,10 @@ def direct_lyapunov(V: PeriodicPotential, W, epsilon: float, E: float,
     Dormand-Prince 5(4) in which every step of every block passes the
     embedded error test with rtol = tol and atol = tol * 1e-2, the chunk
     being redone with more steps until it does.  Piecewise-constant V
-    is integrated sub-interval by sub-interval between its jumps.  The
-    block matrices are then multiplied in order with a rescaling after
-    each block; Theta = (sum of block log norms) / L.  The standard error
+    is integrated sub-interval by sub-interval between its jumps.  Each
+    chunk of block matrices goes straight to ``_log_norms``, which
+    multiplies them in order with a rescaling after every block;
+    Theta = (sum of block log norms) / L.  The standard error
     is the spread of slopes over ten consecutive segments of the run.
     W may be None for the unmodulated operator.
     """
@@ -254,30 +271,15 @@ def direct_lyapunov(V: PeriodicPotential, W, epsilon: float, E: float,
         raise InsufficientLengthError(
             f"L={L} gives {nblocks} unit blocks; need at least 10"
         )
-    f11, f12, f21, f22 = 1.0, 0.0, 0.0, 1.0
-    acc = 0.0
-    blocks: list[float] = []
-    for j0 in range(0, nblocks, _ode.CHUNK):
-        y = _block_transfers(V, W, epsilon, E, z,
-                             j0, min(j0 + _ode.CHUNK, nblocks), tol)
-        for j, (a, b, c, d) in enumerate(zip(*y.tolist()), start=j0):
-            f11, f12, f21, f22 = (a * f11 + b * f21, a * f12 + b * f22,
-                                  c * f11 + d * f21, c * f12 + d * f22)
-            nrm = math.hypot(abs(f11), abs(f12), abs(f21), abs(f22))
-            if nrm == 0.0 or not math.isfinite(nrm):
-                raise DegeneracyError(
-                    f"block product degenerated at x={j + 1}")
-            lg = math.log(nrm)
-            acc += lg
-            blocks.append(lg)
-            f11, f12, f21, f22 = f11 / nrm, f12 / nrm, f21 / nrm, f22 / nrm
-    value = acc / nblocks
-    groups = np.array_split(np.array(blocks), 10)
-    slopes = [g.mean() for g in groups]
+    chunks = (_block_transfers(V, W, epsilon, E, z,
+                               j0, min(j0 + _ode.CHUNK, nblocks), tol)
+              for j0 in range(0, nblocks, _ode.CHUNK))
+    blocks = np.array(_log_norms(chunks, 1))
+    slopes = [g.mean() for g in np.array_split(blocks, 10)]
     se = float(np.std(slopes, ddof=1) / math.sqrt(len(slopes)))
-    return LyapunovEstimate(value=value, per_block=np.array(blocks),
-                            standard_error=se, N_used=nblocks,
-                            z_samples=(float(z),))
+    return LyapunovEstimate(value=sum(blocks.tolist()) / nblocks,
+                            per_block=blocks, standard_error=se,
+                            N_used=nblocks, z_samples=(float(z),))
 
 
 def _block_transfers(V: PeriodicPotential, W, epsilon: float, E, z: float,
@@ -466,12 +468,9 @@ def conjugation_invariance_check(family: MatrixFamily, h: float,
                            parameters=family.parameters,
                            metadata={"derived_from": family.kind,
                                      "variant": key})
-    base_spec = CocycleSpec(family=family, h=h, z0=z0, N=N,
-                            renorm_stride=renorm_stride, z_samples=z_samples)
-    tw_spec = CocycleSpec(family=twisted, h=h, z0=z0, N=N,
-                          renorm_stride=renorm_stride, z_samples=z_samples)
-    est = cocycle_lyapunov(base_spec)
-    est2 = cocycle_lyapunov(tw_spec)
+    est, est2 = (cocycle_lyapunov(CocycleSpec(
+        family=f, h=h, z0=z0, N=N, renorm_stride=renorm_stride,
+        z_samples=z_samples)) for f in (family, twisted))
     combined = math.hypot(est.standard_error, est2.standard_error)
     return ConjugationReport(variant=key, theta_base=est.value,
                              theta_transformed=est2.value,

@@ -278,6 +278,10 @@ def _interpolation_coefficients(values: np.ndarray, x: np.ndarray) -> np.ndarray
     return coef
 
 
+# DiscriminantModel's default panels, also counted by _model_fill_size
+_PANEL_WIDTH, _PANEL_DEGREE = 4.0, 64
+
+
 class DiscriminantModel:
     """Chebyshev acceleration of the discriminant on a real energy interval.
 
@@ -291,7 +295,8 @@ class DiscriminantModel:
     """
 
     def __init__(self, V: PeriodicPotential, lo: float, hi: float, *,
-                 node_tol: float = 1e-12, panel_width: float = 4.0, degree: int = 64):
+                 node_tol: float = 1e-12, panel_width: float = _PANEL_WIDTH,
+                 degree: int = _PANEL_DEGREE):
         if not (hi > lo):
             raise InvalidInputError("empty model interval")
         self.V = V
@@ -582,13 +587,37 @@ def _weyl_grid_size(lo: float, hi: float, offset: float) -> int:
     return math.floor(tau * math.sqrt(1.0 + c)) + 2
 
 
+def _check_grid_size(lo: float, hi: float, offset: float) -> None:
+    if _weyl_grid_size(lo, hi, offset) > _SCAN_POINTS_MAX:
+        raise ResolutionFailure("scan grid exploded; ceiling too large?")
+
+
+# most node-steps a band model's fill may need, as estimated by
+# _model_fill_size; ceilings up to ~740 pass on V = 2 cos(2 pi x)
+_FILL_NODE_STEPS_MAX = 1_000_000
+
+
+def _model_fill_size(V: PeriodicPotential, lo: float, hi: float) -> int:
+    """Node count times first fixed-step count of a default-shaped
+    ``DiscriminantModel`` fill on [lo, hi], in closed form.
+
+    The nodes are those of its panels.  Each energy chunk of the fill
+    starts from ``_ode.first_step_count`` at its own largest |V(0) - E|;
+    the estimate takes the largest on [lo, hi], at one of its ends, for
+    every node.  Retries, which the node tolerance makes the rule, add
+    steps the estimate leaves out.
+    """
+    nodes = max(1, math.ceil((hi - lo) / _PANEL_WIDTH)) * (_PANEL_DEGREE + 1)
+    v0 = V.evaluator()(0.0)
+    return nodes * _ode.first_step_count(1.0, max(abs(v0 - lo), abs(v0 - hi)))
+
+
 def _weyl_grid(lo: float, hi: float, offset: float) -> np.ndarray:
     """Scan grid with step tied to the asymptotic edge spacing 2 pi sqrt(E).
 
     Its size is bounded (``_weyl_grid_size``) before any node is laid.
     """
-    if _weyl_grid_size(lo, hi, offset) > _SCAN_POINTS_MAX:
-        raise ResolutionFailure("scan grid exploded; ceiling too large?")
+    _check_grid_size(lo, hi, offset)
     pts = [lo]
     x = lo
     while x < hi:
@@ -613,11 +642,19 @@ def band_edges(V: PeriodicPotential, ceiling: float, tol: float = 1e-10) -> Band
     start = vmin - 1e-3 * (1.0 + abs(vmin))
     if ceiling <= start:
         raise InvalidInputError(f"ceiling {ceiling} below the potential minimum")
-    # the grid first: its size guard must fire before the model lays out
-    # its panels, which grow with the ceiling
+    # refuse an oversized scan in closed form before any work: first its
+    # grid (which _weyl_grid checks again), then the model fill, which
+    # grows faster than the ceiling; piecewise-constant V fills no panels
+    _check_grid_size(start, ceiling, vmin)
+    lo, hi = start - 0.5, ceiling + 0.5
+    if V.kind != "piecewise-constant":
+        size = _model_fill_size(V, lo, hi)
+        if size > _FILL_NODE_STEPS_MAX:
+            raise ResolutionFailure(
+                f"band model fill estimated at {size} node-steps, over the "
+                f"limit of {_FILL_NODE_STEPS_MAX}; ceiling too large?")
     grid = _weyl_grid(start, ceiling, offset=vmin)
-    model = DiscriminantModel(V, start - 0.5, ceiling + 0.5,
-                              node_tol=min(1e-12, tol * 1e-2))
+    model = DiscriminantModel(V, lo, hi, node_tol=min(1e-12, tol * 1e-2))
     delta = model(grid)
 
     # refine until the discriminant is resolved between neighbours

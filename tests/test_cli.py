@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -161,9 +162,10 @@ def _lines(items):
     return "\n    " + "\n    ".join(" ".join(map(str, it)) for it in items)
 
 
-# valid ceilings stay at most 30: the scan-grid guard bounds the grid, but
-# not yet the model fill, which grows faster than the ceiling (a ceiling of
-# 400 already takes ~6 s)
+# valid ceilings stay at most 30 to keep each example fast (the band scan
+# grows faster than the ceiling: 400 takes ~6 s); ceilings too large to
+# scan are refused in closed form before any work, here through "1e9" and
+# "1e300" and in test_oversized_band_model_fill_exits_numeric_before_any_fill
 FUZZ_SECTIONS = st.fixed_dictionaries({
     "grid": st.fixed_dictionaries({
         "ceiling": _or_malformed(_number(0.5, 30.0), "1e9", "1e300")}),
@@ -208,6 +210,24 @@ def test_bands_fuzzed_config_exits_cleanly_with_strict_output(sections):
                 assert int(index) == j
                 assert math.isfinite(float(energy))
                 assert gap in ("", "open", "closed")
+
+
+def test_oversized_band_model_fill_exits_numeric_before_any_fill(
+        tmp_path, capsys, monkeypatch):
+    # 2e4 passes the scan-grid guard; the model fill would need ~1.3e8
+    # node-steps by the closed-form estimate
+    def no_fill(*args, **kwargs):
+        raise AssertionError("band model filled before its cost was bounded")
+
+    monkeypatch.setattr(hill, "_discriminant_batch", no_fill)
+    cfg, out = prepare(tmp_path, {"grid": {"ceiling": "2e4"}})
+    start = time.perf_counter()
+    assert main(["bands", "--config", cfg]) == 4
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ResolutionFailure")
+    assert "band model fill" in err
+    assert list(out.iterdir()) == []
 
 
 def test_csv_output_uses_unix_newlines(tmp_path):
@@ -541,6 +561,21 @@ def test_cocycle_singular_model_exits_numeric(tmp_path, capsys):
     assert main(["cocycle", "--config", cfg]) == 4
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: DegeneracyError")
+
+
+@pytest.mark.parametrize("lam", ["0.001", "1000"])
+def test_cocycle_degenerate_product_exits_numeric_without_writing(
+        tmp_path, capsys, lam):
+    # one renormalisation, after the last factor: the product of 2000
+    # factors of norm ~lam has underflowed to zero or overflowed
+    cfg, out = prepare(tmp_path, {"model": {"lam": lam},
+                                  "cocycle": {"N": "2000",
+                                              "renorm_stride": "50000"}})
+    assert main(["cocycle", "--config", cfg]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numeric failure: DegeneracyError")
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
 
 
 def test_cocycle_without_model_section_exits_input_error(tmp_path, capsys):

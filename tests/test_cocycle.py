@@ -99,8 +99,35 @@ def test_singular_matrix_detected():
         run(fam, N=100)
 
 
+def test_overflowing_entry_detected():
+    # both parts of the entry are finite, its modulus is not
+    fam = constant_family([[1.5e308 + 1.5e308j, 0.0], [0.0, 1.0]])
+    with pytest.raises(DegeneracyError, match="after factor 1"):
+        run(fam, N=1)
+
+
+def test_underflowing_product_detected():
+    # no rescaling before the last factor: 2000 factors of norm ~1e-3
+    # take the running product to zero
+    fam = herman_family(0.001, 1, 0.5, 0.3, 0.1, 0.2, seed=7)
+    with pytest.raises(DegeneracyError, match="after factor 2000"):
+        run(fam, N=2000, stride=50000)
+
+
 # ---------------------------------------------------------------------------
 # renormalization bookkeeping
+
+
+def test_chunked_product_matches_plain_cocycle():
+    # three chunk boundaries, and stride-7 blocks ending on a partial one
+    # (3 CHUNK + 5 = 7 * 878 + 3)
+    N, stride, z0 = 3 * CHUNK + 5, 7, 0.29
+    fam = herman_family(2.0, 1, 0.5, 0.3, 0.1, 0.1, seed=3)
+    est = run(fam, N=N, z0=z0, stride=stride)
+    want, _, _ = plain_cocycle(fam.evaluator, H_REF, z0, N)
+    assert abs(est.value - want) <= 1e-12 * abs(want)
+    assert len(est.per_block) == math.ceil(N / stride)
+    assert math.fsum(est.per_block) == pytest.approx(est.value * N, rel=1e-12)
 
 
 def test_stride_does_not_change_the_estimate():

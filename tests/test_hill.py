@@ -348,6 +348,33 @@ def test_huge_ceiling_rejected_before_any_model_build(V_ref, monkeypatch):
         band_edges(V_ref, 1e9)
 
 
+def test_model_fill_size_follows_the_first_attempt(V_ref, monkeypatch):
+    # one energy chunk: the estimate is its node count times the first
+    # step count, taken at an end of the interval, not at the end nodes
+    first = []
+    real = _ode._fixed_steps
+
+    def spy(*args):
+        first.append((args[4], args[5].shape[1]))
+        return real(*args)
+
+    monkeypatch.setattr(_ode, "_fixed_steps", spy)
+    hill.DiscriminantModel(V_ref, -2.5, 45.5)
+    n, nodes = first[0]
+    assert nodes == 12 * 65
+    assert n * nodes <= hill._model_fill_size(V_ref, -2.5, 45.5) <= (n + 1) * nodes
+
+
+def test_band_model_fill_limit(V_ref, V_kp, bands_kp, monkeypatch):
+    # a reference-V scan to 400 stays under the limit
+    assert hill._model_fill_size(V_ref, -2.5, 400.5) <= hill._FILL_NODE_STEPS_MAX
+    monkeypatch.setattr(hill, "_FILL_NODE_STEPS_MAX", 0)
+    with pytest.raises(ResolutionFailure, match="band model fill"):
+        band_edges(V_ref, 5.0)
+    # piecewise-constant V fills no panels
+    assert band_edges(V_kp, 30.0).edges == bands_kp.edges
+
+
 @pytest.mark.parametrize("lo, hi, offset", [
     (-2.1, 45.0, -2.0), (0.0, 0.5, 0.0), (-10.0, 3.0, -10.0), (5.0, 6.0, 0.0),
     (3.0, 200.0, 0.0), (-1.0, 1000.0, 0.5), (-3.0, 12.0, -3.0),
