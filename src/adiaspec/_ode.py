@@ -71,8 +71,8 @@ _MAX_STEPS = 5_000_000
 # energies); bounds the memory of a batch, and fixes where chunks start
 # whatever the caller's thread count.  cocycle._log_norms, the product
 # kernel of both Lyapunov exponents, takes its factors in chunks of this
-# size too: unit blocks from direct_lyapunov, evaluated matrices from
-# cocycle_lyapunov
+# size too: unit blocks from direct_lyapunov, and from cocycle_lyapunov
+# the block products of cocycle factors it evaluates this many at a time
 CHUNK = 2048
 # transfer_batch gives up after this many step counts, each one between
 # _MIN_GROWTH and _MAX_GROWTH times the one before

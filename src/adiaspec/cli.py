@@ -461,6 +461,10 @@ def cmd_cocycle(cfg: RunConfig, seed: int) -> int:
     if not cfg.model:
         raise ConfigError("missing [model] section for the cocycle command")
     kind = cfg.model.get("kind", "model")
+    store_blocks = cfg.model.get("store_blocks", "no")
+    if store_blocks not in ("yes", "no"):
+        raise ConfigError(
+            f"model.store_blocks must be yes or no, got {store_blocks!r}")
     h = cocycle_mod.frequency_from_epsilon(cfg.epsilons[0])
     if kind == "model":
         coeffs = [_number(cfg.model.get(k, "0"), f"model.{k}", complex)
@@ -487,7 +491,6 @@ def cmd_cocycle(cfg: RunConfig, seed: int) -> int:
         z_samples=cocycle_mod.default_z_samples(cfg.z_samples),
     )
     est = cocycle_mod.cocycle_lyapunov(spec)
-    include_blocks = cfg.model.get("store_blocks", "no") == "yes"
     payload = {
         "kind": kind,
         "parameters": params,
@@ -498,7 +501,7 @@ def cmd_cocycle(cfg: RunConfig, seed: int) -> int:
         "N": est.N_used,
         "z_samples": list(est.z_samples),
     }
-    if include_blocks:
+    if store_blocks == "yes":
         payload["block_log_norms"] = [float(v) for v in est.per_block]
     _write_json(cfg, seed, "cocycle.json", payload)
     return EXIT_OK

@@ -4,9 +4,11 @@ Two routes to an exponent live here.  `cocycle_lyapunov` iterates a
 1-periodic 2x2 matrix family over the circle shift z -> z + h, the
 discrete monodromy picture.  `direct_lyapunov` integrates the
 quasi-periodic Schrodinger equation itself over a long window in
-unit-length blocks, the continuous picture.  Both hand their factors, in
+unit-length blocks, the continuous picture.  Both hand 2x2 matrices, in
 chunks of at most ``_ode.CHUNK`` columns (a, b, c, d), to one
-renormalised-product kernel, `_log_norms`.  The bridge is
+renormalised-product kernel, `_log_norms`: the unit-block transfer
+matrices, or the products of each run of ``renorm_stride`` cocycle
+factors, which `_fold` multiplies as a pairwise tree.  The bridge is
 Theta = (eps / 2 pi) theta, plus the model matrix M0 and a Herman-type
 lower-bound checker for families with a dominant oscillating mode.
 """
@@ -26,12 +28,15 @@ from .errors import (
     DegeneracyError,
     InsufficientLengthError,
     InvalidInputError,
+    ResolutionFailure,
 )
 from .hill import PeriodicPotential
 
 _KINDS = ("model-M0", "herman-test", "user-table")
 
-_SIGMA = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+# most factors (N times the number of z samples) one cocycle_lyapunov
+# call multiplies; the largest use in the tests is 900k
+_COCYCLE_FACTORS_MAX = 10_000_000
 
 
 class SmallDenominatorWarning(UserWarning):
@@ -42,8 +47,11 @@ class SmallDenominatorWarning(UserWarning):
 class MatrixFamily:
     """A 1-periodic family z -> M(z) of 2x2 complex matrices.
 
-    The evaluator takes a real z and returns a (2, 2) complex array.
-    Periodicity is spot-checked at construction; families of kind
+    The evaluator takes a real z and returns a (2, 2) complex array.  An
+    optional array evaluator takes a 1-D array of z and returns the
+    (4, n) rows (a, b, c, d) of all n matrices at once; families without
+    one are evaluated point by point.  Periodicity, and agreement of the
+    two evaluators, are spot-checked at construction; families of kind
     'model-M0' are additionally checked for the conjugation symmetry
     between the two rows on real z.
     """
@@ -52,11 +60,13 @@ class MatrixFamily:
     evaluator: object = field(repr=False, compare=False)
     parameters: tuple = ()
     metadata: dict = field(default_factory=dict, compare=False)
+    array_evaluator: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise InvalidInputError(f"kind must be one of {_KINDS}")
-        for z in (0.0, 0.21, 0.5, 0.77):
+        spots = (0.0, 0.21, 0.5, 0.77)
+        for z in spots:
             m0 = np.asarray(self.evaluator(z))
             m1 = np.asarray(self.evaluator(z + 1.0))
             if m0.shape != (2, 2):
@@ -70,9 +80,36 @@ class MatrixFamily:
                     raise ConsistencyError(
                         "model matrix lost its row conjugation symmetry"
                     )
+        if self.array_evaluator is not None:
+            rows = np.asarray(self.array_evaluator(np.array(spots)))
+            if rows.shape != (4, len(spots)):
+                raise InvalidInputError(
+                    "array evaluator must return (4, n) rows (a, b, c, d)")
+            for z, col in zip(spots, rows.T):
+                m0 = np.asarray(self.evaluator(z)).reshape(4)
+                scale = 1.0 + np.abs(m0).max()
+                if np.abs(col - m0).max() > 1e-12 * scale:
+                    raise ConsistencyError(
+                        f"array evaluator disagrees with the evaluator "
+                        f"at z={z}")
 
     def __call__(self, z: float) -> np.ndarray:
         return np.asarray(self.evaluator(z), dtype=complex)
+
+    def rows(self, z: np.ndarray) -> np.ndarray:
+        """(4, n) complex rows (a, b, c, d) of M at each z of a 1-D array:
+        one call of the array evaluator, else one evaluator call per z."""
+        if self.array_evaluator is not None:
+            return np.asarray(self.array_evaluator(z), dtype=complex)
+        ms = np.asarray([self.evaluator(v) for v in z.tolist()], dtype=complex)
+        return ms.reshape(-1, 4).T
+
+
+def _one_point(rows):
+    """The scalar evaluator of an array evaluator: its (2, 2) case."""
+    def ev(zv: float) -> np.ndarray:
+        return rows(np.array([float(zv)]))[:, 0].reshape(2, 2)
+    return ev
 
 
 @dataclass(frozen=True)
@@ -168,66 +205,103 @@ def frequency_from_epsilon(epsilon: float) -> float:
 # cocycle iteration
 
 
-def _log_norms(chunks, stride: int) -> list[float]:
+def _log_norms(chunks, factor=lambda k: k) -> list[float]:
     """Logs of the rescalings of a renormalised 2x2 product.
 
     ``chunks`` yields (4, n) arrays of factors [[a, b], [c, d]] as columns
     (a, b, c, d), in the order they multiply.  The product, four Python
-    numbers, is rescaled to unit Frobenius norm every ``stride`` factors
-    and after the last; the logs sum to log ||P_N|| whatever the stride.
-    DegeneracyError names the factor where a norm is 0 or not finite.
+    numbers, is rescaled to unit Frobenius norm after every factor; the
+    logs sum to log ||P_N||.  DegeneracyError names the factor where a
+    norm is 0 or not finite, as ``factor(k)`` for the k-th column.
     """
     f11, f12, f21, f22 = 1.0, 0.0, 0.0, 1.0
     logs: list[float] = []
-    k = 0
     for chunk in chunks:
         for a, b, c, d in zip(*chunk.tolist()):
             f11, f12, f21, f22 = (a * f11 + b * f21, a * f12 + b * f22,
                                   c * f11 + d * f21, c * f12 + d * f22)
-            k += 1
-            if k % stride == 0:
-                lg, f11, f12, f21, f22 = _rescale(f11, f12, f21, f22, k)
-                logs.append(lg)
-    if k % stride:
-        logs.append(_rescale(f11, f12, f21, f22, k)[0])
+            try:
+                nrm = math.hypot(abs(f11), abs(f12), abs(f21), abs(f22))
+            except OverflowError:  # |x + iy| of a finite entry overflows
+                nrm = math.inf
+            if not 0.0 < nrm < math.inf:
+                raise DegeneracyError(f"product has norm {nrm} after factor "
+                                      f"{factor(len(logs) + 1)}")
+            logs.append(math.log(nrm))
+            f11, f12, f21, f22 = f11 / nrm, f12 / nrm, f21 / nrm, f22 / nrm
     return logs
 
 
-def _rescale(f11, f12, f21, f22, k: int) -> tuple:
-    try:
-        nrm = math.hypot(abs(f11), abs(f12), abs(f21), abs(f22))
-    except OverflowError:  # |x + iy| of a finite complex entry overflows
-        nrm = math.inf
-    if not 0.0 < nrm < math.inf:
-        raise DegeneracyError(f"product has norm {nrm} after factor {k}")
-    return math.log(nrm), f11 / nrm, f12 / nrm, f21 / nrm, f22 / nrm
+def _mul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Rows (a, b, c, d) of the elementwise 2x2 products left @ right."""
+    a, b, c, d = left
+    e, f, g, h = right
+    return np.array([a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h])
+
+
+def _fold(rows: np.ndarray, stride: int) -> np.ndarray:
+    """Products of each run of ``stride`` consecutive columns of ``rows``
+    (the last run may be shorter), later factors on the left.
+
+    The runs are multiplied together as a pairwise tree: log2(stride)
+    batched products, no rescaling.
+    """
+    n = rows.shape[1]
+    cut = n - n % stride
+    groups = [rows[:, :cut].reshape(4, -1, stride)] if cut else []
+    if cut < n:
+        groups.append(rows[:, None, cut:])
+    out = []
+    for g in groups:
+        while g.shape[2] > 1:
+            w = g.shape[2]
+            pairs = _mul(g[:, :, 1::2], g[:, :, 0:w - 1:2])
+            g = pairs if w % 2 == 0 else np.concatenate(
+                [pairs, g[:, :, -1:]], axis=2)
+        out.append(g[:, :, 0])
+    return np.concatenate(out, axis=1)
 
 
 def cocycle_lyapunov(spec: CocycleSpec) -> LyapunovEstimate:
     """theta = lim (1/N) log ||M(z + (N-1)h) ... M(z)||.
 
-    For each z the evaluator fills chunks of ``_ode.CHUNK`` matrices, none
-    singular, that ``_log_norms`` multiplies with a rescaling every
-    `renorm_stride` steps.  With several z samples the estimate is their
+    For each z the factors are evaluated in chunks of at most
+    ``_ode.CHUNK`` matrices, none singular, that start on multiples of
+    `renorm_stride`.  Each run of `renorm_stride` factors is multiplied
+    into one block product by `_fold` (a block longer than a chunk piece
+    by piece), and ``_log_norms`` multiplies the block products with a
+    rescaling after each.  With several z samples the estimate is their
     mean and the standard error their spread; with a single z it is the
-    spread of per-block growth rates.
+    spread of per-block growth rates.  N times the number of z samples
+    is bounded by ``_COCYCLE_FACTORS_MAX`` before any factor is evaluated.
     """
     zs = spec.effective_z_samples
     h, N, stride = spec.h, spec.N, spec.renorm_stride
+    if N * len(zs) > _COCYCLE_FACTORS_MAX:
+        raise ResolutionFailure(
+            f"N={N} with {len(zs)} z samples is {N * len(zs)} cocycle "
+            f"factors, above the limit of {_COCYCLE_FACTORS_MAX}")
+    span = max(1, _ode.CHUNK // stride) * stride
 
-    def factors(z: float):
-        for n0 in range(0, N, _ode.CHUNK):
-            ms = np.asarray([spec.family.evaluator((z + n * h) % 1.0)
-                             for n in range(n0, min(n0 + _ode.CHUNK, N))],
-                            dtype=complex)
-            det = ms[:, 0, 0] * ms[:, 1, 1] - ms[:, 0, 1] * ms[:, 1, 0]
-            bad = np.flatnonzero(np.abs(det) < 1e-300)
-            if bad.size:
-                raise DegeneracyError(f"singular matrix in the cocycle at "
-                                      f"step {n0 + bad[0]} (z={z})")
-            yield ms.reshape(-1, 4).T
+    def block_products(z: float):
+        for b0 in range(0, N, span):
+            b1 = min(b0 + span, N)
+            prod = None
+            for n0 in range(b0, b1, _ode.CHUNK):
+                n1 = min(n0 + _ode.CHUNK, b1)
+                rows = spec.family.rows((z + np.arange(n0, n1) * h) % 1.0)
+                det = rows[0] * rows[3] - rows[1] * rows[2]
+                bad = np.flatnonzero(np.abs(det) < 1e-300)
+                if bad.size:
+                    raise DegeneracyError(f"singular matrix in the cocycle "
+                                          f"at step {n0 + bad[0]} (z={z})")
+                with np.errstate(over="ignore", invalid="ignore"):
+                    part = _fold(rows, stride)
+                    prod = part if prod is None else _mul(part, prod)
+            yield prod
 
-    logs = [_log_norms(factors(z), stride) for z in zs]
+    logs = [_log_norms(block_products(z), lambda k: min(k * stride, N))
+            for z in zs]
     blocks = np.concatenate(logs)
     if len(zs) > 1:
         samples = [sum(lz) / N for lz in logs]
@@ -274,7 +348,7 @@ def direct_lyapunov(V: PeriodicPotential, W, epsilon: float, E: float,
     chunks = (_block_transfers(V, W, epsilon, E, z,
                                j0, min(j0 + _ode.CHUNK, nblocks), tol)
               for j0 in range(0, nblocks, _ode.CHUNK))
-    blocks = np.array(_log_norms(chunks, 1))
+    blocks = np.array(_log_norms(chunks))
     slopes = [g.mean() for g in np.array_split(blocks, 10)]
     se = float(np.std(slopes, ddof=1) / math.sqrt(len(slopes)))
     return LyapunovEstimate(value=sum(blocks.tolist()) / nblocks,
@@ -343,23 +417,18 @@ def model_matrix(a0, a1, b0, b1) -> MatrixFamily:
     """
     a0, a1, b0, b1 = complex(a0), complex(a1), complex(b0), complex(b1)
 
-    def ev(zv: float) -> np.ndarray:
-        u = cmath.exp(2j * math.pi * zv)
-        return np.array([
-            [a0 + a1 * u, b0 + b1 * u],
-            [b0.conjugate() + b1.conjugate() / u,
-             a0.conjugate() + a1.conjugate() / u],
-        ])
+    def rows(z: np.ndarray) -> np.ndarray:
+        u = np.exp(2j * np.pi * z)
+        return np.array([a0 + a1 * u, b0 + b1 * u,
+                         b0.conjugate() + b1.conjugate() / u,
+                         a0.conjugate() + a1.conjugate() / u])
 
-    zg = np.linspace(0.0, 1.0, 257)
-    dev = 0.0
-    for zv in zg:
-        m = ev(float(zv))
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        dev = max(dev, abs(det - 1.0))
-    return MatrixFamily(kind="model-M0", evaluator=ev,
+    a, b, c, d = rows(np.linspace(0.0, 1.0, 257))
+    dev = float(np.abs(a * d - b * c - 1.0).max())
+    return MatrixFamily(kind="model-M0", evaluator=_one_point(rows),
                         parameters=(a0, a1, b0, b1),
-                        metadata={"det_deviation": float(dev)})
+                        metadata={"det_deviation": dev},
+                        array_evaluator=rows)
 
 
 def herman_family(lam, n0: int, alpha, beta, m_amp: float, epsilon: float,
@@ -375,7 +444,7 @@ def herman_family(lam, n0: int, alpha, beta, m_amp: float, epsilon: float,
         raise InvalidInputError("need |alpha| < 1")
     if m_amp < 0:
         raise InvalidInputError("perturbation amplitude must be >= 0")
-    base = np.array([[1.0, beta], [0.0, alpha]])
+    base = np.array([[1.0], [beta], [0.0], [alpha]])  # rows of B
     modes = np.arange(-3, 4)
     if m_amp > 0:
         rng = np.random.default_rng(seed)
@@ -389,15 +458,17 @@ def herman_family(lam, n0: int, alpha, beta, m_amp: float, epsilon: float,
     else:
         coeffs = np.zeros((2, 2, 7), dtype=complex)
 
-    def ev(zv: float) -> np.ndarray:
-        ph = np.exp(2j * np.pi * modes * zv)
-        m1 = coeffs @ ph
-        return lam * cmath.exp(2j * math.pi * n0 * zv) * (base + m1)
+    terms = coeffs.reshape(4, 7)
+
+    def rows(z: np.ndarray) -> np.ndarray:
+        m1 = terms @ np.exp(2j * np.pi * np.outer(modes, z))
+        return lam * np.exp(2j * np.pi * n0 * z) * (base + m1)
 
     return MatrixFamily(
-        kind="herman-test", evaluator=ev,
+        kind="herman-test", evaluator=_one_point(rows),
         parameters=(lam, n0, alpha, beta, float(m_amp), float(epsilon), seed),
         metadata={"seed": seed, "m_amp": float(m_amp)},
+        array_evaluator=rows,
     )
 
 
@@ -442,36 +513,41 @@ def conjugation_invariance_check(family: MatrixFamily, h: float,
                                  variant: str, *, N: int = 20000,
                                  z0: float = 0.0, renorm_stride: int = 8,
                                  z_samples: tuple = ()) -> ConjugationReport:
-    """Exponent of the family vs. its conjugated version.
-
-    'swap-sigma' conjugates by the antidiagonal involution; 'S-twist'
-    replaces M(z) by S(z + h)^{-1} M(z) S(z) with S(z) =
-    diag(e^{i pi z}, e^{-i pi z}), which is unitary for real z, so both
-    transforms preserve the exponent.
-    """
-    ev = family.evaluator
+    """Exponent of the family vs. its conjugated version (`_conjugated`)."""
     key = variant.lower()
-    if key == "swap-sigma":
-        def ev2(zv: float) -> np.ndarray:
-            return _SIGMA @ np.asarray(ev(zv)) @ _SIGMA
-    elif key == "s-twist":
-        def ev2(zv: float) -> np.ndarray:
-            m = np.asarray(ev(zv))
-            d0 = cmath.exp(1j * math.pi * (zv + h))
-            s0 = cmath.exp(1j * math.pi * zv)
-            left = np.array([[1.0 / d0, 0.0], [0.0, d0]])
-            right = np.array([[s0, 0.0], [0.0, 1.0 / s0]])
-            return left @ m @ right
-    else:
-        raise InvalidInputError("variant must be 'swap-sigma' or 'S-twist'")
-    twisted = MatrixFamily(kind="user-table", evaluator=ev2,
-                           parameters=family.parameters,
-                           metadata={"derived_from": family.kind,
-                                     "variant": key})
     est, est2 = (cocycle_lyapunov(CocycleSpec(
         family=f, h=h, z0=z0, N=N, renorm_stride=renorm_stride,
-        z_samples=z_samples)) for f in (family, twisted))
+        z_samples=z_samples)) for f in (family, _conjugated(family, h, key)))
     combined = math.hypot(est.standard_error, est2.standard_error)
     return ConjugationReport(variant=key, theta_base=est.value,
                              theta_transformed=est2.value,
                              combined_standard_error=combined)
+
+
+def _conjugated(family: MatrixFamily, h: float, key: str) -> MatrixFamily:
+    """The family conjugated as `key` says, with an array evaluator.
+
+    'swap-sigma' conjugates by the antidiagonal involution; 's-twist'
+    replaces M(z) by S(z + h)^{-1} M(z) S(z) with S(z) =
+    diag(e^{i pi z}, e^{-i pi z}), which is unitary for real z, so both
+    transforms preserve the exponent.  Both act on the rows of
+    ``family.rows(z)``: a permutation, or elementwise phases.
+    """
+    if key == "swap-sigma":
+        def twist(m: np.ndarray, z: np.ndarray) -> np.ndarray:
+            return m[::-1]  # sigma M sigma = [[d, c], [b, a]]
+    elif key == "s-twist":
+        def twist(m: np.ndarray, z: np.ndarray) -> np.ndarray:
+            s0 = np.exp(1j * np.pi * z)
+            d0 = np.exp(1j * np.pi * (z + h))
+            return m * np.array([s0 / d0, 1.0 / (d0 * s0), d0 * s0, d0 / s0])
+    else:
+        raise InvalidInputError("variant must be 'swap-sigma' or 'S-twist'")
+
+    def rows(z: np.ndarray) -> np.ndarray:
+        return twist(family.rows(z), z)
+
+    return MatrixFamily(kind="user-table", evaluator=_one_point(rows),
+                        parameters=family.parameters,
+                        metadata={"derived_from": family.kind, "variant": key},
+                        array_evaluator=rows)

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import adiaspec
-from adiaspec import analyze_window, cli, hill
+from adiaspec import analyze_window, cli, cocycle, hill
 from adiaspec.cli import load_config, main
 
 
@@ -575,6 +575,43 @@ def test_cocycle_degenerate_product_exits_numeric_without_writing(
     captured = capsys.readouterr()
     assert captured.err.startswith("numeric failure: DegeneracyError")
     assert captured.out == ""
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("value, stored", [("yes", True), ("no", False)])
+def test_cocycle_store_blocks(tmp_path, value, stored):
+    cfg, out = prepare(tmp_path, {"model": {"store_blocks": value}})
+    assert main(["cocycle", "--config", cfg]) == 0
+    result = load_json(out, "cocycle.json")["result"]
+    # 4 z samples of N / renorm_stride = 4000 / 8 blocks
+    assert len(result.get("block_log_norms", [])) == (2000 if stored else 0)
+
+
+@pytest.mark.parametrize("value", ["true", "1", "Yes", ""])
+def test_cocycle_store_blocks_other_values_exit_input_error(tmp_path, capsys,
+                                                            value):
+    cfg, out = prepare(tmp_path, {"model": {"store_blocks": value}})
+    assert main(["cocycle", "--config", cfg]) == 2
+    assert "model.store_blocks" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_oversized_cocycle_exits_numeric_before_any_factor(tmp_path, capsys,
+                                                           monkeypatch):
+    # 2e6 iterations at 8 z samples: 1.6e7 factors, above the 1e7 limit
+    def no_factors(*args, **kwargs):
+        raise AssertionError("cocycle factor evaluated before its cost "
+                             "was bounded")
+
+    monkeypatch.setattr(cocycle.MatrixFamily, "rows", no_factors)
+    cfg, out = prepare(tmp_path, {"cocycle": {"N": "2000000",
+                                              "z_samples": "8"}})
+    start = time.perf_counter()
+    assert main(["cocycle", "--config", cfg]) == 4
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ResolutionFailure")
+    assert "cocycle factors" in err
     assert list(out.iterdir()) == []
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,15 +13,18 @@ from adiaspec import _ode
 from adiaspec import (
     AnalyticPotential,
     CocycleSpec,
+    ConsistencyError,
     ConvergenceFailure,
     DegeneracyError,
     InsufficientLengthError,
     InvalidInputError,
     MatrixFamily,
     PeriodicPotential,
+    ResolutionFailure,
     SmallDenominatorWarning,
     cocycle_lyapunov,
     conjugation_invariance_check,
+    default_z_samples,
     direct_lyapunov,
     frequency_from_epsilon,
     herman_bound_check,
@@ -31,7 +36,7 @@ from adiaspec import (
 )
 
 from adiaspec._ode import CHUNK
-from adiaspec.cocycle import _block_transfers
+from adiaspec.cocycle import _COCYCLE_FACTORS_MAX, _block_transfers, _conjugated
 from oracles import plain_cocycle, rk4_transfer, wkb_average_rate
 
 H_REF = frequency_from_epsilon(0.1)
@@ -130,6 +135,57 @@ def test_chunked_product_matches_plain_cocycle():
     assert math.fsum(est.per_block) == pytest.approx(est.value * N, rel=1e-12)
 
 
+@pytest.mark.parametrize("stride", [1, 3, CHUNK + 3, 50000])
+def test_stride_blocks_match_plain_cocycle(stride):
+    # stride 3 ends on a partial block, CHUNK + 3 folds each block in two
+    # pieces, 50000 makes the whole run one block; lam = 1 keeps that
+    # block's norm representable
+    N, z0 = 3 * CHUNK + 5, 0.61
+    fam = herman_family(1.0, 1, 0.5, 0.3, 0.1, 0.1, seed=8)
+    est = run(fam, N=N, z0=z0, stride=stride)
+    want, _, _ = plain_cocycle(fam.evaluator, H_REF, z0, N)
+    assert abs(est.value - want) <= 1e-12 * abs(want)
+    assert len(est.per_block) == math.ceil(N / stride)
+    assert math.fsum(est.per_block) == pytest.approx(est.value * N, rel=1e-12)
+
+
+def test_user_table_without_array_form_matches_plain_cocycle():
+    herman = herman_family(2.0, 1, 0.5, 0.3, 0.1, 0.1, seed=3)
+    calls = []
+
+    def ev(z: float) -> np.ndarray:
+        calls.append(z)
+        return herman.evaluator(z)
+
+    fam = MatrixFamily(kind="user-table", evaluator=ev)
+    assert fam.array_evaluator is None
+    calls.clear()
+    N, z0 = 3000, 0.29
+    est = run(fam, N=N, z0=z0, stride=7)
+    assert len(calls) == N
+    want, _, _ = plain_cocycle(herman.evaluator, H_REF, z0, N)
+    assert abs(est.value - want) <= 1e-12 * abs(want)
+    assert run(herman, N=N, z0=z0, stride=7).value == pytest.approx(
+        est.value, rel=1e-13)
+
+
+def test_factor_limit_is_checked_before_any_evaluation(monkeypatch):
+    class Evaluated(Exception):
+        pass
+
+    def evaluated(self, z):
+        raise Evaluated
+
+    fam = herman_family(2.0, 1, 0.5, 0.3, 0.1, 0.1, seed=3)
+    monkeypatch.setattr(MatrixFamily, "rows", evaluated)
+    spec = CocycleSpec(family=fam, h=H_REF, N=_COCYCLE_FACTORS_MAX // 8,
+                       z_samples=default_z_samples(8))
+    with pytest.raises(Evaluated):
+        cocycle_lyapunov(spec)
+    with pytest.raises(ResolutionFailure, match="cocycle factors"):
+        cocycle_lyapunov(replace(spec, N=spec.N + 1))
+
+
 def test_stride_does_not_change_the_estimate():
     fam = herman_family(2.0, 1, 0.5, 0.3, 0.1, 0.1, seed=5)
     one = run(fam, stride=1)
@@ -183,6 +239,122 @@ def test_model_exponent_in_configured_window():
     fam = model_matrix(scale, 0.1 * scale, 0.3 * scale, 0.0)
     est = run(fam)
     assert log_inv_T - 2.0 <= est.value <= log_inv_T + 2.0
+
+
+# ---------------------------------------------------------------------------
+# array evaluators against the point-by-point formulas they replaced
+
+
+def scalar_herman(lam, n0, alpha, beta, m_amp, seed):
+    lam, alpha, beta = complex(lam), complex(alpha), complex(beta)
+    base = np.array([[1.0, beta], [0.0, alpha]])
+    modes = np.arange(-3, 4)
+    if m_amp > 0:
+        rng = np.random.default_rng(seed)
+        coeffs = (rng.standard_normal((2, 2, 7))
+                  + 1j * rng.standard_normal((2, 2, 7)))
+        zg = np.arange(4096) / 4096.0
+        phases = np.exp(2j * np.pi * np.outer(modes, zg))
+        vals = np.einsum("ijk,kz->zij", coeffs, phases)
+        sup = np.linalg.svd(vals, compute_uv=False)[:, 0].max()
+        coeffs = coeffs * (m_amp / sup)
+    else:
+        coeffs = np.zeros((2, 2, 7), dtype=complex)
+
+    def ev(zv: float) -> np.ndarray:
+        m1 = coeffs @ np.exp(2j * np.pi * modes * zv)
+        return lam * cmath.exp(2j * math.pi * n0 * zv) * (base + m1)
+
+    return ev
+
+
+def scalar_model(a0, a1, b0, b1):
+    a0, a1, b0, b1 = complex(a0), complex(a1), complex(b0), complex(b1)
+
+    def ev(zv: float) -> np.ndarray:
+        u = cmath.exp(2j * math.pi * zv)
+        return np.array([
+            [a0 + a1 * u, b0 + b1 * u],
+            [b0.conjugate() + b1.conjugate() / u,
+             a0.conjugate() + a1.conjugate() / u],
+        ])
+
+    return ev
+
+
+def scalar_conjugated(ev, h, variant):
+    sigma = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    if variant == "swap-sigma":
+        return lambda zv: sigma @ np.asarray(ev(zv)) @ sigma
+
+    def twisted(zv: float) -> np.ndarray:
+        d0 = cmath.exp(1j * math.pi * (zv + h))
+        s0 = cmath.exp(1j * math.pi * zv)
+        left = np.array([[1.0 / d0, 0.0], [0.0, d0]])
+        right = np.array([[s0, 0.0], [0.0, 1.0 / s0]])
+        return left @ np.asarray(ev(zv)) @ right
+
+    return twisted
+
+
+HERMAN_CASES = {
+    "seed-0": (2.0, 1, 0.5, 0.3, 0.1, 0),
+    "seed-3": (2.0, 1, 0.5, 0.3, 0.1, 3),
+    "seed-11-complex": (1.5 - 0.5j, 1, 0.4j, 0.2 + 0.1j, 0.05, 11),
+    "n0-2": (2.0, 2, 0.5, 0.3, 0.1, 5),
+    "unperturbed": (2.0, 1, 0.5, 1.0, 0.0, 0),
+}
+MODEL_COEFFS = (0.3 + 0.2j, -0.1j, 0.7, 0.05 + 0.4j)
+
+
+def array_cases():
+    """name -> (family, its point-by-point formula)."""
+    cases = {}
+    for name, (lam, n0, alpha, beta, m_amp, seed) in HERMAN_CASES.items():
+        cases[f"herman-{name}"] = (
+            herman_family(lam, n0, alpha, beta, m_amp, 0.1, seed=seed),
+            scalar_herman(lam, n0, alpha, beta, m_amp, seed))
+    cases["model"] = (model_matrix(*MODEL_COEFFS), scalar_model(*MODEL_COEFFS))
+    for base in ("herman-seed-3", "model"):
+        fam, ev = cases[base]
+        for variant in ("swap-sigma", "s-twist"):
+            cases[f"{base}-{variant}"] = (
+                _conjugated(fam, H_REF, variant),
+                scalar_conjugated(ev, H_REF, variant))
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(array_cases()))
+def test_array_form_matches_point_formula(case):
+    fam, ev = array_cases()[case]
+    rng = np.random.default_rng(64)
+    zs = np.concatenate([[-0.73, -0.05, 1.0, 1.41, 2.9],
+                         rng.uniform(-2.0, 3.0, 59)])
+    want = np.array([np.asarray(ev(float(z))).reshape(4) for z in zs]).T
+    scale = np.abs(want).max(axis=0)
+    got = fam.rows(zs)
+    assert got.shape == (4, 64)
+    assert (np.abs(got - want).max(axis=0) <= 1e-13 * scale).all()
+    one = np.array([fam.evaluator(float(z)).reshape(4) for z in zs]).T
+    assert (np.abs(one - want).max(axis=0) <= 1e-13 * scale).all()
+
+
+def test_model_det_deviation_matches_point_scan():
+    fam = model_matrix(*MODEL_COEFFS)
+    ev = scalar_model(*MODEL_COEFFS)
+    dev = max(abs(np.linalg.det(ev(float(z))) - 1.0)
+              for z in np.linspace(0.0, 1.0, 257))
+    assert fam.metadata["det_deviation"] == pytest.approx(dev, rel=1e-13)
+
+
+def test_array_form_disagreeing_with_evaluator_is_refused():
+    model = model_matrix(*MODEL_COEFFS)
+    with pytest.raises(ConsistencyError, match="array evaluator"):
+        MatrixFamily(kind="user-table", evaluator=model.evaluator,
+                     array_evaluator=lambda z: model.rows(z) * (1 + 1e-9))
+    with pytest.raises(InvalidInputError, match="array evaluator"):
+        MatrixFamily(kind="user-table", evaluator=model.evaluator,
+                     array_evaluator=lambda z: model.rows(z)[:, :1])
 
 
 # ---------------------------------------------------------------------------
