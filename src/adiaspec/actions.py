@@ -96,11 +96,17 @@ class Coefficient:
 # the action integral
 
 
-def _window_model(V: PeriodicPotential, W: AnalyticPotential,
-                  geom: IsoEnergyGeometry) -> DiscriminantModel:
-    """Discriminant model over every local energy E - W(zeta) of the window."""
+def window_model(V: PeriodicPotential, W: AnalyticPotential,
+                 E_lo: float, E_hi: float) -> DiscriminantModel:
+    """Discriminant model over every local energy E - W(zeta) of the windows
+    [E - w_plus, E - w_minus] for E in [E_lo, E_hi], padded on both sides.
+
+    Every admissible window strictly contains the same in-window band
+    edges, so admissible windows overlap and their union spans at most two
+    windows plus the pads; one model serves a whole energy grid.
+    """
     pad = 0.2 * (W.w_plus - W.w_minus) + 1.0
-    return DiscriminantModel(V, geom.window[0] - pad, geom.window[1] + pad)
+    return DiscriminantModel(V, E_lo - W.w_plus - pad, E_hi - W.w_minus + pad)
 
 
 def _im_kappa_factory(model: DiscriminantModel, W, bands, geom, label: GapLabel):
@@ -146,12 +152,18 @@ def action_with_error(V, W, bands, geom, label: GapLabel, side: str = "+i0",
                       tol: float = 1e-10) -> tuple[float, float]:
     if label not in geom.gap_labels:
         raise InvalidInputError(f"{label} is not a pre-gap of this geometry")
-    return _action(_window_model(V, W, geom), W, bands, geom, label, side)
+    return _action(window_model(V, W, geom.energy, geom.energy), W, bands, geom,
+                   label, side, tol)
 
 
 def _action(model, W, bands, geom, label: GapLabel,
-            side: str) -> tuple[float, float]:
+            side: str, tol: float) -> tuple[float, float]:
     """(S, quadrature error) of one pre-gap through a window model."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidInputError(f"quadrature tol must be positive, got {tol}")
+    # the quadrature tolerances below are their values at the default
+    # tol = 1e-10, where scale is exactly 1.0 (0.1 * 1e-10 is not 1e-11)
+    scale = tol / 1e-10
     a, b = geom.pre_gap(label)
     if not b > a:
         raise InvalidInputError(f"pre-gap {label} has no interior")
@@ -163,7 +175,8 @@ def _action(model, W, bands, geom, label: GapLabel,
         for edge, sgn in ((a, 1.0), (b, -1.0)):
             ulim = math.sqrt(abs(mid - edge))
             val, e = quad(lambda u: 2.0 * u * im_kappa(edge + sgn * u * u),
-                          0.0, ulim, epsabs=1e-12, epsrel=1e-11, limit=200)
+                          0.0, ulim, epsabs=1e-12 * scale,
+                          epsrel=1e-11 * scale, limit=200)
             total += val
             err += e
         return 2.0 * total, 2.0 * err
@@ -176,7 +189,8 @@ def _action(model, W, bands, geom, label: GapLabel,
         total, err = 0.0, 0.0
         for edge, sgn in ((a, 1.0), (b, -1.0)):
             ulim = math.sqrt(abs(mid - edge))
-            val, e = _gauss_doubling(lambda u: mirrored(u, edge, sgn), 0.0, ulim)
+            val, e = _gauss_doubling(lambda u: mirrored(u, edge, sgn), 0.0, ulim,
+                                     rtol=1e-12 * scale)
             total += val
             err += e
         return -2.0 * total, 2.0 * err
@@ -207,13 +221,16 @@ def _gauss_doubling(f, a: float, b: float, rtol: float = 1e-12,
 
 def compute_actions(V: PeriodicPotential, W: AnalyticPotential,
                     bands: BandStructure, geom: IsoEnergyGeometry,
-                    side: str = "+i0", tol: float = 1e-10) -> ActionSet:
+                    side: str = "+i0", tol: float = 1e-10, *,
+                    model: DiscriminantModel | None = None) -> ActionSet:
     """ActionSet over every pre-gap of the geometry, all read from one
-    window model."""
-    model = _window_model(V, W, geom)
+    window model: `model` if given (it must cover the geometry's padded
+    window, see ``window_model``), else one built for this energy."""
+    if model is None:
+        model = window_model(V, W, geom.energy, geom.energy)
     entries = []
     for label in geom.gap_labels:
-        s, e = _action(model, W, bands, geom, label, side)
+        s, e = _action(model, W, bands, geom, label, side, tol)
         entries.append((label, s, e))
     total = sum(v for _, v, _ in entries)
     return ActionSet(energy=geom.energy, entries=tuple(entries),

@@ -337,11 +337,12 @@ def _best(reports):
                default=None)
 
 
-def _actions(cfg: RunConfig, bands, report) -> actions_mod.ActionSet:
+def _actions(cfg: RunConfig, bands, report,
+             model=None) -> actions_mod.ActionSet:
     geom = geometry_mod.branch_points(cfg.potential_w, bands, report,
                                       V=cfg.potential_v)
     return actions_mod.compute_actions(cfg.potential_v, cfg.potential_w, bands,
-                                       geom, tol=cfg.tol_quad)
+                                       geom, tol=cfg.tol_quad, model=model)
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +390,12 @@ def cmd_actions(cfg: RunConfig, seed: int) -> int:
                         key=lambda r: r.energy)
     if not admissible:
         return _no_admissible(cfg)
+    # one window model for the whole grid: admissible windows overlap
+    model = actions_mod.window_model(cfg.potential_v, cfg.potential_w,
+                                     admissible[0].energy, admissible[-1].energy)
     rows = []
     for rep in admissible:
-        aset = _actions(cfg, bands, rep)
+        aset = _actions(cfg, bands, rep, model)
         asym = actions_mod.lyapunov_asymptotic(aset, cfg.epsilons[0])
         logT_cols = {eps: actions_mod.total_T(aset, eps)[1]
                      for eps in cfg.epsilons}
@@ -436,10 +440,12 @@ def cmd_stokes(cfg: RunConfig, seed: int) -> int:
                   if s == "-"]
     rows = []
     traces = []
+    model = geometry_mod.strip_model(cfg.potential_v, cfg.potential_w, rep.energy)
     for idx, start in enumerate(starts):
         line = geometry_mod.trace_stokes_line(
             cfg.potential_v, cfg.potential_w, bands, rep.energy, start,
             family=family, direction=direction, max_length=max_length,
+            model=model,
         )
         traces.append({
             "trace": idx,

@@ -786,11 +786,24 @@ class StokesLine:
         return float(np.max(np.abs(vals))) if len(vals) else 0.0
 
 
+def strip_model(V: PeriodicPotential, W: AnalyticPotential, E: float,
+                tol: float = 1e-9) -> ComplexDiscriminantModel:
+    """Discriminant model at every E - W(zeta) of the strip |Im zeta| <= Y:
+    one panel over the real projection of those energies."""
+    Y = W.strip_half_width
+    # |Re (c cos f zeta + s sin f zeta)| <= hypot(c, s) cosh(f Y) on the strip
+    center = E - sum(c for f, c, _ in W.coefficients if f == 0)
+    reach = sum(math.hypot(c, s) * math.cosh(f * Y)
+                for f, c, s in W.coefficients if f > 0)
+    return ComplexDiscriminantModel(V, center - reach, center + reach, tol)
+
+
 def trace_stokes_line(V: PeriodicPotential, W: AnalyticPotential,
                       bands: BandStructure, E: float, start,
                       family: str = "kappa", direction: int = 1,
                       max_length: float = 2.0, *, tol: float = 1e-9,
-                      step0: float = 5e-3, max_steps: int = 20000) -> StokesLine:
+                      step0: float = 5e-3, max_steps: int = 20000,
+                      model: ComplexDiscriminantModel | None = None) -> StokesLine:
     """Trace the level line of Im int (kappa - shift) d zeta through `start`.
 
     The curve solves d zeta / ds = conj(kappa(zeta) - shift) normalized to
@@ -800,10 +813,11 @@ def trace_stokes_line(V: PeriodicPotential, W: AnalyticPotential,
     Tracing stops at the strip boundary, near a branch point, at
     `max_length`, or when the tangent field stalls.
 
-    The discriminant at E - W(zeta) comes from one bounded Chebyshev panel
-    over the real projection of E - W(strip)
-    (:class:`~adiaspec.hill.ComplexDiscriminantModel`), which falls back to
-    the scalar integrator at `tol` wherever its error bound exceeds `tol`.
+    The discriminant at E - W(zeta) comes from `model`, or if none is
+    given from ``strip_model(V, W, E, tol)``: one bounded Chebyshev panel
+    over the real projection of E - W(strip), which falls back to the
+    scalar integrator wherever its error bound exceeds its `tol`.  Traces
+    at one energy can share the model; ``fallbacks`` counts this trace's.
     Each accepted step evaluates it 12 times: every point is evaluated
     once, and the end of a step serves the start of the next.
     """
@@ -834,11 +848,9 @@ def trace_stokes_line(V: PeriodicPotential, W: AnalyticPotential,
             "cannot start a level line at a branch point"
         )
 
-    # |Re (c cos f zeta + s sin f zeta)| <= hypot(c, s) cosh(f Y) on the strip
-    center = E - sum(c for f, c, _ in W.coefficients if f == 0)
-    reach = sum(math.hypot(c, s) * math.cosh(f * Y)
-                for f, c, s in W.coefficients if f > 0)
-    model = ComplexDiscriminantModel(V, center - reach, center + reach, tol)
+    if model is None:
+        model = strip_model(V, W, E, tol)
+    fallbacks0 = model.fallbacks
 
     def delta_of(p: complex):
         return model(E - W.value(p))
@@ -929,7 +941,7 @@ def trace_stokes_line(V: PeriodicPotential, W: AnalyticPotential,
         points=np.array(pts), kappa=np.array(ks),
         mids=np.array(mids), mid_kappa=np.array(mid_ks),
         steps=np.array(hs), length=length, reason=reason,
-        fallbacks=model.fallbacks,
+        fallbacks=model.fallbacks - fallbacks0,
     )
 
 

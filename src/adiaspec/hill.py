@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -306,11 +307,12 @@ class DiscriminantModel:
         self.direct = V.kind == "piecewise-constant"
         if self.direct:
             self._panels: list[Chebyshev] = []
-            self._bounds = np.array([lo, hi])
+            self._bounds = [self.lo, self.hi]
             return
         npanels = max(1, math.ceil((hi - lo) / panel_width))
-        self._bounds = np.linspace(lo, hi, npanels + 1)
-        domains = np.column_stack([self._bounds[:-1], self._bounds[1:]])
+        bounds = np.linspace(lo, hi, npanels + 1)
+        self._bounds = bounds.tolist()
+        domains = np.column_stack([bounds[:-1], bounds[1:]])
         mid, half = domains.mean(axis=1), 0.5 * np.diff(domains, axis=1)[:, 0]
         x = chebpts1(degree + 1)
         values = _discriminant_batch(V, (mid[:, None] + half[:, None] * x).ravel(),
@@ -318,14 +320,27 @@ class DiscriminantModel:
         coef = _interpolation_coefficients(values, x)
         self._panels = [Chebyshev(c, domain=d) for c, d in zip(coef, domains)]
 
-    def __call__(self, E):
-        arr = np.asarray(E, dtype=float)
-        scalar = arr.ndim == 0
-        xs = np.atleast_1d(arr)
-        if xs.size and (xs.min() < self.lo - 1e-9 or xs.max() > self.hi + 1e-9):
+    def _check_range(self, lo: float, hi: float) -> None:
+        if lo < self.lo - 1e-9 or hi > self.hi + 1e-9:
             raise InvalidInputError(
                 f"energy outside model interval [{self.lo}, {self.hi}]"
             )
+
+    def __call__(self, E):
+        if isinstance(E, float):
+            # one real energy (np.float64 too): the same range check and
+            # clipped panel choice as below, without the array machinery
+            self._check_range(E, E)
+            if self.direct:
+                return float(discriminant(self.V, float(E)))
+            i = min(max(bisect_right(self._bounds, E) - 1, 0),
+                    len(self._panels) - 1)
+            return float(self._panels[i](E))
+        arr = np.asarray(E, dtype=float)
+        scalar = arr.ndim == 0
+        xs = np.atleast_1d(arr)
+        if xs.size:
+            self._check_range(xs.min(), xs.max())
         if self.direct:
             out = np.array([discriminant(self.V, float(e)) for e in xs])
         else:
@@ -343,10 +358,8 @@ class DiscriminantModel:
         difference for the exact piecewise route); E scalar or array."""
         arr = np.asarray(E, dtype=float)
         xs = np.atleast_1d(arr)
-        if xs.size and (xs.min() < self.lo - 1e-9 or xs.max() > self.hi + 1e-9):
-            raise InvalidInputError(
-                f"energy outside model interval [{self.lo}, {self.hi}]"
-            )
+        if xs.size:
+            self._check_range(xs.min(), xs.max())
         if self.direct:
             h = 1e-6 * (1.0 + np.abs(xs))
             out = np.array([(discriminant(self.V, e + dh)

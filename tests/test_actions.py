@@ -23,6 +23,7 @@ from adiaspec import (
     total_T,
     tunneling_action,
     tunneling_coefficient,
+    window_model,
 )
 
 from oracles import chebyshev_discriminant, midpoint_action
@@ -79,6 +80,65 @@ def test_quadrature_converged_in_tolerance(V_ref, W_ref, bands_ref, geom_ref):
     fine = tunneling_action(V_ref, W_ref, bands_ref, geom_ref, label,
                             tol=1e-12)
     assert abs(coarse - fine) < 1e-8 * fine
+
+
+class _RipplingModel:
+    """A window model with a small ripple on the discriminant, so the
+    quadrature must subdivide to resolve it; counts its evaluations."""
+
+    def __init__(self, model):
+        self.model, self.calls = model, 0
+
+    def __call__(self, E):
+        self.calls += 1
+        return self.model(E) * (1.0 + 1e-6 * math.sin(200.0 * E))
+
+
+@pytest.mark.parametrize("side", ["+i0", "-i0"])
+def test_looser_quadrature_tol_makes_fewer_integrand_calls(
+        V_ref, W_ref, bands_ref, geom_ref, side):
+    # the reference integrand alone is resolved by the first rule at any
+    # tol; the ripple makes the work depend on the tolerance
+    model = window_model(V_ref, W_ref, geom_ref.energy, geom_ref.energy)
+    calls, totals = [], []
+    for tol in (1e-3, 1e-8):
+        rippling = _RipplingModel(model)
+        acts = compute_actions(V_ref, W_ref, bands_ref, geom_ref, side=side,
+                               tol=tol, model=rippling)
+        calls.append(rippling.calls)
+        totals.append(acts.total_action)
+    assert 0 < 4 * calls[0] < calls[1]
+    assert totals[0] == pytest.approx(totals[1], rel=1e-3)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+def test_quadrature_tol_must_be_positive(V_ref, W_ref, bands_ref, geom_ref, tol):
+    with pytest.raises(InvalidInputError):
+        compute_actions(V_ref, W_ref, bands_ref, geom_ref, tol=tol)
+
+
+def test_one_energy_window_model_is_the_geometry_window(V_ref, W_ref, geom_ref):
+    # bit for bit the interval of the per-geometry model it replaced
+    pad = 0.2 * (W_ref.w_plus - W_ref.w_minus) + 1.0
+    model = window_model(V_ref, W_ref, geom_ref.energy, geom_ref.energy)
+    assert model.lo == geom_ref.window[0] - pad
+    assert model.hi == geom_ref.window[1] + pad
+
+
+def test_grid_window_model_covers_every_admissible_window(V_ref, W_ref,
+                                                          bands_ref):
+    Es = [float(E) for E in np.linspace(4.10, 4.70, 5)]
+    model = window_model(V_ref, W_ref, Es[0], Es[-1])
+    pad = 0.2 * (W_ref.w_plus - W_ref.w_minus) + 1.0
+    assert model.hi - model.lo <= 2 * (W_ref.w_plus - W_ref.w_minus) + 2 * pad
+    for E in Es:
+        rep = analyze_window(W_ref, bands_ref, E, 1, 0)
+        assert rep.all_ok
+        geom = branch_points(W_ref, bands_ref, rep, V=V_ref)
+        shared = compute_actions(V_ref, W_ref, bands_ref, geom, model=model)
+        own = compute_actions(V_ref, W_ref, bands_ref, geom)
+        assert shared.total_action == pytest.approx(own.total_action,
+                                                    rel=1e-11, abs=0.0)
 
 
 def test_action_continuous_in_energy(V_ref, W_ref, bands_ref, E_ref):

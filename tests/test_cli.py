@@ -18,7 +18,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import adiaspec
-from adiaspec import analyze_window, cli, cocycle, hill
+from adiaspec import actions as actions_mod
+from adiaspec import analyze_window, cli, cocycle, geometry, hill
 from adiaspec.cli import load_config, main
 
 
@@ -484,6 +485,33 @@ def test_actions_energy_grid_keeps_admissible_energies(tmp_path, bands_ref):
     assert [float(r[0]) for r in rows] == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("grid", [GRID, {"window": {"energy_grid": "4.1 4.7 11"}}])
+def test_actions_grid_fills_one_window_model(tmp_path, monkeypatch, grid):
+    # two model fills per run: the band scan and one window model shared by
+    # every admissible energy; each action set agrees with the one from a
+    # per-energy model
+    builds, results = [], []
+    init = hill.DiscriminantModel.__init__
+    compute = actions_mod.compute_actions
+
+    def recording(*args, **kwargs):
+        results.append((args, kwargs, compute(*args, **kwargs)))
+        return results[-1][2]
+
+    monkeypatch.setattr(hill.DiscriminantModel, "__init__",
+                        lambda self, *a, **k: builds.append(1) or init(self, *a, **k))
+    monkeypatch.setattr(actions_mod, "compute_actions", recording)
+    cfg, out = prepare(tmp_path, grid)
+    assert main(["actions", "--config", cfg]) == 0
+    assert len(builds) == 2
+    assert len(results) == len(csv_rows(out, "actions.csv")[1]) // 2 > 1
+    for args, kwargs, shared in results:
+        own = compute(*args, tol=kwargs["tol"])
+        assert own.labels == shared.labels
+        for (_, s_own, _), (_, s_shared, _) in zip(own.entries, shared.entries):
+            assert s_shared == pytest.approx(s_own, rel=1e-11, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # stokes
 
@@ -505,6 +533,38 @@ def test_stokes_reference_traces(tmp_path):
         assert tr["level_drift"] <= 1e-6 * tr["length"]
     assert {int(r[0]) for r in rows} == {0, 1}
     assert_numeric_fields(out, "stokes.csv")
+
+
+def test_stokes_traces_share_one_strip_model(tmp_path, monkeypatch):
+    # the two default starts read the discriminant from one strip model: the
+    # run makes exactly the batched fills of one ComplexDiscriminantModel
+    fills, filling = [], []
+    init = hill.ComplexDiscriminantModel.__init__
+    batch = hill._discriminant_batch
+
+    def counting_init(self, *args, **kwargs):
+        filling.append(1)
+        try:
+            init(self, *args, **kwargs)
+        finally:
+            filling.pop()
+
+    def counting_batch(V, energies, tol):
+        if filling:
+            fills.append(len(energies))
+        return batch(V, energies, tol)
+
+    monkeypatch.setattr(hill.ComplexDiscriminantModel, "__init__", counting_init)
+    monkeypatch.setattr(hill, "_discriminant_batch", counting_batch)
+    cfg, out = prepare(tmp_path)
+    assert main(["stokes", "--config", cfg]) == 0
+    doc = load_json(out, "stokes.json")["result"]
+    assert len(doc["traces"]) == 2
+    run_fills = list(fills)
+    fills.clear()
+    c = load_config(cfg)
+    geometry.strip_model(c.potential_v, c.potential_w, doc["energy"])
+    assert run_fills == fills != []
 
 
 @pytest.mark.parametrize("key,value", [

@@ -34,6 +34,7 @@ from adiaspec import (
     real_branches,
     sigma_set,
     strip_clearance,
+    strip_model,
     trace_stokes_line,
 )
 
@@ -429,6 +430,35 @@ def test_level_line_to_the_strip_edge_falls_back_to_the_scalar_route(
     assert len(scalar.points) == len(line.points)
     assert np.max(np.abs(scalar.points - line.points)) < 1e-8
     assert np.max(np.abs(scalar.kappa - line.kappa)) < 1e-6
+
+
+def test_traces_sharing_a_strip_model_count_their_own_fallbacks(
+        V_ref, W_ref, bands_ref, E_ref, geom_ref, monkeypatch):
+    # one strip model serves traces from several starts exactly as a model
+    # of their own would; with the panel refused during the first trace
+    # only, that trace alone reports fallbacks
+    z1m = geom_ref.branch_zetas[0][2]
+    _, (lo, hi) = geom_ref.pre_gaps[1]
+    starts = (complex(z1m, -0.02), complex(0.5 * (lo + hi) + 0.2, 0.12))
+    args = (V_ref, W_ref, bands_ref, E_ref)
+    model = strip_model(V_ref, W_ref, E_ref)
+    for start in starts:
+        own = trace_stokes_line(*args, start, max_length=0.1)
+        shared = trace_stokes_line(*args, start, max_length=0.1, model=model)
+        assert shared.points.tobytes() == own.points.tobytes()
+        assert shared.kappa.tobytes() == own.kappa.tobytes()
+        assert shared.fallbacks == own.fallbacks == 0
+    bound = hill.ComplexDiscriminantModel.bound
+    refuse = [True]
+    monkeypatch.setattr(hill.ComplexDiscriminantModel, "bound",
+                        lambda self, E: (complex("nan"), math.inf) if refuse[0]
+                        else bound(self, E))
+    first = trace_stokes_line(*args, starts[0], max_length=0.1, model=model)
+    refuse[0] = False
+    second = trace_stokes_line(*args, starts[1], max_length=0.1, model=model)
+    assert first.fallbacks > 0
+    assert second.fallbacks == 0
+    assert model.fallbacks == first.fallbacks
 
 
 def test_stokes_step_evaluates_the_discriminant_twelve_times(V_zero,

@@ -251,6 +251,31 @@ def test_model_fill_accepts_large_entries_of_a_strong_potential():
                                          rel=1e-10, abs=1e-10)
 
 
+def test_scalar_model_calls_match_the_array_path_bit_for_bit(V_ref, V_kp):
+    # Python floats and np.float64 take the scalar route: seeded points,
+    # every panel boundary and both ends of the range slack
+    rng = np.random.default_rng(20)
+    for V in (V_ref, V_kp):
+        model = DiscriminantModel(V, -2.5, 17.5)
+        Es = np.concatenate([rng.uniform(model.lo, model.hi, 500),
+                             model._bounds,
+                             [model.lo - 1e-9, model.hi + 1e-9]])
+        want = model(Es)
+        for cast in (float, np.float64):
+            got = np.array([model(cast(E)) for E in Es])
+            assert got.tobytes() == want.tobytes()
+            assert all(type(model(cast(E))) is float for E in Es[:3])
+        for E in (model.lo - 1e-6, model.hi + 1e-6):
+            for cast in (float, np.float64):
+                with pytest.raises(InvalidInputError):
+                    model(cast(E))
+    # piecewise-constant V keeps its exact product formula, no panels
+    model = DiscriminantModel(V_kp, 0.0, 12.0)
+    assert model.direct
+    for E in (0.3, 5.0, 11.9):
+        assert model(E) == discriminant(V_kp, E)
+
+
 def test_model_users_keep_no_potential_alive(W_ref, bands_ref, report_ref):
     # a fresh potential equal to V_ref: nothing may hold it once the
     # actions and the real branches are computed
