@@ -15,9 +15,10 @@ Three integration routes live here:
   complex-energy continuation);
 * ``transfer_batch``: the same tableau with a fixed step, advancing a whole
   batch of independent problems over one shared interval as numpy arrays,
-  for the many unit blocks of a long adiabatic run and the many real
-  energies of a Chebyshev discriminant model; every step of every member
-  passes the same embedded error test as ``propagate``;
+  for the phase nodes and sampled unit blocks of a direct run's phase
+  model and the many real energies of a Chebyshev discriminant model;
+  every step of every member passes the same embedded error test as
+  ``propagate``;
 * ``constant_coefficient_step``: the exact whole-interval propagator for a
   constant potential, combined segment-by-segment for piecewise data.
 """
@@ -67,12 +68,13 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 )
 
 _MAX_STEPS = 5_000_000
-# most members one transfer_batch call takes from its callers (unit blocks,
-# energies); bounds the memory of a batch, and fixes where chunks start
-# whatever the caller's thread count.  cocycle._log_norms, the product
-# kernel of both Lyapunov exponents, takes its factors in chunks of this
-# size too: unit blocks from direct_lyapunov, and from cocycle_lyapunov
-# the block products of cocycle factors it evaluates this many at a time
+# most members one transfer_batch call takes from its callers (energies);
+# bounds the memory of a batch, and fixes where chunks start whatever the
+# caller's thread count.  cocycle._log_norms, the product kernel of both
+# Lyapunov exponents, takes its factors in chunks of this size too: unit
+# blocks that direct_lyapunov evaluates from its phase model this many at
+# a time, and from cocycle_lyapunov the block products of cocycle factors
+# it evaluates this many at a time
 CHUNK = 2048
 # transfer_batch gives up after this many step counts, each one between
 # _MIN_GROWTH and _MAX_GROWTH times the one before
@@ -211,13 +213,14 @@ def transfer_batch(w, t0, t1, y0, rtol=1e-10, atol=1e-12):
 
     The first step count follows ``propagate``'s initial-step rule with the
     largest |w(t0)| of the batch.  Every step of every member must pass
-    ``propagate``'s scaled-RMS embedded error test; at the first step where
-    one does not, the whole batch restarts with a step count scaled from
-    that step's worst RMS error as ``propagate`` scales its step
-    (err**(1/5) / 0.9, the estimate being fifth order in h), but by no less
-    than ``_MIN_GROWTH`` and no more than ``_MAX_GROWTH``.  Raises
-    ConvergenceFailure after ``_MAX_ATTEMPTS`` step counts, and at once when
-    an error estimate is not finite.
+    ``propagate``'s scaled-RMS embedded error test.  At the first step where
+    one does not, the batch keeps the state after the steps already
+    accepted and re-plans only the rest of the interval: its remaining step
+    count is scaled from the failed step's worst RMS error as ``propagate``
+    scales its step (err**(1/5) / 0.9, the estimate being fifth order in
+    h), but by no less than ``_MIN_GROWTH`` and no more than
+    ``_MAX_GROWTH``.  Raises ConvergenceFailure after ``_MAX_ATTEMPTS``
+    step counts, and at once when an error estimate is not finite.
     """
     if not (t1 > t0):
         raise InvalidInputError(f"need t1 > t0, got [{t0}, {t1}]")
@@ -226,16 +229,21 @@ def transfer_batch(w, t0, t1, y0, rtol=1e-10, atol=1e-12):
     if not math.isfinite(wmax):
         raise ConvergenceFailure(f"non-finite potential at t={t0!r}")
     n = first_step_count(t1 - t0, wmax)
-    y0 = np.asarray(y0, dtype=np.result_type(y0, w0))
+    y = np.asarray(y0, dtype=np.result_type(y0, w0))
+    t = t0
     for _ in range(_MAX_ATTEMPTS):
-        y, err = _fixed_steps(w, w0, t0, t1, n, y0, rtol, atol)
-        if y is not None:
+        y, err, i = _fixed_steps(w, w0, t, t1, n, y, rtol, atol)
+        if err is None:
             return y
-        last = n
+        # resume at the node after the i accepted steps, as _fixed_steps
+        # computes it, with a finer step on what is left
+        start, last = t, n
+        t = t + i * ((t1 - t) / n)
+        w0 = w(t)
         growth = min(_MAX_GROWTH, max(_MIN_GROWTH, err ** 0.2 / 0.9))
-        n = math.ceil(n * growth)
+        n = math.ceil((n - i) * growth)
     raise ConvergenceFailure(
-        f"{last} fixed steps on [{t0}, {t1}] still miss the tolerance",
+        f"{last} fixed steps on [{start}, {t1}] still miss the tolerance",
         achieved=err,
     )
 
@@ -245,8 +253,9 @@ def _rhs(w, y):
 
 
 def _fixed_steps(w, w0, t0, t1, n, y, rtol, atol):
-    """n equal DOPRI5 steps: (final state, None), or (None, RMS error in
-    units of the tolerance) as soon as one step fails the error test."""
+    """n equal DOPRI5 steps: (final state, None, n), or, as soon as step i
+    fails the error test, (state after the i accepted steps, that step's RMS
+    error in units of the tolerance, i)."""
     h = (t1 - t0) / n
     k1 = _rhs(w0, y)
     ay = np.abs(y)
@@ -274,9 +283,9 @@ def _fixed_steps(w, w0, t0, t1, n, y, rtol, atol):
         if not math.isfinite(worst):
             raise ConvergenceFailure(f"non-finite error estimate at t={t!r}")
         if worst > 4.0:  # 0.25 * sum > 1: the RMS test of propagate
-            return None, math.sqrt(0.25 * worst)
+            return y, math.sqrt(0.25 * worst), i
         y, k1, ay = yn, k7, ayn
-    return y, None
+    return y, None, n
 
 
 def constant_coefficient_step(w, length):

@@ -22,6 +22,7 @@ from scipy.integrate import quad
 from .errors import (
     BranchSelectionError,
     ConsistencyError,
+    ConvergenceFailure,
     InvalidInputError,
 )
 from .geometry import AnalyticPotential, GapLabel, IsoEnergyGeometry
@@ -199,9 +200,12 @@ def _action(model, W, bands, geom, label: GapLabel,
 
 def _gauss_doubling(f, a: float, b: float, rtol: float = 1e-12,
                     max_level: int = 10) -> tuple[float, float]:
-    """Composite Gauss-Legendre with panel doubling until stabilized."""
+    """Composite Gauss-Legendre with panel doubling until two levels agree
+    to rtol * max(1, |total|); ConvergenceFailure if they still do not
+    after ``max_level`` levels."""
     nodes, weights = np.polynomial.legendre.leggauss(16)
     results: list[float] = []
+    diff = math.inf
     for level in range(max_level):
         panels = 2 ** level
         total = 0.0
@@ -216,7 +220,9 @@ def _gauss_doubling(f, a: float, b: float, rtol: float = 1e-12,
             diff = abs(results[-1] - results[-2])
             if diff <= rtol * max(1.0, abs(total)):
                 return results[-1], diff
-    return results[-1], abs(results[-1] - results[-2])
+    raise ConvergenceFailure(
+        f"Gauss-Legendre doubling on [{a}, {b}] still changes by {diff:.3g} "
+        f"after {max_level} levels, above rtol {rtol:.3g}", achieved=diff)
 
 
 def compute_actions(V: PeriodicPotential, W: AnalyticPotential,

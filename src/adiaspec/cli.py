@@ -514,6 +514,8 @@ def cmd_cocycle(cfg: RunConfig, seed: int) -> int:
 
 
 def cmd_verify(cfg: RunConfig, seed: int, threads: int = 1) -> int:
+    # the smallest epsilon has the longest run; refuse it before the scan
+    cocycle_mod.unit_blocks(cfg.periods * 2.0 * math.pi / min(cfg.epsilons))
     bands = _band_structure(cfg)
     rep = _best(_windows(cfg, bands))
     if rep is None:

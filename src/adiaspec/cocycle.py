@@ -2,10 +2,11 @@
 
 Two routes to an exponent live here.  `cocycle_lyapunov` iterates a
 1-periodic 2x2 matrix family over the circle shift z -> z + h, the
-discrete monodromy picture.  `direct_lyapunov` integrates the
+discrete monodromy picture.  `direct_lyapunov` follows the
 quasi-periodic Schrodinger equation itself over a long window in
-unit-length blocks, the continuous picture.  Both hand 2x2 matrices, in
-chunks of at most ``_ode.CHUNK`` columns (a, b, c, d), to one
+unit-length blocks, the continuous picture; the blocks come from one
+`PhaseModel` of the block map in the slow phase.  Both hand 2x2
+matrices, in chunks of at most ``_ode.CHUNK`` columns (a, b, c, d), to one
 renormalised-product kernel, `_log_norms`: the unit-block transfer
 matrices, or the products of each run of ``renorm_stride`` cocycle
 factors, which `_fold` multiplies as a pairwise tree.  The bridge is
@@ -16,6 +17,7 @@ lower-bound checker for families with a dominant oscillating mode.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -30,13 +32,18 @@ from .errors import (
     InvalidInputError,
     ResolutionFailure,
 )
-from .hill import PeriodicPotential
+from .hill import TWO_PI, PeriodicPotential
 
 _KINDS = ("model-M0", "herman-test", "user-table")
 
 # most factors (N times the number of z samples) one cocycle_lyapunov
-# call multiplies; the largest use in the tests is 900k
+# call multiplies, and most unit blocks of one direct run; the largest use
+# in the tests is 900k
 _COCYCLE_FACTORS_MAX = 10_000_000
+# a PhaseModel's first and largest number of fill phases, and the number of
+# a run's blocks direct_lyapunov integrates to check it
+_PHASES_MIN, _PHASES_MAX = 32, 1024
+_SAMPLE_BLOCKS = 32
 
 
 class SmallDenominatorWarning(UserWarning):
@@ -323,30 +330,32 @@ def direct_lyapunov(V: PeriodicPotential, W, epsilon: float, E: float,
                     tol: float = 1e-8) -> LyapunovEstimate:
     """Exponent of -psi'' + (V(x - z) + W(eps x)) psi = E psi over [0, L].
 
-    The run is cut into unit blocks [j, j + 1] (one V period), each an
-    independent linear problem.  Blocks are integrated together, in
-    chunks of at most ``_ode.CHUNK``, by ``_ode.transfer_batch``: fixed-step
-    Dormand-Prince 5(4) in which every step of every block passes the
-    embedded error test with rtol = tol and atol = tol * 1e-2, the chunk
-    being redone with more steps until it does.  Piecewise-constant V
-    is integrated sub-interval by sub-interval between its jumps.  Each
-    chunk of block matrices goes straight to ``_log_norms``, which
-    multiplies them in order with a rescaling after every block;
-    Theta = (sum of block log norms) / L.  The standard error
-    is the spread of slopes over ten consecutive segments of the run.
-    W may be None for the unmodulated operator.
+    The run is cut into unit blocks [j, j + 1] (one V period).  Block j's
+    fundamental matrix is G(phi_j) with phi_j = eps j mod 2 pi, and one
+    `PhaseModel` of G per call stands in for integrating every block: it
+    is filled at a few equispaced phases and checked against
+    `_SAMPLE_BLOCKS` evenly spaced blocks of this run, integrated directly
+    (ConsistencyError if one disagrees).  The blocks are then evaluated
+    from the model in chunks of at most ``_ode.CHUNK`` and go straight to
+    ``_log_norms``, which multiplies them in order with a rescaling after
+    every block; Theta = (sum of block log norms) / L.  The number of
+    blocks is bounded by ``_COCYCLE_FACTORS_MAX`` (`unit_blocks`), and the
+    ODE work does not depend on it.  The standard error is the spread of
+    slopes over ten consecutive segments of the run.  W may be None for
+    the unmodulated operator.
     """
     if epsilon <= 0:
         raise InvalidInputError("epsilon must be positive")
     if not (math.isfinite(z) and cmath.isfinite(E)):
         raise InvalidInputError("z and E must be finite")
-    nblocks = int(math.floor(L + 1e-9))
+    nblocks = unit_blocks(L)
     if nblocks < 10:
         raise InsufficientLengthError(
             f"L={L} gives {nblocks} unit blocks; need at least 10"
         )
-    chunks = (_block_transfers(V, W, epsilon, E, z,
-                               j0, min(j0 + _ode.CHUNK, nblocks), tol)
+    model = PhaseModel(V, W, epsilon, E, z, tol)
+    model.check(nblocks)
+    chunks = (model.blocks(j0, min(j0 + _ode.CHUNK, nblocks))
               for j0 in range(0, nblocks, _ode.CHUNK))
     blocks = np.array(_log_norms(chunks))
     slopes = [g.mean() for g in np.array_split(blocks, 10)]
@@ -356,28 +365,112 @@ def direct_lyapunov(V: PeriodicPotential, W, epsilon: float, E: float,
                             N_used=nblocks, z_samples=(float(z),))
 
 
-def _block_transfers(V: PeriodicPotential, W, epsilon: float, E, z: float,
-                     j0: int, j1: int, tol: float) -> np.ndarray:
-    """Fundamental matrices of the unit blocks j0 <= j < j1, rows (a, b, c, d).
+def unit_blocks(L: float) -> int:
+    """The number of unit blocks [j, j + 1] in a run over [0, L];
+    ResolutionFailure above ``_COCYCLE_FACTORS_MAX``, before any work."""
+    nblocks = math.floor(L + 1e-9)
+    if nblocks > _COCYCLE_FACTORS_MAX:
+        raise ResolutionFailure(
+            f"L={L} is {nblocks} unit blocks, above the limit of "
+            f"{_COCYCLE_FACTORS_MAX}")
+    return nblocks
 
-    V(j + t - z) = V(t - z) is shared by every block and evaluated once
-    per stage node.  Each W term c cos(om x) + s sin(om x) at x = j + t is
-    P_j cos(om t) + Q_j sin(om t) by angle addition, so only P_j and Q_j
-    are per-block arrays.
+
+class PhaseModel:
+    """The unit-block map G(phi) of one direct run, as a trigonometric
+    interpolant in the slow phase.
+
+    Block j sees V(t - z) + W(eps (j + t)) - E on t in [0, 1].  W has
+    integer frequencies, so the block's fundamental matrix is G(phi_j),
+    phi_j = eps j mod 2 pi, with G analytic and 2 pi periodic.  G is filled
+    at K equispaced phases by one ``_block_transfers`` pass, and its
+    Fourier coefficients are taken by a complex FFT (complex E gives a
+    complex G).  K starts at ``_PHASES_MIN`` and doubles while the largest
+    coefficient of the upper half of the frequencies, |k| >= K / 4, exceeds
+    tol * max(1, max |G|); past ``_PHASES_MAX`` the model is refused with
+    ResolutionFailure.  ``check`` integrates a sample of a run's blocks
+    directly and refuses the model if they disagree.
     """
-    js = np.arange(j0, j1, dtype=float)
+
+    def __init__(self, V: PeriodicPotential, W, epsilon: float, E, z: float,
+                 tol: float):
+        self.epsilon, self.tol = epsilon, tol
+        self._integrate = functools.partial(_block_transfers, V, W, epsilon,
+                                            E, z, tol=tol)
+        K = _PHASES_MIN
+        while True:
+            G = self._integrate(TWO_PI / K * np.arange(K))
+            coef = np.fft.fft(G, axis=1) / K
+            k = np.fft.fftfreq(K, 1.0 / K)
+            tail = float(np.abs(coef[:, np.abs(k) >= K // 4]).max())
+            if tail <= tol * max(1.0, float(np.abs(G).max())):
+                break
+            if K >= _PHASES_MAX:
+                raise ResolutionFailure(
+                    f"phase model with {K} phases still has a Fourier tail "
+                    f"of {tail:.3g}, above tol {tol} of the block scale")
+            K *= 2
+        self.K = K
+        # G = sum over |k| < K/2 of A_k cos(k phi) + B_k sin(k phi), with
+        # A_k = C_k + C_-k and B_k = i (C_k - C_-k); the Nyquist term, already
+        # below the tolerance, is dropped so the interpolant of a real G
+        # stays real
+        pos, neg = coef[:, :K // 2], coef[:, (K - np.arange(K // 2)) % K]
+        self._cos, self._sin = pos + neg, 1j * (pos - neg)
+        self._cos[:, 0] = pos[:, 0]
+        if not np.iscomplexobj(G):
+            self._cos, self._sin = self._cos.real, self._sin.real
+
+    def __call__(self, phases: np.ndarray) -> np.ndarray:
+        """(4, n) rows (a, b, c, d) of G at each phase of a 1-D array."""
+        x = np.outer(np.arange(self.K // 2), phases)
+        return self._cos @ np.cos(x) + self._sin @ np.sin(x)
+
+    def blocks(self, j0: int, j1: int) -> np.ndarray:
+        """Rows of the unit blocks j0 <= j < j1 of the run."""
+        return self(np.mod(self.epsilon * np.arange(j0, j1), TWO_PI))
+
+    def check(self, nblocks: int) -> None:
+        """Integrate ``_SAMPLE_BLOCKS`` evenly spaced blocks of a run of
+        nblocks directly; ConsistencyError if one differs from the model by
+        more than 10 tol max(1, max |block|)."""
+        js = np.unique(np.linspace(0, nblocks - 1, _SAMPLE_BLOCKS).astype(int))
+        phases = np.mod(self.epsilon * js, TWO_PI)
+        direct = self._integrate(phases)
+        diff = np.abs(self(phases) - direct).max(axis=0)
+        bound = 10.0 * self.tol * np.maximum(1.0, np.abs(direct).max(axis=0))
+        bad = np.flatnonzero(diff > bound)
+        if bad.size:
+            i = bad[0]
+            raise ConsistencyError(
+                f"phase model ({self.K} phases) misses block {js[i]} by "
+                f"{diff[i]:.3g}, above {bound[i]:.3g}")
+
+
+def _block_transfers(V: PeriodicPotential, W, epsilon: float, E, z: float,
+                     phases: np.ndarray, tol: float) -> np.ndarray:
+    """Fundamental matrices of unit blocks at slow phases phi, rows (a, b, c, d).
+
+    A block at phase phi sees V(t - z) + W(phi + eps t) - E on t in [0, 1];
+    block j of a run has phi = eps j.  V(t - z) is shared by every block
+    and evaluated once per stage node.  Each W term c cos(f zeta) +
+    s sin(f zeta) at zeta = phi + eps t is P cos(f eps t) + Q sin(f eps t)
+    by angle addition, with P = c cos(f phi) + s sin(f phi) and
+    Q = s cos(f phi) - c sin(f phi), so only P and Q are per-block arrays.
+    The blocks go through one ``_ode.transfer_batch`` call per interval
+    between jumps of a piecewise-constant V.
+    """
     terms = []
     for f, c, s in (() if W is None else W.coefficients):
-        om = f * epsilon
-        cj, sj = np.cos(om * js), np.sin(om * js)
-        terms.append((om, c * cj + s * sj, s * cj - c * sj))
+        cj, sj = np.cos(f * phases), np.sin(f * phases)
+        terms.append((f * epsilon, c * cj + s * sj, s * cj - c * sj))
     vf = V.evaluator()
     piecewise = V.kind == "piecewise-constant"
     knots = [0.0, 1.0]
     if piecewise:
         knots[1:1] = sorted({(b + z) % 1.0 for b, _ in V.segments
                              if (b + z) % 1.0 > 0.0})
-    y = np.zeros((4, len(js)))
+    y = np.zeros((4, len(phases)))
     y[0] = y[3] = 1.0
     for t0, t1 in zip(knots[:-1], knots[1:]):
         # V is constant between its jumps; a node on a jump would pick

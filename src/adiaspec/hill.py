@@ -251,7 +251,9 @@ def _discriminant_batch(V: PeriodicPotential, energies: np.ndarray,
     The energies go through ``_ode.transfer_batch`` together, in chunks of
     at most ``_ode.CHUNK``: fixed-step DOPRI5 in which every step of every
     energy passes ``propagate``'s error test at rtol = tol, atol = tol *
-    1e-2.  V is sampled once per stage node and shared by all energies.
+    1e-2; after a failed step the chunk keeps the steps it has accepted
+    and goes on from there with a finer step.  V is sampled once per stage
+    node and shared by all energies.
     """
     q = V.evaluator()
     out = np.empty(len(energies))

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adiaspec import actions as actions_mod
 from adiaspec import (
     ActionSet,
+    ConvergenceFailure,
     GapLabel,
     InvalidInputError,
     action_with_error,
@@ -54,6 +56,26 @@ def test_both_integration_sides_agree(V_ref, W_ref, bands_ref, geom_ref):
         dn = tunneling_action(V_ref, W_ref, bands_ref, geom_ref, label,
                               side="-i0")
         assert up == pytest.approx(dn, abs=1e-8)
+
+
+def test_cross_check_side_refuses_an_unreachable_tolerance(
+        V_ref, W_ref, bands_ref, geom_ref):
+    # rtol 1e-18 is below what the doubled Gauss-Legendre sums of g1 settle
+    # to (successive levels keep changing by ~1e-16): all levels run, and
+    # the last estimate must not come back as if it had converged
+    label = geom_ref.gap_labels[1]
+    with pytest.raises(ConvergenceFailure, match="Gauss-Legendre"):
+        tunneling_action(V_ref, W_ref, bands_ref, geom_ref, label,
+                         side="-i0", tol=1e-16)
+
+
+def test_gauss_doubling_raises_when_levels_keep_changing():
+    # a kink off every panel edge: the error falls only like h^2, far
+    # above rtol after ten levels, whatever the rounding
+    with pytest.raises(ConvergenceFailure, match="after 10 levels"):
+        actions_mod._gauss_doubling(lambda u: abs(u - 1.0 / 3.0), 0.0, 1.0)
+    value, err = actions_mod._gauss_doubling(math.exp, 0.0, 1.0)
+    assert abs(value - (math.e - 1.0)) <= 1e-14 and err <= 1e-12
 
 
 def test_actions_against_brute_force_oracle(V_ref, W_ref, bands_ref, E_ref,

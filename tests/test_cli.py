@@ -675,6 +675,24 @@ def test_oversized_cocycle_exits_numeric_before_any_factor(tmp_path, capsys,
     assert list(out.iterdir()) == []
 
 
+def test_oversized_verify_exits_numeric_before_the_band_scan(tmp_path, capsys,
+                                                           monkeypatch):
+    # 1e12 periods at epsilon 0.5 is ~1.3e13 unit blocks, above the 1e7 limit
+    def no_scan(*args, **kwargs):
+        raise AssertionError("band scan started before the run length "
+                             "was bounded")
+
+    monkeypatch.setattr(hill, "band_edges", no_scan)
+    cfg, out = prepare(tmp_path, {"cocycle": {"periods": "1e12"}})
+    start = time.perf_counter()
+    assert main(["verify", "--config", cfg]) == 4
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ResolutionFailure")
+    assert "unit blocks" in err
+    assert list(out.iterdir()) == []
+
+
 def test_cocycle_without_model_section_exits_input_error(tmp_path, capsys):
     cfg, _ = prepare(tmp_path, drop=("model.kind", "model.lam", "model.n0",
                                      "model.alpha", "model.beta",

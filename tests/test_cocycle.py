@@ -36,7 +36,13 @@ from adiaspec import (
 )
 
 from adiaspec._ode import CHUNK
-from adiaspec.cocycle import _COCYCLE_FACTORS_MAX, _block_transfers, _conjugated
+from adiaspec.cocycle import (
+    _COCYCLE_FACTORS_MAX,
+    PhaseModel,
+    _block_transfers,
+    _conjugated,
+    unit_blocks,
+)
 from oracles import plain_cocycle, rk4_transfer, wkb_average_rate
 
 H_REF = frequency_from_epsilon(0.1)
@@ -533,7 +539,7 @@ def test_block_transfers_match_scalar_and_oracle(case, request, W_ref, E_ref):
     W = W_ref if with_w else None
     E = E_ref + dE
     eps, tol, j0, j1 = 0.1, 1e-9, 1998, 2001
-    batch = _block_transfers(V, W, eps, E, z, j0, j1, tol)
+    batch = _block_transfers(V, W, eps, E, z, eps * np.arange(j0, j1), tol)
     assert batch.shape == (4, j1 - j0)
     assert np.iscomplexobj(batch) == isinstance(E, complex)
     for i, j in enumerate(range(j0, j1)):
@@ -544,6 +550,104 @@ def test_block_transfers_match_scalar_and_oracle(case, request, W_ref, E_ref):
         assert np.abs(got - ref).max() <= tol * scale, (case, j)
         assert np.abs(got - oracle).max() <= tol * scale, (case, j)
         assert abs(np.linalg.det(got) - 1.0) <= tol * scale
+
+
+# ---------------------------------------------------------------------------
+# the phase model of a direct run
+
+
+@pytest.fixture(scope="module")
+def W_multi():
+    return AnalyticPotential([(1, 4.8, 0.0), (2, 0.6, 0.3), (3, 0.1, -0.2)], 0.5)
+
+
+PHASE_CASES = {
+    # name: (V fixture, W fixture, z, energy offset from E_ref)
+    "several-frequencies": ("V_ref", "W_multi", 0.37, 0.0),
+    "piecewise-shifted": ("V_kp", "W_ref", 0.2, -1.0),
+    "complex-E": ("V_ref", "W_ref", 0.1, 0.3j),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PHASE_CASES))
+def test_phase_model_matches_rk4_oracle(case, request, E_ref):
+    vname, wname, z, dE = PHASE_CASES[case]
+    V, W = request.getfixturevalue(vname), request.getfixturevalue(wname)
+    E = E_ref + dE
+    eps, tol = 0.1, 1e-9
+    model = PhaseModel(V, W, eps, E, z, tol)
+    for j in (0, 17, 4321, 98765):
+        got = model.blocks(j, j + 1)
+        assert np.iscomplexobj(got) == isinstance(E, complex)
+        oracle = rk4_block(V, W, eps, E, z, j)
+        scale = max(1.0, float(np.abs(oracle).max()))
+        diff = np.abs(got[:, 0].reshape(2, 2) - oracle).max()
+        assert diff <= 10 * tol * scale, (case, j)
+
+
+def test_phase_model_doubles_past_a_high_frequency_tail(V_ref, E_ref,
+                                                        monkeypatch):
+    # a frequency-7 term in W puts Fourier content of G above |k| = 8,
+    # the upper half of the 32-phase band
+    W = AnalyticPotential([(1, 4.8, 0.0), (7, 0.08, 0.0)], 0.5)
+    eps, z, tol = 0.1, 0.37, 1e-9
+    model = PhaseModel(V_ref, W, eps, E_ref, z, tol)
+    assert model.K > 32
+    for j in (3, 2500):
+        got = model.blocks(j, j + 1)[:, 0].reshape(2, 2)
+        want = scalar_block(V_ref, W, eps, E_ref, z, j, rtol=1e-12)
+        scale = max(1.0, float(np.abs(want).max()))
+        assert np.abs(got - want).max() <= 10 * tol * scale
+    monkeypatch.setattr("adiaspec.cocycle._PHASES_MAX", model.K // 2)
+    with pytest.raises(ResolutionFailure, match="phase model"):
+        direct_lyapunov(V_ref, W, eps, E_ref, z=z, L=100.0, tol=tol)
+
+
+def test_phase_model_sample_check_catches_a_corrupted_fill(
+        V_ref, W_ref, E_ref, monkeypatch):
+    real = _ode.transfer_batch
+    batches = []
+
+    def corrupted(*args, **kwargs):
+        y = real(*args, **kwargs)
+        batches.append(y.shape[1])
+        # the first batch is the model's fill; a smooth relative error
+        # leaves its Fourier tail as small as it was
+        return y * (1.0 + 1e-6) if len(batches) == 1 else y
+
+    monkeypatch.setattr(_ode, "transfer_batch", corrupted)
+    with pytest.raises(ConsistencyError, match="phase model"):
+        direct_lyapunov(V_ref, W_ref, 0.2, E_ref, z=0.37, L=300.0)
+    # one 32-phase fill, then the 32 sampled blocks of the run
+    assert batches == [32, 32]
+
+
+def test_direct_run_block_count_bounded_before_any_work(V_ref, W_ref, E_ref,
+                                                       monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("integrated before the block count was bounded")
+
+    monkeypatch.setattr(_ode, "transfer_batch", no_work)
+    assert unit_blocks(_COCYCLE_FACTORS_MAX + 0.5) == _COCYCLE_FACTORS_MAX
+    with pytest.raises(ResolutionFailure, match="unit blocks"):
+        direct_lyapunov(V_ref, W_ref, 0.2, E_ref, L=_COCYCLE_FACTORS_MAX + 1.0)
+
+
+def test_slow_epsilon_ladder_converges_to_the_action_exponent(
+        V_ref, W_ref, E_ref, acts_ref):
+    # the reference geometry at 400 periods per cell: 201k blocks at the
+    # smallest epsilon, which only the phase model makes cheap
+    theta_asym = lyapunov_asymptotic(acts_ref, 0.2).theta_asym
+    epsilons = [0.2, 0.1, 0.05, 0.025, 0.0125]
+    rel = []
+    for eps in epsilons:
+        est = direct_lyapunov(V_ref, W_ref, eps, E_ref,
+                              L=400 * 2.0 * math.pi / eps)
+        rel.append(abs(est.value - theta_asym) / theta_asym)
+    assert all(b < a for a, b in zip(rel, rel[1:])), rel
+    assert rel[-1] < 2e-3, rel
+    order = np.polyfit(np.log(epsilons), np.log(rel), 1)[0]
+    assert order >= 1.5, (order, rel)
 
 
 def test_transfer_batch_constant_potential_closed_form():
@@ -576,31 +680,34 @@ def step_count_cases(V_ref):
 @pytest.mark.parametrize("case", ["energies", "blocks"])
 def test_transfer_batch_step_count_follows_the_error(case, V_ref, monkeypatch):
     w, rtol, members = step_count_cases(V_ref)[case]
+    atol = rtol * 1e-2
     y0 = np.zeros((4, len(members)))
     y0[0] = y0[3] = 1.0
-    tried = []
+    calls = []
     real = _ode._fixed_steps
 
     def spy(*args):
         out = real(*args)
-        tried.append((args[4], out[0] is not None))
+        calls.append((out[2], out[1] is not None))
         return out
 
     monkeypatch.setattr(_ode, "_fixed_steps", spy)
-    y = _ode.transfer_batch(w, 0.0, 1.0, y0, rtol=rtol, atol=rtol * 1e-2)
-    (n_fail, ok_fail), (n, ok) = tried[-2], tried[-1]
-    assert ok and not ok_fail
-    # smallest passing count above the last failure, by bisection
-    lo, hi = n_fail, n
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if real(w, w(0.0), 0.0, 1.0, mid, y0, rtol, rtol * 1e-2)[0] is None:
-            lo = mid
-        else:
-            hi = mid
-    # a count taken from the error lands 1.18x / 1.09x above it here;
-    # doubling landed 1.36x / 1.6x above it
-    assert n <= 1.3 * hi
+    y = _ode.transfer_batch(w, 0.0, 1.0, y0, rtol=rtol, atol=atol)
+    # the same error-derived counts, each attempt restarting from t0
+    n = _ode.first_step_count(1.0, float(np.max(np.abs(w(0.0)))))
+    restart = 0
+    while True:
+        _, err, i = real(w, w(0.0), 0.0, 1.0, n, y0, rtol, atol)
+        if err is None:
+            restart += n
+            break
+        restart += i + 1
+        n = math.ceil(n * min(_ode._MAX_GROWTH,
+                              max(_ode._MIN_GROWTH, err ** 0.2 / 0.9)))
+    # some attempt failed after accepting steps and was resumed from there,
+    # and no more steps ran in all (a failed step is executed too)
+    assert any(i > 0 and failed for i, failed in calls)
+    assert sum(i + failed for i, failed in calls) <= restart
     for i in range(0, len(members), 30):
         want, _, _ = _ode.propagate(members[i], 0.0, 0.0, 1.0, rtol=1e-12,
                                     atol=1e-14)
