@@ -1,0 +1,287 @@
+"""Root finding, quadrature and interpolation on numpy alone.
+
+* ``bracketed_roots``: Chandrupatla's bracketing method on many brackets
+  at once, with the stopping rule of Brent's method, for roots of
+  array-valued models.
+* ``brent``: Brent's bracketed root finder (R. P. Brent, *Algorithms for
+  Minimization without Derivatives*, 1973, ch. 4), for the few roots where
+  each evaluation depends on the previous one or costs an integration.
+* ``gauss_kronrod``: globally adaptive 10-point Gauss / 21-point Kronrod
+  quadrature, the QK21 rule and error estimate of QUADPACK (Piessens et
+  al., 1983), bisecting the subinterval with the largest error.
+* ``CubicHermite`` and ``pchip_slopes``: piecewise cubic Hermite
+  interpolation with given slopes, and the monotone slopes of Fritsch and
+  Carlson (SIAM J. Numer. Anal. 17, 1980) in the weighted harmonic-mean
+  form with a one-sided three-point end rule.
+"""
+
+from __future__ import annotations
+
+import heapq
+import math
+
+import numpy as np
+
+from .errors import ConvergenceFailure
+
+_EPS = float(np.finfo(float).eps)
+
+
+def bracketed_roots(f, lo, hi, xtol: float, rtol: float = 4.0 * _EPS,
+                    maxiter: int = 200):
+    """Roots of the vectorised f, one per bracket [lo, hi] (f takes opposite
+    signs at the ends; the brackets broadcast to the shape of f's values).
+
+    Chandrupatla's method (Adv. Eng. Softw. 28, 1997), all brackets at
+    once: the next point comes from inverse quadratic interpolation
+    through the last three where their values admit it, by bisection
+    otherwise, and at least tol / 2 inside the bracket.  A bracket stops
+    once it is no wider than tol = xtol + rtol |x| (the stopping rule of
+    ``brent``) or an end hits a root; its end with the smaller |f| is
+    returned.  f is evaluated on the full shape every time.
+    ConvergenceFailure if a bracket is still open after `maxiter` steps.
+    """
+    x1 = np.asarray(lo, dtype=float)
+    f1 = np.asarray(f(x1), dtype=float)
+    x1 = np.broadcast_to(x1, f1.shape)
+    x2 = np.broadcast_to(np.asarray(hi, dtype=float), f1.shape)
+    f2 = np.asarray(f(x2), dtype=float)
+    x3, f3 = x2, f2
+    t = np.full(f1.shape, 0.5)
+    for step in range(maxiter + 1):
+        near = np.abs(f1) < np.abs(f2)
+        xm, fm = np.where(near, x1, x2), np.where(near, f1, f2)
+        tol = xtol + rtol * np.abs(xm)
+        width = np.abs(x2 - x1)
+        active = (width > tol) & (fm != 0.0)
+        if not active.any():
+            return xm
+        if step == maxiter:
+            raise ConvergenceFailure(
+                f"{int(active.sum())} of {active.size} brackets still open "
+                f"after {maxiter} steps", achieved=float(np.max(width[active])))
+        tl = 0.5 * tol / np.where(active, width, 1.0)
+        x = x1 + np.clip(t, tl, 1.0 - tl) * (x2 - x1)
+        fx = np.asarray(f(x), dtype=float)
+        # keep the end whose sign differs from the new point's; the other
+        # end becomes the third point
+        keep2 = np.sign(fx) == np.sign(f1)
+        x3 = np.where(active, np.where(keep2, x1, x2), x3)
+        f3 = np.where(active, np.where(keep2, f1, f2), f3)
+        x2 = np.where(active & ~keep2, x1, x2)
+        f2 = np.where(active & ~keep2, f1, f2)
+        x1, f1 = np.where(active, x, x1), np.where(active, fx, f1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi = (x1 - x2) / (x3 - x2)
+            phi = (f1 - f2) / (f3 - f2)
+            quadratic = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+            alpha = (x3 - x1) / (x2 - x1)
+            t = np.where(quadratic,
+                         f1 / (f1 - f2) * f3 / (f3 - f2)
+                         - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+
+
+def brent(f, a: float, b: float, xtol: float, rtol: float = 4.0 * _EPS, *,
+          fa: float | None = None, fb: float | None = None,
+          maxiter: int = 100) -> float:
+    """Root of the scalar f in [a, b] by Brent's method.
+
+    Inverse quadratic or secant steps are taken while they shrink the
+    bracket fast enough, bisection otherwise; the result is returned once
+    half the bracket is below (xtol + rtol |x|) / 2.  Known end values
+    `fa`, `fb` are not evaluated again.  ValueError when f does not change
+    sign on [a, b]; ConvergenceFailure after `maxiter` steps.
+    """
+    xpre, xcur = float(a), float(b)
+    fpre = float(f(xpre) if fa is None else fa)
+    fcur = float(f(xcur) if fb is None else fb)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f must take opposite signs at the bracket ends")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = 0.5 * (xtol + rtol * abs(xcur))
+        sbis = 0.5 * (xblk - xcur)
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        short = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            short = 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
+        if short:
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+    raise ConvergenceFailure(
+        f"Brent's method did not converge in {maxiter} steps on [{a}, {b}]")
+
+
+# QK21: Kronrod abscissae on [0, 1] (the 10-point Gauss ones at odd
+# positions, 0-based), Kronrod weights, and Gauss weights of those
+# abscissae, as published with QUADPACK's dqk21
+_XGK = (0.995657163025808080735527280689003,
+        0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508,
+        0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042,
+        0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694,
+        0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866,
+        0.148874338981631210884826001129720,
+        0.000000000000000000000000000000000)
+_WGK = (0.011694638867371874278064396062192,
+        0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580,
+        0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366,
+        0.109387158802297641899210590325805,
+        0.123491976262065851077208067173191,
+        0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717,
+        0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332,
+       0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163,
+       0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+
+# the 21 nodes in ascending order, their Kronrod weights, and the Gauss
+# weights on the same nodes (zero at the 11 Kronrod-only ones)
+KRONROD_NODES = np.concatenate([-np.array(_XGK[:-1]), np.array(_XGK[::-1])])
+KRONROD_WEIGHTS = np.concatenate([np.array(_WGK[:-1]), np.array(_WGK[::-1])])
+_G = np.zeros(11)
+_G[1:10:2] = _WG
+GAUSS_WEIGHTS = np.concatenate([_G[:-1], _G[::-1]])
+
+
+def qk21(f, a: float, b: float) -> tuple[float, float]:
+    """(K21 value, QUADPACK error estimate) of f on [a, b].
+
+    f takes the 21 nodes as one array.  The error is |K - G| scaled as in
+    dqk21: resasc min(1, (200 |K - G| / resasc)^1.5), with resasc the
+    K21 integral of |f - mean f|, and floored at 50 eps times the
+    integral of |f|.
+    """
+    center, half = 0.5 * (a + b), 0.5 * (b - a)
+    fv = np.asarray(f(center + half * KRONROD_NODES), dtype=float)
+    resk = float(KRONROD_WEIGHTS @ fv)
+    resg = float(GAUSS_WEIGHTS @ fv)
+    resabs = float(KRONROD_WEIGHTS @ np.abs(fv)) * abs(half)
+    resasc = float(KRONROD_WEIGHTS @ np.abs(fv - 0.5 * resk)) * abs(half)
+    err = abs((resk - resg) * half)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    if resabs > np.finfo(float).tiny / (50.0 * _EPS):
+        err = max(50.0 * _EPS * resabs, err)
+    return resk * half, err
+
+
+def gauss_kronrod(f, a: float, b: float, epsabs: float, epsrel: float,
+                  limit: int = 200) -> tuple[float, float]:
+    """(integral, error estimate) of f over [a, b] by adaptive QK21.
+
+    The subinterval with the largest error is bisected until the summed
+    error is at most max(epsabs, epsrel |integral|).  ConvergenceFailure
+    once `limit` subintervals have not reached it.
+    """
+    value, err = qk21(f, a, b)
+    # heap of (-error, a, b, value) over the current subintervals
+    heap = [(-err, a, b, value)]
+    total, total_err = value, err
+    while total_err > max(epsabs, epsrel * abs(total)):
+        if len(heap) >= limit:
+            raise ConvergenceFailure(
+                f"adaptive Gauss-Kronrod on [{a}, {b}] has error {total_err:.3g} "
+                f"after {limit} subintervals, above max(epsabs {epsabs:.3g}, "
+                f"epsrel {epsrel:.3g} |S|)", achieved=total_err)
+        neg_err, lo, hi, val = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        v1, e1 = qk21(f, lo, mid)
+        v2, e2 = qk21(f, mid, hi)
+        heapq.heappush(heap, (-e1, lo, mid, v1))
+        heapq.heappush(heap, (-e2, mid, hi, v2))
+        total += v1 + v2 - val
+        total_err += e1 + e2 + neg_err
+    if len(heap) > 1:
+        total = sum(v for *_, v in heap)
+        total_err = sum(-e for e, *_ in heap)
+    return total, total_err
+
+
+def pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Monotone (Fritsch-Carlson) node slopes of the data y at x.
+
+    Interior slopes are the weighted harmonic mean of the neighbouring
+    secants, or zero where those differ in sign or one vanishes; the end
+    slopes come from the one-sided three-point formula, clipped to keep
+    the interpolant monotone.  Two points give the secant.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if len(x) == 2:
+        return np.array([m[0], m[0]])
+    d = np.zeros(len(x))
+    w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+    smooth = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0.0) & (m[:-1] != 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+    d[1:-1][smooth] = 1.0 / whmean[smooth]
+    d[0] = _pchip_end(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end(h[-1], h[-2], m[-1], m[-2])
+    return d
+
+
+def _pchip_end(h0: float, h1: float, m0: float, m1: float) -> float:
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+class CubicHermite:
+    """Piecewise cubic through (x, y) with slopes `slopes` at the nodes;
+    x strictly increasing.  Points outside [x[0], x[-1]] are extrapolated
+    from the end pieces."""
+
+    def __init__(self, x, y, slopes):
+        x, y, s = (np.asarray(v, dtype=float) for v in (x, y, slopes))
+        h = np.diff(x)
+        secant = np.diff(y) / h
+        t = (s[:-1] + s[1:] - 2.0 * secant) / h
+        # power-basis coefficients of each piece in (X - x[i])
+        self._x = x
+        self._c = (t / h, (secant - s[:-1]) / h - t, s[:-1], y[:-1])
+
+    def __call__(self, xs):
+        xs = np.asarray(xs, dtype=float)
+        i = np.clip(np.searchsorted(self._x, xs, side="right") - 1,
+                    0, len(self._x) - 2)
+        u = xs - self._x[i]
+        c3, c2, c1, c0 = (c[i] for c in self._c)
+        return ((c3 * u + c2) * u + c1) * u + c0

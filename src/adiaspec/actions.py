@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
+from ._numerics import gauss_kronrod
 from .errors import (
     BranchSelectionError,
     ConsistencyError,
@@ -111,25 +111,30 @@ def window_model(V: PeriodicPotential, W: AnalyticPotential,
 
 
 def _im_kappa_factory(model: DiscriminantModel, W, bands, geom, label: GapLabel):
-    """Integrand Im kappa(zeta + i0) on the pre-gap, with branch validation.
+    """Integrand Im kappa(zeta + i0) on the pre-gap, with branch validation;
+    zeta is one point or an array of points.
 
     The local energy must stay in the spectral gap carrying the label's
-    index (below the spectrum for index 0); leaving it means the wrong
-    branch or a broken geometry, not a quadrature problem.
+    index (below the spectrum for index 0) at every point; leaving it
+    means the wrong branch or a broken geometry, not a quadrature problem.
     """
     E = geom.energy
     gap_lo, gap_hi = bands.gap(label.index)
     slack = 1e-9 * max(1.0, abs(E))
 
-    def im_kappa(zeta: float) -> float:
-        loc_E = E - float(W.value(zeta))
-        if not (gap_lo - slack <= loc_E <= gap_hi + slack):
+    def im_kappa(zeta):
+        loc_E = E - W.value(zeta)
+        outside = np.logical_not((gap_lo - slack <= loc_E)
+                                 & (loc_E <= gap_hi + slack))
+        if np.any(outside):
+            k = np.flatnonzero(outside)[0]
             raise BranchSelectionError(
-                f"local energy {loc_E} left spectral gap {label.index} "
-                f"[{gap_lo}, {gap_hi}] at zeta={zeta}; wrong side or geometry"
+                f"local energy {np.ravel(loc_E)[k]} left spectral gap "
+                f"{label.index} [{gap_lo}, {gap_hi}] at "
+                f"zeta={np.ravel(zeta)[k]}; wrong side or geometry"
             )
-        half = abs(float(model(loc_E))) / 2.0
-        return math.acosh(max(1.0, half))
+        half = np.abs(model(loc_E)) / 2.0
+        return np.arccosh(np.maximum(1.0, half))
 
     return im_kappa
 
@@ -141,9 +146,12 @@ def tunneling_action(V: PeriodicPotential, W: AnalyticPotential,
     """S(g) = 2 * integral of Im kappa(zeta + i0) over the pre-gap.
 
     The integrand vanishes like a square root at both endpoints, so each
-    half-interval is mapped by zeta = endpoint +- u**2 before quadrature.
-    The '-i0' side is an independent route (opposite boundary value, sign
-    flipped back, different quadrature scheme) used for cross-checking.
+    half-interval is mapped by zeta = endpoint +- u**2 before quadrature:
+    adaptive Gauss-Kronrod (G10/K21) on the '+i0' side, which raises
+    ConvergenceFailure when its 200 subintervals do not reach the
+    tolerance.  The '-i0' side is an independent route (opposite boundary
+    value, sign flipped back, Gauss-Legendre panel doubling) used for
+    cross-checking.
     """
     value, _ = action_with_error(V, W, bands, geom, label, side=side, tol=tol)
     return value
@@ -175,15 +183,15 @@ def _action(model, W, bands, geom, label: GapLabel,
         # left half: zeta = a + u^2; right half: zeta = b - u^2
         for edge, sgn in ((a, 1.0), (b, -1.0)):
             ulim = math.sqrt(abs(mid - edge))
-            val, e = quad(lambda u: 2.0 * u * im_kappa(edge + sgn * u * u),
-                          0.0, ulim, epsabs=1e-12 * scale,
-                          epsrel=1e-11 * scale, limit=200)
+            val, e = gauss_kronrod(
+                lambda u: 2.0 * u * im_kappa(edge + sgn * u * u), 0.0, ulim,
+                epsabs=1e-12 * scale, epsrel=1e-11 * scale, limit=200)
             total += val
             err += e
         return 2.0 * total, 2.0 * err
     if side == "-i0":
         # Im kappa(zeta - i0) = -Im kappa(zeta + i0); integrate the mirrored
-        # boundary value with nested Gauss-Legendre instead of adaptive quad
+        # boundary value with nested Gauss-Legendre instead of Gauss-Kronrod
         def mirrored(u, edge, sgn):
             return 2.0 * u * (-im_kappa(edge + sgn * u * u))
 
@@ -202,7 +210,9 @@ def _gauss_doubling(f, a: float, b: float, rtol: float = 1e-12,
                     max_level: int = 10) -> tuple[float, float]:
     """Composite Gauss-Legendre with panel doubling until two levels agree
     to rtol * max(1, |total|); ConvergenceFailure if they still do not
-    after ``max_level`` levels."""
+    after ``max_level`` levels.  A tolerance within a few ulps of the
+    total is out of reach: an exact tie of two levels there is rounding,
+    not convergence, and never counts."""
     nodes, weights = np.polynomial.legendre.leggauss(16)
     results: list[float] = []
     diff = math.inf
@@ -218,7 +228,8 @@ def _gauss_doubling(f, a: float, b: float, rtol: float = 1e-12,
         results.append(total)
         if len(results) >= 2:
             diff = abs(results[-1] - results[-2])
-            if diff <= rtol * max(1.0, abs(total)):
+            bound = rtol * max(1.0, abs(total))
+            if bound > 4.0 * math.ulp(total) and diff <= bound:
                 return results[-1], diff
     raise ConvergenceFailure(
         f"Gauss-Legendre doubling on [{a}, {b}] still changes by {diff:.3g} "

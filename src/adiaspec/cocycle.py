@@ -23,6 +23,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+# numpy loads these two on first use; load them with this module, so that
+# a command's run time holds no import
+import numpy.fft  # noqa: F401
+import numpy.random  # noqa: F401
 
 from . import _ode
 from .errors import (
@@ -434,7 +438,9 @@ class PhaseModel:
         """Integrate ``_SAMPLE_BLOCKS`` evenly spaced blocks of a run of
         nblocks directly; ConsistencyError if one differs from the model by
         more than 10 tol max(1, max |block|)."""
-        js = np.unique(np.linspace(0, nblocks - 1, _SAMPLE_BLOCKS).astype(int))
+        js = np.linspace(0, nblocks - 1, _SAMPLE_BLOCKS).astype(int)
+        # distinct, in order (np.unique would load numpy.ma on first use)
+        js = js[np.r_[True, js[1:] != js[:-1]]]
         phases = np.mod(self.epsilon * js, TWO_PI)
         direct = self._integrate(phases)
         diff = np.abs(self(phases) - direct).max(axis=0)
@@ -530,7 +536,10 @@ def herman_family(lam, n0: int, alpha, beta, m_amp: float, epsilon: float,
 
     M1 is a seeded degree-3 trigonometric matrix polynomial rescaled so
     its sup spectral norm over a 4096-point z grid equals m_amp exactly;
-    the seed makes lower-bound sweeps reproducible.
+    the seed makes lower-bound sweeps reproducible.  On real z every
+    Fourier mode is a power of u = e^{2 pi i z} (u^-1 = conj u), so the
+    array evaluator takes one exponential per z, and none for M1 when
+    m_amp = 0.
     """
     lam, alpha, beta = complex(lam), complex(alpha), complex(beta)
     if abs(alpha) >= 1.0:
@@ -538,24 +547,29 @@ def herman_family(lam, n0: int, alpha, beta, m_amp: float, epsilon: float,
     if m_amp < 0:
         raise InvalidInputError("perturbation amplitude must be >= 0")
     base = np.array([[1.0], [beta], [0.0], [alpha]])  # rows of B
-    modes = np.arange(-3, 4)
+
+    def modes(u: np.ndarray) -> np.ndarray:
+        # u^-3 ... u^3 as the rows of a (7, n) array
+        u2 = u * u
+        up = np.array([u, u2, u2 * u])
+        return np.concatenate([up[::-1].conj(), np.ones((1, len(u))), up])
+
+    terms = None
     if m_amp > 0:
         rng = np.random.default_rng(seed)
         coeffs = (rng.standard_normal((2, 2, 7))
                   + 1j * rng.standard_normal((2, 2, 7)))
-        zg = np.arange(4096) / 4096.0
-        phases = np.exp(2j * np.pi * np.outer(modes, zg))  # (7, 4096)
+        phases = modes(np.exp(2j * np.pi * np.arange(4096) / 4096.0))
         vals = np.einsum("ijk,kz->zij", coeffs, phases)
         sup = np.linalg.svd(vals, compute_uv=False)[:, 0].max()
-        coeffs = coeffs * (m_amp / sup)
-    else:
-        coeffs = np.zeros((2, 2, 7), dtype=complex)
-
-    terms = coeffs.reshape(4, 7)
+        terms = (coeffs * (m_amp / sup)).reshape(4, 7)
 
     def rows(z: np.ndarray) -> np.ndarray:
-        m1 = terms @ np.exp(2j * np.pi * np.outer(modes, z))
-        return lam * np.exp(2j * np.pi * n0 * z) * (base + m1)
+        u = np.exp(2j * np.pi * np.asarray(z, dtype=float))
+        factor = lam * u ** n0
+        if terms is None:
+            return factor * base
+        return factor * (base + terms @ modes(u))
 
     return MatrixFamily(
         kind="herman-test", evaluator=_one_point(rows),

@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
-from scipy.optimize import brentq
 
+from ._numerics import CubicHermite, bracketed_roots, brent, pchip_slopes
 from .errors import (
     ConsistencyError,
     CoverageError,
@@ -416,10 +415,11 @@ def strip_clearance(W: AnalyticPotential, bands: BandStructure, E: float,
             def im_w(t):
                 return float(np.imag(W.value(complex(t, y))))
             lo_t, hi_t = x - 0.45, x + 0.45
+            f_lo, f_hi = im_w(lo_t), im_w(hi_t)
             try:
-                if im_w(lo_t) * im_w(hi_t) > 0:
+                if f_lo * f_hi > 0:
                     break  # curve left the tracking window; treat as departed
-                x = brentq(im_w, lo_t, hi_t, xtol=1e-10)
+                x = brent(im_w, lo_t, hi_t, xtol=1e-10, fa=f_lo, fb=f_hi)
             except ValueError:
                 break
             values.append(float(np.real(W.value(complex(x, y)))))
@@ -453,17 +453,13 @@ def branch_points(W: AnalyticPotential, bands: BandStructure,
         )
     E, n, m = report.energy, report.n, report.m
     zs = W.zeta_star
+    js = range(2 * n - 1, 2 * (n + m) + 1)
+    targets = [E - bands.edge(j) for j in js]
+    zm, zp = (_invert_w(W, targets, side, xtol).tolist() for side in "-+")
     pts: list[tuple[int, str, float]] = []
-    for j in range(2 * n - 1, 2 * (n + m) + 1):
-        target = E - bands.edge(j)
-
-        def g(z):
-            return float(W.value(z)) - target
-
-        zm = brentq(g, 0.0, zs, xtol=xtol)
-        zp = brentq(g, zs, TWO_PI, xtol=xtol)
-        pts.append((j, "-", float(zm)))
-        pts.append((j, "+", float(zp)))
+    for j, a, b in zip(js, zm, zp):
+        pts.append((j, "-", a))
+        pts.append((j, "+", b))
 
     def bz(j, s):
         for jj, ss, z in pts:
@@ -599,13 +595,11 @@ class RealBranch:
         self.label = label
         self.kappa_grid = kappa_grid
         self.zeta_values = zeta_values
-        if derivatives is not None:
-            # exact slopes keep full interpolation order at the flat
-            # endpoints, where kappa resolves a square root of zeta
-            self._interp = CubicHermiteSpline(kappa_grid, zeta_values,
-                                              derivatives)
-        else:
-            self._interp = PchipInterpolator(kappa_grid, zeta_values)
+        if derivatives is None:
+            derivatives = pchip_slopes(kappa_grid, zeta_values)
+        # exact slopes, where given, keep full interpolation order at the
+        # flat endpoints, where kappa resolves a square root of zeta
+        self._interp = CubicHermite(kappa_grid, zeta_values, derivatives)
 
     @property
     def endpoints(self) -> tuple[float, float]:
@@ -622,34 +616,12 @@ class RealBranch:
         return np.column_stack([self.kappa_grid, self.zeta_values])
 
 
-def _bisect(f, lo, hi, xtol: float, rtol: float = 4.0 * np.finfo(float).eps):
-    """Roots of the vectorised f, one per bracket [lo, hi] (f takes opposite
-    signs at the ends; the brackets broadcast to the shape of f's values),
-    by bisection until each bracket is no wider than xtol + rtol |x|, the
-    stopping rule of ``brentq``."""
-    neg_lo = np.asarray(f(np.asarray(lo, dtype=float)) < 0.0)
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), neg_lo.shape).copy()
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), neg_lo.shape).copy()
-    while True:
-        mid = 0.5 * (lo + hi)
-        active = hi - lo > xtol + rtol * np.abs(mid)
-        if not active.any():
-            return mid
-        f_mid = f(mid)
-        hit = active & (f_mid == 0.0)
-        lo[hit] = hi[hit] = mid[hit]
-        left = active & ~hit & ((f_mid < 0.0) == neg_lo)
-        lo[left] = mid[left]
-        right = active & ~hit & ~left
-        hi[right] = mid[right]
-
-
 def _invert_w(W: AnalyticPotential, targets, side: str, xtol: float):
     """zeta with W(zeta) = target on the monotone half-period of `side`
     ('-': (0, zeta_star), '+': (zeta_star, 2 pi)), one per target."""
     a, b = (0.0, W.zeta_star) if side == "-" else (W.zeta_star, TWO_PI)
     targets = np.asarray(targets, dtype=float)
-    return _bisect(lambda z: W.value(z) - targets, a, b, xtol)
+    return bracketed_roots(lambda z: W.value(z) - targets, a, b, xtol)
 
 
 def _band_model(geom: IsoEnergyGeometry, j: int) -> DiscriminantModel:
@@ -686,9 +658,10 @@ def real_branch(geom: IsoEnergyGeometry, label: BandLabel,
 
     Interior nodes invert the quasi-momentum on the spectral band through
     a Chebyshev model of the discriminant (one degree-96 panel over the
-    band), then invert W on the proper half-period, all nodes at once by
-    vectorised bisection; the two endpoints are taken verbatim from the
-    branch points so the table is exactly consistent with the geometry.
+    band), then invert W on the proper half-period, all nodes at once
+    (``_numerics.bracketed_roots``); the two endpoints are taken verbatim
+    from the branch points so the table is exactly consistent with the
+    geometry.
     """
     _require_context(geom)
     geom.pre_band(label)
@@ -719,8 +692,8 @@ def _real_branch(geom: IsoEnergyGeometry, label: BandLabel,
     inside = (f_lo > 0.0) & (f_hi < 0.0)
     e = np.where(f_lo <= 0.0, e_lo, e_hi)
     if inside.any():
-        e[inside] = _bisect(lambda t: sgn * model(t) - want[inside],
-                            e_lo, e_hi, xtol=1e-14, rtol=1e-15)
+        e[inside] = bracketed_roots(lambda t: sgn * model(t) - want[inside],
+                                    e_lo, e_hi, xtol=1e-14, rtol=1e-15)
     zeta_in = _invert_w(geom.W, geom.energy - e, side, xtol=1e-13)
     # d zeta / d kappa through the chain kappa = k(E - W(zeta))
     dk_dE = -sgn * model.derivative(e) / (2.0 * np.sin(kap))

@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev, chebpts1, chebvander
-from scipy.optimize import brentq, minimize_scalar
 
 from . import _ode
+from ._numerics import bracketed_roots, brent
 from .errors import (
     ConsistencyError,
     CoverageError,
@@ -285,6 +285,17 @@ def _interpolation_coefficients(values: np.ndarray, x: np.ndarray) -> np.ndarray
 _PANEL_WIDTH, _PANEL_DEGREE = 4.0, 64
 
 
+def _clenshaw(c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Chebyshev series at t, one series per point (c[k] holds the k-th
+    coefficient of each point's series; at least three), by the recurrence
+    and operation order of numpy's ``chebval``."""
+    x2 = 2 * t
+    c0, c1 = c[-2], c[-1]
+    for k in range(len(c) - 3, -1, -1):
+        c0, c1 = c[k] - c1, c0 + c1 * x2
+    return c0 + c1 * t
+
+
 class DiscriminantModel:
     """Chebyshev acceleration of the discriminant on a real energy interval.
 
@@ -295,6 +306,11 @@ class DiscriminantModel:
     wherever many real-energy evaluations are needed (band scans, branch
     tables, action quadratures).  Piecewise-constant potentials skip the
     panels: their exact product formula is already cheap.
+
+    An array of energies is summed in one Clenshaw recurrence over all its
+    points, each with the coefficients of its own panel, in chunks of
+    ``_ode.CHUNK`` points; values are bit for bit those of the panel's
+    ``Chebyshev`` at the point, which a single real energy calls directly.
     """
 
     def __init__(self, V: PeriodicPotential, lo: float, hi: float, *,
@@ -321,6 +337,10 @@ class DiscriminantModel:
                                      node_tol).reshape(npanels, degree + 1)
         coef = _interpolation_coefficients(values, x)
         self._panels = [Chebyshev(c, domain=d) for c, d in zip(coef, domains)]
+        # each panel's map of its domain onto [-1, 1], as Chebyshev applies it
+        self._maps = np.array([p.mapparms() for p in self._panels])
+        self._coef = coef.T.copy()
+        self._deriv_coef = None
 
     def _check_range(self, lo: float, hi: float) -> None:
         if lo < self.lo - 1e-9 or hi > self.hi + 1e-9:
@@ -346,14 +366,20 @@ class DiscriminantModel:
         if self.direct:
             out = np.array([discriminant(self.V, float(e)) for e in xs])
         else:
-            idx = np.clip(np.searchsorted(self._bounds, xs, side="right") - 1, 0,
-                          len(self._panels) - 1)
-            out = np.empty_like(xs)
-            for i, panel in enumerate(self._panels):
-                mask = idx == i
-                if mask.any():
-                    out[mask] = panel(xs[mask])
+            out = self._sum(self._coef, xs)
         return float(out[0]) if scalar else out
+
+    def _sum(self, coef: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """The panel series with coefficient columns `coef` at the 1-D xs."""
+        idx = np.clip(np.searchsorted(self._bounds, xs, side="right") - 1, 0,
+                      len(self._panels) - 1)
+        out = np.empty_like(xs)
+        for i in range(0, len(xs), _ode.CHUNK):
+            j = idx[i:i + _ode.CHUNK]
+            off, scl = self._maps[j].T
+            out[i:i + _ode.CHUNK] = _clenshaw(coef[:, j],
+                                              off + scl * xs[i:i + _ode.CHUNK])
+        return out
 
     def derivative(self, E):
         """d/dE of the discriminant (panel derivative, or a central
@@ -368,15 +394,10 @@ class DiscriminantModel:
                              - discriminant(self.V, e - dh)) / (2.0 * dh)
                             for e, dh in zip(xs, h)])
         else:
-            if not hasattr(self, "_deriv_panels"):
-                self._deriv_panels = [p.deriv() for p in self._panels]
-            idx = np.clip(np.searchsorted(self._bounds, xs, side="right") - 1, 0,
-                          len(self._panels) - 1)
-            out = np.empty_like(xs)
-            for i, panel in enumerate(self._deriv_panels):
-                mask = idx == i
-                if mask.any():
-                    out[mask] = panel(xs[mask])
+            if self._deriv_coef is None:
+                self._deriv_coef = np.array(
+                    [p.deriv().coef for p in self._panels]).T.copy()
+            out = self._sum(self._deriv_coef, xs)
         return float(out[0]) if arr.ndim == 0 else out
 
 
@@ -644,14 +665,16 @@ def _weyl_grid(lo: float, hi: float, offset: float) -> np.ndarray:
 
 
 def band_edges(V: PeriodicPotential, ceiling: float, tol: float = 1e-10) -> BandStructure:
-    """All band edges below `ceiling` by scan-bracket-bisection on the
+    """All band edges below `ceiling` by scanning and bracketing the
     discriminant.
 
     The scan works on f = trace^2 - 4 evaluated through a Chebyshev model
-    of the discriminant; sign changes are bisected, and local maxima of f
-    inside bands are refined to catch narrow or closed gaps (double roots).
-    Each simple root is polished with the adaptive integrator directly.
-    A closed gap is recorded as a repeated edge with its flag False.
+    of the discriminant.  Local maxima of f inside bands are refined, as
+    roots of the model's derivative, to catch narrow or closed gaps
+    (double roots).  All sign-change brackets are solved together on the
+    model, and each simple root is then polished by Brent's method on
+    the adaptive integrator directly.  A closed gap is recorded as a
+    repeated edge with its flag False.
     """
     vmin = V.min_value()
     start = vmin - 1e-3 * (1.0 + abs(vmin))
@@ -703,39 +726,46 @@ def band_edges(V: PeriodicPotential, ceiling: float, tol: float = 1e-10) -> Band
             if fb == 0.0:
                 return b
             if fa * fb < 0:
-                return brentq(f_direct, a, b, xtol=tol * 0.5, rtol=1e-15)
+                return brent(f_direct, a, b, xtol=tol * 0.5, rtol=1e-15,
+                             fa=fa, fb=fb)
         except (ValueError, ConsistencyError):
             pass
         return root
 
-    simple: list[float] = []
-    for i in np.flatnonzero(f[:-1] * f[1:] < 0):
-        r = brentq(f_model, grid[i], grid[i + 1], xtol=tol * 0.25, rtol=1e-15)
-        simple.append(polish(float(r)))
+    # brackets of simple roots: the scan's sign changes, then those around
+    # the peak of every narrow gap the grid stepped over
+    change = f[:-1] * f[1:] < 0
+    lo_br, hi_br = list(grid[:-1][change]), list(grid[1:][change])
 
     doubles: list[float] = []
     noise = 4e-9
     interior = np.flatnonzero(
-        (f[1:-1] >= f[:-2]) & (f[1:-1] >= f[2:]) & (f[1:-1] < 0.0)
-    ) + 1
-    for i in interior:
-        if f[i] < -1e-4:
-            continue  # plainly inside a band
-        res = minimize_scalar(
-            lambda E: -f_model(E),
-            bounds=(grid[i - 1], grid[i + 1]),
-            method="bounded",
-            options={"xatol": tol * 1e-2},
-        )
-        e_star, f_star = float(res.x), -float(res.fun)
-        if f_star > noise:
-            # a narrow open gap the scan grid stepped over
-            for a, b in ((grid[i - 1], e_star), (e_star, grid[i + 1])):
-                if f_model(a) * f_model(b) < 0:
-                    r = brentq(f_model, a, b, xtol=tol * 0.25, rtol=1e-15)
-                    simple.append(polish(float(r)))
-        elif f_star > -noise:
-            doubles.append(e_star)
+        (f[1:-1] >= f[:-2]) & (f[1:-1] >= f[2:]) & (f[1:-1] >= -1e-4)
+        & (f[1:-1] < 0.0)
+    ) + 1  # local maxima of f inside bands that come near zero
+    if interior.size:
+        # the peak of f = trace^2 - 4 near +-2 is the extremum of the trace
+        a, b = grid[interior - 1], grid[interior + 1]
+        d_a, d_b = model.derivative(a), model.derivative(b)
+        e_star = grid[interior].copy()
+        peaked = d_a * d_b < 0.0
+        if peaked.any():
+            e_star[peaked] = bracketed_roots(model.derivative, a[peaked],
+                                             b[peaked], xtol=tol * 1e-2)
+        f_star = f_model(e_star)
+        for lo_i, e_i, hi_i, f_i in zip(a, e_star, b, f_star):
+            if f_i > noise:
+                # a narrow open gap the scan grid stepped over
+                for lo_j, hi_j in ((lo_i, e_i), (e_i, hi_i)):
+                    if f_model(lo_j) * f_model(hi_j) < 0:
+                        lo_br.append(lo_j)
+                        hi_br.append(hi_j)
+            elif f_i > -noise:
+                doubles.append(float(e_i))
+
+    roots = bracketed_roots(f_model, np.array(lo_br), np.array(hi_br),
+                            xtol=tol * 0.25, rtol=1e-15)
+    simple = [polish(float(r)) for r in roots]
 
     simple.sort()
     merged: list[float] = []

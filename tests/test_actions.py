@@ -69,6 +69,16 @@ def test_cross_check_side_refuses_an_unreachable_tolerance(
                          side="-i0", tol=1e-16)
 
 
+def test_cross_check_side_refuses_a_tolerance_below_rounding(
+        V_ref, W_ref, bands_ref, geom_ref):
+    # as above on g0, whose levels 1 and 2 tie exactly: at rtol 1e-18 an
+    # exact tie of rounded sums must not pass for convergence
+    label = geom_ref.gap_labels[0]
+    with pytest.raises(ConvergenceFailure, match="after 10 levels"):
+        tunneling_action(V_ref, W_ref, bands_ref, geom_ref, label,
+                         side="-i0", tol=1e-16)
+
+
 def test_gauss_doubling_raises_when_levels_keep_changing():
     # a kink off every panel edge: the error falls only like h^2, far
     # above rtol after ten levels, whatever the rounding
@@ -106,14 +116,15 @@ def test_quadrature_converged_in_tolerance(V_ref, W_ref, bands_ref, geom_ref):
 
 class _RipplingModel:
     """A window model with a small ripple on the discriminant, so the
-    quadrature must subdivide to resolve it; counts its evaluations."""
+    quadrature must subdivide to resolve it; counts the energies it is
+    evaluated at (one per scalar call, one per element of an array)."""
 
     def __init__(self, model):
         self.model, self.calls = model, 0
 
     def __call__(self, E):
-        self.calls += 1
-        return self.model(E) * (1.0 + 1e-6 * math.sin(200.0 * E))
+        self.calls += np.size(E)
+        return self.model(E) * (1.0 + 1e-6 * np.sin(200.0 * E))
 
 
 @pytest.mark.parametrize("side", ["+i0", "-i0"])

@@ -1,9 +1,11 @@
 """End-to-end checks of the command line driver."""
 
+import ast
 import csv
 import json
 import math
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -798,3 +800,71 @@ def test_console_script_smoke(tmp_path):
     assert proc.returncode == 0
     assert "bands.csv" in proc.stdout
     assert (out / "bands.csv").is_file()
+
+
+# ---------------------------------------------------------------------------
+# runtime dependencies
+
+
+SRC = Path(adiaspec.__file__).resolve().parents[1]
+
+# run in a fresh interpreter: every import of scipy fails, then each
+# command runs through main() and its exit code is printed after "exit"
+_NO_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is not available")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+from adiaspec.cli import main
+for command in sys.argv[2:]:
+    print("exit", command, main([command, "--config", sys.argv[1]]))
+"""
+
+
+def _fresh_python(args, **kwargs):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, **kwargs)
+
+
+def test_import_loads_no_scipy():
+    proc = _fresh_python(["-c", "import sys, adiaspec.cli; print(sorted("
+                          "m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_commands_run_without_scipy(tmp_path):
+    cfg, out = prepare(tmp_path)
+    commands = ["bands", "geometry", "actions", "stokes", "verify"]
+    proc = _fresh_python(["-c", _NO_SCIPY, cfg, *commands], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    codes = [line for line in proc.stdout.splitlines() if line.startswith("exit ")]
+    assert codes == [f"exit {c} 0" for c in commands]
+    assert (out / "verify.json").is_file()
+
+
+def _top_level_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    declared = {re.split(r"[ <>=!~;\[]", req, maxsplit=1)[0].lower()
+                for req in load_pyproject()["project"]["dependencies"]}
+    used = {name for path in (SRC / "adiaspec").glob("*.py")
+            for name in _top_level_imports(path)}
+    third_party = used - set(sys.stdlib_module_names) - {"adiaspec"}
+    assert third_party == {"numpy"}
+    assert third_party <= declared

@@ -41,6 +41,7 @@ from adiaspec.cocycle import (
     PhaseModel,
     _block_transfers,
     _conjugated,
+    _one_point,
     unit_blocks,
 )
 from oracles import plain_cocycle, rk4_transfer, wkb_average_rate
@@ -251,9 +252,8 @@ def test_model_exponent_in_configured_window():
 # array evaluators against the point-by-point formulas they replaced
 
 
-def scalar_herman(lam, n0, alpha, beta, m_amp, seed):
-    lam, alpha, beta = complex(lam), complex(alpha), complex(beta)
-    base = np.array([[1.0, beta], [0.0, alpha]])
+def _herman_coeffs(m_amp, seed):
+    """M1's (2, 2, 7) Fourier coefficients, every mode an exponential."""
     modes = np.arange(-3, 4)
     if m_amp > 0:
         rng = np.random.default_rng(seed)
@@ -263,15 +263,35 @@ def scalar_herman(lam, n0, alpha, beta, m_amp, seed):
         phases = np.exp(2j * np.pi * np.outer(modes, zg))
         vals = np.einsum("ijk,kz->zij", coeffs, phases)
         sup = np.linalg.svd(vals, compute_uv=False)[:, 0].max()
-        coeffs = coeffs * (m_amp / sup)
-    else:
-        coeffs = np.zeros((2, 2, 7), dtype=complex)
+        return coeffs * (m_amp / sup)
+    return np.zeros((2, 2, 7), dtype=complex)
+
+
+def scalar_herman(lam, n0, alpha, beta, m_amp, seed):
+    lam, alpha, beta = complex(lam), complex(alpha), complex(beta)
+    base = np.array([[1.0, beta], [0.0, alpha]])
+    modes = np.arange(-3, 4)
+    coeffs = _herman_coeffs(m_amp, seed)
 
     def ev(zv: float) -> np.ndarray:
         m1 = coeffs @ np.exp(2j * np.pi * modes * zv)
         return lam * cmath.exp(2j * math.pi * n0 * zv) * (base + m1)
 
     return ev
+
+
+def exponential_herman_rows(lam, n0, alpha, beta, m_amp, seed):
+    """Array rows of the Herman family with one exponential per mode and
+    z, the form the powers of u = e^{2 pi i z} replaced."""
+    base = np.array([[1.0], [complex(beta)], [0.0], [complex(alpha)]])
+    modes = np.arange(-3, 4)
+    terms = _herman_coeffs(m_amp, seed).reshape(4, 7)
+
+    def rows(z: np.ndarray) -> np.ndarray:
+        m1 = terms @ np.exp(2j * np.pi * np.outer(modes, z))
+        return complex(lam) * np.exp(2j * np.pi * n0 * z) * (base + m1)
+
+    return rows
 
 
 def scalar_model(a0, a1, b0, b1):
@@ -365,6 +385,28 @@ def test_array_form_disagreeing_with_evaluator_is_refused():
 
 # ---------------------------------------------------------------------------
 # Herman-type families
+
+
+@pytest.mark.parametrize("seed", [7151, 0, 1, 2, 3, 4, 5])
+def test_herman_exponent_matches_the_per_mode_exponential_form(seed):
+    # the reference [model] with its own and six other perturbation seeds
+    params = (3.0, 1, 0.5, 0.3, 0.1)
+    fam = herman_family(*params, 0.05, seed=seed)
+    rows = exponential_herman_rows(*params, seed)
+    oracle = MatrixFamily(kind="herman-test", evaluator=_one_point(rows),
+                          array_evaluator=rows)
+    theta = [cocycle_lyapunov(CocycleSpec(
+        family=f, h=H_REF, N=20000, z_samples=default_z_samples(8))).value
+        for f in (fam, oracle)]
+    assert theta[0] == pytest.approx(theta[1], rel=1e-12, abs=0.0)
+
+
+def test_unperturbed_herman_rows_skip_the_perturbation():
+    fam = herman_family(2.0 - 1.0j, 3, 0.5, 0.3, 0.0, 0.1)
+    z = np.linspace(-0.4, 1.3, 11)
+    u3 = np.exp(2j * np.pi * z) ** 3
+    want = (2.0 - 1.0j) * u3 * np.array([[1.0], [0.3], [0.0], [0.5]])
+    assert np.array_equal(fam.rows(z), want)
 
 
 def test_herman_base_case_exact():
