@@ -18,7 +18,9 @@ Three integration routes live here:
   for the phase nodes and sampled unit blocks of a direct run's phase
   model and the many real energies of a Chebyshev discriminant model;
   every step of every member passes the same embedded error test as
-  ``propagate``;
+  ``propagate``.  A step keeps the state and its seven stage derivatives
+  in one buffer and forms each stage state, the solution and the error
+  estimate as one matrix product of a tableau row with it;
 * ``constant_coefficient_step``: the exact whole-interval propagator for a
   constant potential, combined segment-by-segment for piecewise data.
 """
@@ -66,6 +68,19 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
     22.0 / 525.0,
     -1.0 / 40.0,
 )
+# the same tableau as arrays for transfer_batch: row s - 2 of _A weights
+# k1..k6 in the state of stage s = 2..7, stage 7's state being the
+# 5th-order solution (FSAL), and _E weights k1..k7 in the error estimate
+_C = (_C2, _C3, _C4, _C5)
+_A = np.array([
+    [_A21, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [_A31, _A32, 0.0, 0.0, 0.0, 0.0],
+    [_A41, _A42, _A43, 0.0, 0.0, 0.0],
+    [_A51, _A52, _A53, _A54, 0.0, 0.0],
+    [_A61, _A62, _A63, _A64, _A65, 0.0],
+    [_B1, 0.0, _B3, _B4, _B5, _B6],
+])
+_E = np.array([_E1, 0.0, _E3, _E4, _E5, _E6, _E7])
 
 _MAX_STEPS = 5_000_000
 # most members one transfer_batch call takes from its callers (energies);
@@ -209,7 +224,17 @@ def transfer_batch(w, t0, t1, y0, rtol=1e-10, atol=1e-12):
     ``w(t)`` gives q - E at a real scalar t for every member of the batch,
     as an array broadcasting against ``y0[0]`` (a scalar when all members
     share it).  ``y0`` is the initial state, shape (4, ...), rows
-    (a, b, c, d).  Returns the final state.
+    (a, b, c, d), and is not modified.  Returns the final state, of the
+    shape of ``y0`` and complex when ``y0`` or ``w(t0)`` is.
+
+    Each step count runs in ``_fixed_steps``, which holds the state and the
+    seven stage derivatives in one (8, 4, ...) buffer: at the ``CHUNK``
+    members callers pass at most, 8 * 4 * CHUNK entries, 1 MiB complex.
+    A step evaluates w five times, at t + c h for c = 0.2, 0.3, 0.8, 8/9
+    and at the end node, which stages 6 and 7 share and the next step's
+    first stage reuses.  Measured on a shared 2-CPU Xeon VM, a step on
+    energies of the reference trig V costs about 65 us plus 90 ns per real
+    member, or 55 us plus 190 ns per complex member, w included.
 
     The first step count follows ``propagate``'s initial-step rule with the
     largest |w(t0)| of the batch.  Every step of every member must pass
@@ -248,44 +273,66 @@ def transfer_batch(w, t0, t1, y0, rtol=1e-10, atol=1e-12):
     )
 
 
-def _rhs(w, y):
-    return np.concatenate((y[2:], w * y[:2]))
-
-
 def _fixed_steps(w, w0, t0, t1, n, y, rtol, atol):
     """n equal DOPRI5 steps: (final state, None, n), or, as soon as step i
     fails the error test, (state after the i accepted steps, that step's RMS
-    error in units of the tolerance, i)."""
+    error in units of the tolerance, i).
+
+    A step keeps the state y and its seven stage derivatives k1..k7 as rows
+    0-7 of one (8, 4, ...) buffer.  The state of each stage, the 5th-order
+    solution among them, is one product of its tableau row with the buffer's
+    rows before it, and the error estimate one product with k1..k7.  The
+    accepted solution and k7 (FSAL) become the next step's y and k1.
+    """
     h = (t1 - t0) / n
-    k1 = _rhs(w0, y)
-    ay = np.abs(y)
+    dtype = np.result_type(y, w0)
+    K = np.empty((8,) + np.shape(y), dtype)
+    # the products run on real views, a complex entry being two reals that
+    # the same real tableau weight scales
+    real = K.real.dtype
+    rows = K.reshape(8, -1).view(real)
+    # y's weight 1 before each row of h-scaled k-weights
+    hA = np.column_stack((np.ones(6), h * _A))
+    hE = h * _E
+    Y, yn = np.empty_like(K[0]), np.empty_like(K[0])
+    # stage s + 1 weighs rows 0..s into its state ys and writes k_{s+1} to
+    # row s + 1
+    stages = [(hA[s - 1, :s + 1], rows[:s + 1], ys, ys.reshape(-1).view(real),
+               K[s + 1]) for s, ys in enumerate((Y,) * 5 + (yn,), 1)]
+    e = np.empty(rows.shape[1], real)
+    K[0] = y
+    K[1, :2] = K[0, 2:]
+    np.multiply(w0, K[0, :2], out=K[1, 2:])
+    ay = np.abs(K[0])
+    ayn, scale = np.empty_like(ay), np.empty_like(ay)
     for i in range(n):
         t = t0 + i * h
-        k2 = _rhs(w(t + _C2 * h), y + (h * _A21) * k1)
-        k3 = _rhs(w(t + _C3 * h), y + (h * _A31) * k1 + (h * _A32) * k2)
-        k4 = _rhs(w(t + _C4 * h),
-                  y + (h * _A41) * k1 + (h * _A42) * k2 + (h * _A43) * k3)
-        k5 = _rhs(w(t + _C5 * h),
-                  y + (h * _A51) * k1 + (h * _A52) * k2 + (h * _A53) * k3
-                  + (h * _A54) * k4)
-        # the last node lands on t1 exactly, not a rounding away from it
-        w1 = w(t1 if i == n - 1 else t0 + (i + 1) * h)
-        k6 = _rhs(w1, y + (h * _A61) * k1 + (h * _A62) * k2 + (h * _A63) * k3
-                  + (h * _A64) * k4 + (h * _A65) * k5)
-        yn = (y + (h * _B1) * k1 + (h * _B3) * k3 + (h * _B4) * k4
-              + (h * _B5) * k5 + (h * _B6) * k6)
-        k7 = _rhs(w1, yn)
-        e = ((h * _E1) * k1 + (h * _E3) * k3 + (h * _E4) * k4
-             + (h * _E5) * k5 + (h * _E6) * k6 + (h * _E7) * k7)
-        ayn = np.abs(yn)
-        ratio = np.abs(e) / (atol + rtol * np.maximum(ay, ayn))
-        worst = float(np.max(np.sum(ratio * ratio, axis=0)))
+        for s, (a, k, ys, flat, ks) in enumerate(stages, 1):
+            if s < 5:
+                ws = w(t + _C[s - 1] * h)
+            elif s == 5:
+                # the last node lands on t1 exactly, not a rounding away
+                # from it; stages 6 and 7 share it
+                ws = w(t1 if i == n - 1 else t0 + (i + 1) * h)
+            np.matmul(a, k, out=flat)
+            ks[:2] = ys[2:]
+            np.multiply(ws, ys[:2], out=ks[2:])
+        np.matmul(hE, rows[1:], out=e)
+        np.abs(yn, out=ayn)
+        np.maximum(ay, ayn, out=scale)
+        scale *= rtol
+        scale += atol
+        ratio = np.abs(e.view(dtype)).reshape(ay.shape)
+        ratio /= scale
+        ratio *= ratio
+        worst = float(np.max(np.sum(ratio, axis=0)))
         if not math.isfinite(worst):
             raise ConvergenceFailure(f"non-finite error estimate at t={t!r}")
         if worst > 4.0:  # 0.25 * sum > 1: the RMS test of propagate
-            return y, math.sqrt(0.25 * worst), i
-        y, k1, ay = yn, k7, ayn
-    return y, None, n
+            return K[0].copy(), math.sqrt(0.25 * worst), i
+        K[0], K[1] = yn, K[7]
+        ay, ayn = ayn, ay
+    return K[0].copy(), None, n
 
 
 def constant_coefficient_step(w, length):
