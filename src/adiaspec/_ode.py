@@ -16,11 +16,14 @@ Three integration routes live here:
 * ``transfer_batch``: the same tableau with a fixed step, advancing a whole
   batch of independent problems over one shared interval as numpy arrays,
   for the phase nodes and sampled unit blocks of a direct run's phase
-  model and the many real energies of a Chebyshev discriminant model;
-  every step of every member passes the same embedded error test as
-  ``propagate``.  A step keeps the state and its seven stage derivatives
-  in one buffer and forms each stage state, the solution and the error
-  estimate as one matrix product of a tableau row with it;
+  model and the many real energies of a Chebyshev discriminant model.
+  The interval is cut into equal segments that run side by side as extra
+  batch members, each from the identity, and their propagators are
+  multiplied in order (``_fold``).  Every step of every member and
+  segment passes the same embedded error test as ``propagate``, scaled by
+  that segment's own state.  A step keeps the state and its seven stage
+  derivatives in one buffer and forms each stage state, the solution and
+  the error estimate as one matrix product of a tableau row with it;
 * ``constant_coefficient_step``: the exact whole-interval propagator for a
   constant potential, combined segment-by-segment for piecewise data.
 """
@@ -83,9 +86,10 @@ _A = np.array([
 _E = np.array([_E1, 0.0, _E3, _E4, _E5, _E6, _E7])
 
 _MAX_STEPS = 5_000_000
-# most members one transfer_batch call takes from its callers (energies);
-# bounds the memory of a batch, and fixes where chunks start whatever the
-# caller's thread count.  cocycle._log_norms, the product kernel of both
+# most members one transfer_batch call takes from its callers (energies),
+# and most members times segments it integrates side by side; bounds the
+# memory of a batch, and fixes where chunks start whatever the caller's
+# thread count.  cocycle._log_norms, the product kernel of both
 # Lyapunov exponents, takes its factors in chunks of this size too: unit
 # blocks that direct_lyapunov evaluates from its phase model this many at
 # a time, and from cocycle_lyapunov the block products of cocycle factors
@@ -95,6 +99,8 @@ CHUNK = 2048
 # _MIN_GROWTH and _MAX_GROWTH times the one before
 _MAX_ATTEMPTS = 12
 _MIN_GROWTH, _MAX_GROWTH = 1.25, 10.0
+# most segments transfer_batch cuts its interval into
+_MAX_SEGMENTS = 16
 
 
 def propagate(q, E, x0, x1, rtol=1e-10, atol=1e-12, y0=(1.0, 0.0, 0.0, 1.0)):
@@ -218,65 +224,132 @@ def first_step_count(span, wmax):
     return math.ceil(span / min(span, 0.35 / (1.0 + wmax ** 0.5)))
 
 
+def segment_count(members: int) -> int:
+    """S, the segments ``transfer_batch`` cuts its interval into for a
+    batch of this many members: the largest power of two up to
+    ``_MAX_SEGMENTS`` with S * members <= ``CHUNK`` (1 beyond a chunk)."""
+    S = _MAX_SEGMENTS
+    while S > 1 and S * members > CHUNK:
+        S //= 2
+    return S
+
+
 def transfer_batch(w, t0, t1, y0, rtol=1e-10, atol=1e-12):
     """Advance a batch of fundamental systems over the shared interval [t0, t1].
 
-    ``w(t)`` gives q - E at a real scalar t for every member of the batch,
-    as an array broadcasting against ``y0[0]`` (a scalar when all members
-    share it).  ``y0`` is the initial state, shape (4, ...), rows
-    (a, b, c, d), and is not modified.  Returns the final state, of the
-    shape of ``y0`` and complex when ``y0`` or ``w(t0)`` is.
+    ``y0`` is the initial state, shape (4, ...), rows (a, b, c, d), and is
+    not modified.  Returns the final state, of the shape of ``y0`` and
+    complex when ``y0`` or ``w`` is.
+
+    The interval is cut into S equal segments, S = ``segment_count`` of the
+    member count, which run side by side as extra batch members, each from
+    the identity.  ``w(t)`` gives q - E at an array t of shape (S, 1, ...),
+    one time per segment, for every member: an array broadcasting against
+    (S,) + ``y0[0].shape`` (a scalar when all members and segments share
+    it).  The segments' 2x2 propagators are multiplied in order by
+    ``_fold`` and applied to ``y0``.
 
     Each step count runs in ``_fixed_steps``, which holds the state and the
-    seven stage derivatives in one (8, 4, ...) buffer: at the ``CHUNK``
-    members callers pass at most, 8 * 4 * CHUNK entries, 1 MiB complex.
-    A step evaluates w five times, at t + c h for c = 0.2, 0.3, 0.8, 8/9
-    and at the end node, which stages 6 and 7 share and the next step's
-    first stage reuses.  Measured on a shared 2-CPU Xeon VM, a step on
-    energies of the reference trig V costs about 65 us plus 90 ns per real
-    member, or 55 us plus 190 ns per complex member, w included.
+    seven stage derivatives in one (8, 4, S, ...) buffer: at most 8 * 4 *
+    CHUNK entries, 1 MiB complex.  A step evaluates w five times, at t + c h
+    for c = 0.2, 0.3, 0.8, 8/9 and at the end node, which stages 6 and 7
+    share and the next step's first stage reuses.  Measured on a shared
+    2-CPU Xeon VM, a step on energies of the reference trig V costs about
+    65 us plus 90 ns per real member and segment, or 55 us plus 190 ns per
+    complex one, w included.
 
-    The first step count follows ``propagate``'s initial-step rule with the
-    largest |w(t0)| of the batch.  Every step of every member must pass
-    ``propagate``'s scaled-RMS embedded error test.  At the first step where
-    one does not, the batch keeps the state after the steps already
-    accepted and re-plans only the rest of the interval: its remaining step
-    count is scaled from the failed step's worst RMS error as ``propagate``
-    scales its step (err**(1/5) / 0.9, the estimate being fifth order in
-    h), but by no less than ``_MIN_GROWTH`` and no more than
-    ``_MAX_GROWTH``.  Raises ConvergenceFailure after ``_MAX_ATTEMPTS``
-    step counts, and at once when an error estimate is not finite.
+    All segments take the same steps.  The first step count follows
+    ``propagate``'s initial-step rule on one segment, with the largest
+    |w| at the segment starts.  Every step of every member and segment must
+    pass ``propagate``'s scaled-RMS embedded error test, scaled by that
+    segment's own state.  At the first step where one does not, the batch
+    keeps the state after the steps already accepted and re-plans only the
+    rest of the segments: their remaining step count is scaled from the
+    failed step's worst RMS error as ``propagate`` scales its step
+    (err**(1/5) / 0.9, the estimate being fifth order in h), but by no
+    less than ``_MIN_GROWTH`` and no more than ``_MAX_GROWTH``.  Raises
+    ConvergenceFailure after ``_MAX_ATTEMPTS`` step counts, and at once
+    when an error estimate is not finite.
     """
     if not (t1 > t0):
         raise InvalidInputError(f"need t1 > t0, got [{t0}, {t1}]")
-    w0 = w(t0)
+    y0 = np.asarray(y0)
+    batch = y0.shape[1:]
+    S = segment_count(math.prod(batch))
+    cuts = t0 + (t1 - t0) / S * np.arange(S + 1.0)
+    cuts[-1] = t1
+    shape = (S,) + (1,) * len(batch)
+    t, ends = cuts[:-1].reshape(shape), cuts[1:].reshape(shape)
+    w0 = w(t)
     wmax = float(np.max(np.abs(w0)))
     if not math.isfinite(wmax):
-        raise ConvergenceFailure(f"non-finite potential at t={t0!r}")
-    n = first_step_count(t1 - t0, wmax)
-    y = np.asarray(y0, dtype=np.result_type(y0, w0))
-    t = t0
+        raise ConvergenceFailure(
+            f"non-finite potential at a segment start of [{t0}, {t1}]")
+    n = first_step_count((t1 - t0) / S, wmax)
+    y = np.zeros((4, S) + batch, np.result_type(y0, w0))
+    y[0] = y[3] = 1.0
     for _ in range(_MAX_ATTEMPTS):
-        y, err, i = _fixed_steps(w, w0, t, t1, n, y, rtol, atol)
+        y, err, i = _fixed_steps(w, w0, t, ends, n, y, rtol, atol)
         if err is None:
-            return y
+            # member-major columns, the segments of a member consecutive
+            P = np.moveaxis(y.reshape(4, S, -1), 1, 2).reshape(4, -1)
+            return _mul(_fold(P, S), y0.reshape(4, -1)).reshape(y0.shape)
         # resume at the node after the i accepted steps, as _fixed_steps
         # computes it, with a finer step on what is left
         start, last = t, n
-        t = t + i * ((t1 - t) / n)
+        t = t + i * _step(t, ends, n)
         w0 = w(t)
         growth = min(_MAX_GROWTH, max(_MIN_GROWTH, err ** 0.2 / 0.9))
         n = math.ceil((n - i) * growth)
     raise ConvergenceFailure(
-        f"{last} fixed steps on [{start}, {t1}] still miss the tolerance",
+        f"{last} fixed steps on [{float(np.min(start))}, {t1}] per segment "
+        f"still miss the tolerance",
         achieved=err,
     )
 
 
+def _step(t0, t1, n):
+    """The one step all segments [t0, t1] take in n steps: that of the
+    longest, their lengths differing at most by rounding."""
+    return float(np.max(t1 - t0)) / n
+
+
+def _mul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Rows (a, b, c, d) of the elementwise 2x2 products left @ right."""
+    a, b, c, d = left
+    e, f, g, h = right
+    return np.array([a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h])
+
+
+def _fold(rows: np.ndarray, stride: int) -> np.ndarray:
+    """Products of each run of ``stride`` consecutive columns of ``rows``
+    (the last run may be shorter), later factors on the left.
+
+    The runs are multiplied together as a pairwise tree: log2(stride)
+    batched products, no rescaling.
+    """
+    n = rows.shape[1]
+    cut = n - n % stride
+    groups = [rows[:, :cut].reshape(4, -1, stride)] if cut else []
+    if cut < n:
+        groups.append(rows[:, None, cut:])
+    out = []
+    for g in groups:
+        while g.shape[2] > 1:
+            w = g.shape[2]
+            pairs = _mul(g[:, :, 1::2], g[:, :, 0:w - 1:2])
+            g = pairs if w % 2 == 0 else np.concatenate(
+                [pairs, g[:, :, -1:]], axis=2)
+        out.append(g[:, :, 0])
+    return np.concatenate(out, axis=1)
+
+
 def _fixed_steps(w, w0, t0, t1, n, y, rtol, atol):
-    """n equal DOPRI5 steps: (final state, None, n), or, as soon as step i
-    fails the error test, (state after the i accepted steps, that step's RMS
-    error in units of the tolerance, i).
+    """n equal DOPRI5 steps from t0 to t1: (final state, None, n), or, as
+    soon as step i fails the error test, (state after the i accepted steps,
+    that step's RMS error in units of the tolerance, i).  t0 and t1 are
+    scalars, or arrays of segment ends that take one step (``_step``)
+    together.
 
     A step keeps the state y and its seven stage derivatives k1..k7 as rows
     0-7 of one (8, 4, ...) buffer.  The state of each stage, the 5th-order
@@ -284,7 +357,7 @@ def _fixed_steps(w, w0, t0, t1, n, y, rtol, atol):
     rows before it, and the error estimate one product with k1..k7.  The
     accepted solution and k7 (FSAL) become the next step's y and k1.
     """
-    h = (t1 - t0) / n
+    h = _step(t0, t1, n)
     dtype = np.result_type(y, w0)
     K = np.empty((8,) + np.shape(y), dtype)
     # the products run on real views, a complex entry being two reals that
@@ -327,7 +400,8 @@ def _fixed_steps(w, w0, t0, t1, n, y, rtol, atol):
         ratio *= ratio
         worst = float(np.max(np.sum(ratio, axis=0)))
         if not math.isfinite(worst):
-            raise ConvergenceFailure(f"non-finite error estimate at t={t!r}")
+            raise ConvergenceFailure(
+                f"non-finite error estimate at t={float(np.min(t))!r}")
         if worst > 4.0:  # 0.25 * sum > 1: the RMS test of propagate
             return K[0].copy(), math.sqrt(0.25 * worst), i
         K[0], K[1] = yn, K[7]

@@ -9,7 +9,7 @@ unit-length blocks, the continuous picture; the blocks come from one
 matrices, in chunks of at most ``_ode.CHUNK`` columns (a, b, c, d), to one
 renormalised-product kernel, `_log_norms`: the unit-block transfer
 matrices, or the products of each run of ``renorm_stride`` cocycle
-factors, which `_fold` multiplies as a pairwise tree.  The bridge is
+factors, which ``_ode._fold`` multiplies as a pairwise tree.  The bridge is
 Theta = (eps / 2 pi) theta, plus the model matrix M0 and a Herman-type
 lower-bound checker for families with a dominant oscillating mode.
 """
@@ -243,44 +243,14 @@ def _log_norms(chunks, factor=lambda k: k) -> list[float]:
     return logs
 
 
-def _mul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Rows (a, b, c, d) of the elementwise 2x2 products left @ right."""
-    a, b, c, d = left
-    e, f, g, h = right
-    return np.array([a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h])
-
-
-def _fold(rows: np.ndarray, stride: int) -> np.ndarray:
-    """Products of each run of ``stride`` consecutive columns of ``rows``
-    (the last run may be shorter), later factors on the left.
-
-    The runs are multiplied together as a pairwise tree: log2(stride)
-    batched products, no rescaling.
-    """
-    n = rows.shape[1]
-    cut = n - n % stride
-    groups = [rows[:, :cut].reshape(4, -1, stride)] if cut else []
-    if cut < n:
-        groups.append(rows[:, None, cut:])
-    out = []
-    for g in groups:
-        while g.shape[2] > 1:
-            w = g.shape[2]
-            pairs = _mul(g[:, :, 1::2], g[:, :, 0:w - 1:2])
-            g = pairs if w % 2 == 0 else np.concatenate(
-                [pairs, g[:, :, -1:]], axis=2)
-        out.append(g[:, :, 0])
-    return np.concatenate(out, axis=1)
-
-
 def cocycle_lyapunov(spec: CocycleSpec) -> LyapunovEstimate:
     """theta = lim (1/N) log ||M(z + (N-1)h) ... M(z)||.
 
     For each z the factors are evaluated in chunks of at most
     ``_ode.CHUNK`` matrices, none singular, that start on multiples of
     `renorm_stride`.  Each run of `renorm_stride` factors is multiplied
-    into one block product by `_fold` (a block longer than a chunk piece
-    by piece), and ``_log_norms`` multiplies the block products with a
+    into one block product by ``_ode._fold`` (a block longer than a chunk
+    piece by piece), and ``_log_norms`` multiplies the block products with a
     rescaling after each.  With several z samples the estimate is their
     mean and the standard error their spread; with a single z it is the
     spread of per-block growth rates.  N times the number of z samples
@@ -307,8 +277,8 @@ def cocycle_lyapunov(spec: CocycleSpec) -> LyapunovEstimate:
                     raise DegeneracyError(f"singular matrix in the cocycle "
                                           f"at step {n0 + bad[0]} (z={z})")
                 with np.errstate(over="ignore", invalid="ignore"):
-                    part = _fold(rows, stride)
-                    prod = part if prod is None else _mul(part, prod)
+                    part = _ode._fold(rows, stride)
+                    prod = part if prod is None else _ode._mul(part, prod)
             yield prod
 
     logs = [_log_norms(block_products(z), lambda k: min(k * stride, N))
@@ -464,13 +434,14 @@ def _block_transfers(V: PeriodicPotential, W, epsilon: float, E, z: float,
     by angle addition, with P = c cos(f phi) + s sin(f phi) and
     Q = s cos(f phi) - c sin(f phi), so only P and Q are per-block arrays.
     The blocks go through one ``_ode.transfer_batch`` call per interval
-    between jumps of a piecewise-constant V.
+    between jumps of a piecewise-constant V, where w takes the array of
+    segment times.
     """
     terms = []
     for f, c, s in (() if W is None else W.coefficients):
         cj, sj = np.cos(f * phases), np.sin(f * phases)
         terms.append((f * epsilon, c * cj + s * sj, s * cj - c * sj))
-    vf = V.evaluator()
+    vf = V.array_evaluator()
     piecewise = V.kind == "piecewise-constant"
     knots = [0.0, 1.0]
     if piecewise:
@@ -483,10 +454,10 @@ def _block_transfers(V: PeriodicPotential, W, epsilon: float, E, z: float,
         # either side's value, so take the sub-interval's midpoint instead
         v_mid = vf(0.5 * (t0 + t1) - z) if piecewise else None
 
-        def w(t: float, v_mid=v_mid):
+        def w(t: np.ndarray, v_mid=v_mid):
             out = (vf(t - z) if v_mid is None else v_mid) - E
             for om, P, Q in terms:
-                out = out + P * math.cos(om * t) + Q * math.sin(om * t)
+                out = out + P * np.cos(om * t) + Q * np.sin(om * t)
             return out
 
         y = _ode.transfer_batch(w, t0, t1, y, rtol=tol, atol=tol * 1e-2)

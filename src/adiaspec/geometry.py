@@ -625,10 +625,11 @@ def _invert_w(W: AnalyticPotential, targets, side: str, xtol: float):
 
 
 def _band_model(geom: IsoEnergyGeometry, j: int) -> DiscriminantModel:
-    """The degree-96 discriminant panel over spectral band j."""
+    """One discriminant panel over spectral band j, of the degree its
+    resolution check settles on."""
     band_lo, band_hi = geom.bands.band(j)
     return DiscriminantModel(geom.V, band_lo, band_hi,
-                             panel_width=max(band_hi - band_lo, 1e-6), degree=96)
+                             panel_width=max(band_hi - band_lo, 1e-6))
 
 
 def _require_context(geom: IsoEnergyGeometry) -> None:
@@ -657,8 +658,9 @@ def real_branch(geom: IsoEnergyGeometry, label: BandLabel,
     """Tabulated real branch zeta(kappa) on the pre-band `label`.
 
     Interior nodes invert the quasi-momentum on the spectral band through
-    a Chebyshev model of the discriminant (one degree-96 panel over the
-    band), then invert W on the proper half-period, all nodes at once
+    a Chebyshev model of the discriminant (one panel over the band, of
+    the degree its resolution check settles on), then invert W on the
+    proper half-period, all nodes at once
     (``_numerics.bracketed_roots``); the two endpoints are taken verbatim
     from the branch points so the table is exactly consistent with the
     geometry.

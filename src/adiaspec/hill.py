@@ -129,14 +129,29 @@ class PeriodicPotential:
             return q
         return self.__call__
 
+    def array_evaluator(self):
+        """V at every point of a numpy array, for the batched integrations."""
+        if self.kind == "trig-sum":
+            terms = tuple((TWO_PI * f, c, s) for f, c, s in self.coefficients)
+
+            def q(x):
+                total = np.zeros(np.shape(x))
+                for w, c, s in terms:
+                    a = w * x
+                    total = total + (c * np.cos(a) + s * np.sin(a))
+                return total
+
+            return q
+        breaks = np.array([b for b, _ in self.segments])
+        values = np.array([v for _, v in self.segments])
+        return lambda x: values[np.searchsorted(breaks, x - np.floor(x),
+                                                side="right") - 1]
+
     def min_value(self) -> float:
         """Lower bound for V (exact for piecewise data, dense grid otherwise)."""
         if self.kind == "piecewise-constant":
             return min(v for _, v in self.segments)
-        xs = np.linspace(0.0, 1.0, 4097)
-        vals = np.zeros_like(xs)
-        for f, c, s in self.coefficients:
-            vals += c * np.cos(TWO_PI * f * xs) + s * np.sin(TWO_PI * f * xs)
+        vals = self.array_evaluator()(np.linspace(0.0, 1.0, 4097))
         # crude margin for between-node dips of the trig polynomial
         spread = sum(abs(c) + abs(s) for _, c, s in self.coefficients)
         return float(vals.min()) - 1e-4 * (1.0 + spread)
@@ -249,13 +264,14 @@ def _discriminant_batch(V: PeriodicPotential, energies: np.ndarray,
     """Discriminant of a trigonometric V at many real energies.
 
     The energies go through ``_ode.transfer_batch`` together, in chunks of
-    at most ``_ode.CHUNK``: fixed-step DOPRI5 in which every step of every
-    energy passes ``propagate``'s error test at rtol = tol, atol = tol *
-    1e-2; after a failed step the chunk keeps the steps it has accepted
-    and goes on from there with a finer step.  V is sampled once per stage
-    node and shared by all energies.
+    at most ``_ode.CHUNK``: fixed-step DOPRI5 on segments of the period
+    side by side, in which every step of every energy and segment passes
+    ``propagate``'s error test at rtol = tol, atol = tol * 1e-2; after a
+    failed step the chunk keeps the steps it has accepted and goes on from
+    there with a finer step.  V is sampled once per stage node of each
+    segment and shared by all energies.
     """
-    q = V.evaluator()
+    q = V.array_evaluator()
     out = np.empty(len(energies))
     for i in range(0, len(energies), _ode.CHUNK):
         Es = energies[i:i + _ode.CHUNK]
@@ -281,8 +297,11 @@ def _interpolation_coefficients(values: np.ndarray, x: np.ndarray) -> np.ndarray
     return coef
 
 
-# DiscriminantModel's default panels, also counted by _model_fill_size
-_PANEL_WIDTH, _PANEL_DEGREE = 4.0, 64
+# DiscriminantModel's default panel width and the degree its fill starts
+# at, both counted by _model_fill_size; a panel whose series has not
+# reached its noise plateau is refilled at twice the degree, up to
+# _PANEL_DEGREE_MAX
+_PANEL_WIDTH, _PANEL_DEGREE, _PANEL_DEGREE_MAX = 4.0, 16, 128
 
 
 def _clenshaw(c: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -299,18 +318,25 @@ def _clenshaw(c: np.ndarray, t: np.ndarray) -> np.ndarray:
 class DiscriminantModel:
     """Chebyshev acceleration of the discriminant on a real energy interval.
 
-    The discriminant is entire in E, so moderate-degree panels reproduce it
-    to near machine precision.  The first-kind Chebyshev nodes of every
-    panel (those of ``Chebyshev.interpolate``) are filled in one batched
-    integration over energies (``_discriminant_batch``).  Used internally
-    wherever many real-energy evaluations are needed (band scans, branch
-    tables, action quadratures).  Piecewise-constant potentials skip the
-    panels: their exact product formula is already cheap.
+    The discriminant is entire in E, so low-degree panels reproduce it to
+    near machine precision.  The first-kind Chebyshev nodes of every panel
+    (those of ``Chebyshev.interpolate``) are filled in one batched
+    integration over energies (``_discriminant_batch``), at degree 16
+    (``_PANEL_DEGREE``; `degree` only moves where the check below starts).
+    A panel whose series has not reached its noise plateau (``_chop`` at
+    node_tol keeps as many coefficients as the degree, or more) is filled
+    again at twice the degree, all such panels in one more batch, up to
+    ``_PANEL_DEGREE_MAX``; one still unresolved there raises
+    ResolutionFailure.  Used internally wherever
+    many real-energy evaluations are needed (band scans, branch tables,
+    action quadratures).  Piecewise-constant potentials skip the panels:
+    their exact product formula is already cheap.
 
     An array of energies is summed in one Clenshaw recurrence over all its
-    points, each with the coefficients of its own panel, in chunks of
-    ``_ode.CHUNK`` points; values are bit for bit those of the panel's
-    ``Chebyshev`` at the point, which a single real energy calls directly.
+    points, each with the coefficients of its own panel (zero-padded to the
+    highest degree), in chunks of ``_ode.CHUNK`` points; values are bit for
+    bit those of the panel's ``Chebyshev`` at the point, which a single
+    real energy calls directly.
     """
 
     def __init__(self, V: PeriodicPotential, lo: float, hi: float, *,
@@ -332,14 +358,30 @@ class DiscriminantModel:
         self._bounds = bounds.tolist()
         domains = np.column_stack([bounds[:-1], bounds[1:]])
         mid, half = domains.mean(axis=1), 0.5 * np.diff(domains, axis=1)[:, 0]
-        x = chebpts1(degree + 1)
-        values = _discriminant_batch(V, (mid[:, None] + half[:, None] * x).ravel(),
-                                     node_tol).reshape(npanels, degree + 1)
-        coef = _interpolation_coefficients(values, x)
-        self._panels = [Chebyshev(c, domain=d) for c, d in zip(coef, domains)]
+        coefs = [None] * npanels
+        todo = np.arange(npanels)
+        while True:
+            x = chebpts1(degree + 1)
+            values = _discriminant_batch(
+                V, (mid[todo, None] + half[todo, None] * x).ravel(),
+                node_tol).reshape(len(todo), degree + 1)
+            fresh = _interpolation_coefficients(values, x)
+            resolved = np.array([_chop(c, node_tol) < degree for c in fresh])
+            for j, c in zip(todo[resolved], fresh[resolved]):
+                coefs[j] = c
+            todo = todo[~resolved]
+            if not todo.size:
+                break
+            if degree >= _PANEL_DEGREE_MAX:
+                raise ResolutionFailure(
+                    f"{todo.size} discriminant panel(s) of width "
+                    f"{2.0 * half[todo[0]]:.6g} from E = {bounds[todo[0]]:.6g} "
+                    f"still unresolved at degree {degree}")
+            degree *= 2
+        self._panels = [Chebyshev(c, domain=d) for c, d in zip(coefs, domains)]
         # each panel's map of its domain onto [-1, 1], as Chebyshev applies it
         self._maps = np.array([p.mapparms() for p in self._panels])
-        self._coef = coef.T.copy()
+        self._coef = _columns(coefs)
         self._deriv_coef = None
 
     def _check_range(self, lo: float, hi: float) -> None:
@@ -395,10 +437,20 @@ class DiscriminantModel:
                             for e, dh in zip(xs, h)])
         else:
             if self._deriv_coef is None:
-                self._deriv_coef = np.array(
-                    [p.deriv().coef for p in self._panels]).T.copy()
+                self._deriv_coef = _columns([p.deriv().coef
+                                             for p in self._panels])
             out = self._sum(self._deriv_coef, xs)
         return float(out[0]) if arr.ndim == 0 else out
+
+
+def _columns(coefs) -> np.ndarray:
+    """Panel series as the columns of one array, zero-padded to the
+    longest: a zero leading coefficient leaves Clenshaw's sum bit for bit
+    as it was."""
+    out = np.zeros((max(len(c) for c in coefs), len(coefs)))
+    for j, c in enumerate(coefs):
+        out[:len(c), j] = c
+    return out
 
 
 def _chop(coeffs: np.ndarray, tol: float) -> int:
@@ -629,23 +681,33 @@ def _check_grid_size(lo: float, hi: float, offset: float) -> None:
 
 
 # most node-steps a band model's fill may need, as estimated by
-# _model_fill_size; ceilings up to ~740 pass on V = 2 cos(2 pi x)
+# _model_fill_size; ceilings up to ~1,850 pass on V = 2 cos(2 pi x)
 _FILL_NODE_STEPS_MAX = 1_000_000
 
 
 def _model_fill_size(V: PeriodicPotential, lo: float, hi: float) -> int:
-    """Node count times first fixed-step count of a default-shaped
+    """Node-steps of the first step count of a default-shaped
     ``DiscriminantModel`` fill on [lo, hi], in closed form.
 
-    The nodes are those of its panels.  Each energy chunk of the fill
-    starts from ``_ode.first_step_count`` at its own largest |V(0) - E|;
-    the estimate takes the largest on [lo, hi], at one of its ends, for
-    every node.  Retries, which the node tolerance makes the rule, add
-    steps the estimate leaves out.
+    The nodes are those of its panels at the start degree.  Each energy
+    chunk of the fill runs S = ``_ode.segment_count`` segments of the
+    period side by side, each from ``_ode.first_step_count(1 / S, .)``
+    steps at the chunk's largest |V - E| over the segment starts; the
+    estimate takes the largest for E on [lo, hi], at one of its ends, for
+    every node.  Retries, which the node tolerance makes the rule, and
+    panels refilled at a higher degree add steps the estimate leaves out.
     """
     nodes = max(1, math.ceil((hi - lo) / _PANEL_WIDTH)) * (_PANEL_DEGREE + 1)
-    v0 = V.evaluator()(0.0)
-    return nodes * _ode.first_step_count(1.0, max(abs(v0 - lo), abs(v0 - hi)))
+    q = V.array_evaluator()
+
+    def size(members: int) -> int:
+        S = _ode.segment_count(members)
+        v = q(np.arange(S) / S)
+        wmax = float(np.max(np.maximum(np.abs(v - lo), np.abs(v - hi))))
+        return members * S * _ode.first_step_count(1.0 / S, wmax)
+
+    full, rest = divmod(nodes, _ode.CHUNK)
+    return full * size(_ode.CHUNK) + (size(rest) if rest else 0)
 
 
 def _weyl_grid(lo: float, hi: float, offset: float) -> np.ndarray:

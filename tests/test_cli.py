@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import adiaspec
 from adiaspec import actions as actions_mod
-from adiaspec import analyze_window, cli, cocycle, geometry, hill
+from adiaspec import _ode, analyze_window, cli, cocycle, geometry, hill
 from adiaspec.cli import load_config, main
 
 
@@ -217,7 +217,7 @@ def test_bands_fuzzed_config_exits_cleanly_with_strict_output(sections):
 
 def test_oversized_band_model_fill_exits_numeric_before_any_fill(
         tmp_path, capsys, monkeypatch):
-    # 2e4 passes the scan-grid guard; the model fill would need ~1.3e8
+    # 2e4 passes the scan-grid guard; the model fill would need ~3.5e7
     # node-steps by the closed-form estimate
     def no_fill(*args, **kwargs):
         raise AssertionError("band model filled before its cost was bounded")
@@ -403,19 +403,19 @@ def test_geometry_reference_outputs(tmp_path):
 
 def test_geometry_builds_one_band_model_per_band(tmp_path, monkeypatch):
     # the reference window holds one band; both of its pre-band tables
-    # come from the same degree-96 band model
+    # come from the same one-panel band model
     built = []
     real_init = hill.DiscriminantModel.__init__
 
     def counted(self, V, lo, hi, **kwargs):
-        built.append(kwargs.get("degree"))
+        built.append(kwargs.get("panel_width"))
         real_init(self, V, lo, hi, **kwargs)
 
     monkeypatch.setattr(hill.DiscriminantModel, "__init__", counted)
     cfg, out = prepare(tmp_path)
     assert main(["geometry", "--config", cfg]) == 0
     assert (out / "branch_z1m.csv").exists() and (out / "branch_z1p.csv").exists()
-    assert built.count(96) == 1
+    assert sum(w is not None for w in built) == 1
 
 
 def test_geometry_energy_override_reports_failed_window(tmp_path):
@@ -675,6 +675,38 @@ def test_oversized_cocycle_exits_numeric_before_any_factor(tmp_path, capsys,
     assert err.startswith("numeric failure: ResolutionFailure")
     assert "cocycle factors" in err
     assert list(out.iterdir()) == []
+
+
+def test_unresolved_discriminant_panel_exits_numeric(tmp_path, capsys,
+                                                    monkeypatch):
+    # a band-scan panel whose series never reaches its noise plateau is
+    # filled again at degrees 32, 64 and 128, then refused
+    monkeypatch.setattr(hill, "_chop", lambda coeffs, tol: len(coeffs))
+    cfg, out = prepare(tmp_path)
+    assert main(["bands", "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ResolutionFailure")
+    assert "unresolved at degree 128" in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["verify", "stokes"])
+def test_every_fixed_step_batch_fits_a_chunk(command, tmp_path, monkeypatch):
+    # segments times members of every batch of the band scan, window,
+    # band, strip and phase models stay within _ode.CHUNK, so the
+    # (8, 4, segments, members) stage buffer holds at most 1 MiB complex
+    shapes = []
+    real = _ode._fixed_steps
+
+    def spy(*args):
+        shapes.append(args[5].shape)
+        return real(*args)
+
+    monkeypatch.setattr(_ode, "_fixed_steps", spy)
+    cfg, _ = prepare(tmp_path)
+    assert main([command, "--config", cfg]) == 0
+    assert shapes and all(math.prod(s[1:]) <= _ode.CHUNK for s in shapes)
+    assert any(s[1] > 1 for s in shapes)
 
 
 def test_oversized_verify_exits_numeric_before_the_band_scan(tmp_path, capsys,

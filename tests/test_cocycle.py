@@ -705,21 +705,25 @@ def test_transfer_batch_constant_potential_closed_form():
 
 def step_count_cases(V_ref):
     """name -> (w, rtol, q - E of each member) for an energy batch like the
-    band-scan fill and a unit-block batch like direct_lyapunov's."""
-    q = V_ref.evaluator()
+    band-scan fill, a unit-block batch like direct_lyapunov's, and members
+    whose w steepens along the interval, so that a later step fails."""
+    q, qs = V_ref.array_evaluator(), V_ref.evaluator()
     Es = np.linspace(-2.5, 45.5, 300)
     phases = np.linspace(0.0, 2.0 * math.pi, 300, endpoint=False)
     E = 4.4
+    ks = np.linspace(1.0, 3.0, 50)
     return {
         "energies": (lambda t: q(t) - Es, 1e-12,
-                     [lambda x, e=e: q(x) - e for e in Es]),
+                     [lambda x, e=e: qs(x) - e for e in Es]),
         "blocks": (lambda t: q(t) - E + 4.8 * np.cos(0.2 * t + phases), 1e-8,
-                   [lambda x, p=p: q(x) - E + 4.8 * math.cos(0.2 * x + p)
+                   [lambda x, p=p: qs(x) - E + 4.8 * math.cos(0.2 * x + p)
                     for p in phases]),
+        "ramp": (lambda t: -ks * (40.0 * t) ** 2, 1e-10,
+                 [lambda x, k=k: -k * (40.0 * x) ** 2 for k in ks]),
     }
 
 
-@pytest.mark.parametrize("case", ["energies", "blocks"])
+@pytest.mark.parametrize("case", ["energies", "blocks", "ramp"])
 def test_transfer_batch_step_count_follows_the_error(case, V_ref, monkeypatch):
     w, rtol, members = step_count_cases(V_ref)[case]
     atol = rtol * 1e-2
@@ -730,26 +734,36 @@ def test_transfer_batch_step_count_follows_the_error(case, V_ref, monkeypatch):
 
     def spy(*args):
         out = real(*args)
-        calls.append((out[2], out[1] is not None))
+        calls.append((out[2], out[1] is not None, args[5].shape))
         return out
 
     monkeypatch.setattr(_ode, "_fixed_steps", spy)
     y = _ode.transfer_batch(w, 0.0, 1.0, y0, rtol=rtol, atol=atol)
-    # the same error-derived counts, each attempt restarting from t0
-    n = _ode.first_step_count(1.0, float(np.max(np.abs(w(0.0)))))
+    # the same error-derived counts, each attempt restarting all S segments
+    # from the identity at their starts
+    S = _ode.segment_count(len(members))
+    cuts = np.linspace(0.0, 1.0, S + 1)[:, None]
+    starts, ends = cuts[:-1], cuts[1:]
+    eye = np.zeros((4, S, len(members)))
+    eye[0] = eye[3] = 1.0
+    n = _ode.first_step_count(1.0 / S, float(np.max(np.abs(w(starts)))))
     restart = 0
     while True:
-        _, err, i = real(w, w(0.0), 0.0, 1.0, n, y0, rtol, atol)
+        _, err, i = real(w, w(starts), starts, ends, n, eye, rtol, atol)
         if err is None:
             restart += n
             break
         restart += i + 1
         n = math.ceil(n * min(_ode._MAX_GROWTH,
                               max(_ode._MIN_GROWTH, err ** 0.2 / 0.9)))
-    # some attempt failed after accepting steps and was resumed from there,
-    # and no more steps ran in all (a failed step is executed too)
-    assert any(i > 0 and failed for i, failed in calls)
-    assert sum(i + failed for i, failed in calls) <= restart
+    # every attempt ran the S segments side by side and some failed; on the
+    # ramp one failed after accepting steps and was resumed from there; no
+    # more steps ran in all (a failed step is executed too)
+    assert S > 1 and all(shape == eye.shape for _, _, shape in calls)
+    assert any(failed for _, failed, _ in calls)
+    if case == "ramp":
+        assert any(i > 0 and failed for i, failed, _ in calls)
+    assert sum(i + failed for i, failed, _ in calls) <= restart
     for i in range(0, len(members), 30):
         want, _, _ = _ode.propagate(members[i], 0.0, 0.0, 1.0, rtol=1e-12,
                                     atol=1e-14)
@@ -764,12 +778,16 @@ def test_nan_potential_raises(integrate):
             _ode.propagate(lambda x: math.nan, 1.0, 0.0, 1.0)
     else:
         y0 = np.array([[1.0], [0.0], [0.0], [1.0]])
+        S = _ode.segment_count(1)
         with pytest.raises(ConvergenceFailure):
-            _ode.transfer_batch(lambda t: math.nan, 0.0, 1.0, y0)
-        # finite at t0, NaN further in: caught by the error test
-        with pytest.raises(ConvergenceFailure):
-            _ode.transfer_batch(lambda t: 1.0 if t == 0.0 else math.nan,
+            _ode.transfer_batch(lambda t: np.full(np.shape(t), math.nan),
                                 0.0, 1.0, y0)
+        # finite at every segment start, NaN further in, or NaN inside the
+        # last segment only: caught by the error test
+        for w in (lambda t: np.where(t * S % 1.0 == 0.0, 1.0, math.nan),
+                  lambda t: np.where(t > 1.0 - 0.5 / S, math.nan, 1.0)):
+            with pytest.raises(ConvergenceFailure, match="error estimate"):
+                _ode.transfer_batch(w, 0.0, 1.0, y0)
 
 
 def test_direct_lyapunov_matches_scalar_block_loop(V_ref, W_ref, E_ref):

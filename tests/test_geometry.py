@@ -322,8 +322,7 @@ def brentq_branch_nodes(geom, label, kg):
     j, side = label.index, label.side
     band_lo, band_hi = geom.bands.band(j)
     model = DiscriminantModel(geom.V, band_lo, band_hi,
-                              panel_width=max(band_hi - band_lo, 1e-6),
-                              degree=96)
+                              panel_width=max(band_hi - band_lo, 1e-6))
     sgn = (-1.0) ** (j - 1)
     a, b = (0.0, geom.zeta_star) if side == "-" else (geom.zeta_star, TWO_PI)
     pad = 1e-12 * max(1.0, band_hi - band_lo)

@@ -197,26 +197,68 @@ def mp_discriminant(V, E, dps=25):
 def test_model_fill_crosses_a_chunk_and_matches_scalar_and_oracle(
         V_ref, V_mix, monkeypatch):
     batches = []
-    real = _ode.transfer_batch
+    real = _ode._fixed_steps
 
-    def counted(w, t0, t1, y0, **kw):
-        batches.append(np.shape(y0)[1])
-        return real(w, t0, t1, y0, **kw)
+    def counted(*args):
+        out = real(*args)
+        if out[1] is None:
+            batches.append(args[5].shape[1:])  # (segments, members)
+        return out
 
-    monkeypatch.setattr(_ode, "transfer_batch", counted)
-    # 34 panels of 65 nodes: 2210 energies, more than one chunk
+    monkeypatch.setattr(_ode, "_fixed_steps", counted)
+    # 136 panels of 17 nodes: 2312 energies, more than one chunk; the
+    # first chunk fills it alone, the rest runs as 4 segments
     lo, hi = -4.0, 13.0
     Es = np.concatenate([np.linspace(lo, hi, 25),
                          # around the first chunk boundary, node 2048
-                         np.linspace(lo + 31 * 0.5, lo + 32 * 0.5, 5)])
+                         np.linspace(lo + 120 * 0.125, lo + 121 * 0.125, 5)])
     for V in (V_ref, V_mix):
         batches.clear()
-        model = DiscriminantModel(V, lo, hi, panel_width=0.5)
-        assert batches == [_ode.CHUNK, 34 * 65 - _ode.CHUNK]
+        model = DiscriminantModel(V, lo, hi, panel_width=0.125)
+        rest = 136 * 17 - _ode.CHUNK
+        assert batches == [(1, _ode.CHUNK), (4, rest)]
+        assert all(S * m <= _ode.CHUNK for S, m in batches)
         got = model(Es)
         scalar = np.array([discriminant(V, float(e), tol=1e-12) for e in Es])
         assert np.max(np.abs(got - scalar)) < 1e-10
         assert np.max(np.abs(got - oracle_discriminant(V, Es, steps=6000))) < 1e-9
+
+
+def test_unresolved_panels_are_refilled_at_twice_the_degree(V_ref, monkeypatch):
+    # with panels of width 6 the six lowest need degree 32, the two highest
+    # reach their plateau at 16; only the six go through the second fill
+    fills = []
+    real = hill._discriminant_batch
+
+    def counted(V, energies, tol):
+        fills.append(len(energies))
+        return real(V, energies, tol)
+
+    monkeypatch.setattr(hill, "_discriminant_batch", counted)
+    model = DiscriminantModel(V_ref, -2.5, 45.5, panel_width=6.0)
+    assert fills == [8 * 17, 6 * 33]
+    assert [len(p.coef) - 1 for p in model._panels] == [32] * 6 + [16] * 2
+    Es = np.linspace(-2.5, 45.5, 41)
+    scalar = np.array([discriminant(V_ref, float(e), tol=1e-12) for e in Es])
+    assert np.max(np.abs(model(Es) - scalar)) < 1e-10
+    # the array path sums the zero-padded degree-16 panels bit for bit
+    assert np.array_equal(model(Es), [model(float(e)) for e in Es])
+
+
+def test_panel_unresolved_at_the_highest_degree_is_refused(V_ref):
+    # 2 cos sqrt(E) oscillates ~36 times over [0, 5e4]: more than a
+    # degree-128 series resolves
+    with pytest.raises(ResolutionFailure, match="unresolved at degree 128"):
+        DiscriminantModel(V_ref, 0.0, 5e4, panel_width=5e4)
+
+
+def test_array_evaluator_matches_the_scalar_potential(V_ref, V_mix, V_kp):
+    xs = np.concatenate([np.linspace(-1.5, 2.5, 401), [0.0, 0.5, 1.0, -0.5]])
+    for V in (V_ref, V_mix, V_kp, PeriodicPotential.trig([])):
+        got = V.array_evaluator()(xs.reshape(-1, 1))
+        assert got.shape == (xs.size, 1)
+        want = np.array([V(float(x)) for x in xs])
+        assert np.max(np.abs(got[:, 0] - want)) <= 1e-14
 
 
 def test_model_fill_matches_high_precision_oracle(V_ref):
@@ -374,20 +416,22 @@ def test_huge_ceiling_rejected_before_any_model_build(V_ref, monkeypatch):
 
 
 def test_model_fill_size_follows_the_first_attempt(V_ref, monkeypatch):
-    # one energy chunk: the estimate is its node count times the first
-    # step count, taken at an end of the interval, not at the end nodes
+    # one energy chunk: the estimate is its node count times its segments
+    # times the first step count, taken at an end of the interval, not at
+    # the end nodes
     first = []
     real = _ode._fixed_steps
 
     def spy(*args):
-        first.append((args[4], args[5].shape[1]))
+        first.append((args[4], args[5].shape[1:]))
         return real(*args)
 
     monkeypatch.setattr(_ode, "_fixed_steps", spy)
     hill.DiscriminantModel(V_ref, -2.5, 45.5)
-    n, nodes = first[0]
-    assert nodes == 12 * 65
-    assert n * nodes <= hill._model_fill_size(V_ref, -2.5, 45.5) <= (n + 1) * nodes
+    n, (S, nodes) = first[0]
+    assert nodes == 12 * 17 and S == _ode.segment_count(nodes) == 8
+    size = hill._model_fill_size(V_ref, -2.5, 45.5)
+    assert n * S * nodes <= size <= (n + 1) * S * nodes
 
 
 def test_band_model_fill_limit(V_ref, V_kp, bands_kp, monkeypatch):

@@ -1,5 +1,6 @@
 """The batched DOPRI5 kernel: the stage-buffer step against the
-expression-per-stage step it replaced, and transfer_batch's broadcasting."""
+expression-per-stage step it replaced, segmented transfer_batch against the
+single-segment one it replaced, and transfer_batch's broadcasting."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from adiaspec._ode import (
     _C2, _C3, _C4, _C5, _E1, _E3, _E4, _E5, _E6, _E7,
 )
 from adiaspec.errors import ConvergenceFailure
+from test_hill import mp_discriminant
 
 
 def _rhs(w, y):
@@ -53,6 +55,24 @@ def reference_fixed_steps(w, w0, t0, t1, n, y, rtol, atol):
             return y, math.sqrt(0.25 * worst), i
         y, k1, ay = yn, k7, ayn
     return y, None, n
+
+
+def reference_transfer_batch(w, t0, t1, y0, rtol, atol):
+    """transfer_batch on one segment, kept as the oracle of the segmented
+    one: the whole interval from y0, w called at scalar times."""
+    w0 = w(t0)
+    n = _ode.first_step_count(t1 - t0, float(np.max(np.abs(w0))))
+    y = np.asarray(y0, dtype=np.result_type(y0, w0))
+    t = t0
+    for _ in range(_ode._MAX_ATTEMPTS):
+        y, err, i = _ode._fixed_steps(w, w0, t, t1, n, y, rtol, atol)
+        if err is None:
+            return y
+        t = t + i * ((t1 - t) / n)
+        w0 = w(t)
+        growth = min(_ode._MAX_GROWTH, max(_ode._MIN_GROWTH, err ** 0.2 / 0.9))
+        n = math.ceil((n - i) * growth)
+    raise ConvergenceFailure("reference step counts exhausted")
 
 
 def identity(shape, dtype=float):
@@ -152,7 +172,7 @@ def test_transfer_batch_evaluates_w_five_times_per_step(V_ref, monkeypatch):
     # nodes t + c h for c = 0.2, 0.3, 0.8, 8/9 and the end node, which
     # stages 6 and 7 share and the next step's first stage reuses (FSAL);
     # transfer_batch adds w(t0) once per call of _fixed_steps
-    q = V_ref.evaluator()
+    q = V_ref.array_evaluator()
     Es = np.linspace(-2.5, 45.5, 200)
     evaluations = [0]
 
@@ -173,3 +193,53 @@ def test_transfer_batch_evaluates_w_five_times_per_step(V_ref, monkeypatch):
     _ode.transfer_batch(w, 0.0, 1.0, identity(Es.shape), rtol=1e-12, atol=1e-14)
     assert calls[0] > 1
     assert evaluations[0] == 5 * steps[0] + calls[0]
+
+
+def band_scan_nodes():
+    """The 221 nodes of the reference band-scan model: 13 panels of degree
+    16 over [-2.503, 45.5]."""
+    bounds = np.linspace(-2.503, 45.5, 14)
+    mid, half = 0.5 * (bounds[1:] + bounds[:-1]), 0.5 * np.diff(bounds)
+    return (mid[:, None] + half[:, None] * chebpts1(17)).ravel()
+
+
+def segment_cases(V_ref):
+    """name -> (w, y0, rtol): the band-scan nodes, complex energies shaped
+    like the Stokes strip, and unit blocks with one w(t) per member like
+    _block_transfers."""
+    q = V_ref.array_evaluator()
+    Es = band_scan_nodes()
+    Ez = 12.0 + 9.0 * chebpts1(65) + 1.5j * np.sin(np.arange(65.0))
+    phases = np.linspace(0.0, 2.0 * math.pi, 300, endpoint=False)
+    return {
+        "energies": (lambda t: q(t) - Es, identity(Es.shape), 1e-12),
+        "complex": (lambda t: q(t) - Ez, identity(Ez.shape, complex), 1e-12),
+        "blocks": (lambda t: q(t) - 4.4 + 4.8 * np.cos(0.2 * t + phases),
+                   identity(phases.shape), 1e-8),
+    }
+
+
+@pytest.mark.parametrize("case", ["energies", "complex", "blocks"])
+def test_segmented_transfer_batch_matches_the_single_segment_one(case, V_ref):
+    w, y0, rtol = segment_cases(V_ref)[case]
+    assert _ode.segment_count(y0.shape[1]) > 1
+    y = _ode.transfer_batch(w, 0.0, 1.0, y0, rtol=rtol, atol=rtol * 1e-2)
+    want = reference_transfer_batch(w, 0.0, 1.0, y0, rtol, rtol * 1e-2)
+    assert y.shape == want.shape and y.dtype == want.dtype
+    scale = np.maximum(1.0, np.abs(want).max(axis=0))
+    assert np.all(np.abs(y - want) <= rtol * scale)
+    if case == "energies":
+        # the lowest, a middle and the highest node against mpmath, at two
+        # digits beyond a double
+        Es = band_scan_nodes()
+        for j in (0, 110, 220):
+            delta = mp_discriminant(V_ref, float(Es[j]), dps=18)
+            assert abs(y[0, j] + y[3, j] - delta) <= 1e-12 * max(1.0, abs(delta))
+
+
+def test_segment_count_keeps_the_batch_within_a_chunk():
+    assert [_ode.segment_count(m) for m in (1, 128, 129, 256, 1024, 1025)] \
+        == [16, 16, 8, 8, 2, 1]
+    for m in (1, 7, 100, 300, 1000, _ode.CHUNK):
+        S = _ode.segment_count(m)
+        assert S * m <= _ode.CHUNK and (S == 16 or 2 * S * m > _ode.CHUNK)
