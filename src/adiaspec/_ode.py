@@ -90,10 +90,9 @@ _MAX_STEPS = 5_000_000
 # and most members times segments it integrates side by side; bounds the
 # memory of a batch, and fixes where chunks start whatever the caller's
 # thread count.  cocycle._log_norms, the product kernel of both
-# Lyapunov exponents, takes its factors in chunks of this size too: unit
-# blocks that direct_lyapunov evaluates from its phase model this many at
-# a time, and from cocycle_lyapunov the block products of cocycle factors
-# it evaluates this many at a time
+# Lyapunov exponents, reads its factors (cocycle factors, or unit blocks
+# from a direct run's phase model) in chunks of this size too, and folds
+# each chunk into products of stride factors before it renormalises
 CHUNK = 2048
 # transfer_batch gives up after this many step counts, each one between
 # _MIN_GROWTH and _MAX_GROWTH times the one before
@@ -268,8 +267,9 @@ def transfer_batch(w, t0, t1, y0, rtol=1e-10, atol=1e-12):
     failed step's worst RMS error as ``propagate`` scales its step
     (err**(1/5) / 0.9, the estimate being fifth order in h), but by no
     less than ``_MIN_GROWTH`` and no more than ``_MAX_GROWTH``.  Raises
-    ConvergenceFailure after ``_MAX_ATTEMPTS`` step counts, and at once
-    when an error estimate is not finite.
+    ConvergenceFailure after ``_MAX_ATTEMPTS`` step counts, before any
+    attempt of more than ``propagate``'s step budget ``_MAX_STEPS`` per
+    segment, and at once when an error estimate is not finite.
     """
     if not (t1 > t0):
         raise InvalidInputError(f"need t1 > t0, got [{t0}, {t1}]")
@@ -288,7 +288,12 @@ def transfer_batch(w, t0, t1, y0, rtol=1e-10, atol=1e-12):
     n = first_step_count((t1 - t0) / S, wmax)
     y = np.zeros((4, S) + batch, np.result_type(y0, w0))
     y[0] = y[3] = 1.0
+    err = None
     for _ in range(_MAX_ATTEMPTS):
+        if n > _MAX_STEPS:
+            raise ConvergenceFailure(
+                f"{n} fixed steps on [{float(np.min(t))}, {t1}] per segment "
+                f"exceed the step budget of {_MAX_STEPS}", achieved=err)
         y, err, i = _fixed_steps(w, w0, t, ends, n, y, rtol, atol)
         if err is None:
             # member-major columns, the segments of a member consecutive

@@ -492,7 +492,7 @@ def cmd_cocycle(cfg: RunConfig, seed: int) -> int:
     else:
         raise ConfigError(f"model.kind must be model|herman, got {kind!r}")
     spec = cocycle_mod.CocycleSpec(
-        family=family, h=h, z0=cfg.z, N=cfg.iterations,
+        family=family, h=h, N=cfg.iterations,
         renorm_stride=cfg.renorm_stride,
         z_samples=cocycle_mod.default_z_samples(cfg.z_samples),
     )

@@ -5,13 +5,15 @@ Two routes to an exponent live here.  `cocycle_lyapunov` iterates a
 discrete monodromy picture.  `direct_lyapunov` follows the
 quasi-periodic Schrodinger equation itself over a long window in
 unit-length blocks, the continuous picture; the blocks come from one
-`PhaseModel` of the block map in the slow phase.  Both hand 2x2
-matrices, in chunks of at most ``_ode.CHUNK`` columns (a, b, c, d), to one
-renormalised-product kernel, `_log_norms`: the unit-block transfer
-matrices, or the products of each run of ``renorm_stride`` cocycle
-factors, which ``_ode._fold`` multiplies as a pairwise tree.  The bridge is
-Theta = (eps / 2 pi) theta, plus the model matrix M0 and a Herman-type
-lower-bound checker for families with a dominant oscillating mode.
+`PhaseModel` of the block map in the slow phase.  Both go through one
+renormalised-product kernel, `_log_norms`, which reads the factors in
+chunks of at most ``_ode.CHUNK`` columns (a, b, c, d), multiplies each
+run of `stride` of them as a pairwise tree (``_ode._fold``) and rescales
+the running product after each run: ``renorm_stride`` cocycle factors,
+or a number of unit blocks derived from the phase model's norm bound.
+The bridge is Theta = (eps / 2 pi) theta, plus the model matrix M0 and
+a Herman-type lower-bound checker for families with a dominant
+oscillating mode.
 """
 
 from __future__ import annotations
@@ -159,17 +161,6 @@ class LyapunovEstimate:
     N_used: int = 0
     z_samples: tuple = ()
 
-    def to_dict(self, include_blocks: bool = False) -> dict:
-        out = {
-            "value": self.value,
-            "standard_error": self.standard_error,
-            "N_used": self.N_used,
-            "z_samples": list(self.z_samples),
-        }
-        if include_blocks:
-            out["block_log_norms"] = [float(v) for v in self.per_block]
-        return out
-
 
 def default_z_samples(count: int = 8) -> tuple:
     """Equidistributed z values for averaging finite-N estimates."""
@@ -216,19 +207,32 @@ def frequency_from_epsilon(epsilon: float) -> float:
 # cocycle iteration
 
 
-def _log_norms(chunks, factor=lambda k: k) -> list[float]:
-    """Logs of the rescalings of a renormalised 2x2 product.
+def _log_norms(rows_of, N: int, stride: int) -> list[float]:
+    """Logs of the rescalings of the renormalised product of N 2x2 factors.
 
-    ``chunks`` yields (4, n) arrays of factors [[a, b], [c, d]] as columns
-    (a, b, c, d), in the order they multiply.  The product, four Python
-    numbers, is rescaled to unit Frobenius norm after every factor; the
-    logs sum to log ||P_N||.  DegeneracyError names the factor where a
-    norm is 0 or not finite, as ``factor(k)`` for the k-th column.
+    ``rows_of(n0, n1)`` returns factors n0 <= k < n1 as (4, n) columns
+    (a, b, c, d); it is called for pieces of at most ``_ode.CHUNK`` that
+    start on multiples of `stride`.  Each run of `stride` factors (the
+    last may be shorter) is multiplied into one block product by
+    ``_ode._fold``, a block longer than a chunk piece by piece.  The
+    block products are multiplied in order into a running product of four
+    Python numbers, rescaled to unit Frobenius norm after every block, so
+    there is one log per block and the logs sum to log ||P_N||.
+    DegeneracyError names the factor after which a norm is 0 or not
+    finite (overflow inside a block included).
     """
+    span = max(1, _ode.CHUNK // stride) * stride
     f11, f12, f21, f22 = 1.0, 0.0, 0.0, 1.0
     logs: list[float] = []
-    for chunk in chunks:
-        for a, b, c, d in zip(*chunk.tolist()):
+    for b0 in range(0, N, span):
+        b1 = min(b0 + span, N)
+        prod = None
+        for n0 in range(b0, b1, _ode.CHUNK):
+            rows = rows_of(n0, min(n0 + _ode.CHUNK, b1))
+            with np.errstate(over="ignore", invalid="ignore"):
+                part = _ode._fold(rows, stride)
+                prod = part if prod is None else _ode._mul(part, prod)
+        for a, b, c, d in zip(*prod.tolist()):
             f11, f12, f21, f22 = (a * f11 + b * f21, a * f12 + b * f22,
                                   c * f11 + d * f21, c * f12 + d * f22)
             try:
@@ -236,8 +240,9 @@ def _log_norms(chunks, factor=lambda k: k) -> list[float]:
             except OverflowError:  # |x + iy| of a finite entry overflows
                 nrm = math.inf
             if not 0.0 < nrm < math.inf:
-                raise DegeneracyError(f"product has norm {nrm} after factor "
-                                      f"{factor(len(logs) + 1)}")
+                raise DegeneracyError(
+                    f"product has norm {nrm} after factor "
+                    f"{min((len(logs) + 1) * stride, N)}")
             logs.append(math.log(nrm))
             f11, f12, f21, f22 = f11 / nrm, f12 / nrm, f21 / nrm, f22 / nrm
     return logs
@@ -246,12 +251,8 @@ def _log_norms(chunks, factor=lambda k: k) -> list[float]:
 def cocycle_lyapunov(spec: CocycleSpec) -> LyapunovEstimate:
     """theta = lim (1/N) log ||M(z + (N-1)h) ... M(z)||.
 
-    For each z the factors are evaluated in chunks of at most
-    ``_ode.CHUNK`` matrices, none singular, that start on multiples of
-    `renorm_stride`.  Each run of `renorm_stride` factors is multiplied
-    into one block product by ``_ode._fold`` (a block longer than a chunk
-    piece by piece), and ``_log_norms`` multiplies the block products with a
-    rescaling after each.  With several z samples the estimate is their
+    For each z the factors, none singular, go to ``_log_norms`` with
+    stride `renorm_stride`.  With several z samples the estimate is their
     mean and the standard error their spread; with a single z it is the
     spread of per-block growth rates.  N times the number of z samples
     is bounded by ``_COCYCLE_FACTORS_MAX`` before any factor is evaluated.
@@ -262,27 +263,17 @@ def cocycle_lyapunov(spec: CocycleSpec) -> LyapunovEstimate:
         raise ResolutionFailure(
             f"N={N} with {len(zs)} z samples is {N * len(zs)} cocycle "
             f"factors, above the limit of {_COCYCLE_FACTORS_MAX}")
-    span = max(1, _ode.CHUNK // stride) * stride
 
-    def block_products(z: float):
-        for b0 in range(0, N, span):
-            b1 = min(b0 + span, N)
-            prod = None
-            for n0 in range(b0, b1, _ode.CHUNK):
-                n1 = min(n0 + _ode.CHUNK, b1)
-                rows = spec.family.rows((z + np.arange(n0, n1) * h) % 1.0)
-                det = rows[0] * rows[3] - rows[1] * rows[2]
-                bad = np.flatnonzero(np.abs(det) < 1e-300)
-                if bad.size:
-                    raise DegeneracyError(f"singular matrix in the cocycle "
-                                          f"at step {n0 + bad[0]} (z={z})")
-                with np.errstate(over="ignore", invalid="ignore"):
-                    part = _ode._fold(rows, stride)
-                    prod = part if prod is None else _ode._mul(part, prod)
-            yield prod
+    def factors(z: float, n0: int, n1: int) -> np.ndarray:
+        rows = spec.family.rows((z + np.arange(n0, n1) * h) % 1.0)
+        det = rows[0] * rows[3] - rows[1] * rows[2]
+        bad = np.flatnonzero(np.abs(det) < 1e-300)
+        if bad.size:
+            raise DegeneracyError(f"singular matrix in the cocycle "
+                                  f"at step {n0 + bad[0]} (z={z})")
+        return rows
 
-    logs = [_log_norms(block_products(z), lambda k: min(k * stride, N))
-            for z in zs]
+    logs = [_log_norms(functools.partial(factors, z), N, stride) for z in zs]
     blocks = np.concatenate(logs)
     if len(zs) > 1:
         samples = [sum(lz) / N for lz in logs]
@@ -304,19 +295,21 @@ def direct_lyapunov(V: PeriodicPotential, W, epsilon: float, E: float,
                     tol: float = 1e-8) -> LyapunovEstimate:
     """Exponent of -psi'' + (V(x - z) + W(eps x)) psi = E psi over [0, L].
 
-    The run is cut into unit blocks [j, j + 1] (one V period).  Block j's
+    The run is cut into N unit blocks [j, j + 1] (one V period).  Block j's
     fundamental matrix is G(phi_j) with phi_j = eps j mod 2 pi, and one
     `PhaseModel` of G per call stands in for integrating every block: it
     is filled at a few equispaced phases and checked against
     `_SAMPLE_BLOCKS` evenly spaced blocks of this run, integrated directly
     (ConsistencyError if one disagrees).  The blocks are then evaluated
-    from the model in chunks of at most ``_ode.CHUNK`` and go straight to
-    ``_log_norms``, which multiplies them in order with a rescaling after
-    every block; Theta = (sum of block log norms) / L.  The number of
-    blocks is bounded by ``_COCYCLE_FACTORS_MAX`` (`unit_blocks`), and the
-    ODE work does not depend on it.  The standard error is the spread of
-    slopes over ten consecutive segments of the run.  W may be None for
-    the unmodulated operator.
+    from the model and go to ``_log_norms`` with the derived stride
+    s = max(1, min(64, N // 10, floor(350 / max(1, log B)))), where B =
+    ``PhaseModel.norm_bound``: a fold of s blocks stays below e^350, and
+    there are at least ten fold blocks, one log each in ``per_block``.
+    Theta = (sum of the logs) / N, with N bounded by
+    ``_COCYCLE_FACTORS_MAX`` (`unit_blocks`); the ODE work does not depend
+    on N.  The standard error is the spread of slopes over ten consecutive
+    segments of whole fold blocks, each its log sum over its unit-block
+    count.  W may be None for the unmodulated operator.
     """
     if epsilon <= 0:
         raise InvalidInputError("epsilon must be positive")
@@ -329,12 +322,15 @@ def direct_lyapunov(V: PeriodicPotential, W, epsilon: float, E: float,
         )
     model = PhaseModel(V, W, epsilon, E, z, tol)
     model.check(nblocks)
-    chunks = (model.blocks(j0, min(j0 + _ode.CHUNK, nblocks))
-              for j0 in range(0, nblocks, _ode.CHUNK))
-    blocks = np.array(_log_norms(chunks))
-    slopes = [g.mean() for g in np.array_split(blocks, 10)]
+    s = max(1, min(64, nblocks // 10,
+                   math.floor(350.0 / max(1.0, math.log(model.norm_bound)))))
+    logs = _log_norms(model.blocks, nblocks, s)
+    blocks = np.array(logs)
+    sizes = np.minimum(s, nblocks - s * np.arange(len(blocks)))
+    slopes = [g.sum() / n.sum() for g, n in zip(np.array_split(blocks, 10),
+                                                  np.array_split(sizes, 10))]
     se = float(np.std(slopes, ddof=1) / math.sqrt(len(slopes)))
-    return LyapunovEstimate(value=sum(blocks.tolist()) / nblocks,
+    return LyapunovEstimate(value=sum(logs) / nblocks,
                             per_block=blocks, standard_error=se,
                             N_used=nblocks, z_samples=(float(z),))
 
@@ -362,8 +358,9 @@ class PhaseModel:
     complex G).  K starts at ``_PHASES_MIN`` and doubles while the largest
     coefficient of the upper half of the frequencies, |k| >= K / 4, exceeds
     tol * max(1, max |G|); past ``_PHASES_MAX`` the model is refused with
-    ResolutionFailure.  ``check`` integrates a sample of a run's blocks
-    directly and refuses the model if they disagree.
+    ResolutionFailure.  ``norm_bound`` bounds ||G||_F at every phase.
+    ``check`` integrates a sample of a run's blocks directly and refuses
+    the model if they disagree.
     """
 
     def __init__(self, V: PeriodicPotential, W, epsilon: float, E, z: float,
@@ -394,6 +391,9 @@ class PhaseModel:
         self._cos[:, 0] = pos[:, 0]
         if not np.iscomplexobj(G):
             self._cos, self._sin = self._cos.real, self._sin.real
+        # |entry of G| <= sum of its coefficients' moduli; ||G||_F <= 2 max
+        self.norm_bound = 2.0 * float(
+            (np.abs(self._cos) + np.abs(self._sin)).sum(axis=1).max())
 
     def __call__(self, phases: np.ndarray) -> np.ndarray:
         """(4, n) rows (a, b, c, d) of G at each phase of a 1-D array."""

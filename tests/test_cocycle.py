@@ -802,7 +802,30 @@ def test_direct_lyapunov_matches_scalar_block_loop(V_ref, W_ref, E_ref):
         F /= nrm
     assert est.N_used == 300
     assert abs(est.value - sum(logs) / 300) <= 1e-8
-    assert np.abs(est.per_block - np.array(logs)).max() <= 1e-8
+    # one log per fold of s = N // 10 = 30 blocks (the blocks' norm bound
+    # allows longer folds): the growth between consecutive fold ends
+    assert len(est.per_block) == 10
+    ends = np.cumsum(logs)[29::30]
+    assert np.abs(est.per_block - np.diff(ends, prepend=0.0)).max() <= 1e-8
+
+
+@pytest.mark.parametrize("E", [-1.0, -400.0, -2500.0])
+def test_direct_lyapunov_large_norm_blocks(V_zero, E):
+    # G = [[cosh k, sinh k / k], [k sinh k, cosh k]], k = sqrt(-E), and
+    # log ||G^N||_F in logs of its entries; at E = -400 a fold of 64
+    # blocks would overflow, and the stride comes from ||G||_F instead
+    N, k = 200, math.sqrt(-E)
+    est = direct_lyapunov(V_zero, None, 0.1, E, L=float(N), tol=1e-12)
+    x = N * k
+    log_cosh = x - math.log(2.0) + math.log1p(math.exp(-2.0 * x))
+    log_sinh = x - math.log(2.0) + math.log1p(-math.exp(-2.0 * x))
+    want = 0.5 * np.logaddexp.reduce(
+        [2 * log_cosh, 2 * log_cosh, 2 * (log_sinh - math.log(k)),
+         2 * (log_sinh + math.log(k))]) / N
+    assert abs(est.value - want) <= 1e-12 * want
+    log_bound = math.log(2.0 * (k * math.sinh(k) + math.cosh(k)))
+    s = max(1, min(64, N // 10, math.floor(350.0 / max(1.0, log_bound))))
+    assert len(est.per_block) == math.ceil(N / s)
 
 
 def test_direct_lyapunov_repeats_across_chunks(V_zero):

@@ -243,3 +243,23 @@ def test_segment_count_keeps_the_batch_within_a_chunk():
     for m in (1, 7, 100, 300, 1000, _ode.CHUNK):
         S = _ode.segment_count(m)
         assert S * m <= _ode.CHUNK and (S == 16 or 2 * S * m > _ode.CHUNK)
+
+
+def test_transfer_batch_refuses_step_counts_over_the_budget(monkeypatch):
+    # w jumps from 0 to -900 k at t = 0.03: each attempt fails at its
+    # first step across the jump, and each re-plan may ask for ten times
+    # the steps of the one before
+    k = np.arange(1.0, 51.0)
+    counts = []
+    real = _ode._fixed_steps
+
+    def spy(w, w0, t0, t1, n, *rest):
+        counts.append(n)
+        return real(w, w0, t0, t1, n, *rest)
+
+    monkeypatch.setattr(_ode, "_fixed_steps", spy)
+    with pytest.raises(ConvergenceFailure,
+                       match=f"step budget of {_ode._MAX_STEPS}"):
+        _ode.transfer_batch(lambda t: np.where(t < 0.03, 0.0, -900.0 * k),
+                            0.0, 1.0, identity(k.shape))
+    assert counts and max(counts) <= _ode._MAX_STEPS
