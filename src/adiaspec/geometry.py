@@ -97,6 +97,22 @@ class AnalyticPotential:
             return complex(total) if np.iscomplexobj(z) else float(total)
         return total
 
+    def evaluator(self):
+        """W at one point, as a complex number, without numpy: the closure
+        for point-by-point loops.  It forms `value`'s sum term by term in
+        the same order, so it equals ``value`` bit for bit (on real points,
+        its ``.real`` does)."""
+        terms = self.coefficients
+        cos, sin = cmath.cos, cmath.sin
+
+        def w(zeta) -> complex:
+            total = 0j
+            for f, c, s in terms:
+                total = total + c * cos(f * zeta) + s * sin(f * zeta)
+            return total
+
+        return w
+
     def derivative(self, zeta):
         z = np.asarray(zeta)
         total = np.zeros_like(z, dtype=complex if np.iscomplexobj(z) else float)
@@ -257,14 +273,7 @@ class WindowReport:
 def analyze_window(W: AnalyticPotential, bands: BandStructure, E: float,
                    n: int, m: int) -> WindowReport:
     """Check the three admissibility conditions of the energy window."""
-    if n < 1 or m < 0:
-        raise InvalidInputError("need n >= 1 and m >= 0")
-    top_edge = 2 * (n + m) + 1
-    if len(bands.edges) < top_edge:
-        raise CoverageError(
-            f"band table has {len(bands.edges)} edges, needs {top_edge}; "
-            f"raise the ceiling"
-        )
+    top_edge = _check_block(bands, n, m)
     lo, hi = E - W.w_plus, E - W.w_minus
     a1 = all(bands.is_gap_open(j) for j in range(max(0, n - 1), n + m + 1))
     edge_margins = []
@@ -281,19 +290,39 @@ def analyze_window(W: AnalyticPotential, bands: BandStructure, E: float,
                         outside_margins=(below, above))
 
 
+def _check_block(bands: BandStructure, n: int, m: int) -> int:
+    """Index of the first edge above the band block [n, n + m]; raises if
+    the block is malformed or the band table does not reach that edge."""
+    if n < 1 or m < 0:
+        raise InvalidInputError("need n >= 1 and m >= 0")
+    top_edge = 2 * (n + m) + 1
+    if len(bands.edges) < top_edge:
+        raise CoverageError(
+            f"band table has {len(bands.edges)} edges, needs {top_edge}; "
+            f"raise the ceiling"
+        )
+    return top_edge
+
+
 def best_window_energy(W: AnalyticPotential, bands: BandStructure, n: int, m: int,
                        samples: int = 2001) -> float:
-    """Energy maximizing the window margin; raises if no admissible energy."""
-    top = 2 * (n + m) + 1
+    """Energy maximizing the window margin; raises if no admissible energy.
+
+    The margin of ``analyze_window`` is evaluated on the whole grid in one
+    array pass, with the same float operations, and the first maximum wins.
+    """
     lo_e = bands.edge(2 * (n + m)) - W.w_plus  # least E putting the block inside
     hi_e = bands.edge(2 * n - 1) - W.w_minus
+    top = _check_block(bands, n, m)
     grid = np.linspace(lo_e, hi_e, samples)
-    best_E, best_margin = None, -math.inf
-    for E in grid:
-        rep = analyze_window(W, bands, float(E), n, m)
-        if rep.margin > best_margin:
-            best_E, best_margin = float(E), rep.margin
-    if best_E is None or not analyze_window(W, bands, best_E, n, m).all_ok:
+    lo, hi = grid - W.w_plus, grid - W.w_minus
+    edges = np.array([bands.edge(j) for j in range(2 * n - 1, top)])[:, None]
+    margins = [np.minimum(edges - lo, hi - edges).min(axis=0),
+               bands.edge(top) - hi]
+    if n >= 2:
+        margins.append(lo - bands.edge(2 * n - 2))
+    best_E = float(grid[np.argmax(np.min(margins, axis=0))])
+    if not analyze_window(W, bands, best_E, n, m).all_ok:
         raise InvalidInputError(
             f"no admissible energy for bands {n}..{n + m} with this W"
         )
@@ -407,13 +436,14 @@ def strip_clearance(W: AnalyticPotential, bands: BandStructure, E: float,
     the strip a violation (edge index, Im zeta) is recorded.
     """
     out: list[tuple[int, float]] = []
+    w = W.evaluator()
     for base in (0.0, W.zeta_star):
         ys = np.linspace(0.0, W.strip_half_width, levels + 1)[1:]
         x = base
-        values = [float(W.value(base))]
+        values = [w(base).real]
         for y in ys:
             def im_w(t):
-                return float(np.imag(W.value(complex(t, y))))
+                return w(complex(t, y)).imag
             lo_t, hi_t = x - 0.45, x + 0.45
             f_lo, f_hi = im_w(lo_t), im_w(hi_t)
             try:
@@ -422,7 +452,7 @@ def strip_clearance(W: AnalyticPotential, bands: BandStructure, E: float,
                 x = brent(im_w, lo_t, hi_t, xtol=1e-10, fa=f_lo, fb=f_hi)
             except ValueError:
                 break
-            values.append(float(np.real(W.value(complex(x, y)))))
+            values.append(w(complex(x, y)).real)
         w_arr = np.array(values)
         lo, hi = w_arr.min(), w_arr.max()
         for j, e in enumerate(bands.edges, start=1):
@@ -531,17 +561,18 @@ def complex_momentum(V: PeriodicPotential, W: AnalyticPotential,
             f"side must be '+i0', '-i0' or 'off-axis', got {side!r}"
         )
     z = complex(zeta)
+    w = W.evaluator()
     if z.imag == 0.0:
-        loc_E = E - float(W.value(z.real))
+        loc_E = E - w(z.real).real
         upper = complex(quasimomentum_main(V, bands, loc_E, side="+i0",
                                            tol=tol).value)
         # the lower boundary value is the Schwarz reflection of the upper
         return upper.conjugate() if side == "-i0" else upper
     anchor = _regular_anchor(V, W, bands, E, z.real, tol)
-    k0 = quasimomentum_main(V, bands, E - float(W.value(anchor)), tol=tol).value
+    k0 = quasimomentum_main(V, bands, E - w(anchor).real, tol=tol).value
 
     def delta_of(p):
-        return discriminant(V, E - W.value(p), tol)
+        return discriminant(V, E - w(p), tol)
 
     try:
         return complex(_track_momentum(delta_of, complex(anchor), complex(k0), z))
@@ -556,16 +587,17 @@ def _regular_anchor(V, W, bands, E, x0: float, tol: float,
                     halfwidth: float = math.pi, samples: int = 257) -> float:
     """Real zeta near x0 whose local energy sits well inside a band."""
     grid = x0 + np.linspace(-halfwidth, halfwidth, samples)
+    w = W.evaluator()
     best, best_score = None, -math.inf
-    for z in grid:
-        loc = bands.locate(E - float(W.value(float(z))), atol=100 * tol)
+    for z in grid.tolist():
+        e = E - w(z).real
+        loc = bands.locate(e, atol=100 * tol)
         if loc[0] != "band":
             continue
         lo, hi = bands.band(loc[1])
-        e = E - float(W.value(float(z)))
         score = min(e - lo, hi - e) - 0.05 * abs(z - x0)
         if score > best_score:
-            best, best_score = float(z), score
+            best, best_score = z, score
     if best is None:
         raise PathError(
             f"no regular anchor found near zeta = {x0}: the local energy "
@@ -826,12 +858,13 @@ def trace_stokes_line(V: PeriodicPotential, W: AnalyticPotential,
     if model is None:
         model = strip_model(V, W, E, tol)
     fallbacks0 = model.fallbacks
+    w = W.evaluator()
 
     def delta_of(p: complex):
-        return model(E - W.value(p))
+        return model(E - w(p))
 
     anchor = _regular_anchor(V, W, bands, E, z0.real, tol)
-    k0 = quasimomentum_main(V, bands, E - float(W.value(anchor)), tol=tol).value
+    k0 = quasimomentum_main(V, bands, E - w(anchor).real, tol=tol).value
     if z0.imag == 0.0:
         k_cur = _track_momentum(delta_of, complex(anchor), complex(k0), z0)
     else:

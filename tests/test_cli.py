@@ -15,6 +15,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -567,6 +568,25 @@ def test_stokes_traces_share_one_strip_model(tmp_path, monkeypatch):
     c = load_config(cfg)
     geometry.strip_model(c.potential_v, c.potential_w, doc["energy"])
     assert run_fills == fills != []
+
+
+@pytest.mark.parametrize("command", ["actions", "stokes"])
+def test_point_values_of_w_skip_the_array_path(tmp_path, monkeypatch, command):
+    # point-by-point W values come from AnalyticPotential.evaluator(); the
+    # 0-d calls left are the constructor's two and the bracket end of each
+    # vectorised root solve; numpy per point would make thousands
+    scalar = []
+    value = geometry.AnalyticPotential.value
+
+    def spy(self, zeta):
+        if np.ndim(zeta) == 0:
+            scalar.append(zeta)
+        return value(self, zeta)
+
+    monkeypatch.setattr(geometry.AnalyticPotential, "value", spy)
+    cfg, _ = prepare(tmp_path)
+    assert main([command, "--config", cfg]) == 0
+    assert len(scalar) < 10
 
 
 @pytest.mark.parametrize("key,value", [

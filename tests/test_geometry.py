@@ -102,6 +102,61 @@ def test_best_energy_is_local_margin_maximum(W_ref, bands_ref, E_ref):
         assert other <= best
 
 
+def best_window_energy_loop(W, bands, n, m, samples=2001):
+    # the per-point search: one report per grid energy, first maximum wins
+    lo_e = bands.edge(2 * (n + m)) - W.w_plus
+    hi_e = bands.edge(2 * n - 1) - W.w_minus
+    best_E, best_margin = None, -math.inf
+    for E in np.linspace(lo_e, hi_e, samples):
+        margin = analyze_window(W, bands, float(E), n, m).margin
+        if margin > best_margin:
+            best_E, best_margin = float(E), margin
+    return best_E
+
+
+def test_best_energy_matches_the_per_point_search(W_ref, bands_ref):
+    assert best_window_energy(W_ref, bands_ref, 1, 0) == \
+        best_window_energy_loop(W_ref, bands_ref, 1, 0)
+
+
+@pytest.mark.parametrize("amplitude,binding", [(38.5, "edge_margins"),
+                                               (40.5, "outside_margins")])
+def test_best_energy_matches_the_per_point_search_on_a_band_block(V_kp,
+                                                                  amplitude,
+                                                                  binding):
+    # bands 2..3: four edge margins and both outside clearances; at 38.5
+    # an edge margin binds at the best energy, at 40.5 a clearance does
+    bands = band_edges(V_kp, 100.0)
+    W = AnalyticPotential.cosine(amplitude, 0.5)
+    E = best_window_energy(W, bands, 2, 1)
+    assert E == best_window_energy_loop(W, bands, 2, 1)
+    rep = analyze_window(W, bands, E, 2, 1)
+    assert rep.all_ok and len(rep.edge_margins) == 4
+    assert rep.margin == min(getattr(rep, binding))
+
+
+def test_best_energy_refuses_an_infeasible_block(bands_ref):
+    with pytest.raises(InvalidInputError, match="no admissible energy"):
+        best_window_energy(AnalyticPotential.cosine(0.5, 0.5), bands_ref, 1, 0)
+
+
+def test_evaluator_matches_value_bit_for_bit():
+    # several frequencies, cosine and sine terms and a constant
+    W = AnalyticPotential([(0, 0.5, 0.0), (1, 4.8, 0.3), (2, -0.7, 0.25),
+                           (3, 0.1, -0.05)], 0.5)
+    w = W.evaluator()
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-TWO_PI, 2.0 * TWO_PI, 5000)
+    y = rng.uniform(-W.strip_half_width, W.strip_half_width, 5000)
+    points = [complex(a, b) for a, b in zip(x.tolist(), y.tolist())]
+    got = np.array([w(z) for z in points])
+    want = np.array([W.value(z) for z in points])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    got = np.array([w(a).real for a in x.tolist()])
+    want = np.array([W.value(a) for a in x.tolist()])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 # ---------------------------------------------------------------------------
 # branch points and the pre-band / pre-gap partition
 
