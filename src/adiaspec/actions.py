@@ -97,17 +97,12 @@ class Coefficient:
 # the action integral
 
 
-def window_model(V: PeriodicPotential, W: AnalyticPotential,
-                 E_lo: float, E_hi: float) -> DiscriminantModel:
-    """Discriminant model over every local energy E - W(zeta) of the windows
-    [E - w_plus, E - w_minus] for E in [E_lo, E_hi], padded on both sides.
-
-    Every admissible window strictly contains the same in-window band
-    edges, so admissible windows overlap and their union spans at most two
-    windows plus the pads; one model serves a whole energy grid.
-    """
-    pad = 0.2 * (W.w_plus - W.w_minus) + 1.0
-    return DiscriminantModel(V, E_lo - W.w_plus - pad, E_hi - W.w_minus + pad)
+def window_model(bands: BandStructure, W: AnalyticPotential,
+                 E_lo: float) -> DiscriminantModel:
+    """The band scan's discriminant model, reaching down to the bottom
+    E_lo - w_plus of the window at E_lo; a3 puts a resolved band edge
+    above every window top, so only a window bottom can leave the scan."""
+    return bands.model.reaching(E_lo - W.w_plus)
 
 
 def _im_kappa_factory(model: DiscriminantModel, W, bands, geom, label: GapLabel):
@@ -161,7 +156,7 @@ def action_with_error(V, W, bands, geom, label: GapLabel, side: str = "+i0",
                       tol: float = 1e-10) -> tuple[float, float]:
     if label not in geom.gap_labels:
         raise InvalidInputError(f"{label} is not a pre-gap of this geometry")
-    return _action(window_model(V, W, geom.energy, geom.energy), W, bands, geom,
+    return _action(window_model(bands, W, geom.energy), W, bands, geom,
                    label, side, tol)
 
 
@@ -241,10 +236,10 @@ def compute_actions(V: PeriodicPotential, W: AnalyticPotential,
                     side: str = "+i0", tol: float = 1e-10, *,
                     model: DiscriminantModel | None = None) -> ActionSet:
     """ActionSet over every pre-gap of the geometry, all read from one
-    window model: `model` if given (it must cover the geometry's padded
-    window, see ``window_model``), else one built for this energy."""
+    discriminant model: `model` if given (it must cover the geometry's
+    window), else ``window_model`` at this energy."""
     if model is None:
-        model = window_model(V, W, geom.energy, geom.energy)
+        model = window_model(bands, W, geom.energy)
     entries = []
     for label in geom.gap_labels:
         s, e = _action(model, W, bands, geom, label, side, tol)

@@ -376,7 +376,8 @@ def cmd_geometry(cfg: RunConfig, seed: int, energy: float | None = None) -> int:
                                           V=cfg.potential_v)
         payload["geometry"] = geom.to_dict()
         if "csv" in cfg.formats:
-            for branch in geometry_mod.real_branches(geom):
+            for label in geom.band_labels:
+                branch = geometry_mod.real_branch(geom, label)
                 name = str(branch.label).replace("+", "p").replace("-", "m")
                 _write_csv(cfg, seed, f"branch_{name}.csv", ["kappa", "zeta"],
                            [[k, zv] for k, zv in branch.table()])
@@ -390,9 +391,8 @@ def cmd_actions(cfg: RunConfig, seed: int) -> int:
                         key=lambda r: r.energy)
     if not admissible:
         return _no_admissible(cfg)
-    # one window model for the whole grid: admissible windows overlap
-    model = actions_mod.window_model(cfg.potential_v, cfg.potential_w,
-                                     admissible[0].energy, admissible[-1].energy)
+    # the lowest energy has the lowest window bottom
+    model = actions_mod.window_model(bands, cfg.potential_w, admissible[0].energy)
     rows = []
     for rep in admissible:
         aset = _actions(cfg, bands, rep, model)

@@ -33,7 +33,6 @@ from .errors import (
 from .hill import (
     BandStructure,
     ComplexDiscriminantModel,
-    DiscriminantModel,
     PeriodicPotential,
     _acos_branch_candidates,
     _track_momentum,
@@ -656,54 +655,21 @@ def _invert_w(W: AnalyticPotential, targets, side: str, xtol: float):
     return bracketed_roots(lambda z: W.value(z) - targets, a, b, xtol)
 
 
-def _band_model(geom: IsoEnergyGeometry, j: int) -> DiscriminantModel:
-    """One discriminant panel over spectral band j, of the degree its
-    resolution check settles on."""
-    band_lo, band_hi = geom.bands.band(j)
-    return DiscriminantModel(geom.V, band_lo, band_hi,
-                             panel_width=max(band_hi - band_lo, 1e-6))
-
-
-def _require_context(geom: IsoEnergyGeometry) -> None:
-    if geom.V is None or geom.W is None or geom.bands is None:
-        raise InvalidInputError("geometry lacks operator context (V, W, bands)")
-
-
-def real_branches(geom: IsoEnergyGeometry,
-                  points: int = 512) -> tuple[RealBranch, ...]:
-    """Real branches on every pre-band of `geom`, in ``band_labels`` order.
-
-    Both sides of a spectral band share one band model.
-    """
-    _require_context(geom)
-    models: dict[int, DiscriminantModel] = {}
-    out = []
-    for label in geom.band_labels:
-        if label.index not in models:
-            models[label.index] = _band_model(geom, label.index)
-        out.append(_real_branch(geom, label, models[label.index], points))
-    return tuple(out)
-
-
 def real_branch(geom: IsoEnergyGeometry, label: BandLabel,
                 points: int = 512) -> RealBranch:
     """Tabulated real branch zeta(kappa) on the pre-band `label`.
 
     Interior nodes invert the quasi-momentum on the spectral band through
-    a Chebyshev model of the discriminant (one panel over the band, of
-    the degree its resolution check settles on), then invert W on the
-    proper half-period, all nodes at once
+    the band scan's discriminant model (``geom.bands.model``), then invert
+    W on the proper half-period, all nodes at once
     (``_numerics.bracketed_roots``); the two endpoints are taken verbatim
     from the branch points so the table is exactly consistent with the
     geometry.
     """
-    _require_context(geom)
+    if geom.W is None or geom.bands is None:
+        raise InvalidInputError("geometry lacks operator context (W, bands)")
     geom.pre_band(label)
-    return _real_branch(geom, label, _band_model(geom, label.index), points)
-
-
-def _real_branch(geom: IsoEnergyGeometry, label: BandLabel,
-                 model: DiscriminantModel, points: int) -> RealBranch:
+    model = geom.bands.model
     j, side = label.index, label.side
     band_lo, band_hi = geom.bands.band(j)
     sgn = (-1.0) ** (j - 1)

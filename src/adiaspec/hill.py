@@ -19,6 +19,7 @@ Conventions
 from __future__ import annotations
 
 import cmath
+import copy
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -327,10 +328,11 @@ class DiscriminantModel:
     node_tol keeps as many coefficients as the degree, or more) is filled
     again at twice the degree, all such panels in one more batch, up to
     ``_PANEL_DEGREE_MAX``; one still unresolved there raises
-    ResolutionFailure.  Used internally wherever
-    many real-energy evaluations are needed (band scans, branch tables,
-    action quadratures).  Piecewise-constant potentials skip the panels:
-    their exact product formula is already cheap.
+    ResolutionFailure.  ``band_edges`` builds one per scan and keeps it on
+    the ``BandStructure``, whose real-energy readers (branch tables,
+    action quadratures, the real-axis quasi-momentum) all share it.
+    Piecewise-constant potentials skip the panels: their exact product
+    formula is already cheap.
 
     An array of energies is summed in one Clenshaw recurrence over all its
     points, each with the coefficients of its own panel (zero-padded to the
@@ -353,36 +355,63 @@ class DiscriminantModel:
             self._panels: list[Chebyshev] = []
             self._bounds = [self.lo, self.hi]
             return
-        npanels = max(1, math.ceil((hi - lo) / panel_width))
-        bounds = np.linspace(lo, hi, npanels + 1)
-        self._bounds = bounds.tolist()
-        domains = np.column_stack([bounds[:-1], bounds[1:]])
-        mid, half = domains.mean(axis=1), 0.5 * np.diff(domains, axis=1)[:, 0]
-        coefs = [None] * npanels
-        todo = np.arange(npanels)
+        bounds = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / panel_width)) + 1)
+        self._set_panels(bounds, self._fill(bounds, degree))
+
+    def _fill(self, bounds: np.ndarray, degree: int) -> list[np.ndarray]:
+        """Chebyshev coefficients of one panel per interval of `bounds`,
+        all panels' nodes in each batched integration."""
+        mid, half = 0.5 * (bounds[:-1] + bounds[1:]), 0.5 * np.diff(bounds)
+        coefs = [None] * len(half)
+        todo = np.arange(len(half))
         while True:
             x = chebpts1(degree + 1)
             values = _discriminant_batch(
-                V, (mid[todo, None] + half[todo, None] * x).ravel(),
-                node_tol).reshape(len(todo), degree + 1)
+                self.V, (mid[todo, None] + half[todo, None] * x).ravel(),
+                self.node_tol).reshape(len(todo), degree + 1)
             fresh = _interpolation_coefficients(values, x)
-            resolved = np.array([_chop(c, node_tol) < degree for c in fresh])
+            resolved = np.array([_chop(c, self.node_tol) < degree for c in fresh])
             for j, c in zip(todo[resolved], fresh[resolved]):
                 coefs[j] = c
             todo = todo[~resolved]
             if not todo.size:
-                break
+                return coefs
             if degree >= _PANEL_DEGREE_MAX:
                 raise ResolutionFailure(
                     f"{todo.size} discriminant panel(s) of width "
                     f"{2.0 * half[todo[0]]:.6g} from E = {bounds[todo[0]]:.6g} "
                     f"still unresolved at degree {degree}")
             degree *= 2
-        self._panels = [Chebyshev(c, domain=d) for c, d in zip(coefs, domains)]
+
+    def _set_panels(self, bounds, coefs) -> None:
+        self._bounds = bounds.tolist()
+        self._panels = [Chebyshev(c, domain=d) for c, d in
+                        zip(coefs, zip(self._bounds[:-1], self._bounds[1:]))]
         # each panel's map of its domain onto [-1, 1], as Chebyshev applies it
         self._maps = np.array([p.mapparms() for p in self._panels])
         self._coef = _columns(coefs)
         self._deriv_coef = None
+
+    def reaching(self, lo: float) -> "DiscriminantModel":
+        """This model where it already reaches down to `lo`; else a new one
+        that keeps every panel of this one bit for bit and adds panels of
+        the default width over [lo - 0.5, self.lo], filled in one batch at
+        the same node_tol (piecewise-constant V only lowers the bound)."""
+        if not math.isfinite(lo):
+            raise InvalidInputError("non-finite energy")
+        if lo >= self.lo:
+            return self
+        out = copy.copy(self)
+        out.lo = lo - 0.5
+        if self.direct:
+            out._bounds = [out.lo, self.hi]
+            return out
+        bounds = np.linspace(out.lo, self.lo,
+                             max(1, math.ceil((self.lo - out.lo) / _PANEL_WIDTH)) + 1)
+        out._set_panels(np.concatenate([bounds, self._bounds[1:]]),
+                        out._fill(bounds, _PANEL_DEGREE)
+                        + [p.coef for p in self._panels])
+        return out
 
     def _check_range(self, lo: float, hi: float) -> None:
         if lo < self.lo - 1e-9 or hi > self.hi + 1e-9:
@@ -577,12 +606,17 @@ class BandStructure:
     Closed gaps appear as exactly repeated edge values.  The edge count is
     odd when the last band is cut off by the ceiling.  ``gap_open[k-1]``
     refers to gap k = (E_{2k}, E_{2k+1}).
+
+    ``model`` is the discriminant model the scan ran on, which every
+    real-energy read after the scan shares.
     """
 
     edges: tuple[float, ...]
     gap_open: tuple[bool, ...]
     ceiling: float
     edge_tol: float
+    model: DiscriminantModel | None = field(default=None, compare=False,
+                                            repr=False)
 
     def __post_init__(self):
         if any(e2 < e1 for e1, e2 in zip(self.edges, self.edges[1:])):
@@ -851,7 +885,7 @@ def band_edges(V: PeriodicPotential, ceiling: float, tol: float = 1e-10) -> Band
     for k in range(1, (len(edges) - 1) // 2 + 1):
         flags.append(edges[2 * k] - edges[2 * k - 1] > tol)
     return BandStructure(edges=tuple(edges), gap_open=tuple(flags),
-                         ceiling=float(ceiling), edge_tol=tol)
+                         ceiling=float(ceiling), edge_tol=tol, model=model)
 
 
 # ---------------------------------------------------------------------------
@@ -927,10 +961,10 @@ def quasimomentum_main(V: PeriodicPotential, bands: BandStructure, E,
     """Main branch of the Bloch quasi-momentum at energy E.
 
     Real energies use the closed forms per spectral region (band, gap,
-    below the spectrum); band edges within `tol` return the exact
-    multiple of pi with the degenerate flag set.  Complex energies are
-    reached by analytic continuation of cos k = trace/2 from an anchor
-    inside a real band, with adaptive path subdivision.  `side` picks the
+    below the spectrum) on ``bands.model``; band edges within `tol` return
+    the exact multiple of pi with the degenerate flag set.  Complex
+    energies are reached by analytic continuation of cos k = trace/2 from
+    an anchor inside a real band, with adaptive path subdivision.  `side` picks the
     boundary value on gap cuts (upper half-plane limit by default).
     """
     if side not in ("+i0", "-i0"):
@@ -948,7 +982,7 @@ def quasimomentum_main(V: PeriodicPotential, bands: BandStructure, E,
             raise CoverageError(
                 f"energy {E_re} above the resolved ceiling {bands.ceiling}"
             )
-        d = discriminant(V, E_re, tol)
+        d = bands.model.reaching(E_re)(E_re)
         if loc[0] == "band":
             n = loc[1]
             arg = ((-1.0) ** (n - 1)) * d / 2.0

@@ -12,11 +12,14 @@ from hypothesis import strategies as st
 from adiaspec import actions as actions_mod
 from adiaspec import (
     ActionSet,
+    AnalyticPotential,
     ConvergenceFailure,
+    DiscriminantModel,
     GapLabel,
     InvalidInputError,
     action_with_error,
     analyze_window,
+    best_window_energy,
     branch_points,
     coefficient_magnitude_window,
     compute_actions,
@@ -132,7 +135,7 @@ def test_looser_quadrature_tol_makes_fewer_integrand_calls(
         V_ref, W_ref, bands_ref, geom_ref, side):
     # the reference integrand alone is resolved by the first rule at any
     # tol; the ripple makes the work depend on the tolerance
-    model = window_model(V_ref, W_ref, geom_ref.energy, geom_ref.energy)
+    model = window_model(bands_ref, W_ref, geom_ref.energy)
     calls, totals = [], []
     for tol in (1e-3, 1e-8):
         rippling = _RipplingModel(model)
@@ -150,28 +153,54 @@ def test_quadrature_tol_must_be_positive(V_ref, W_ref, bands_ref, geom_ref, tol)
         compute_actions(V_ref, W_ref, bands_ref, geom_ref, tol=tol)
 
 
-def test_one_energy_window_model_is_the_geometry_window(V_ref, W_ref, geom_ref):
-    # bit for bit the interval of the per-geometry model it replaced
-    pad = 0.2 * (W_ref.w_plus - W_ref.w_minus) + 1.0
-    model = window_model(V_ref, W_ref, geom_ref.energy, geom_ref.energy)
-    assert model.lo == geom_ref.window[0] - pad
-    assert model.hi == geom_ref.window[1] + pad
+def test_window_model_is_the_scan_model_on_the_reference(V_ref, W_ref,
+                                                        bands_ref, geom_ref):
+    # the reference windows lie inside the band scan's model
+    assert geom_ref.window[0] > bands_ref.model.lo
+    assert bands_ref.model.reaching(geom_ref.window[0]) is bands_ref.model
+    assert window_model(bands_ref, W_ref, geom_ref.energy) is bands_ref.model
 
 
 def test_grid_window_model_covers_every_admissible_window(V_ref, W_ref,
                                                           bands_ref):
     Es = [float(E) for E in np.linspace(4.10, 4.70, 5)]
-    model = window_model(V_ref, W_ref, Es[0], Es[-1])
-    pad = 0.2 * (W_ref.w_plus - W_ref.w_minus) + 1.0
-    assert model.hi - model.lo <= 2 * (W_ref.w_plus - W_ref.w_minus) + 2 * pad
+    model = window_model(bands_ref, W_ref, Es[0])
     for E in Es:
         rep = analyze_window(W_ref, bands_ref, E, 1, 0)
         assert rep.all_ok
         geom = branch_points(W_ref, bands_ref, rep, V=V_ref)
+        lo, hi = geom.window
+        assert model.lo <= lo and hi <= model.hi
         shared = compute_actions(V_ref, W_ref, bands_ref, geom, model=model)
-        own = compute_actions(V_ref, W_ref, bands_ref, geom)
+        own = compute_actions(V_ref, W_ref, bands_ref, geom,
+                              model=DiscriminantModel(V_ref, lo - 0.5, hi + 0.5))
         assert shared.total_action == pytest.approx(own.total_action,
                                                     rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("amplitude", [7.0, 9.0])
+def test_wide_window_extends_the_scan_model(V_ref, bands_ref, amplitude):
+    # W = 7 cos and 9 cos put the window bottom at -4.14 and -8.14, below
+    # the scan's -2.503: the extension fills panels there and keeps the
+    # scan's panels bit for bit
+    W = AnalyticPotential.cosine(amplitude, 0.5)
+    E = best_window_energy(W, bands_ref, 1, 0)
+    geom = branch_points(W, bands_ref, analyze_window(W, bands_ref, E, 1, 0),
+                         V=V_ref)
+    lo, hi = geom.window
+    scan = bands_ref.model
+    assert lo < scan.lo
+    ext = window_model(bands_ref, W, E)
+    assert ext.lo < lo and ext.hi == scan.hi
+    Es = np.concatenate([np.linspace(scan.lo, scan.hi, 1001), scan._bounds])
+    assert ext(Es).tobytes() == scan(Es).tobytes()
+    assert [ext(float(e)) for e in Es] == [scan(float(e)) for e in Es]
+    got = compute_actions(V_ref, W, bands_ref, geom)
+    own = compute_actions(V_ref, W, bands_ref, geom,
+                          model=DiscriminantModel(V_ref, lo - 0.5, hi + 0.5))
+    assert got.labels == own.labels
+    for (_, s_got, _), (_, s_own, _) in zip(got.entries, own.entries):
+        assert s_got == pytest.approx(s_own, rel=1e-12, abs=0.0)
 
 
 def test_action_continuous_in_energy(V_ref, W_ref, bands_ref, E_ref):

@@ -402,23 +402,6 @@ def test_geometry_reference_outputs(tmp_path):
         assert_numeric_fields(out, name)
 
 
-def test_geometry_builds_one_band_model_per_band(tmp_path, monkeypatch):
-    # the reference window holds one band; both of its pre-band tables
-    # come from the same one-panel band model
-    built = []
-    real_init = hill.DiscriminantModel.__init__
-
-    def counted(self, V, lo, hi, **kwargs):
-        built.append(kwargs.get("panel_width"))
-        real_init(self, V, lo, hi, **kwargs)
-
-    monkeypatch.setattr(hill.DiscriminantModel, "__init__", counted)
-    cfg, out = prepare(tmp_path)
-    assert main(["geometry", "--config", cfg]) == 0
-    assert (out / "branch_z1m.csv").exists() and (out / "branch_z1p.csv").exists()
-    assert sum(w is not None for w in built) == 1
-
-
 def test_geometry_energy_override_reports_failed_window(tmp_path):
     cfg, out = prepare(tmp_path)
     assert main(["geometry", "--config", cfg, "--energy", "40.0"]) == 0
@@ -488,11 +471,11 @@ def test_actions_energy_grid_keeps_admissible_energies(tmp_path, bands_ref):
     assert [float(r[0]) for r in rows] == pytest.approx(want, abs=1e-12)
 
 
-@pytest.mark.parametrize("grid", [GRID, {"window": {"energy_grid": "4.1 4.7 11"}}])
-def test_actions_grid_fills_one_window_model(tmp_path, monkeypatch, grid):
-    # two model fills per run: the band scan and one window model shared by
-    # every admissible energy; each action set agrees with the one from a
-    # per-energy model
+def run_counting_fills(tmp_path, monkeypatch, command, overrides=None):
+    """Run `command` on the reference config, counting DiscriminantModel
+    fills; each action set must agree with one read from a fresh model
+    over its own window. Returns the fill count, the action sets and the
+    output directory."""
     builds, results = [], []
     init = hill.DiscriminantModel.__init__
     compute = actions_mod.compute_actions
@@ -504,15 +487,41 @@ def test_actions_grid_fills_one_window_model(tmp_path, monkeypatch, grid):
     monkeypatch.setattr(hill.DiscriminantModel, "__init__",
                         lambda self, *a, **k: builds.append(1) or init(self, *a, **k))
     monkeypatch.setattr(actions_mod, "compute_actions", recording)
-    cfg, out = prepare(tmp_path, grid)
-    assert main(["actions", "--config", cfg]) == 0
-    assert len(builds) == 2
-    assert len(results) == len(csv_rows(out, "actions.csv")[1]) // 2 > 1
-    for args, kwargs, shared in results:
-        own = compute(*args, tol=kwargs["tol"])
+    cfg, out = prepare(tmp_path, overrides)
+    assert main([command, "--config", cfg]) == 0
+    n_builds = len(builds)
+    for (V, W, bands, geom), kwargs, shared in results:
+        lo, hi = geom.window
+        own = compute(V, W, bands, geom, tol=kwargs["tol"],
+                      model=hill.DiscriminantModel(V, lo - 0.5, hi + 0.5))
         assert own.labels == shared.labels
         for (_, s_own, _), (_, s_shared, _) in zip(own.entries, shared.entries):
             assert s_shared == pytest.approx(s_own, rel=1e-11, abs=0.0)
+    return n_builds, results, out
+
+
+def test_geometry_builds_one_band_model_per_band(tmp_path, monkeypatch):
+    # the reference window holds one band; both of its pre-band tables
+    # read the band scan's model, the run's only fill
+    builds, _, out = run_counting_fills(tmp_path, monkeypatch, "geometry")
+    assert (out / "branch_z1m.csv").exists() and (out / "branch_z1p.csv").exists()
+    assert builds == 1
+
+
+@pytest.mark.parametrize("grid", [GRID, {"window": {"energy_grid": "4.1 4.7 11"}}])
+def test_actions_grid_fills_one_window_model(tmp_path, monkeypatch, grid):
+    # one model fill per run: the band scan's, which serves every
+    # admissible energy's actions
+    builds, results, out = run_counting_fills(tmp_path, monkeypatch,
+                                              "actions", grid)
+    assert builds == 1
+    assert len(results) == len(csv_rows(out, "actions.csv")[1]) // 2 > 1
+
+
+def test_verify_fills_one_discriminant_model(tmp_path, monkeypatch):
+    builds, results, _ = run_counting_fills(tmp_path, monkeypatch, "verify")
+    assert builds == 1
+    assert results
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from adiaspec import (
     hill,
     period_index,
     real_branch,
-    real_branches,
     sigma_set,
     strip_clearance,
     strip_model,
@@ -373,11 +372,11 @@ def test_branch_depends_continuously_on_energy(V_ref, W_ref, bands_ref, E_ref):
 
 def brentq_branch_nodes(geom, label, kg):
     """zeta at the interior nodes kg by one brentq in E and one in zeta per
-    node, on the band model real_branch uses; also the clamped nodes."""
+    node, on the band scan's model that real_branch uses; also the clamped
+    nodes."""
     j, side = label.index, label.side
     band_lo, band_hi = geom.bands.band(j)
-    model = DiscriminantModel(geom.V, band_lo, band_hi,
-                              panel_width=max(band_hi - band_lo, 1e-6))
+    model = geom.bands.model
     sgn = (-1.0) ** (j - 1)
     a, b = (0.0, geom.zeta_star) if side == "-" else (geom.zeta_star, TWO_PI)
     pad = 1e-12 * max(1.0, band_hi - band_lo)
@@ -410,7 +409,8 @@ def geom_mix(V_mix, W_ref):
 @pytest.mark.parametrize("which", ["ref", "mix"])
 def test_branch_tables_match_a_brentq_node_loop(which, geom_ref, geom_mix):
     geom = geom_ref if which == "ref" else geom_mix
-    for br in real_branches(geom, points=128):
+    for label in geom.band_labels:
+        br = real_branch(geom, label, points=128)
         kg, table = br.kappa_grid, br.table()[:, 1]
         want, _ = brentq_branch_nodes(geom, br.label, kg[1:-1])
         assert np.max(np.abs(table[1:-1] - want)) <= 1e-12
@@ -430,6 +430,7 @@ def test_branch_table_clamps_edge_nodes_like_the_node_loop(geom_ref):
 
 
 def test_real_branches_share_one_model_per_band(two_band_geometry, monkeypatch):
+    # the tables of both bands read the band scan's one model: no fill
     _, geom = two_band_geometry
     built = []
     real_init = DiscriminantModel.__init__
@@ -439,12 +440,12 @@ def test_real_branches_share_one_model_per_band(two_band_geometry, monkeypatch):
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(DiscriminantModel, "__init__", counted)
-    branches = real_branches(geom, points=64)
+    branches = [real_branch(geom, label, points=64) for label in geom.band_labels]
     assert [b.label for b in branches] == list(geom.band_labels)
-    assert built == [geom.bands.band(1), geom.bands.band(2)]
+    assert built == []
     for br in branches:
-        one = real_branch(geom, br.label, points=64)
-        assert np.array_equal(one.table(), br.table())
+        again = real_branch(geom, br.label, points=64)
+        assert np.array_equal(again.table(), br.table())
 
 
 # ---------------------------------------------------------------------------

@@ -93,11 +93,14 @@ def test_real_energy_gives_real_entries(V_ref, V_kp):
         assert np.max(np.abs(np.imag(M))) < 1e-10
 
 
-def test_non_finite_energy_rejected(V_ref):
+def test_non_finite_energy_rejected(V_ref, bands_ref):
     with pytest.raises(InvalidInputError):
         fundamental_matrix(V_ref, float("nan"))
     with pytest.raises(InvalidInputError):
         fundamental_matrix(V_ref, float("inf"))
+    for E in (float("nan"), -float("inf")):
+        with pytest.raises(InvalidInputError):
+            quasimomentum_main(V_ref, bands_ref, E)
 
 
 def test_piecewise_breakpoint_validation():
@@ -542,6 +545,21 @@ def test_below_spectrum_momentum_is_imaginary(V_ref, bands_ref):
     assert k.imag > 0
     assert 2.0 * cmath.cos(k) == pytest.approx(discriminant(V_ref, -3.0),
                                                abs=1e-8)
+
+
+def test_momentum_below_the_band_scan(V_ref, bands_ref, V_kp, bands_kp):
+    # energies under the scan's model read an extension of it, which
+    # agrees with the scalar discriminant; piecewise-constant V only
+    # lowers the model's bound and stays exact
+    for V, bands in ((V_ref, bands_ref), (V_kp, bands_kp)):
+        for E in (bands.model.lo - 0.3, bands.model.lo - 6.0):
+            k = quasimomentum_main(V, bands, E).value
+            assert k.real == 0.0
+            assert 2.0 * math.cosh(k.imag) == pytest.approx(
+                discriminant(V, E, tol=1e-12), rel=1e-11)
+    ext = bands_kp.model.reaching(-5.0)
+    assert ext.direct and ext.lo < -5.0 and ext.hi == bands_kp.model.hi
+    assert ext(-5.0) == discriminant(V_kp, -5.0)
 
 
 def test_gap_midpoint_against_acosh_oracle(V_ref, bands_ref):

@@ -14,7 +14,7 @@ from adiaspec import (
     PeriodicPotential,
     RealBranch,
     band_edges,
-    real_branches,
+    real_branch,
     tunneling_action,
     window_model,
 )
@@ -50,7 +50,7 @@ def test_kronrod_and_gauss_rules_are_exact_to_their_degree():
 def _half_integrands(V, W, bands, geom):
     """The '+i0' action integrands, both halves of every pre-gap, with
     their u ranges, as ``actions._action`` builds them."""
-    model = window_model(V, W, geom.energy, geom.energy)
+    model = window_model(bands, W, geom.energy)
     for label in geom.gap_labels:
         im_kappa = actions_mod._im_kappa_factory(model, W, bands, geom, label)
         a, b = geom.pre_gap(label)
@@ -96,7 +96,7 @@ def test_unreachable_plus_side_tolerance_exits_numeric(V_ref, W_ref, bands_ref,
 
 
 def test_hermite_and_pchip_match_scipy_on_a_branch_table(geom_ref):
-    br = real_branches(geom_ref, points=128)[0]
+    br = real_branch(geom_ref, geom_ref.band_labels[0], points=128)
     x, y = br.kappa_grid, br.zeta_values
     xs = np.concatenate([x, np.linspace(0.0, math.pi, 4001)])
     scale = np.max(np.abs(y))
