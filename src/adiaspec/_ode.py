@@ -90,9 +90,10 @@ _MAX_STEPS = 5_000_000
 # and most members times segments it integrates side by side; bounds the
 # memory of a batch, and fixes where chunks start whatever the caller's
 # thread count.  cocycle._log_norms, the product kernel of both
-# Lyapunov exponents, reads its factors (cocycle factors, or unit blocks
-# from a direct run's phase model) in chunks of this size too, and folds
-# each chunk into products of stride factors before it renormalises
+# Lyapunov exponents, reads each run's factors (cocycle factors, or unit
+# blocks from a direct run's phase model) in chunks of this size too (of
+# 512, 2048 and 16384, the fastest to read and fold Herman factors), and
+# scans at most this many block products of stride factors at once
 CHUNK = 2048
 # transfer_batch gives up after this many step counts, each one between
 # _MIN_GROWTH and _MAX_GROWTH times the one before

@@ -6,10 +6,11 @@ discrete monodromy picture.  `direct_lyapunov` follows the
 quasi-periodic Schrodinger equation itself over a long window in
 unit-length blocks, the continuous picture; the blocks come from one
 `PhaseModel` of the block map in the slow phase.  Both go through one
-renormalised-product kernel, `_log_norms`, which reads the factors in
-chunks of at most ``_ode.CHUNK`` columns (a, b, c, d), multiplies each
-run of `stride` of them as a pairwise tree (``_ode._fold``) and rescales
-the running product after each run: ``renorm_stride`` cocycle factors,
+renormalised-product kernel, `_log_norms`, over all z samples at once: it
+reads factors in chunks of at most ``_ode.CHUNK`` columns (a, b, c, d),
+multiplies each run of `stride` of them as a pairwise tree
+(``_ode._fold``) and renormalises a batch of these block products by one
+log-depth prefix scan.  The stride is ``renorm_stride`` cocycle factors,
 or a number of unit blocks derived from the phase model's norm bound.
 The bridge is Theta = (eps / 2 pi) theta, plus the model matrix M0 and
 a Herman-type lower-bound checker for families with a dominant
@@ -145,6 +146,8 @@ class CocycleSpec:
             raise InvalidInputError("shift h must be finite")
         object.__setattr__(self, "z_samples",
                            tuple(float(z) for z in self.z_samples))
+        if not all(map(math.isfinite, (self.z0, *self.z_samples))):
+            raise InvalidInputError("z0 and the z samples must be finite")
 
     @property
     def effective_z_samples(self) -> tuple:
@@ -207,52 +210,77 @@ def frequency_from_epsilon(epsilon: float) -> float:
 # cocycle iteration
 
 
-def _log_norms(rows_of, N: int, stride: int) -> list[float]:
-    """Logs of the rescalings of the renormalised product of N 2x2 factors.
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """Frobenius norms of the 2x2 matrices in rows (a, b, c, d); nested
+    hypots where a sum of squares would overflow or underflow."""
+    m = np.abs(rows)
+    s = np.einsum("i...,i...->...", m, m)
+    if 1e-290 < s.min() and s.max() < math.inf:
+        return np.sqrt(s)
+    return np.hypot(np.hypot(m[0], m[1]), np.hypot(m[2], m[3]))
 
-    ``rows_of(n0, n1)`` returns factors n0 <= k < n1 as (4, n) columns
-    (a, b, c, d); it is called for pieces of at most ``_ode.CHUNK`` that
-    start on multiples of `stride`.  Each run of `stride` factors (the
-    last may be shorter) is multiplied into one block product by
-    ``_ode._fold``, a block longer than a chunk piece by piece.  The
-    block products are multiplied in order into a running product of four
-    Python numbers, rescaled to unit Frobenius norm after every block, so
-    there is one log per block and the logs sum to log ||P_N||.
-    DegeneracyError names the factor after which a norm is 0 or not
-    finite (overflow inside a block included).
+
+def _unit(rows: np.ndarray) -> np.ndarray:
+    # times the reciprocal: complex over real divides much more slowly
+    return rows * (1.0 / _norms(rows))
+
+
+def _log_norms(rows_of, zs: tuple, N: int, stride: int) -> np.ndarray:
+    """Logs of the rescalings of the renormalised products of N 2x2
+    factors, one product per run r (phase zs[r]), as (runs, blocks).
+
+    ``rows_of(r, n0, n1)`` returns run r's factors n0 <= k < n1 as (4, n)
+    columns (a, b, c, d), n0 on a multiple of `stride`, n1 - n0 <=
+    ``_ode.CHUNK``.  ``_ode._fold`` makes each run of `stride` factors
+    (the last may be shorter) one block product B_k.  A batch holds whole
+    pieces, q = max(1, ``_ode.CHUNK // stride``) B_k each, of up to
+    ``_ode.CHUNK // q`` runs, at most ``_ode.CHUNK`` B_k in all; the scan S_k <- unit(S_k S_(k-d)), d = 1, 2, 4, ..., makes
+    S_k = unit(B_k ... B_0), and with F a run's unit product before the
+    batch, block k's log is log ||B_k unit(S_(k-1) F)||_F, so the logs sum
+    to log ||P_N||.  DegeneracyError names the factor and the z after
+    which a norm is 0 or not finite.
     """
-    span = max(1, _ode.CHUNK // stride) * stride
-    f11, f12, f21, f22 = 1.0, 0.0, 0.0, 1.0
-    logs: list[float] = []
-    for b0 in range(0, N, span):
-        b1 = min(b0 + span, N)
-        prod = None
-        for n0 in range(b0, b1, _ode.CHUNK):
-            rows = rows_of(n0, min(n0 + _ode.CHUNK, b1))
-            with np.errstate(over="ignore", invalid="ignore"):
-                part = _ode._fold(rows, stride)
-                prod = part if prod is None else _ode._mul(part, prod)
-        for a, b, c, d in zip(*prod.tolist()):
-            f11, f12, f21, f22 = (a * f11 + b * f21, a * f12 + b * f22,
-                                  c * f11 + d * f21, c * f12 + d * f22)
-            try:
-                nrm = math.hypot(abs(f11), abs(f12), abs(f21), abs(f22))
-            except OverflowError:  # |x + iy| of a finite entry overflows
-                nrm = math.inf
-            if not 0.0 < nrm < math.inf:
+    q = max(1, _ode.CHUNK // stride)  # blocks of a piece of factors
+    w, group = q * stride, max(1, _ode.CHUNK // q)
+
+    def products(r: int, p0: int, p1: int) -> np.ndarray:
+        # block products of run r's factors p0 <= k < p1, at most w of them
+        return functools.reduce(lambda x, y: _ode._mul(y, x), (
+            _ode._fold(rows_of(r, n0, min(n0 + _ode.CHUNK, p1)), stride)
+            for n0 in range(p0, p1, _ode.CHUNK)))
+
+    out = np.empty((len(zs), -(-N // stride)))
+    for r0 in range(0, len(zs), group):
+        runs = range(r0, min(r0 + group, len(zs)))
+        span = max(1, _ode.CHUNK // (q * len(runs))) * w  # a run's batch
+        F = np.tile(np.eye(2).reshape(4, 1, 1), (1, len(runs), 1))
+        for b0 in range(0, N, span):
+            b1 = min(b0 + span, N)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                B = np.stack([np.concatenate(
+                    [products(r, p0, min(p0 + w, b1)) for p0 in range(b0, b1, w)],
+                    axis=1) for r in runs], axis=1)
+                S, d = _unit(B), 1
+                while d < S.shape[2]:
+                    S[:, :, d:] = _unit(_ode._mul(S[:, :, d:], S[:, :, :-d]))
+                    d *= 2
+                P = _unit(_ode._mul(S, F))  # P_k = unit(S_k F)
+                nrm = _norms(_ode._mul(B, np.concatenate(
+                    [F, P[:, :, :-1]], axis=2)))
+            for r, k in np.argwhere(~((nrm > 0.0) & (nrm < math.inf)))[:1]:
                 raise DegeneracyError(
-                    f"product has norm {nrm} after factor "
-                    f"{min((len(logs) + 1) * stride, N)}")
-            logs.append(math.log(nrm))
-            f11, f12, f21, f22 = f11 / nrm, f12 / nrm, f21 / nrm, f22 / nrm
-    return logs
+                    f"product has norm {nrm[r, k]} after factor "
+                    f"{min(b0 + (k + 1) * stride, N)} (z={zs[runs[r]]})")
+            out[r0:r0 + len(runs), b0 // stride:-(-b1 // stride)] = np.log(nrm)
+            F = P[:, :, -1:]
+    return out
 
 
 def cocycle_lyapunov(spec: CocycleSpec) -> LyapunovEstimate:
     """theta = lim (1/N) log ||M(z + (N-1)h) ... M(z)||.
 
-    For each z the factors, none singular, go to ``_log_norms`` with
-    stride `renorm_stride`.  With several z samples the estimate is their
+    The factors of every z, none singular, go to one ``_log_norms`` call
+    with stride `renorm_stride`.  With several z samples the estimate is their
     mean and the standard error their spread; with a single z it is the
     spread of per-block growth rates.  N times the number of z samples
     is bounded by ``_COCYCLE_FACTORS_MAX`` before any factor is evaluated.
@@ -264,24 +292,22 @@ def cocycle_lyapunov(spec: CocycleSpec) -> LyapunovEstimate:
             f"N={N} with {len(zs)} z samples is {N * len(zs)} cocycle "
             f"factors, above the limit of {_COCYCLE_FACTORS_MAX}")
 
-    def factors(z: float, n0: int, n1: int) -> np.ndarray:
-        rows = spec.family.rows((z + np.arange(n0, n1) * h) % 1.0)
+    def factors(r: int, n0: int, n1: int) -> np.ndarray:
+        rows = spec.family.rows((zs[r] + np.arange(n0, n1) * h) % 1.0)
         det = rows[0] * rows[3] - rows[1] * rows[2]
         bad = np.flatnonzero(np.abs(det) < 1e-300)
         if bad.size:
             raise DegeneracyError(f"singular matrix in the cocycle "
-                                  f"at step {n0 + bad[0]} (z={z})")
+                                  f"at step {n0 + bad[0]} (z={zs[r]})")
         return rows
 
-    logs = [_log_norms(functools.partial(factors, z), N, stride) for z in zs]
-    blocks = np.concatenate(logs)
-    if len(zs) > 1:
-        samples = [sum(lz) / N for lz in logs]
-    else:
-        samples = blocks / np.minimum(stride, N - stride * np.arange(len(blocks)))
+    logs = _log_norms(factors, zs, N, stride)
+    blocks = logs.ravel()
+    samples = (logs.sum(axis=1) / N if len(zs) > 1 else
+               blocks / np.minimum(stride, N - stride * np.arange(len(blocks))))
     se = (float(np.std(samples, ddof=1) / math.sqrt(len(samples)))
           if len(samples) > 1 else 0.0)
-    return LyapunovEstimate(value=sum(map(sum, logs)) / (N * len(zs)),
+    return LyapunovEstimate(value=float(blocks.sum()) / (N * len(zs)),
                             per_block=blocks, standard_error=se, N_used=N,
                             z_samples=zs)
 
@@ -324,13 +350,13 @@ def direct_lyapunov(V: PeriodicPotential, W, epsilon: float, E: float,
     model.check(nblocks)
     s = max(1, min(64, nblocks // 10,
                    math.floor(350.0 / max(1.0, math.log(model.norm_bound)))))
-    logs = _log_norms(model.blocks, nblocks, s)
-    blocks = np.array(logs)
+    blocks = _log_norms(lambda r, j0, j1: model.blocks(j0, j1), (z,),
+                        nblocks, s)[0]
     sizes = np.minimum(s, nblocks - s * np.arange(len(blocks)))
     slopes = [g.sum() / n.sum() for g, n in zip(np.array_split(blocks, 10),
                                                   np.array_split(sizes, 10))]
     se = float(np.std(slopes, ddof=1) / math.sqrt(len(slopes)))
-    return LyapunovEstimate(value=sum(logs) / nblocks,
+    return LyapunovEstimate(value=float(blocks.sum()) / nblocks,
                             per_block=blocks, standard_error=se,
                             N_used=nblocks, z_samples=(float(z),))
 

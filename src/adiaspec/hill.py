@@ -961,11 +961,13 @@ def quasimomentum_main(V: PeriodicPotential, bands: BandStructure, E,
     """Main branch of the Bloch quasi-momentum at energy E.
 
     Real energies use the closed forms per spectral region (band, gap,
-    below the spectrum) on ``bands.model``; band edges within `tol` return
-    the exact multiple of pi with the degenerate flag set.  Complex
-    energies are reached by analytic continuation of cos k = trace/2 from
-    an anchor inside a real band, with adaptive path subdivision.  `side` picks the
-    boundary value on gap cuts (upper half-plane limit by default).
+    below the spectrum) on ``bands.model``, filled at node_tol =
+    min(1e-12, 1e-2 * the scan's edge tol); there `tol` only snaps band
+    edges within it to the exact multiple of pi, degenerate flag set.
+    Complex energies are reached by analytic continuation of cos k =
+    trace/2, integrated at `tol`, from an anchor inside a real band, with
+    adaptive path subdivision.  `side` picks the boundary value on gap
+    cuts (upper half-plane limit by default).
     """
     if side not in ("+i0", "-i0"):
         raise InvalidInputError(f"side must be '+i0' or '-i0', got {side!r}")

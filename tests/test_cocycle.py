@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from adiaspec import _ode
+from adiaspec import _ode, cocycle
 from adiaspec import (
     AnalyticPotential,
     CocycleSpec,
@@ -211,6 +212,136 @@ def test_determinant_preserved_along_products():
 def test_deterministic_given_spec():
     fam = herman_family(2.0, 1, 0.5, 0.3, 0.05, 0.1, seed=9)
     assert run(fam).value == run(fam).value
+
+
+@pytest.mark.parametrize("z0, zs", [(math.nan, ()), (math.inf, ()),
+                                    (0.0, (0.1, math.nan)),
+                                    (0.0, (-math.inf, 0.5))])
+def test_non_finite_z_rejected_at_construction(z0, zs):
+    fam = herman_family(2.0, 1, 0.5, 0.3, 0.1, 0.1, seed=3)
+    with pytest.raises(InvalidInputError, match="finite"):
+        CocycleSpec(family=fam, h=H_REF, z0=z0, N=100, z_samples=zs)
+
+
+# ---------------------------------------------------------------------------
+# the prefix-scan kernel against a sequential per-block oracle
+
+
+def block_oracle(evaluate, h: float, z: float, N: int, stride: int):
+    """log ||F_k|| of the sequential product renormalised after every
+    block of `stride` factors, one factor at a time, in plain numpy; the
+    norm is taken on F over its largest entry, so blocks past 1e154 keep
+    their squares finite."""
+    F, logs = np.eye(2, dtype=complex), []
+    for b0 in range(0, N, stride):
+        for n in range(b0, min(b0 + stride, N)):
+            F = np.asarray(evaluate((z + n * h) % 1.0), dtype=complex) @ F
+        top = np.abs(F).max()
+        nrm = top * np.linalg.norm(F / top)
+        logs.append(math.log(nrm))
+        F = F / nrm
+    return np.array(logs)
+
+
+SCAN_ZS = (0.13, 0.46, 0.82)
+
+
+@pytest.mark.parametrize("stride", [1, 7, CHUNK + 3, 50000])
+def test_scan_matches_sequential_block_oracle(stride):
+    # 3 CHUNK + 5 factors: three chunk boundaries, a partial last block
+    # for strides 7 and CHUNK + 3, one block for 50000 (lam = 1 keeps it
+    # representable)
+    N = 3 * CHUNK + 5
+    fam = herman_family(1.0, 1, 0.5, 0.3, 0.1, 0.1, seed=8)
+    est = cocycle_lyapunov(CocycleSpec(family=fam, h=H_REF, N=N,
+                                       renorm_stride=stride,
+                                       z_samples=SCAN_ZS))
+    blocks = est.per_block.reshape(len(SCAN_ZS), -1)
+    want = [block_oracle(fam.evaluator, H_REF, z, N, stride)
+            for z in SCAN_ZS]
+    for got, logs in zip(blocks, want):
+        assert got.shape == logs.shape == (math.ceil(N / stride),)
+        assert np.abs(got - logs).max() <= 1e-13 * max(1.0, np.abs(logs).max())
+    theta = math.fsum(np.concatenate(want)) / (N * len(SCAN_ZS))
+    assert abs(est.value - theta) <= 1e-12 * abs(theta)
+
+
+def test_multi_z_run_equals_single_z_runs():
+    N, stride = 3 * CHUNK + 5, 7
+    fam = herman_family(2.0, 1, 0.5, 0.3, 0.1, 0.1, seed=3)
+    many = cocycle_lyapunov(CocycleSpec(family=fam, h=H_REF, N=N,
+                                        renorm_stride=stride,
+                                        z_samples=SCAN_ZS))
+    ones = [run(fam, N=N, z0=z, stride=stride) for z in SCAN_ZS]
+    # one run scans wider batches than three, so only rounding differs
+    assert np.abs(many.per_block - np.concatenate(
+        [e.per_block for e in ones])).max() <= 1e-13
+    assert many.value == pytest.approx(
+        sum(e.value for e in ones) / len(ones), rel=1e-14)
+
+
+def test_blocks_past_the_square_range_keep_finite_norms():
+    # factors of norm ~1e25: each stride-8 block is ~1e200, its entries'
+    # squares overflow, and the norms must not
+    N, stride = 600, 8
+    fam = herman_family(1e25, 1, 0.5, 0.3, 0.1, 0.1, seed=3)
+    est = run(fam, N=N, z0=0.37, stride=stride)
+    logs = block_oracle(fam.evaluator, H_REF, 0.37, N, stride)
+    assert logs.min() > math.log(1e154)
+    assert np.abs(est.per_block - logs).max() <= 1e-13 * np.abs(logs).max()
+    diag = run(constant_family([[1e25, 0.0], [0.0, 1.0]]), N=N, stride=stride)
+    assert np.allclose(diag.per_block, 8 * math.log(1e25), rtol=1e-15, atol=0)
+
+
+def test_degenerate_sample_named_in_a_multi_z_run():
+    # factor 4000 of the middle sample is infinite; its block of 7 ends
+    # after factor 4004, and the other two samples never come near it
+    N, stride, bad = 3 * CHUNK + 5, 7, 0.6
+
+    def rows(z: np.ndarray) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
+        hit = np.abs((z - bad + 0.5) % 1.0 - 0.5) < 1e-9
+        one, zero = np.ones_like(z), np.zeros_like(z)
+        return np.array([np.where(hit, np.inf, 1.0), 0.3 * one, zero, one])
+
+    fam = MatrixFamily(kind="user-table", evaluator=_one_point(rows),
+                       array_evaluator=rows)
+    z_bad = (bad - 4000 * H_REF) % 1.0
+    spec = CocycleSpec(family=fam, h=H_REF, N=N, renorm_stride=stride,
+                       z_samples=(0.13, z_bad, 0.82))
+    with pytest.raises(DegeneracyError,
+                       match=rf"after factor 4004 \(z={z_bad!r}\)"):
+        cocycle_lyapunov(spec)
+
+
+def test_kernel_has_no_per_block_python_loop():
+    # the reference cocycle workload's shape: 8 z samples of 40,000
+    # factors at stride 8, 40,000 blocks; a loop over blocks executes
+    # several lines per block, a scan over batches a few per batch
+    fam = herman_family(3.0, 1, 0.5, 0.3, 0.1, 0.2, seed=7151)
+    spec = CocycleSpec(family=fam, h=H_REF, N=40000, renorm_stride=8,
+                       z_samples=default_z_samples(8))
+    kernel, lines = cocycle._log_norms.__code__, 0
+
+    def count(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return count
+
+    def calls(frame, event, arg):
+        # trace every frame opened while the kernel is on the stack
+        f = frame
+        while f is not None and f.f_code is not kernel:
+            f = f.f_back
+        return None if f is None else count(frame, event, arg)
+
+    sys.settrace(calls)
+    try:
+        est = cocycle_lyapunov(spec)
+    finally:
+        sys.settrace(None)
+    assert len(est.per_block) == 40000
+    assert 0 < lines < len(est.per_block)
 
 
 # ---------------------------------------------------------------------------
