@@ -440,12 +440,10 @@ def cmd_stokes(cfg: RunConfig, seed: int) -> int:
                   if s == "-"]
     rows = []
     traces = []
-    model = geometry_mod.strip_model(cfg.potential_v, cfg.potential_w, rep.energy)
     for idx, start in enumerate(starts):
         line = geometry_mod.trace_stokes_line(
             cfg.potential_v, cfg.potential_w, bands, rep.energy, start,
             family=family, direction=direction, max_length=max_length,
-            model=model,
         )
         traces.append({
             "trace": idx,
@@ -453,6 +451,7 @@ def cmd_stokes(cfg: RunConfig, seed: int) -> int:
             "reason": line.reason,
             "length": line.length,
             "level_drift": line.level_drift(),
+            "fallbacks": line.fallbacks,
         })
         for i, (p, k) in enumerate(zip(line.points, line.kappa)):
             rows.append([idx, i, p.real, p.imag, k.real, k.imag])

@@ -36,11 +36,13 @@ from .hill import (
     PeriodicPotential,
     _acos_branch_candidates,
     _track_momentum,
-    discriminant,
     quasimomentum_main,
 )
 
 TWO_PI = 2.0 * math.pi
+# points of _regular_anchor's scan within pi of its x0; the first step
+# length and the step budget of trace_stokes_line
+_ANCHOR_SAMPLES, _STOKES_STEP0, _STOKES_MAX_STEPS = 257, 5e-3, 20000
 
 
 # ---------------------------------------------------------------------------
@@ -117,15 +119,6 @@ class AnalyticPotential:
         total = np.zeros_like(z, dtype=complex if np.iscomplexobj(z) else float)
         for f, c, s in self.coefficients:
             total = total + (-c * f) * np.sin(f * z) + (s * f) * np.cos(f * z)
-        if z.ndim == 0:
-            return complex(total) if np.iscomplexobj(z) else float(total)
-        return total
-
-    def second_derivative(self, zeta):
-        z = np.asarray(zeta)
-        total = np.zeros_like(z, dtype=complex if np.iscomplexobj(z) else float)
-        for f, c, s in self.coefficients:
-            total = total - (c * f * f) * np.cos(f * z) - (s * f * f) * np.sin(f * z)
         if z.ndim == 0:
             return complex(total) if np.iscomplexobj(z) else float(total)
         return total
@@ -553,7 +546,8 @@ def complex_momentum(V: PeriodicPotential, W: AnalyticPotential,
     or lower half-strip ('-i0', the complex conjugate).  Off-axis points
     are reached by analytic continuation from a real anchor inside a
     nearby pre-band; the path is subdivided adaptively and refuses to
-    cross a branch point.
+    cross a branch point.  Along it the discriminant is read from
+    ``strip_model(bands, W, E, tol)``.
     """
     if side not in ("+i0", "-i0", "off-axis"):
         raise InvalidInputError(
@@ -567,11 +561,12 @@ def complex_momentum(V: PeriodicPotential, W: AnalyticPotential,
                                            tol=tol).value)
         # the lower boundary value is the Schwarz reflection of the upper
         return upper.conjugate() if side == "-i0" else upper
-    anchor = _regular_anchor(V, W, bands, E, z.real, tol)
+    anchor = _regular_anchor(W, bands, E, z.real, tol)
     k0 = quasimomentum_main(V, bands, E - w(anchor).real, tol=tol).value
+    model = strip_model(bands, W, E, tol)
 
     def delta_of(p):
-        return discriminant(V, E - w(p), tol)
+        return model(E - w(p))
 
     try:
         return complex(_track_momentum(delta_of, complex(anchor), complex(k0), z))
@@ -582,10 +577,9 @@ def complex_momentum(V: PeriodicPotential, W: AnalyticPotential,
         return complex(_track_momentum(delta_of, way, k_mid, z))
 
 
-def _regular_anchor(V, W, bands, E, x0: float, tol: float,
-                    halfwidth: float = math.pi, samples: int = 257) -> float:
+def _regular_anchor(W, bands, E, x0: float, tol: float) -> float:
     """Real zeta near x0 whose local energy sits well inside a band."""
-    grid = x0 + np.linspace(-halfwidth, halfwidth, samples)
+    grid = x0 + np.linspace(-math.pi, math.pi, _ANCHOR_SAMPLES)
     w = W.evaluator()
     best, best_score = None, -math.inf
     for z in grid.tolist():
@@ -631,10 +625,6 @@ class RealBranch:
         # exact slopes, where given, keep full interpolation order at the
         # flat endpoints, where kappa resolves a square root of zeta
         self._interp = CubicHermite(kappa_grid, zeta_values, derivatives)
-
-    @property
-    def endpoints(self) -> tuple[float, float]:
-        return float(self.zeta_values[0]), float(self.zeta_values[-1])
 
     def __call__(self, kappa):
         k = np.asarray(kappa, dtype=float)
@@ -715,7 +705,7 @@ class StokesLine:
     ``points``/``kappa`` sample the accepted nodes, ``mids``/``mid_kappa``
     the step midpoints (used for Simpson-type level integration).  `reason`
     records why tracing stopped; `fallbacks` counts the discriminant values
-    the complex-energy model left to the scalar integrator.
+    the trace's strip panel left to the scalar integrator.
     """
 
     family: str
@@ -759,24 +749,24 @@ class StokesLine:
         return float(np.max(np.abs(vals))) if len(vals) else 0.0
 
 
-def strip_model(V: PeriodicPotential, W: AnalyticPotential, E: float,
+def strip_model(bands: BandStructure, W: AnalyticPotential, E: float,
                 tol: float = 1e-9) -> ComplexDiscriminantModel:
     """Discriminant model at every E - W(zeta) of the strip |Im zeta| <= Y:
-    one panel over the real projection of those energies."""
+    one panel over the real projection of those energies, re-sampled from
+    the band scan's model (``bands.model``)."""
     Y = W.strip_half_width
     # |Re (c cos f zeta + s sin f zeta)| <= hypot(c, s) cosh(f Y) on the strip
     center = E - sum(c for f, c, _ in W.coefficients if f == 0)
     reach = sum(math.hypot(c, s) * math.cosh(f * Y)
                 for f, c, s in W.coefficients if f > 0)
-    return ComplexDiscriminantModel(V, center - reach, center + reach, tol)
+    return ComplexDiscriminantModel(bands.model, center - reach,
+                                    center + reach, tol)
 
 
 def trace_stokes_line(V: PeriodicPotential, W: AnalyticPotential,
                       bands: BandStructure, E: float, start,
                       family: str = "kappa", direction: int = 1,
-                      max_length: float = 2.0, *, tol: float = 1e-9,
-                      step0: float = 5e-3, max_steps: int = 20000,
-                      model: ComplexDiscriminantModel | None = None) -> StokesLine:
+                      max_length: float = 2.0, *, tol: float = 1e-9) -> StokesLine:
     """Trace the level line of Im int (kappa - shift) d zeta through `start`.
 
     The curve solves d zeta / ds = conj(kappa(zeta) - shift) normalized to
@@ -786,13 +776,12 @@ def trace_stokes_line(V: PeriodicPotential, W: AnalyticPotential,
     Tracing stops at the strip boundary, near a branch point, at
     `max_length`, or when the tangent field stalls.
 
-    The discriminant at E - W(zeta) comes from `model`, or if none is
-    given from ``strip_model(V, W, E, tol)``: one bounded Chebyshev panel
-    over the real projection of E - W(strip), which falls back to the
-    scalar integrator wherever its error bound exceeds its `tol`.  Traces
-    at one energy can share the model; ``fallbacks`` counts this trace's.
-    Each accepted step evaluates it 12 times: every point is evaluated
-    once, and the end of a step serves the start of the next.
+    The discriminant at E - W(zeta) comes from the trace's own
+    ``strip_model(bands, W, E, tol)``, a bounded Chebyshev panel that
+    falls back to the scalar integrator wherever its error bound exceeds
+    `tol`; ``fallbacks`` counts those points.  Each accepted step
+    evaluates it 12 times: every point is evaluated once, and the end of
+    a step serves the start of the next.
     """
     if family not in ("kappa", "kappa-pi"):
         raise InvalidInputError(f"unknown family {family!r}")
@@ -821,22 +810,18 @@ def trace_stokes_line(V: PeriodicPotential, W: AnalyticPotential,
             "cannot start a level line at a branch point"
         )
 
-    if model is None:
-        model = strip_model(V, W, E, tol)
-    fallbacks0 = model.fallbacks
+    model = strip_model(bands, W, E, tol)
     w = W.evaluator()
 
     def delta_of(p: complex):
         return model(E - w(p))
 
-    anchor = _regular_anchor(V, W, bands, E, z0.real, tol)
+    anchor = _regular_anchor(W, bands, E, z0.real, tol)
     k0 = quasimomentum_main(V, bands, E - w(anchor).real, tol=tol).value
-    if z0.imag == 0.0:
-        k_cur = _track_momentum(delta_of, complex(anchor), complex(k0), z0)
-    else:
-        way = complex(anchor, z0.imag)
-        k_mid = _track_momentum(delta_of, complex(anchor), complex(k0), way)
-        k_cur = _track_momentum(delta_of, way, k_mid, z0)
+    # vertically off the axis, then level to the start
+    way = complex(anchor, z0.imag)
+    k_mid = _track_momentum(delta_of, complex(anchor), complex(k0), way)
+    k_cur = _track_momentum(delta_of, way, k_mid, z0)
 
     def tangent(d: complex, k_ref: complex):
         k = _acos_branch_candidates(d / 2.0, k_ref)
@@ -866,10 +851,10 @@ def trace_stokes_line(V: PeriodicPotential, W: AnalyticPotential,
     mids: list[complex] = []
     mid_ks: list[complex] = []
     hs: list[float] = []
-    h = step0
+    h = _STOKES_STEP0
     length = 0.0
     reason = "step-limit"
-    for _ in range(max_steps):
+    for _ in range(_STOKES_MAX_STEPS):
         if length >= max_length:
             reason = "max-length"
             break
@@ -915,7 +900,7 @@ def trace_stokes_line(V: PeriodicPotential, W: AnalyticPotential,
         points=np.array(pts), kappa=np.array(ks),
         mids=np.array(mids), mid_kappa=np.array(mid_ks),
         steps=np.array(hs), length=length, reason=reason,
-        fallbacks=model.fallbacks - fallbacks0,
+        fallbacks=model.fallbacks,
     )
 
 

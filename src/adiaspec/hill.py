@@ -517,55 +517,57 @@ def _chop(coeffs: np.ndarray, tol: float) -> int:
     return max(int(np.argmin(cc)), 1)
 
 
-# node accuracy and the fill degrees tried, in order, by the complex model
-_STRIP_NODE_TOL = 1e-12
+# the fill degrees tried, in order, by the complex model
 _STRIP_DEGREES = (32, 64, 128, 256)
 
 
 class ComplexDiscriminantModel:
     """The discriminant at complex energies near a real interval [lo, hi].
 
-    One Chebyshev panel over [lo, hi], filled at real nodes in one batched
-    integration (``_discriminant_batch`` at node_tol = 1e-12) and chopped
-    at the noise plateau of its coefficients (``_chop``), is summed by
-    complex Clenshaw.  The fill starts at degree 32 and doubles, up to 256,
-    until the series reaches its plateau.  Each value carries the
-    a-posteriori bound (Trefethen, *Approximation Theory and Approximation
-    Practice*, ch. 8)
+    One Chebyshev panel over [lo, min(hi, model.hi)], its nodes read from
+    the band scan's real-axis model (``model.reaching(lo)``, so nothing
+    is integrated unless lo is below the scan) and chopped at the noise
+    plateau of its coefficients (``_chop`` at ``model.node_tol``), is
+    summed by complex Clenshaw.  The panel starts at degree 32 and
+    doubles, up to 256, until the series reaches its plateau.  Each value
+    carries the a-posteriori bound (Trefethen, *Approximation Theory and
+    Approximation Practice*, ch. 8)
 
         eta * sum_{n <= N} rho^n + sum_{N < n <= degree} |c_n| rho^n,
 
     with rho the parameter of the Bernstein ellipse through the energy, N
-    the kept degree, eta the coefficient error implied by the node error
-    and the dropped coefficients c_n as the tail.  Where the bound exceeds
-    tol * max(1, |value|) the scalar ``discriminant`` at `tol` is returned
-    instead and counted in ``fallbacks``.  A panel that has not reached its
-    plateau at degree 256 is not used at all, and piecewise-constant
-    potentials keep their exact product route.
+    the kept degree, eta the coefficient error implied by node_tol and the
+    dropped coefficients c_n as the tail.  Where the bound exceeds
+    tol * max(1, |value|), as above the scan's reach, the scalar
+    ``discriminant`` at `tol` is returned instead and counted in
+    ``fallbacks``.  A panel that has not reached its plateau at degree 256
+    is not used at all, and piecewise-constant potentials keep their exact
+    product route.
     """
 
-    def __init__(self, V: PeriodicPotential, lo: float, hi: float, tol: float):
+    def __init__(self, model: DiscriminantModel, lo, hi, tol: float):
         if not (hi > lo):
             raise InvalidInputError("empty model interval")
-        self.V = V
+        self.V = model.V
         self.tol = tol
-        self.exact = V.kind == "piecewise-constant"
+        self.exact = model.direct
         self.fallbacks = 0
-        self._mid, self._half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         self._coef: list[float] = []
         self._weights: list[float] = []
-        if self.exact:
+        hi = min(hi, model.hi)
+        if self.exact or not hi > lo:
             return
+        model = model.reaching(lo)
+        self._mid, self._half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         for degree in _STRIP_DEGREES:
             x = chebpts1(degree + 1)
-            values = _discriminant_batch(V, self._mid + self._half * x,
-                                         _STRIP_NODE_TOL)
+            values = model(self._mid + self._half * x)
             coef = _interpolation_coefficients(values, x)
-            keep = _chop(coef, _STRIP_NODE_TOL)
+            keep = _chop(coef, model.node_tol)
             if keep <= degree:
                 # interpolation coefficients are node sums weighted by
                 # |T_n| <= 1, so each is off by at most twice the node error
-                eta = 2.0 * _STRIP_NODE_TOL * max(1.0, float(np.max(np.abs(values))))
+                eta = 2.0 * model.node_tol * max(1.0, float(np.max(np.abs(values))))
                 self._coef = coef[:keep].tolist()
                 self._weights = [eta] * keep + np.abs(coef[keep:]).tolist()
                 return
@@ -898,7 +900,6 @@ class QuasiMomentumValue:
 
     value: complex
     energy: complex
-    branch_tag: str = "main"
     at_edge: bool = False
 
 
@@ -918,8 +919,12 @@ def _acos_branch_candidates(w: complex, k_ref: complex) -> complex:
     return best
 
 
-def _track_momentum(delta_of, z_from: complex, k_from: complex, z_to: complex,
-                    max_nesting: int = 60, max_steps: int = 100000) -> complex:
+# _track_momentum's subdivision depth and step budget
+_TRACK_MAX_NESTING, _TRACK_MAX_STEPS = 60, 100000
+
+
+def _track_momentum(delta_of, z_from: complex, k_from: complex,
+                    z_to: complex) -> complex:
     """Continue cos k = delta/2 along the straight segment z_from -> z_to.
 
     Subdivides until both the discriminant and k move slowly per step, so
@@ -935,13 +940,13 @@ def _track_momentum(delta_of, z_from: complex, k_from: complex, z_to: complex,
     steps = 0
     while stack:
         steps += 1
-        if steps > max_steps:
+        if steps > _TRACK_MAX_STEPS:
             raise PathError("continuation exceeded its step budget")
         target = stack[-1]
         d_there = delta_of(target)
         k_cand = _acos_branch_candidates(d_there / 2.0, k)
         if abs(d_there - d_here) > 0.5 or abs(k_cand - k) > 0.5:
-            if len(stack) >= max_nesting or abs(target - z) < 1e-13 * scale:
+            if len(stack) >= _TRACK_MAX_NESTING or abs(target - z) < 1e-13 * scale:
                 if abs(target.imag) < 1e-9 * scale:
                     raise CutCrossingError(
                         "continuation stalled on the real axis: the target "

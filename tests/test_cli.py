@@ -547,36 +547,43 @@ def test_stokes_reference_traces(tmp_path):
     assert_numeric_fields(out, "stokes.csv")
 
 
-def test_stokes_traces_share_one_strip_model(tmp_path, monkeypatch):
-    # the two default starts read the discriminant from one strip model: the
-    # run makes exactly the batched fills of one ComplexDiscriminantModel
-    fills, filling = [], []
-    init = hill.ComplexDiscriminantModel.__init__
-    batch = hill._discriminant_batch
-
-    def counting_init(self, *args, **kwargs):
-        filling.append(1)
-        try:
-            init(self, *args, **kwargs)
-        finally:
-            filling.pop()
-
-    def counting_batch(V, energies, tol):
-        if filling:
-            fills.append(len(energies))
-        return batch(V, energies, tol)
-
-    monkeypatch.setattr(hill.ComplexDiscriminantModel, "__init__", counting_init)
-    monkeypatch.setattr(hill, "_discriminant_batch", counting_batch)
+def test_stokes_integrates_nothing_after_the_band_scan(tmp_path, monkeypatch):
+    # each trace's strip panel is re-sampled from the scan's model: the
+    # run's batched and scalar integrations are exactly those of the band
+    # scan alone
+    calls = []
+    for owner, name in ((_ode, "transfer_batch"), (_ode, "propagate"),
+                        (hill, "discriminant")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, _real=real, _name=name, **k:
+                            calls.append(_name) or _real(*a, **k))
     cfg, out = prepare(tmp_path)
     assert main(["stokes", "--config", cfg]) == 0
-    doc = load_json(out, "stokes.json")["result"]
-    assert len(doc["traces"]) == 2
-    run_fills = list(fills)
-    fills.clear()
+    assert len(load_json(out, "stokes.json")["result"]["traces"]) == 2
+    run = list(calls)
+    calls.clear()
     c = load_config(cfg)
-    geometry.strip_model(c.potential_v, c.potential_w, doc["energy"])
-    assert run_fills == fills != []
+    hill.band_edges(c.potential_v, c.ceiling, tol=c.tol_edge)
+    assert run == calls
+    assert "transfer_batch" in calls and "discriminant" in calls
+
+
+def test_stokes_json_counts_each_trace_fallbacks(tmp_path, monkeypatch):
+    # the reference traces stay on the panel; with its bound refused every
+    # trace hands points to the scalar integrator and says how many
+    cfg, out = prepare(tmp_path)
+    assert main(["stokes", "--config", cfg]) == 0
+    traces = load_json(out, "stokes.json")["result"]["traces"]
+    assert [tr["fallbacks"] for tr in traces] == [0, 0]
+    monkeypatch.setattr(hill.ComplexDiscriminantModel, "bound",
+                        lambda self, E: (complex("nan"), math.inf))
+    refused = tmp_path / "refused"
+    refused.mkdir()
+    cfg, out = prepare(refused)
+    assert main(["stokes", "--config", cfg]) == 0
+    traces = load_json(out, "stokes.json")["result"]["traces"]
+    assert len(traces) == 2
+    assert all(tr["fallbacks"] > 0 for tr in traces)
 
 
 @pytest.mark.parametrize("command", ["actions", "stokes"])

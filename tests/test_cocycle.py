@@ -335,11 +335,13 @@ def test_kernel_has_no_per_block_python_loop():
             f = f.f_back
         return None if f is None else count(frame, event, arg)
 
+    # a tracer already installed (a coverage run) is put back afterwards
+    outer = sys.gettrace()
     sys.settrace(calls)
     try:
         est = cocycle_lyapunov(spec)
     finally:
-        sys.settrace(None)
+        sys.settrace(outer)
     assert len(est.per_block) == 40000
     assert 0 < lines < len(est.per_block)
 

@@ -23,17 +23,18 @@ from adiaspec import (
     DegeneratePointError,
     DiscriminantModel,
     InvalidInputError,
+    PathError,
     analyze_window,
     band_edges,
     best_window_energy,
     branch_points,
     complex_momentum,
+    geometry,
     hill,
     period_index,
     real_branch,
     sigma_set,
     strip_clearance,
-    strip_model,
     trace_stokes_line,
 )
 
@@ -291,6 +292,53 @@ def test_momentum_conjugation_symmetry(V_ref, W_ref, bands_ref, E_ref,
         assert k == kc.conjugate()
 
 
+def test_off_axis_momentum_reads_the_strip_panel(V_ref, W_ref, bands_ref,
+                                                 E_ref, geom_ref, monkeypatch):
+    # off the axis the continuation reads the panel re-sampled from the
+    # band scan's model, with no scalar discriminant, and lands on the
+    # continuation of the scalar discriminant at tol 1e-13
+    _, (lo, hi) = geom_ref.pre_gaps[1]
+    zs = (complex(0.5 * (lo + hi) + 0.1, 0.07),
+          complex(0.5 * (lo + hi) - 0.2, 0.21))
+    calls = []
+    real = hill.discriminant
+    monkeypatch.setattr(hill, "discriminant",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    got = [complex_momentum(V_ref, W_ref, bands_ref, E_ref, z) for z in zs]
+    assert calls == []
+    monkeypatch.setattr(hill.ComplexDiscriminantModel, "bound",
+                        lambda self, E: (complex("nan"), math.inf))
+    for z, k in zip(zs, got):
+        scalar = complex_momentum(V_ref, W_ref, bands_ref, E_ref, z, tol=1e-13)
+        assert abs(k - scalar) < 1e-12
+    assert calls
+
+
+def test_off_axis_momentum_detours_vertically_around_a_refused_path(
+        V_ref, W_ref, bands_ref, E_ref, geom_ref, monkeypatch):
+    # when the straight path from the anchor is refused, the continuation
+    # climbs vertically from the anchor and then runs level to the point;
+    # at a regular point both paths give the same value
+    _, (lo, hi) = geom_ref.pre_gaps[1]
+    z = complex(0.5 * (lo + hi) + 0.1, 0.07)
+    straight = complex_momentum(V_ref, W_ref, bands_ref, E_ref, z)
+    track = geometry._track_momentum
+    calls = []
+
+    def refuse_first(*args):
+        calls.append(args[1:])
+        if len(calls) == 1:
+            raise PathError("refused for the test")
+        return track(*args)
+
+    monkeypatch.setattr(geometry, "_track_momentum", refuse_first)
+    detour = complex_momentum(V_ref, W_ref, bands_ref, E_ref, z)
+    (a0, _, z0), (a1, _, way), (w2, _, z2) = calls
+    assert a1 == a0 and z0 == z2 == z
+    assert way == w2 == complex(a0.real, z.imag)
+    assert abs(detour - straight) < 1e-12
+
+
 def test_free_momentum_closed_form(V_zero):
     bands = band_edges(V_zero, 42.0)
     W = AnalyticPotential.cosine(0.5, 0.5)
@@ -485,35 +533,6 @@ def test_level_line_to_the_strip_edge_falls_back_to_the_scalar_route(
     assert len(scalar.points) == len(line.points)
     assert np.max(np.abs(scalar.points - line.points)) < 1e-8
     assert np.max(np.abs(scalar.kappa - line.kappa)) < 1e-6
-
-
-def test_traces_sharing_a_strip_model_count_their_own_fallbacks(
-        V_ref, W_ref, bands_ref, E_ref, geom_ref, monkeypatch):
-    # one strip model serves traces from several starts exactly as a model
-    # of their own would; with the panel refused during the first trace
-    # only, that trace alone reports fallbacks
-    z1m = geom_ref.branch_zetas[0][2]
-    _, (lo, hi) = geom_ref.pre_gaps[1]
-    starts = (complex(z1m, -0.02), complex(0.5 * (lo + hi) + 0.2, 0.12))
-    args = (V_ref, W_ref, bands_ref, E_ref)
-    model = strip_model(V_ref, W_ref, E_ref)
-    for start in starts:
-        own = trace_stokes_line(*args, start, max_length=0.1)
-        shared = trace_stokes_line(*args, start, max_length=0.1, model=model)
-        assert shared.points.tobytes() == own.points.tobytes()
-        assert shared.kappa.tobytes() == own.kappa.tobytes()
-        assert shared.fallbacks == own.fallbacks == 0
-    bound = hill.ComplexDiscriminantModel.bound
-    refuse = [True]
-    monkeypatch.setattr(hill.ComplexDiscriminantModel, "bound",
-                        lambda self, E: (complex("nan"), math.inf) if refuse[0]
-                        else bound(self, E))
-    first = trace_stokes_line(*args, starts[0], max_length=0.1, model=model)
-    refuse[0] = False
-    second = trace_stokes_line(*args, starts[1], max_length=0.1, model=model)
-    assert first.fallbacks > 0
-    assert second.fallbacks == 0
-    assert model.fallbacks == first.fallbacks
 
 
 def test_stokes_step_evaluates_the_discriminant_twelve_times(V_zero,

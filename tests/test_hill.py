@@ -344,8 +344,8 @@ STRIP_E, STRIP_REACH = 4.4, 4.8 * math.cosh(0.5)
 
 
 @pytest.fixture(scope="module")
-def strip_model(V_ref):
-    return ComplexDiscriminantModel(V_ref, STRIP_E - STRIP_REACH,
+def strip_model(bands_ref):
+    return ComplexDiscriminantModel(bands_ref.model, STRIP_E - STRIP_REACH,
                                     STRIP_E + STRIP_REACH, tol=1e-9)
 
 
@@ -375,8 +375,8 @@ def test_complex_model_falls_back_deep_in_the_strip(V_ref, strip_model):
     assert strip_model.fallbacks == before + 1
 
 
-def test_complex_model_keeps_the_exact_piecewise_route(V_kp):
-    model = ComplexDiscriminantModel(V_kp, 0.0, 12.0, tol=1e-9)
+def test_complex_model_keeps_the_exact_piecewise_route(V_kp, bands_kp):
+    model = ComplexDiscriminantModel(bands_kp.model, 0.0, 12.0, tol=1e-9)
     for E in (3.0 + 0.05j, 9.0 - 2.0j):
         assert model(E) == discriminant(V_kp, E, tol=1e-9)
         assert model(E) == pytest.approx(kp_discriminant(KP_SEGMENTS, E),
@@ -583,6 +583,33 @@ def test_momentum_inverts_discriminant_at_random_points(V_ref, bands_ref):
         k = quasimomentum_main(V_ref, bands_ref, E).value
         assert 2.0 * cmath.cos(k) == pytest.approx(discriminant(V_ref, E),
                                                    abs=1e-8)
+
+
+@pytest.mark.parametrize("E", [2.0 + 0.3j, 7.0 + 1.0j, -2.5 + 0.2j,
+                               20.0 + 3.0j])
+def test_complex_energy_momentum_continues_the_main_branch(V_ref, bands_ref,
+                                                           E):
+    # off the axis k continues cos k = trace/2 from a band anchor: it solves
+    # the dispersion relation, stays in the upper half-plane and is
+    # Schwarz symmetric
+    k = quasimomentum_main(V_ref, bands_ref, E).value
+    delta = discriminant(V_ref, E, tol=1e-13)
+    assert abs(2.0 * cmath.cos(k) - delta) <= 1e-9 * max(1.0, abs(delta))
+    assert k.imag > 0
+    assert quasimomentum_main(V_ref, bands_ref, E.conjugate()).value \
+        == k.conjugate()
+
+
+def test_complex_energy_momentum_meets_the_gap_boundary_value(V_ref,
+                                                              bands_ref):
+    # inside a gap the continuation from above approaches the '+i0' value
+    # linearly in Im E
+    mid = 0.5 * (bands_ref.edges[1] + bands_ref.edges[2])
+    upper = quasimomentum_main(V_ref, bands_ref, mid, side="+i0").value
+    dist = [abs(quasimomentum_main(V_ref, bands_ref, complex(mid, eta)).value
+                - upper) for eta in (1e-2, 1e-4, 1e-6)]
+    assert dist[0] > dist[1] > dist[2]
+    assert dist[2] < 1e-7
 
 
 # ---------------------------------------------------------------------------
