@@ -26,7 +26,7 @@ from .errors import (
     InvalidInputError,
 )
 from .geometry import AnalyticPotential, GapLabel, IsoEnergyGeometry
-from .hill import BandStructure, DiscriminantModel, PeriodicPotential
+from .hill import BandStructure, DiscriminantModel
 
 FOUR_PI = 4.0 * math.pi
 
@@ -102,10 +102,10 @@ def window_model(bands: BandStructure, W: AnalyticPotential,
     """The band scan's discriminant model, reaching down to the bottom
     E_lo - w_plus of the window at E_lo; a3 puts a resolved band edge
     above every window top, so only a window bottom can leave the scan."""
-    return bands.model.reaching(E_lo - W.w_plus)
+    return bands.discriminant_model().reaching(E_lo - W.w_plus)
 
 
-def _im_kappa_factory(model: DiscriminantModel, W, bands, geom, label: GapLabel):
+def _im_kappa_factory(model: DiscriminantModel, geom, label: GapLabel):
     """Integrand Im kappa(zeta + i0) on the pre-gap, with branch validation;
     zeta is one point or an array of points.
 
@@ -113,8 +113,8 @@ def _im_kappa_factory(model: DiscriminantModel, W, bands, geom, label: GapLabel)
     index (below the spectrum for index 0) at every point; leaving it
     means the wrong branch or a broken geometry, not a quadrature problem.
     """
-    E = geom.energy
-    gap_lo, gap_hi = bands.gap(label.index)
+    E, W = geom.energy, geom.W
+    gap_lo, gap_hi = geom.bands.gap(label.index)
     slack = 1e-9 * max(1.0, abs(E))
 
     def im_kappa(zeta):
@@ -134,11 +134,10 @@ def _im_kappa_factory(model: DiscriminantModel, W, bands, geom, label: GapLabel)
     return im_kappa
 
 
-def tunneling_action(V: PeriodicPotential, W: AnalyticPotential,
-                     bands: BandStructure, geom: IsoEnergyGeometry,
-                     label: GapLabel, side: str = "+i0",
-                     tol: float = 1e-10) -> float:
-    """S(g) = 2 * integral of Im kappa(zeta + i0) over the pre-gap.
+def tunneling_action(geom: IsoEnergyGeometry, label: GapLabel,
+                     side: str = "+i0", tol: float = 1e-10) -> float:
+    """S(g) = 2 * integral of Im kappa(zeta + i0) over the pre-gap, for the
+    operator the geometry was built from (``geom.W``, ``geom.bands``).
 
     The integrand vanishes like a square root at both endpoints, so each
     half-interval is mapped by zeta = endpoint +- u**2 before quadrature:
@@ -148,19 +147,20 @@ def tunneling_action(V: PeriodicPotential, W: AnalyticPotential,
     value, sign flipped back, Gauss-Legendre panel doubling) used for
     cross-checking.
     """
-    value, _ = action_with_error(V, W, bands, geom, label, side=side, tol=tol)
+    value, _ = action_with_error(geom, label, side=side, tol=tol)
     return value
 
 
-def action_with_error(V, W, bands, geom, label: GapLabel, side: str = "+i0",
-                      tol: float = 1e-10) -> tuple[float, float]:
+def action_with_error(geom: IsoEnergyGeometry, label: GapLabel,
+                      side: str = "+i0", tol: float = 1e-10) -> tuple[float, float]:
+    """(S, quadrature error) of one pre-gap, as ``tunneling_action``."""
     if label not in geom.gap_labels:
         raise InvalidInputError(f"{label} is not a pre-gap of this geometry")
-    return _action(window_model(bands, W, geom.energy), W, bands, geom,
+    return _action(window_model(geom.bands, geom.W, geom.energy), geom,
                    label, side, tol)
 
 
-def _action(model, W, bands, geom, label: GapLabel,
+def _action(model, geom, label: GapLabel,
             side: str, tol: float) -> tuple[float, float]:
     """(S, quadrature error) of one pre-gap through a window model."""
     if not (math.isfinite(tol) and tol > 0):
@@ -171,7 +171,7 @@ def _action(model, W, bands, geom, label: GapLabel,
     a, b = geom.pre_gap(label)
     if not b > a:
         raise InvalidInputError(f"pre-gap {label} has no interior")
-    im_kappa = _im_kappa_factory(model, W, bands, geom, label)
+    im_kappa = _im_kappa_factory(model, geom, label)
     mid = 0.5 * (a + b)
     if side == "+i0":
         total, err = 0.0, 0.0
@@ -231,18 +231,17 @@ def _gauss_doubling(f, a: float, b: float, rtol: float = 1e-12,
         f"after {max_level} levels, above rtol {rtol:.3g}", achieved=diff)
 
 
-def compute_actions(V: PeriodicPotential, W: AnalyticPotential,
-                    bands: BandStructure, geom: IsoEnergyGeometry,
-                    side: str = "+i0", tol: float = 1e-10, *,
+def compute_actions(geom: IsoEnergyGeometry, side: str = "+i0",
+                    tol: float = 1e-10, *,
                     model: DiscriminantModel | None = None) -> ActionSet:
     """ActionSet over every pre-gap of the geometry, all read from one
     discriminant model: `model` if given (it must cover the geometry's
     window), else ``window_model`` at this energy."""
     if model is None:
-        model = window_model(bands, W, geom.energy)
+        model = window_model(geom.bands, geom.W, geom.energy)
     entries = []
     for label in geom.gap_labels:
-        s, e = _action(model, W, bands, geom, label, side, tol)
+        s, e = _action(model, geom, label, side, tol)
         entries.append((label, s, e))
     total = sum(v for _, v, _ in entries)
     return ActionSet(energy=geom.energy, entries=tuple(entries),

@@ -339,10 +339,8 @@ def _best(reports):
 
 def _actions(cfg: RunConfig, bands, report,
              model=None) -> actions_mod.ActionSet:
-    geom = geometry_mod.branch_points(cfg.potential_w, bands, report,
-                                      V=cfg.potential_v)
-    return actions_mod.compute_actions(cfg.potential_v, cfg.potential_w, bands,
-                                       geom, tol=cfg.tol_quad, model=model)
+    geom = geometry_mod.branch_points(cfg.potential_w, bands, report)
+    return actions_mod.compute_actions(geom, tol=cfg.tol_quad, model=model)
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +370,7 @@ def cmd_geometry(cfg: RunConfig, seed: int, energy: float | None = None) -> int:
     report = _best(reports) or reports[0]
     payload: dict = {"window_report": report.to_dict()}
     if report.all_ok:
-        geom = geometry_mod.branch_points(cfg.potential_w, bands, report,
-                                          V=cfg.potential_v)
+        geom = geometry_mod.branch_points(cfg.potential_w, bands, report)
         payload["geometry"] = geom.to_dict()
         if "csv" in cfg.formats:
             for label in geom.band_labels:
@@ -418,7 +415,7 @@ def cmd_actions(cfg: RunConfig, seed: int) -> int:
 def cmd_stokes(cfg: RunConfig, seed: int) -> int:
     family = cfg.stokes.get("family", "kappa")
     direction = _number(cfg.stokes.get("direction", "1"), "stokes.direction", int)
-    max_length = _number(cfg.stokes.get("max_length", "1.0"), "stokes.max_length")
+    max_length = _positive(cfg.stokes.get("max_length", "1.0"), "stokes.max_length")
     starts: list[complex] = []
     for line in cfg.stokes.get("starts", "").splitlines():
         parts = line.split()
@@ -434,15 +431,14 @@ def cmd_stokes(cfg: RunConfig, seed: int) -> int:
         return _no_admissible(cfg)
     if not starts:
         # default: just below each branch point on the left half-period
-        geom = geometry_mod.branch_points(cfg.potential_w, bands, rep,
-                                          V=cfg.potential_v)
+        geom = geometry_mod.branch_points(cfg.potential_w, bands, rep)
         starts = [complex(zv, -0.02) for j, s, zv in geom.branch_zetas
                   if s == "-"]
     rows = []
     traces = []
     for idx, start in enumerate(starts):
         line = geometry_mod.trace_stokes_line(
-            cfg.potential_v, cfg.potential_w, bands, rep.energy, start,
+            cfg.potential_w, bands, rep.energy, start,
             family=family, direction=direction, max_length=max_length,
         )
         traces.append({

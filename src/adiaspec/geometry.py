@@ -33,7 +33,6 @@ from .errors import (
 from .hill import (
     BandStructure,
     ComplexDiscriminantModel,
-    PeriodicPotential,
     _acos_branch_candidates,
     _track_momentum,
     quasimomentum_main,
@@ -355,7 +354,8 @@ class IsoEnergyGeometry:
     One period [zeta^+_{2n-1} - 2 pi, zeta^+_{2n-1}] is tiled by the
     closures of 2(m+1) pre-bands and 2m+2 pre-gaps.  ``branch_zetas`` maps
     (edge index, side) to the branch point location on the corresponding
-    half-period.
+    half-period.  ``W`` and ``bands`` (whose discriminant model carries V)
+    are the operator the geometry was built from.
     """
 
     energy: float
@@ -367,9 +367,8 @@ class IsoEnergyGeometry:
     pre_bands: tuple[tuple[BandLabel, tuple[float, float]], ...]
     pre_gaps: tuple[tuple[GapLabel, tuple[float, float]], ...]
     strip_violations: tuple[tuple[int, float], ...]
-    V: PeriodicPotential | None = field(default=None, repr=False, compare=False)
-    W: AnalyticPotential | None = field(default=None, repr=False, compare=False)
-    bands: BandStructure | None = field(default=None, repr=False, compare=False)
+    W: AnalyticPotential = field(repr=False, compare=False)
+    bands: BandStructure = field(repr=False, compare=False)
 
     def branch_zeta(self, edge_index: int, side: str) -> float:
         for j, s, z in self.branch_zetas:
@@ -461,8 +460,7 @@ def strip_clearance(W: AnalyticPotential, bands: BandStructure, E: float,
 
 
 def branch_points(W: AnalyticPotential, bands: BandStructure,
-                  report: WindowReport, *, V: PeriodicPotential | None = None,
-                  xtol: float = 1e-12) -> IsoEnergyGeometry:
+                  report: WindowReport, *, xtol: float = 1e-12) -> IsoEnergyGeometry:
     """Solve W(zeta) = E - E_j on both monotone half-periods for every
     in-window edge and assemble the pre-band/pre-gap families.
 
@@ -478,47 +476,38 @@ def branch_points(W: AnalyticPotential, bands: BandStructure,
     js = range(2 * n - 1, 2 * (n + m) + 1)
     targets = [E - bands.edge(j) for j in js]
     zm, zp = (_invert_w(W, targets, side, xtol).tolist() for side in "-+")
-    pts: list[tuple[int, str, float]] = []
-    for j, a, b in zip(js, zm, zp):
-        pts.append((j, "-", a))
-        pts.append((j, "+", b))
+    pts = [(j, s, z) for j, a, b in zip(js, zm, zp)
+           for s, z in (("-", a), ("+", b))]
+    bz = {(j, s): z for j, s, z in pts}
 
-    def bz(j, s):
-        for jj, ss, z in pts:
-            if jj == j and ss == s:
-                return z
-        raise KeyError((j, s))
-
-    minus_seq = [bz(j, "-") for j in range(2 * n - 1, 2 * (n + m) + 1)]
-    plus_seq = [bz(j, "+") for j in range(2 * (n + m), 2 * n - 2, -1)]
-    full = [0.0] + minus_seq + [zs] + plus_seq + [TWO_PI]
+    full = [0.0] + zm + [zs] + zp[::-1] + [TWO_PI]
     if any(b <= a for a, b in zip(full, full[1:])):
         raise ConsistencyError(f"branch points do not interlace: {full}")
 
     pre_bands = []
     for j in range(n, n + m + 1):
-        pre_bands.append((BandLabel(j, "-"), (bz(2 * j - 1, "-"), bz(2 * j, "-"))))
-        pre_bands.append((BandLabel(j, "+"), (bz(2 * j, "+"), bz(2 * j - 1, "+"))))
+        pre_bands.append((BandLabel(j, "-"), (bz[2 * j - 1, "-"], bz[2 * j, "-"])))
+        pre_bands.append((BandLabel(j, "+"), (bz[2 * j, "+"], bz[2 * j - 1, "+"])))
     pre_gaps = [(GapLabel(n - 1, None),
-                 (bz(2 * n - 1, "+") - TWO_PI, bz(2 * n - 1, "-")))]
+                 (bz[2 * n - 1, "+"] - TWO_PI, bz[2 * n - 1, "-"]))]
     for j in range(n, n + m):
-        pre_gaps.append((GapLabel(j, "-"), (bz(2 * j, "-"), bz(2 * j + 1, "-"))))
+        pre_gaps.append((GapLabel(j, "-"), (bz[2 * j, "-"], bz[2 * j + 1, "-"])))
     pre_gaps.append((GapLabel(n + m, None),
-                     (bz(2 * (n + m), "-"), bz(2 * (n + m), "+"))))
+                     (bz[2 * (n + m), "-"], bz[2 * (n + m), "+"])))
     for j in range(n + m - 1, n - 1, -1):
-        pre_gaps.append((GapLabel(j, "+"), (bz(2 * j + 1, "+"), bz(2 * j, "+"))))
+        pre_gaps.append((GapLabel(j, "+"), (bz[2 * j + 1, "+"], bz[2 * j, "+"])))
 
     # tiling must cover one full period without holes
     pieces = sorted(
         [iv for _, iv in pre_bands] + [iv for _, iv in pre_gaps]
     )
-    left_end = bz(2 * n - 1, "+") - TWO_PI
+    left_end = bz[2 * n - 1, "+"] - TWO_PI
     cursor = left_end
     for a, b in pieces:
         if abs(a - cursor) > 1e-9:
             raise ConsistencyError("pre-band/pre-gap tiling has a hole")
         cursor = b
-    if abs(cursor - bz(2 * n - 1, "+")) > 1e-9:
+    if abs(cursor - bz[2 * n - 1, "+"]) > 1e-9:
         raise ConsistencyError("pre-band/pre-gap tiling does not close the period")
     if not any(a < 0.0 < b for a, b in (pre_gaps[0][1],)):
         raise ConsistencyError("window-bottom pre-gap misses zeta = 0")
@@ -528,7 +517,7 @@ def branch_points(W: AnalyticPotential, bands: BandStructure,
         energy=E, n=n, m=m, zeta_star=zs, window=report.window,
         branch_zetas=tuple(pts), pre_bands=tuple(pre_bands),
         pre_gaps=tuple(pre_gaps), strip_violations=violations,
-        V=V, W=W, bands=bands,
+        W=W, bands=bands,
     )
 
 
@@ -536,10 +525,10 @@ def branch_points(W: AnalyticPotential, bands: BandStructure,
 # complex momentum
 
 
-def complex_momentum(V: PeriodicPotential, W: AnalyticPotential,
-                     bands: BandStructure, E: float, zeta, side: str = "+i0",
-                     tol: float = 1e-10) -> complex:
-    """kappa(zeta) = k(E - W(zeta)) on the main branch.
+def complex_momentum(W: AnalyticPotential, bands: BandStructure, E: float,
+                     zeta, side: str = "+i0", tol: float = 1e-10) -> complex:
+    """kappa(zeta) = k(E - W(zeta)) on the main branch, for the periodic
+    operator of the band table (``bands.discriminant_model()``).
 
     For real zeta on a pre-gap the two boundary values differ; `side`
     picks the limit from the upper ('+i0', Im kappa > 0 on every pre-gap)
@@ -557,12 +546,12 @@ def complex_momentum(V: PeriodicPotential, W: AnalyticPotential,
     w = W.evaluator()
     if z.imag == 0.0:
         loc_E = E - w(z.real).real
-        upper = complex(quasimomentum_main(V, bands, loc_E, side="+i0",
+        upper = complex(quasimomentum_main(bands, loc_E, side="+i0",
                                            tol=tol).value)
         # the lower boundary value is the Schwarz reflection of the upper
         return upper.conjugate() if side == "-i0" else upper
     anchor = _regular_anchor(W, bands, E, z.real, tol)
-    k0 = quasimomentum_main(V, bands, E - w(anchor).real, tol=tol).value
+    k0 = quasimomentum_main(bands, E - w(anchor).real, tol=tol).value
     model = strip_model(bands, W, E, tol)
 
     def delta_of(p):
@@ -650,16 +639,14 @@ def real_branch(geom: IsoEnergyGeometry, label: BandLabel,
     """Tabulated real branch zeta(kappa) on the pre-band `label`.
 
     Interior nodes invert the quasi-momentum on the spectral band through
-    the band scan's discriminant model (``geom.bands.model``), then invert
+    the band scan's discriminant model (``geom.bands``), then invert
     W on the proper half-period, all nodes at once
     (``_numerics.bracketed_roots``); the two endpoints are taken verbatim
     from the branch points so the table is exactly consistent with the
     geometry.
     """
-    if geom.W is None or geom.bands is None:
-        raise InvalidInputError("geometry lacks operator context (W, bands)")
     geom.pre_band(label)
-    model = geom.bands.model
+    model = geom.bands.discriminant_model()
     j, side = label.index, label.side
     band_lo, band_hi = geom.bands.band(j)
     sgn = (-1.0) ** (j - 1)
@@ -753,28 +740,29 @@ def strip_model(bands: BandStructure, W: AnalyticPotential, E: float,
                 tol: float = 1e-9) -> ComplexDiscriminantModel:
     """Discriminant model at every E - W(zeta) of the strip |Im zeta| <= Y:
     one panel over the real projection of those energies, re-sampled from
-    the band scan's model (``bands.model``)."""
+    the band scan's model (``bands.discriminant_model()``)."""
     Y = W.strip_half_width
     # |Re (c cos f zeta + s sin f zeta)| <= hypot(c, s) cosh(f Y) on the strip
     center = E - sum(c for f, c, _ in W.coefficients if f == 0)
     reach = sum(math.hypot(c, s) * math.cosh(f * Y)
                 for f, c, s in W.coefficients if f > 0)
-    return ComplexDiscriminantModel(bands.model, center - reach,
+    return ComplexDiscriminantModel(bands.discriminant_model(), center - reach,
                                     center + reach, tol)
 
 
-def trace_stokes_line(V: PeriodicPotential, W: AnalyticPotential,
-                      bands: BandStructure, E: float, start,
-                      family: str = "kappa", direction: int = 1,
+def trace_stokes_line(W: AnalyticPotential, bands: BandStructure, E: float,
+                      start, family: str = "kappa", direction: int = 1,
                       max_length: float = 2.0, *, tol: float = 1e-9) -> StokesLine:
-    """Trace the level line of Im int (kappa - shift) d zeta through `start`.
+    """Trace the level line of Im int (kappa - shift) d zeta through `start`,
+    kappa the complex momentum of ``bands``' operator and W.
 
     The curve solves d zeta / ds = conj(kappa(zeta) - shift) normalized to
     unit speed (shift = pi for the 'kappa-pi' family), so the level value
     is constant along it.  Steps are Runge-Kutta with halved-step error
     control; the complex momentum is branch-tracked along the curve.
     Tracing stops at the strip boundary, near a branch point, at
-    `max_length`, or when the tangent field stalls.
+    `max_length` (InvalidInputError unless positive), or when the tangent
+    field stalls.
 
     The discriminant at E - W(zeta) comes from the trace's own
     ``strip_model(bands, W, E, tol)``, a bounded Chebyshev panel that
@@ -787,6 +775,8 @@ def trace_stokes_line(V: PeriodicPotential, W: AnalyticPotential,
         raise InvalidInputError(f"unknown family {family!r}")
     if direction not in (1, -1):
         raise InvalidInputError("direction must be +1 or -1")
+    if not max_length > 0:
+        raise InvalidInputError(f"max_length must be positive, got {max_length}")
     violations = strip_clearance(W, bands, E)
     if violations:
         raise InvalidInputError(
@@ -817,7 +807,7 @@ def trace_stokes_line(V: PeriodicPotential, W: AnalyticPotential,
         return model(E - w(p))
 
     anchor = _regular_anchor(W, bands, E, z0.real, tol)
-    k0 = quasimomentum_main(V, bands, E - w(anchor).real, tol=tol).value
+    k0 = quasimomentum_main(bands, E - w(anchor).real, tol=tol).value
     # vertically off the axis, then level to the start
     way = complex(anchor, z0.imag)
     k_mid = _track_momentum(delta_of, complex(anchor), complex(k0), way)

@@ -610,7 +610,8 @@ class BandStructure:
     refers to gap k = (E_{2k}, E_{2k+1}).
 
     ``model`` is the discriminant model the scan ran on, which every
-    real-energy read after the scan shares.
+    read of the operator after the scan shares, through
+    ``discriminant_model()``.  A table built by hand has none.
     """
 
     edges: tuple[float, ...]
@@ -623,6 +624,13 @@ class BandStructure:
     def __post_init__(self):
         if any(e2 < e1 for e1, e2 in zip(self.edges, self.edges[1:])):
             raise InvalidInputError("edges must be nondecreasing")
+
+    def discriminant_model(self) -> DiscriminantModel:
+        """``model``, which carries V; InvalidInputError if it is None."""
+        if self.model is None:
+            raise InvalidInputError("band table built by hand has no "
+                                    "discriminant model; use band_edges")
+        return self.model
 
     @property
     def num_complete_bands(self) -> int:
@@ -961,21 +969,22 @@ def _track_momentum(delta_of, z_from: complex, k_from: complex,
     return k
 
 
-def quasimomentum_main(V: PeriodicPotential, bands: BandStructure, E,
-                       side: str = "+i0", tol: float = 1e-10) -> QuasiMomentumValue:
+def quasimomentum_main(bands: BandStructure, E, side: str = "+i0",
+                       tol: float = 1e-10) -> QuasiMomentumValue:
     """Main branch of the Bloch quasi-momentum at energy E.
 
     Real energies use the closed forms per spectral region (band, gap,
-    below the spectrum) on ``bands.model``, filled at node_tol =
-    min(1e-12, 1e-2 * the scan's edge tol); there `tol` only snaps band
-    edges within it to the exact multiple of pi, degenerate flag set.
-    Complex energies are reached by analytic continuation of cos k =
-    trace/2, integrated at `tol`, from an anchor inside a real band, with
-    adaptive path subdivision.  `side` picks the boundary value on gap
-    cuts (upper half-plane limit by default).
+    below the spectrum) on ``bands.discriminant_model()``, filled at
+    node_tol = min(1e-12, 1e-2 * the scan's edge tol); there `tol` only
+    snaps band edges within it to the exact multiple of pi, ``at_edge``
+    set.  Complex energies are reached by analytic continuation of
+    cos k = trace/2 of that model's V, integrated at `tol`, from an anchor
+    inside a complete band, with adaptive path subdivision.  `side` picks
+    the boundary value on gap cuts (upper half-plane limit by default).
     """
     if side not in ("+i0", "-i0"):
         raise InvalidInputError(f"side must be '+i0' or '-i0', got {side!r}")
+    model = bands.discriminant_model()
     E_im = float(np.imag(np.asarray(E, dtype=complex)))
     E_re = float(np.real(np.asarray(E, dtype=complex)))
 
@@ -989,7 +998,7 @@ def quasimomentum_main(V: PeriodicPotential, bands: BandStructure, E,
             raise CoverageError(
                 f"energy {E_re} above the resolved ceiling {bands.ceiling}"
             )
-        d = bands.model.reaching(E_re)(E_re)
+        d = model.reaching(E_re)(E_re)
         if loc[0] == "band":
             n = loc[1]
             arg = ((-1.0) ** (n - 1)) * d / 2.0
@@ -1011,7 +1020,8 @@ def quasimomentum_main(V: PeriodicPotential, bands: BandStructure, E,
         )
     loc = bands.locate(E_re, atol=tol)
     anchor = None
-    if loc[0] == "band":
+    # a band cut off by the ceiling has no top: anchor in a complete one
+    if loc[0] == "band" and loc[1] <= bands.num_complete_bands:
         lo, hi = bands.band(loc[1])
         pad = max(tol * 10.0, 1e-6 * (hi - lo))
         anchor = min(max(E_re, lo + pad), hi - pad)
@@ -1026,8 +1036,8 @@ def quasimomentum_main(V: PeriodicPotential, bands: BandStructure, E,
                 best, anchor = abs(mid - E_re), mid
     if anchor is None:
         raise CoverageError("no band available to anchor the continuation")
-    k0 = quasimomentum_main(V, bands, anchor, side=side, tol=tol).value
-    delta_of = lambda z: discriminant(V, z, tol)
+    k0 = quasimomentum_main(bands, anchor, side=side, tol=tol).value
+    delta_of = lambda z: discriminant(model.V, z, tol)
     k = _track_momentum(delta_of, complex(anchor), complex(k0), complex(E_re, E_im))
     return QuasiMomentumValue(value=k, energy=complex(E_re, E_im))
 

@@ -73,10 +73,10 @@ def report_ref(W_ref, bands_ref, E_ref):
 
 
 @pytest.fixture(scope="session")
-def geom_ref(V_ref, W_ref, bands_ref, report_ref):
-    return branch_points(W_ref, bands_ref, report_ref, V=V_ref)
+def geom_ref(W_ref, bands_ref, report_ref):
+    return branch_points(W_ref, bands_ref, report_ref)
 
 
 @pytest.fixture(scope="session")
-def acts_ref(V_ref, W_ref, bands_ref, geom_ref):
-    return compute_actions(V_ref, W_ref, bands_ref, geom_ref, tol=1e-10)
+def acts_ref(geom_ref):
+    return compute_actions(geom_ref, tol=1e-10)

@@ -82,9 +82,8 @@ def test_criterion_1_end_to_end_asymptotics():
     E = best_window_energy(cfg.potential_w, bands, cfg.n, cfg.m)
     rep = analyze_window(cfg.potential_w, bands, E, cfg.n, cfg.m)
     assert rep.all_ok
-    geom = branch_points(cfg.potential_w, bands, rep, V=cfg.potential_v)
-    aset = compute_actions(cfg.potential_v, cfg.potential_w, bands, geom,
-                           tol=cfg.tol_quad)
+    geom = branch_points(cfg.potential_w, bands, rep)
+    aset = compute_actions(geom, tol=cfg.tol_quad)
     theta_asym = lyapunov_asymptotic(aset, cfg.epsilons[0]).theta_asym
     total = sum(s for _, s, _ in aset.entries)
     assert theta_asym == pytest.approx(total / (4.0 * math.pi), rel=1e-14)
@@ -127,18 +126,18 @@ def test_criterion_2_floquet_oracle_equivalence(V_ref, V_kp, V_mix, bands_kp):
 # criterion 3: quasi-momentum properties on the reference potential
 
 
-def test_criterion_3_quasimomentum_properties(V_ref, bands_ref):
+def test_criterion_3_quasimomentum_properties(bands_ref):
     ok = True
     for n in (1, 2):
         lo, hi = bands_ref.edges[2 * n - 2], bands_ref.edges[2 * n - 1]
-        ks = [quasimomentum_main(V_ref, bands_ref, float(e)).value
+        ks = [quasimomentum_main(bands_ref, float(e)).value
               for e in np.linspace(lo, hi, 102)[1:-1]]
         vals = [k.real for k in ks]
         ok = ok and all(abs(k.imag) < 1e-12 for k in ks)
         ok = ok and all(a < b for a, b in zip(vals, vals[1:]))
 
     lo, hi = bands_ref.edges[1], bands_ref.edges[2]
-    ks = [quasimomentum_main(V_ref, bands_ref, float(e)).value
+    ks = [quasimomentum_main(bands_ref, float(e)).value
           for e in np.linspace(lo, hi, 102)[1:-1]]
     ok = ok and all(abs(k.real - math.pi) < 1e-10 for k in ks)
     ims = np.array([k.imag for k in ks])
@@ -147,7 +146,7 @@ def test_criterion_3_quasimomentum_properties(V_ref, bands_ref):
     ok = ok and np.count_nonzero(signs[:-1] != signs[1:]) == 1
 
     deltas = np.array([10.0**-k for k in range(3, 8)])
-    gaps = [abs(quasimomentum_main(V_ref, bands_ref, lo + d).value - math.pi)
+    gaps = [abs(quasimomentum_main(bands_ref, lo + d).value - math.pi)
             for d in deltas]
     slope = float(np.polyfit(np.log(deltas), np.log(gaps), 1)[0])
     report(3, ok and abs(slope - 0.5) <= 0.05, f"edge exponent {slope:.4f}")
@@ -176,7 +175,7 @@ def _tiled(geom) -> bool:
             and abs(ivs[-1][1] - top) < 1e-12)
 
 
-def _branch_ok(V, W, bands, E, geom, label) -> bool:
+def _branch_ok(W, bands, E, geom, label) -> bool:
     br = real_branch(geom, label, points=128)
     iv = sorted(dict(geom.pre_bands)[label])
     ends = sorted((br(0.0), br(math.pi)))
@@ -187,21 +186,20 @@ def _branch_ok(V, W, bands, E, geom, label) -> bool:
         ok = ok and br(-k) == br(k)
         ok = ok and abs(br(k + TWO_PI) - br(k)) < 1e-9
     grid = np.linspace(0.0, math.pi, 41)[1:-1]
-    back = np.array([complex_momentum(V, W, bands, E, float(br(k))).real
+    back = np.array([complex_momentum(W, bands, E, float(br(k))).real
                      for k in grid])
     return ok and float(np.max(np.abs(back - grid))) < 1e-6
 
 
-def test_criterion_4_geometry_invariants(V_ref, W_ref, bands_ref):
+def test_criterion_4_geometry_invariants(W_ref, bands_ref):
     ok = True
     for E in E_GRID:
         rep = analyze_window(W_ref, bands_ref, float(E), 1, 0)
         ok = ok and rep.all_ok
-        geom = branch_points(W_ref, bands_ref, rep, V=V_ref)
+        geom = branch_points(W_ref, bands_ref, rep)
         ok = ok and _interlaced(geom) and _tiled(geom)
         for label in geom.band_labels:
-            ok = ok and _branch_ok(V_ref, W_ref, bands_ref, float(E), geom,
-                                   label)
+            ok = ok and _branch_ok(W_ref, bands_ref, float(E), geom, label)
     report(4, ok, f"{len(E_GRID)} energies, all branches")
 
 
@@ -209,17 +207,16 @@ def test_criterion_4_geometry_invariants(V_ref, W_ref, bands_ref):
 # criterion 5: action properties on the same grid
 
 
-def test_criterion_5_action_properties(V_ref, W_ref, bands_ref):
+def test_criterion_5_action_properties(W_ref, bands_ref):
     ok = True
     worst_sides = 0.0
     for E in E_GRID:
         rep = analyze_window(W_ref, bands_ref, float(E), 1, 0)
-        geom = branch_points(W_ref, bands_ref, rep, V=V_ref)
-        aset = compute_actions(V_ref, W_ref, bands_ref, geom, tol=1e-10)
+        geom = branch_points(W_ref, bands_ref, rep)
+        aset = compute_actions(geom, tol=1e-10)
         ok = ok and all(s > 0 for _, s, _ in aset.entries)
         for label, s_plus, _ in aset.entries:
-            s_minus, _ = action_with_error(V_ref, W_ref, bands_ref, geom,
-                                           label, side="-i0", tol=1e-10)
+            s_minus, _ = action_with_error(geom, label, side="-i0", tol=1e-10)
             worst_sides = max(worst_sides, abs(s_plus - s_minus))
         for eps in (1.0, 0.2, 0.07):
             via_T = theta_to_Theta(-total_T(aset, eps)[1], eps)

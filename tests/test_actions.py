@@ -40,11 +40,11 @@ FOUR_PI = 4.0 * math.pi
 # the actions themselves
 
 
-def test_actions_positive_with_matching_labels(V_ref, W_ref, bands_ref):
+def test_actions_positive_with_matching_labels(W_ref, bands_ref):
     for E in np.linspace(4.10, 4.70, 20):
         rep = analyze_window(W_ref, bands_ref, float(E), 1, 0)
-        geom = branch_points(W_ref, bands_ref, rep, V=V_ref)
-        acts = compute_actions(V_ref, W_ref, bands_ref, geom, tol=1e-9)
+        geom = branch_points(W_ref, bands_ref, rep)
+        acts = compute_actions(geom, tol=1e-9)
         assert acts.labels == geom.gap_labels
         for _, S, _ in acts.entries:
             assert S > 0.0
@@ -52,34 +52,28 @@ def test_actions_positive_with_matching_labels(V_ref, W_ref, bands_ref):
         assert acts.total_action == pytest.approx(total, rel=1e-12)
 
 
-def test_both_integration_sides_agree(V_ref, W_ref, bands_ref, geom_ref):
+def test_both_integration_sides_agree(geom_ref):
     for label in geom_ref.gap_labels:
-        up = tunneling_action(V_ref, W_ref, bands_ref, geom_ref, label,
-                              side="+i0")
-        dn = tunneling_action(V_ref, W_ref, bands_ref, geom_ref, label,
-                              side="-i0")
+        up = tunneling_action(geom_ref, label, side="+i0")
+        dn = tunneling_action(geom_ref, label, side="-i0")
         assert up == pytest.approx(dn, abs=1e-8)
 
 
-def test_cross_check_side_refuses_an_unreachable_tolerance(
-        V_ref, W_ref, bands_ref, geom_ref):
+def test_cross_check_side_refuses_an_unreachable_tolerance(geom_ref):
     # rtol 1e-18 is below what the doubled Gauss-Legendre sums of g1 settle
     # to (successive levels keep changing by ~1e-16): all levels run, and
     # the last estimate must not come back as if it had converged
     label = geom_ref.gap_labels[1]
     with pytest.raises(ConvergenceFailure, match="Gauss-Legendre"):
-        tunneling_action(V_ref, W_ref, bands_ref, geom_ref, label,
-                         side="-i0", tol=1e-16)
+        tunneling_action(geom_ref, label, side="-i0", tol=1e-16)
 
 
-def test_cross_check_side_refuses_a_tolerance_below_rounding(
-        V_ref, W_ref, bands_ref, geom_ref):
+def test_cross_check_side_refuses_a_tolerance_below_rounding(geom_ref):
     # as above on g0, whose levels 1 and 2 tie exactly: at rtol 1e-18 an
     # exact tie of rounded sums must not pass for convergence
     label = geom_ref.gap_labels[0]
     with pytest.raises(ConvergenceFailure, match="after 10 levels"):
-        tunneling_action(V_ref, W_ref, bands_ref, geom_ref, label,
-                         side="-i0", tol=1e-16)
+        tunneling_action(geom_ref, label, side="-i0", tol=1e-16)
 
 
 def test_gauss_doubling_raises_when_levels_keep_changing():
@@ -102,18 +96,16 @@ def test_actions_against_brute_force_oracle(V_ref, W_ref, bands_ref, E_ref,
         assert abs(S - want) < 1e-6 * S
 
 
-def test_reported_quadrature_error_bound(V_ref, W_ref, bands_ref, geom_ref):
+def test_reported_quadrature_error_bound(geom_ref):
     for label in geom_ref.gap_labels:
-        S, err = action_with_error(V_ref, W_ref, bands_ref, geom_ref, label)
+        S, err = action_with_error(geom_ref, label)
         assert err <= 1e-8 * S
 
 
-def test_quadrature_converged_in_tolerance(V_ref, W_ref, bands_ref, geom_ref):
+def test_quadrature_converged_in_tolerance(geom_ref):
     label = geom_ref.gap_labels[0]
-    coarse = tunneling_action(V_ref, W_ref, bands_ref, geom_ref, label,
-                              tol=1e-9)
-    fine = tunneling_action(V_ref, W_ref, bands_ref, geom_ref, label,
-                            tol=1e-12)
+    coarse = tunneling_action(geom_ref, label, tol=1e-9)
+    fine = tunneling_action(geom_ref, label, tol=1e-12)
     assert abs(coarse - fine) < 1e-8 * fine
 
 
@@ -132,15 +124,14 @@ class _RipplingModel:
 
 @pytest.mark.parametrize("side", ["+i0", "-i0"])
 def test_looser_quadrature_tol_makes_fewer_integrand_calls(
-        V_ref, W_ref, bands_ref, geom_ref, side):
+        W_ref, bands_ref, geom_ref, side):
     # the reference integrand alone is resolved by the first rule at any
     # tol; the ripple makes the work depend on the tolerance
     model = window_model(bands_ref, W_ref, geom_ref.energy)
     calls, totals = [], []
     for tol in (1e-3, 1e-8):
         rippling = _RipplingModel(model)
-        acts = compute_actions(V_ref, W_ref, bands_ref, geom_ref, side=side,
-                               tol=tol, model=rippling)
+        acts = compute_actions(geom_ref, side=side, tol=tol, model=rippling)
         calls.append(rippling.calls)
         totals.append(acts.total_action)
     assert 0 < 4 * calls[0] < calls[1]
@@ -148,9 +139,9 @@ def test_looser_quadrature_tol_makes_fewer_integrand_calls(
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
-def test_quadrature_tol_must_be_positive(V_ref, W_ref, bands_ref, geom_ref, tol):
+def test_quadrature_tol_must_be_positive(geom_ref, tol):
     with pytest.raises(InvalidInputError):
-        compute_actions(V_ref, W_ref, bands_ref, geom_ref, tol=tol)
+        compute_actions(geom_ref, tol=tol)
 
 
 def test_window_model_is_the_scan_model_on_the_reference(V_ref, W_ref,
@@ -168,11 +159,11 @@ def test_grid_window_model_covers_every_admissible_window(V_ref, W_ref,
     for E in Es:
         rep = analyze_window(W_ref, bands_ref, E, 1, 0)
         assert rep.all_ok
-        geom = branch_points(W_ref, bands_ref, rep, V=V_ref)
+        geom = branch_points(W_ref, bands_ref, rep)
         lo, hi = geom.window
         assert model.lo <= lo and hi <= model.hi
-        shared = compute_actions(V_ref, W_ref, bands_ref, geom, model=model)
-        own = compute_actions(V_ref, W_ref, bands_ref, geom,
+        shared = compute_actions(geom, model=model)
+        own = compute_actions(geom,
                               model=DiscriminantModel(V_ref, lo - 0.5, hi + 0.5))
         assert shared.total_action == pytest.approx(own.total_action,
                                                     rel=1e-11, abs=0.0)
@@ -185,8 +176,7 @@ def test_wide_window_extends_the_scan_model(V_ref, bands_ref, amplitude):
     # scan's panels bit for bit
     W = AnalyticPotential.cosine(amplitude, 0.5)
     E = best_window_energy(W, bands_ref, 1, 0)
-    geom = branch_points(W, bands_ref, analyze_window(W, bands_ref, E, 1, 0),
-                         V=V_ref)
+    geom = branch_points(W, bands_ref, analyze_window(W, bands_ref, E, 1, 0))
     lo, hi = geom.window
     scan = bands_ref.model
     assert lo < scan.lo
@@ -195,20 +185,19 @@ def test_wide_window_extends_the_scan_model(V_ref, bands_ref, amplitude):
     Es = np.concatenate([np.linspace(scan.lo, scan.hi, 1001), scan._bounds])
     assert ext(Es).tobytes() == scan(Es).tobytes()
     assert [ext(float(e)) for e in Es] == [scan(float(e)) for e in Es]
-    got = compute_actions(V_ref, W, bands_ref, geom)
-    own = compute_actions(V_ref, W, bands_ref, geom,
+    got = compute_actions(geom)
+    own = compute_actions(geom,
                           model=DiscriminantModel(V_ref, lo - 0.5, hi + 0.5))
     assert got.labels == own.labels
     for (_, s_got, _), (_, s_own, _) in zip(got.entries, own.entries):
         assert s_got == pytest.approx(s_own, rel=1e-12, abs=0.0)
 
 
-def test_action_continuous_in_energy(V_ref, W_ref, bands_ref, E_ref):
+def test_action_continuous_in_energy(W_ref, bands_ref, E_ref):
     def S_of(E):
         rep = analyze_window(W_ref, bands_ref, E, 1, 0)
-        geom = branch_points(W_ref, bands_ref, rep, V=V_ref)
-        return tunneling_action(V_ref, W_ref, bands_ref, geom,
-                                geom.gap_labels[0])
+        geom = branch_points(W_ref, bands_ref, rep)
+        return tunneling_action(geom, geom.gap_labels[0])
 
     base = S_of(E_ref)
     d3 = abs(S_of(E_ref + 1e-3) - base)
@@ -217,16 +206,14 @@ def test_action_continuous_in_energy(V_ref, W_ref, bands_ref, E_ref):
     assert d4 < 0.2 * d3
 
 
-def test_absent_gap_label_rejected(V_ref, W_ref, bands_ref, geom_ref):
+def test_absent_gap_label_rejected(geom_ref):
     with pytest.raises(InvalidInputError):
-        tunneling_action(V_ref, W_ref, bands_ref, geom_ref,
-                         GapLabel(index=5, side=None))
+        tunneling_action(geom_ref, GapLabel(index=5, side=None))
 
 
-def test_bad_side_rejected(V_ref, W_ref, bands_ref, geom_ref):
+def test_bad_side_rejected(geom_ref):
     with pytest.raises(InvalidInputError):
-        tunneling_action(V_ref, W_ref, bands_ref, geom_ref,
-                         geom_ref.gap_labels[0], side="up")
+        tunneling_action(geom_ref, geom_ref.gap_labels[0], side="up")
 
 
 # ---------------------------------------------------------------------------

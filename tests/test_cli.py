@@ -490,9 +490,10 @@ def run_counting_fills(tmp_path, monkeypatch, command, overrides=None):
     cfg, out = prepare(tmp_path, overrides)
     assert main([command, "--config", cfg]) == 0
     n_builds = len(builds)
-    for (V, W, bands, geom), kwargs, shared in results:
+    for (geom,), kwargs, shared in results:
         lo, hi = geom.window
-        own = compute(V, W, bands, geom, tol=kwargs["tol"],
+        V = geom.bands.model.V
+        own = compute(geom, tol=kwargs["tol"],
                       model=hill.DiscriminantModel(V, lo - 0.5, hi + 0.5))
         assert own.labels == shared.labels
         for (_, s_own, _), (_, s_shared, _) in zip(own.entries, shared.entries):
@@ -608,6 +609,8 @@ def test_point_values_of_w_skip_the_array_path(tmp_path, monkeypatch, command):
 @pytest.mark.parametrize("key,value", [
     ("direction", "x"),
     ("starts", "0.1 -0.02 7"),
+    ("max_length", "0"),
+    ("max_length", "-3"),
 ])
 def test_stokes_malformed_section_exits_before_band_scan(tmp_path, capsys,
                                                          monkeypatch, key,

@@ -33,8 +33,10 @@ from adiaspec import (
     hill,
     period_index,
     real_branch,
+    quasimomentum_main,
     sigma_set,
     strip_clearance,
+    strip_model,
     trace_stokes_line,
 )
 
@@ -54,13 +56,13 @@ def branches_ref(geom_ref):
 
 
 @pytest.fixture(scope="module")
-def two_band_geometry(V_ref, bands_ref):
+def two_band_geometry(bands_ref):
     # window holding bands 1 and 2 together: margins are set by the tiny
     # second gap, so the declared strip has to be thin
     W2 = AnalyticPotential.cosine(20.0, 0.03)
     rep = analyze_window(W2, bands_ref, 19.5, 1, 1)
     assert rep.all_ok
-    return W2, branch_points(W2, bands_ref, rep, V=V_ref)
+    return W2, branch_points(W2, bands_ref, rep)
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +208,11 @@ def test_partition_counts_and_special_gaps(geom_ref):
     assert iv1[0] < geom_ref.zeta_star < iv1[1]
 
 
-def test_interlacing_and_tiling_across_energies(V_ref, W_ref, bands_ref):
+def test_interlacing_and_tiling_across_energies(W_ref, bands_ref):
     for E in E_GRID:
         rep = analyze_window(W_ref, bands_ref, float(E), 1, 0)
         assert rep.all_ok
-        geom = branch_points(W_ref, bands_ref, rep, V=V_ref)
+        geom = branch_points(W_ref, bands_ref, rep)
         _check_interlacing(geom)
         _check_tiling(geom)
 
@@ -230,7 +232,7 @@ def test_partition_against_membership_oracle(V_ref, W_ref, bands_ref):
     # compare with the computed pre-band intervals
     for E in (E_GRID[0], E_GRID[10], E_GRID[-1]):
         rep = analyze_window(W_ref, bands_ref, float(E), 1, 0)
-        geom = branch_points(W_ref, bands_ref, rep, V=V_ref)
+        geom = branch_points(W_ref, bands_ref, rep)
         model = chebyshev_discriminant(V_ref, float(E) - 4.8, float(E) + 4.8,
                                        degree=96, steps=1500)
         lo = min(min(iv) for _, iv in geom.pre_gaps + geom.pre_bands)
@@ -250,31 +252,30 @@ def test_failing_report_is_rejected(V_zero, W_ref):
     bands = band_edges(V_zero, 42.0)
     rep = analyze_window(W_ref, bands, 2.0, 1, 0)
     with pytest.raises(InvalidInputError):
-        branch_points(W_ref, bands, rep, V=V_zero)
+        branch_points(W_ref, bands, rep)
 
 
 # ---------------------------------------------------------------------------
 # complex momentum
 
 
-def test_gap_boundary_values_have_opposite_signs(V_ref, W_ref, bands_ref,
+def test_gap_boundary_values_have_opposite_signs(W_ref, bands_ref,
                                                  E_ref, geom_ref):
     for _, (lo, hi) in geom_ref.pre_gaps:
         for z in np.linspace(lo, hi, 22)[1:-1]:
-            up = complex_momentum(V_ref, W_ref, bands_ref, E_ref, float(z),
+            up = complex_momentum(W_ref, bands_ref, E_ref, float(z),
                                   side="+i0")
-            dn = complex_momentum(V_ref, W_ref, bands_ref, E_ref, float(z),
+            dn = complex_momentum(W_ref, bands_ref, E_ref, float(z),
                                   side="-i0")
             assert up.imag > 0
             assert dn.imag < 0
             assert up == dn.conjugate()
 
 
-def test_momentum_monotone_on_minus_preband(V_ref, W_ref, bands_ref, E_ref,
-                                            geom_ref):
+def test_momentum_monotone_on_minus_preband(W_ref, bands_ref, E_ref, geom_ref):
     (_, (lo, hi)), _ = geom_ref.pre_bands
     zs = np.linspace(lo, hi, 52)[1:-1]
-    ks = [complex_momentum(V_ref, W_ref, bands_ref, E_ref, float(z))
+    ks = [complex_momentum(W_ref, bands_ref, E_ref, float(z))
           for z in zs]
     assert all(abs(k.imag) < 1e-10 for k in ks)
     vals = [k.real for k in ks]
@@ -282,17 +283,16 @@ def test_momentum_monotone_on_minus_preband(V_ref, W_ref, bands_ref, E_ref,
     assert 0.0 < vals[0] and vals[-1] < math.pi
 
 
-def test_momentum_conjugation_symmetry(V_ref, W_ref, bands_ref, E_ref,
-                                       geom_ref):
+def test_momentum_conjugation_symmetry(W_ref, bands_ref, E_ref, geom_ref):
     _, (lo, hi) = geom_ref.pre_gaps[1]
     for z in (complex(0.5 * (lo + hi) + 0.1, 0.07),
               complex(0.5 * (lo + hi) - 0.2, 0.21)):
-        k = complex_momentum(V_ref, W_ref, bands_ref, E_ref, z)
-        kc = complex_momentum(V_ref, W_ref, bands_ref, E_ref, z.conjugate())
+        k = complex_momentum(W_ref, bands_ref, E_ref, z)
+        kc = complex_momentum(W_ref, bands_ref, E_ref, z.conjugate())
         assert k == kc.conjugate()
 
 
-def test_off_axis_momentum_reads_the_strip_panel(V_ref, W_ref, bands_ref,
+def test_off_axis_momentum_reads_the_strip_panel(W_ref, bands_ref,
                                                  E_ref, geom_ref, monkeypatch):
     # off the axis the continuation reads the panel re-sampled from the
     # band scan's model, with no scalar discriminant, and lands on the
@@ -304,24 +304,24 @@ def test_off_axis_momentum_reads_the_strip_panel(V_ref, W_ref, bands_ref,
     real = hill.discriminant
     monkeypatch.setattr(hill, "discriminant",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
-    got = [complex_momentum(V_ref, W_ref, bands_ref, E_ref, z) for z in zs]
+    got = [complex_momentum(W_ref, bands_ref, E_ref, z) for z in zs]
     assert calls == []
     monkeypatch.setattr(hill.ComplexDiscriminantModel, "bound",
                         lambda self, E: (complex("nan"), math.inf))
     for z, k in zip(zs, got):
-        scalar = complex_momentum(V_ref, W_ref, bands_ref, E_ref, z, tol=1e-13)
+        scalar = complex_momentum(W_ref, bands_ref, E_ref, z, tol=1e-13)
         assert abs(k - scalar) < 1e-12
     assert calls
 
 
 def test_off_axis_momentum_detours_vertically_around_a_refused_path(
-        V_ref, W_ref, bands_ref, E_ref, geom_ref, monkeypatch):
+        W_ref, bands_ref, E_ref, geom_ref, monkeypatch):
     # when the straight path from the anchor is refused, the continuation
     # climbs vertically from the anchor and then runs level to the point;
     # at a regular point both paths give the same value
     _, (lo, hi) = geom_ref.pre_gaps[1]
     z = complex(0.5 * (lo + hi) + 0.1, 0.07)
-    straight = complex_momentum(V_ref, W_ref, bands_ref, E_ref, z)
+    straight = complex_momentum(W_ref, bands_ref, E_ref, z)
     track = geometry._track_momentum
     calls = []
 
@@ -332,7 +332,7 @@ def test_off_axis_momentum_detours_vertically_around_a_refused_path(
         return track(*args)
 
     monkeypatch.setattr(geometry, "_track_momentum", refuse_first)
-    detour = complex_momentum(V_ref, W_ref, bands_ref, E_ref, z)
+    detour = complex_momentum(W_ref, bands_ref, E_ref, z)
     (a0, _, z0), (a1, _, way), (w2, _, z2) = calls
     assert a1 == a0 and z0 == z2 == z
     assert way == w2 == complex(a0.real, z.imag)
@@ -343,17 +343,16 @@ def test_free_momentum_closed_form(V_zero):
     bands = band_edges(V_zero, 42.0)
     W = AnalyticPotential.cosine(0.5, 0.5)
     for z in (0.7, 2.0, 4.4):
-        got = complex_momentum(V_zero, W, bands, 2.0, z)
+        got = complex_momentum(W, bands, 2.0, z)
         assert got == pytest.approx(math.sqrt(2.0 - float(W.value(z))),
                                     abs=1e-12)
 
 
-def test_momentum_at_branch_point_is_exact_edge_value(V_ref, W_ref, bands_ref,
+def test_momentum_at_branch_point_is_exact_edge_value(W_ref, bands_ref,
                                                       E_ref, geom_ref):
     by_key = {(j, s): z for j, s, z in geom_ref.branch_zetas}
-    assert complex_momentum(V_ref, W_ref, bands_ref, E_ref,
-                            by_key[(1, "-")]) == 0.0
-    assert complex_momentum(V_ref, W_ref, bands_ref, E_ref,
+    assert complex_momentum(W_ref, bands_ref, E_ref, by_key[(1, "-")]) == 0.0
+    assert complex_momentum(W_ref, bands_ref, E_ref,
                             by_key[(2, "-")]) == complex(math.pi)
 
 
@@ -393,23 +392,22 @@ def test_branch_wrapper_period(branches_ref, kappa):
     assert br_m(kappa + TWO_PI) == pytest.approx(br_m(kappa), abs=1e-9)
 
 
-def test_branch_round_trip_inverts_momentum(V_ref, W_ref, bands_ref, E_ref,
+def test_branch_round_trip_inverts_momentum(W_ref, bands_ref, E_ref,
                                             branches_ref):
     grid = np.linspace(0.0, math.pi, 201)[1:-1]
     for br in branches_ref:
         back = np.array([
-            complex_momentum(V_ref, W_ref, bands_ref, E_ref,
-                             float(br(k))).real
+            complex_momentum(W_ref, bands_ref, E_ref, float(br(k))).real
             for k in grid])
         assert np.max(np.abs(back - grid)) < 1e-8
 
 
-def test_branch_depends_continuously_on_energy(V_ref, W_ref, bands_ref, E_ref):
+def test_branch_depends_continuously_on_energy(W_ref, bands_ref, E_ref):
     grid = np.linspace(0.0, math.pi, 41)
     tables = {}
     for dE in (0.0, 1e-3, 1e-4):
         rep = analyze_window(W_ref, bands_ref, E_ref + dE, 1, 0)
-        geom = branch_points(W_ref, bands_ref, rep, V=V_ref)
+        geom = branch_points(W_ref, bands_ref, rep)
         br = real_branch(geom, geom.band_labels[0], points=128)
         tables[dE] = np.array([br(float(k)) for k in grid])
     d3 = np.max(np.abs(tables[1e-3] - tables[0.0]))
@@ -451,7 +449,7 @@ def geom_mix(V_mix, W_ref):
     bands = band_edges(V_mix, 30.0)
     rep = analyze_window(W_ref, bands, best_window_energy(W_ref, bands, 1, 0),
                          1, 0)
-    return branch_points(W_ref, bands, rep, V=V_mix)
+    return branch_points(W_ref, bands, rep)
 
 
 @pytest.mark.parametrize("which", ["ref", "mix"])
@@ -500,13 +498,12 @@ def test_real_branches_share_one_model_per_band(two_band_geometry, monkeypatch):
 # level lines
 
 
-def test_level_drift_stays_below_budget(V_ref, W_ref, bands_ref, E_ref,
-                                        geom_ref):
+def test_level_drift_stays_below_budget(W_ref, bands_ref, E_ref, geom_ref):
     _, (lo, hi) = geom_ref.pre_gaps[1]
     start = complex(0.5 * (lo + hi) + 0.2, 0.12)
     for family in ("kappa", "kappa-pi"):
         for direction in (1, -1):
-            line = trace_stokes_line(V_ref, W_ref, bands_ref, E_ref, start,
+            line = trace_stokes_line(W_ref, bands_ref, E_ref, start,
                                      family=family, direction=direction,
                                      max_length=1.5)
             assert line.reason in ("max-length", "strip-boundary")
@@ -515,11 +512,11 @@ def test_level_drift_stays_below_budget(V_ref, W_ref, bands_ref, E_ref,
 
 
 def test_level_line_to_the_strip_edge_falls_back_to_the_scalar_route(
-        V_ref, W_ref, bands_ref, E_ref, monkeypatch):
+        W_ref, bands_ref, E_ref, monkeypatch):
     # this line climbs to |Im (E - W)| = 2.5, where the complex model hands
     # its points to the scalar integrator; forcing every point there must
     # give the same trace within the tracer's own accuracy
-    args = (V_ref, W_ref, bands_ref, E_ref, complex(0.3, 0.15))
+    args = (W_ref, bands_ref, E_ref, complex(0.3, 0.15))
     kw = dict(family="kappa-pi", direction=-1, max_length=1.5)
     line = trace_stokes_line(*args, **kw)
     assert line.reason == "strip-boundary"
@@ -549,21 +546,19 @@ def test_stokes_step_evaluates_the_discriminant_twelve_times(V_zero,
     counts = []
     for length in (0.4, 0.8):
         calls.clear()
-        line = trace_stokes_line(V_zero, W, bands, 2.0, 1.0, max_length=length)
+        line = trace_stokes_line(W, bands, 2.0, 1.0, max_length=length)
         counts.append((len(calls), len(line.steps)))
     (c1, n1), (c2, n2) = counts
     assert n2 > n1
     assert c2 - c1 == 12 * (n2 - n1)
 
 
-def test_piecewise_level_line_solves_the_closed_form_dispersion(V_kp,
-                                                                 bands_kp):
+def test_piecewise_level_line_solves_the_closed_form_dispersion(bands_kp):
     W = AnalyticPotential.cosine(5.0, 0.3)
     E = best_window_energy(W, bands_kp, 1, 0)
-    geom = branch_points(W, bands_kp, analyze_window(W, bands_kp, E, 1, 0),
-                         V=V_kp)
+    geom = branch_points(W, bands_kp, analyze_window(W, bands_kp, E, 1, 0))
     z1m = geom.branch_zetas[0][2]
-    line = trace_stokes_line(V_kp, W, bands_kp, E, complex(z1m, -0.02),
+    line = trace_stokes_line(W, bands_kp, E, complex(z1m, -0.02),
                              max_length=1.0)
     assert line.reason == "max-length"
     assert line.fallbacks == 0
@@ -574,13 +569,11 @@ def test_piecewise_level_line_solves_the_closed_form_dispersion(V_kp,
         assert abs(np.cos(k) - half_trace) < 1e-9 * max(1.0, abs(half_trace))
 
 
-def test_level_values_agree_with_trapezoid(V_ref, W_ref, bands_ref, E_ref,
-                                           geom_ref):
+def test_level_values_agree_with_trapezoid(W_ref, bands_ref, E_ref, geom_ref):
     # cruder independent quadrature over the same polyline
     _, (lo, hi) = geom_ref.pre_gaps[1]
     start = complex(0.5 * (lo + hi) + 0.2, 0.12)
-    line = trace_stokes_line(V_ref, W_ref, bands_ref, E_ref, start,
-                             max_length=1.0)
+    line = trace_stokes_line(W_ref, bands_ref, E_ref, start, max_length=1.0)
     zs = np.empty(2 * len(line.points) - 1, dtype=complex)
     fs = np.empty_like(zs)
     zs[::2], zs[1::2] = line.points, line.mids
@@ -592,43 +585,43 @@ def test_level_values_agree_with_trapezoid(V_ref, W_ref, bands_ref, E_ref,
 def test_free_level_line_stays_on_real_axis(V_zero):
     bands = band_edges(V_zero, 42.0)
     W = AnalyticPotential.cosine(0.5, 0.5)
-    line = trace_stokes_line(V_zero, W, bands, 2.0, 1.0, max_length=0.8)
+    line = trace_stokes_line(W, bands, 2.0, 1.0, max_length=0.8)
     assert line.reason == "max-length"
     assert np.all(np.imag(line.points) == 0.0)
 
 
-def test_vertical_line_under_odd_branch_point(V_ref, W_ref, bands_ref, E_ref,
+def test_vertical_line_under_odd_branch_point(W_ref, bands_ref, E_ref,
                                               geom_ref):
     z1m = geom_ref.branch_zetas[0][2]
-    line = trace_stokes_line(V_ref, W_ref, bands_ref, E_ref,
+    line = trace_stokes_line(W_ref, bands_ref, E_ref,
                              complex(z1m, -0.02), direction=-1,
                              max_length=1.0)
     assert line.reason == "strip-boundary"
     assert np.all(np.diff(np.imag(line.points)) < 0.0)
 
 
-def test_tracer_rejects_degenerate_start(V_ref, W_ref, bands_ref, E_ref,
-                                         geom_ref):
+def test_tracer_rejects_degenerate_start(W_ref, bands_ref, E_ref, geom_ref):
     z1m = geom_ref.branch_zetas[0][2]
     with pytest.raises(DegeneratePointError):
-        trace_stokes_line(V_ref, W_ref, bands_ref, E_ref, complex(z1m, 0.0))
+        trace_stokes_line(W_ref, bands_ref, E_ref, complex(z1m, 0.0))
 
 
-def test_tracer_rejects_bad_arguments(V_ref, W_ref, bands_ref, E_ref):
+def test_tracer_rejects_bad_arguments(W_ref, bands_ref, E_ref):
     with pytest.raises(InvalidInputError):
-        trace_stokes_line(V_ref, W_ref, bands_ref, E_ref, 1.0 + 0.1j,
-                          family="nope")
+        trace_stokes_line(W_ref, bands_ref, E_ref, 1.0 + 0.1j, family="nope")
     with pytest.raises(InvalidInputError):
-        trace_stokes_line(V_ref, W_ref, bands_ref, E_ref, 1.0 + 0.1j,
-                          direction=0)
+        trace_stokes_line(W_ref, bands_ref, E_ref, 1.0 + 0.1j, direction=0)
+    for length in (0.0, -3.0):
+        with pytest.raises(InvalidInputError, match="max_length"):
+            trace_stokes_line(W_ref, bands_ref, E_ref, 1.0 + 0.1j,
+                              max_length=length)
 
 
-def test_strip_clearance_blocks_wide_strips(V_ref, bands_ref, E_ref):
+def test_strip_clearance_blocks_wide_strips(bands_ref, E_ref):
     wide = AnalyticPotential.cosine(4.8, 1.0)
     assert strip_clearance(wide, bands_ref, E_ref)
     with pytest.raises(InvalidInputError):
-        trace_stokes_line(V_ref, wide, bands_ref, E_ref, 1.0 + 0.1j,
-                          max_length=0.1)
+        trace_stokes_line(wide, bands_ref, E_ref, 1.0 + 0.1j, max_length=0.1)
 
 
 def test_strip_clearance_clean_for_reference(W_ref, bands_ref, E_ref,
@@ -680,3 +673,15 @@ def test_sigma_set_examples():
     two = BandStructure(edges=(0.0, 1.0, 2.0, 3.0), gap_open=(True,),
                         ceiling=4.0, edge_tol=1e-10)
     assert sigma_set(two, -0.6, 0.6) == ((-0.6, 3.6),)
+
+
+def test_hand_built_band_table_has_no_operator(W_ref):
+    # edges alone know no V: every read of the operator names the missing
+    # discriminant model instead of failing on None
+    one = BandStructure(edges=(0.0, 1.0), gap_open=(), ceiling=2.0,
+                        edge_tol=1e-10)
+    for read in (lambda: quasimomentum_main(one, 0.5),
+                 lambda: quasimomentum_main(one, 0.5 + 0.1j),
+                 lambda: strip_model(one, W_ref, 0.5)):
+        with pytest.raises(InvalidInputError, match="discriminant model"):
+            read()

@@ -100,7 +100,7 @@ def test_non_finite_energy_rejected(V_ref, bands_ref):
         fundamental_matrix(V_ref, float("inf"))
     for E in (float("nan"), -float("inf")):
         with pytest.raises(InvalidInputError):
-            quasimomentum_main(V_ref, bands_ref, E)
+            quasimomentum_main(bands_ref, E)
 
 
 def test_piecewise_breakpoint_validation():
@@ -325,12 +325,13 @@ def test_model_users_keep_no_potential_alive(W_ref, bands_ref, report_ref):
     # a fresh potential equal to V_ref: nothing may hold it once the
     # actions and the real branches are computed
     V = PeriodicPotential.trig([(1, 2.0, 0.0)])
-    geom = branch_points(W_ref, bands_ref, report_ref, V=V)
-    assert compute_actions(V, W_ref, bands_ref, geom).total_action > 0
+    bands = band_edges(V, bands_ref.ceiling)
+    geom = branch_points(W_ref, bands, report_ref)
+    assert compute_actions(geom).total_action > 0
     for label in geom.band_labels:
         real_branch(geom, label, points=16)
     ref = weakref.ref(V)
-    del V, geom
+    del V, bands, geom
     gc.collect()
     assert ref() is None
 
@@ -491,31 +492,31 @@ def test_edge_discriminant_alternation(V_ref, bands_ref):
 
 def test_free_quasimomentum_closed_forms(V_zero):
     bands = band_edges(V_zero, 42.0)
-    k = quasimomentum_main(V_zero, bands, math.pi**2 / 4.0).value
+    k = quasimomentum_main(bands, math.pi**2 / 4.0).value
     assert k == pytest.approx(math.pi / 2.0, abs=1e-10)
-    k = quasimomentum_main(V_zero, bands, -1.0).value
+    k = quasimomentum_main(bands, -1.0).value
     assert k == pytest.approx(1j, abs=1e-10)
     for E in (3.0, 20.0):
-        k = quasimomentum_main(V_zero, bands, E).value
+        k = quasimomentum_main(bands, E).value
         assert k == pytest.approx(math.sqrt(E), abs=1e-9)
 
 
-def test_band_momentum_monotone_onto_interval(V_ref, bands_ref):
+def test_band_momentum_monotone_onto_interval(bands_ref):
     for n in (1, 2):
         lo, hi = bands_ref.edges[2 * n - 2], bands_ref.edges[2 * n - 1]
         Es = np.linspace(lo, hi, 102)[1:-1]
-        ks = [quasimomentum_main(V_ref, bands_ref, float(e)).value for e in Es]
+        ks = [quasimomentum_main(bands_ref, float(e)).value for e in Es]
         assert all(abs(k.imag) < 1e-12 for k in ks)
         vals = [k.real for k in ks]
         assert all(a < b for a, b in zip(vals, vals[1:]))
         assert math.pi * (n - 1) < vals[0] and vals[-1] < math.pi * n
 
 
-def test_gap_momentum_profile(V_ref, bands_ref):
+def test_gap_momentum_profile(bands_ref):
     # constant real part, positive imaginary part with a single maximum
     lo, hi = bands_ref.edges[1], bands_ref.edges[2]
     Es = np.linspace(lo, hi, 102)[1:-1]
-    ks = [quasimomentum_main(V_ref, bands_ref, float(e)).value for e in Es]
+    ks = [quasimomentum_main(bands_ref, float(e)).value for e in Es]
     assert all(k.real == pytest.approx(math.pi, abs=1e-10) for k in ks)
     ims = np.array([k.imag for k in ks])
     assert np.all(ims > 0)
@@ -524,23 +525,23 @@ def test_gap_momentum_profile(V_ref, bands_ref):
     assert flips == 1
 
 
-def test_edge_returns_exact_multiple_of_pi(V_ref, bands_ref):
-    got = quasimomentum_main(V_ref, bands_ref, bands_ref.edges[1])
+def test_edge_returns_exact_multiple_of_pi(bands_ref):
+    got = quasimomentum_main(bands_ref, bands_ref.edges[1])
     assert got.at_edge
     assert got.value == math.pi
 
 
-def test_square_root_edge_exponent(V_ref, bands_ref):
+def test_square_root_edge_exponent(bands_ref):
     edge = bands_ref.edges[1]
     deltas = np.array([10.0**-k for k in range(3, 8)])
-    gaps = [abs(quasimomentum_main(V_ref, bands_ref, edge + d).value - math.pi)
+    gaps = [abs(quasimomentum_main(bands_ref, edge + d).value - math.pi)
             for d in deltas]
     slope = np.polyfit(np.log(deltas), np.log(gaps), 1)[0]
     assert slope == pytest.approx(0.5, abs=0.05)
 
 
 def test_below_spectrum_momentum_is_imaginary(V_ref, bands_ref):
-    k = quasimomentum_main(V_ref, bands_ref, -3.0).value
+    k = quasimomentum_main(bands_ref, -3.0).value
     assert k.real == 0.0
     assert k.imag > 0
     assert 2.0 * cmath.cos(k) == pytest.approx(discriminant(V_ref, -3.0),
@@ -553,7 +554,7 @@ def test_momentum_below_the_band_scan(V_ref, bands_ref, V_kp, bands_kp):
     # lowers the model's bound and stays exact
     for V, bands in ((V_ref, bands_ref), (V_kp, bands_kp)):
         for E in (bands.model.lo - 0.3, bands.model.lo - 6.0):
-            k = quasimomentum_main(V, bands, E).value
+            k = quasimomentum_main(bands, E).value
             assert k.real == 0.0
             assert 2.0 * math.cosh(k.imag) == pytest.approx(
                 discriminant(V, E, tol=1e-12), rel=1e-11)
@@ -564,7 +565,7 @@ def test_momentum_below_the_band_scan(V_ref, bands_ref, V_kp, bands_kp):
 
 def test_gap_midpoint_against_acosh_oracle(V_ref, bands_ref):
     mid = 0.5 * (bands_ref.edges[1] + bands_ref.edges[2])
-    k = quasimomentum_main(V_ref, bands_ref, mid).value
+    k = quasimomentum_main(bands_ref, mid).value
     assert k.real == math.pi
     assert k.imag > 0
     delta = oracle_discriminant(V_ref, np.array([mid]), steps=6000)[0]
@@ -580,7 +581,7 @@ def test_momentum_inverts_discriminant_at_random_points(V_ref, bands_ref):
         if np.min(np.abs(edges - E)) < 1e-3:
             continue
         picked += 1
-        k = quasimomentum_main(V_ref, bands_ref, E).value
+        k = quasimomentum_main(bands_ref, E).value
         assert 2.0 * cmath.cos(k) == pytest.approx(discriminant(V_ref, E),
                                                    abs=1e-8)
 
@@ -588,25 +589,25 @@ def test_momentum_inverts_discriminant_at_random_points(V_ref, bands_ref):
 @pytest.mark.parametrize("E", [2.0 + 0.3j, 7.0 + 1.0j, -2.5 + 0.2j,
                                20.0 + 3.0j])
 def test_complex_energy_momentum_continues_the_main_branch(V_ref, bands_ref,
-                                                           E):
-    # off the axis k continues cos k = trace/2 from a band anchor: it solves
-    # the dispersion relation, stays in the upper half-plane and is
-    # Schwarz symmetric
-    k = quasimomentum_main(V_ref, bands_ref, E).value
-    delta = discriminant(V_ref, E, tol=1e-13)
-    assert abs(2.0 * cmath.cos(k) - delta) <= 1e-9 * max(1.0, abs(delta))
-    assert k.imag > 0
-    assert quasimomentum_main(V_ref, bands_ref, E.conjugate()).value \
-        == k.conjugate()
+                                                           V_kp, bands_kp, E):
+    # off the axis k continues cos k = trace/2 of the band table's own V
+    # from a band anchor: it solves the dispersion relation, stays in the
+    # upper half-plane and is Schwarz symmetric
+    for V, bands in ((V_ref, bands_ref), (V_kp, bands_kp)):
+        k = quasimomentum_main(bands, E).value
+        delta = discriminant(V, E, tol=1e-13)
+        assert abs(2.0 * cmath.cos(k) - delta) <= 1e-9 * max(1.0, abs(delta))
+        assert k.imag > 0
+        assert quasimomentum_main(bands, E.conjugate()).value \
+            == k.conjugate()
 
 
-def test_complex_energy_momentum_meets_the_gap_boundary_value(V_ref,
-                                                              bands_ref):
+def test_complex_energy_momentum_meets_the_gap_boundary_value(bands_ref):
     # inside a gap the continuation from above approaches the '+i0' value
     # linearly in Im E
     mid = 0.5 * (bands_ref.edges[1] + bands_ref.edges[2])
-    upper = quasimomentum_main(V_ref, bands_ref, mid, side="+i0").value
-    dist = [abs(quasimomentum_main(V_ref, bands_ref, complex(mid, eta)).value
+    upper = quasimomentum_main(bands_ref, mid, side="+i0").value
+    dist = [abs(quasimomentum_main(bands_ref, complex(mid, eta)).value
                 - upper) for eta in (1e-2, 1e-4, 1e-6)]
     assert dist[0] > dist[1] > dist[2]
     assert dist[2] < 1e-7
@@ -632,7 +633,7 @@ def test_gap_multiplier_consistent_with_momentum(V_kp, bands_kp):
     mid = 0.5 * (bands_kp.edges[1] + bands_kp.edges[2])
     lam, vec = bloch_floquet(V_kp, mid)
     assert abs(lam) > 1.0
-    k = quasimomentum_main(V_kp, bands_kp, mid).value
+    k = quasimomentum_main(bands_kp, mid).value
     assert lam * cmath.exp(1j * k) == pytest.approx(1.0, abs=1e-8)
     P = fundamental_matrix(V_kp, mid).matrix
     assert np.allclose(P @ np.asarray(vec), lam * np.asarray(vec), atol=1e-8)

@@ -47,12 +47,12 @@ def test_kronrod_and_gauss_rules_are_exact_to_their_degree():
     assert np.max(np.abs(_numerics.GAUSS_WEIGHTS[1::2] - weights)) <= 1e-15
 
 
-def _half_integrands(V, W, bands, geom):
+def _half_integrands(geom):
     """The '+i0' action integrands, both halves of every pre-gap, with
     their u ranges, as ``actions._action`` builds them."""
-    model = window_model(bands, W, geom.energy)
+    model = window_model(geom.bands, geom.W, geom.energy)
     for label in geom.gap_labels:
-        im_kappa = actions_mod._im_kappa_factory(model, W, bands, geom, label)
+        im_kappa = actions_mod._im_kappa_factory(model, geom, label)
         a, b = geom.pre_gap(label)
         mid = 0.5 * (a + b)
         for edge, sgn in ((a, 1.0), (b, -1.0)):
@@ -61,9 +61,8 @@ def _half_integrands(V, W, bands, geom):
             yield label, f, math.sqrt(abs(mid - edge))
 
 
-def test_gauss_kronrod_matches_quad_on_every_reference_pre_gap(
-        V_ref, W_ref, bands_ref, geom_ref):
-    for _, f, ulim in _half_integrands(V_ref, W_ref, bands_ref, geom_ref):
+def test_gauss_kronrod_matches_quad_on_every_reference_pre_gap(geom_ref):
+    for _, f, ulim in _half_integrands(geom_ref):
         ours, err = _numerics.gauss_kronrod(f, 0.0, ulim, epsabs=1e-12,
                                             epsrel=1e-11, limit=200)
         want, want_err = scipy_integrate.quad(
@@ -83,11 +82,10 @@ def test_gauss_kronrod_raises_at_the_subinterval_limit():
     assert value == pytest.approx(math.e - 1.0, rel=1e-15)
 
 
-def test_unreachable_plus_side_tolerance_exits_numeric(V_ref, W_ref, bands_ref,
-                                                       geom_ref):
+def test_unreachable_plus_side_tolerance_exits_numeric(geom_ref):
     # rtol 1e-15 is below QK21's error floor of 50 eps per subinterval
     with pytest.raises(ConvergenceFailure, match="Gauss-Kronrod"):
-        tunneling_action(V_ref, W_ref, bands_ref, geom_ref,
+        tunneling_action(geom_ref,
                          geom_ref.gap_labels[0], side="+i0", tol=1e-16)
 
 
