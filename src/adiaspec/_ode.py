@@ -174,8 +174,7 @@ def propagate(q, E, x0, x1, rtol=1e-10, atol=1e-12, y0=(1.0, 0.0, 0.0, 1.0)):
         nb = b + h * (_B1 * k1b + _B3 * k3b + _B4 * k4b + _B5 * k5b + _B6 * k6b)
         nc = c + h * (_B1 * k1c + _B3 * k3c + _B4 * k4c + _B5 * k5c + _B6 * k6c)
         nd = d + h * (_B1 * k1d + _B3 * k3d + _B4 * k4d + _B5 * k5d + _B6 * k6d)
-        # stage 7 (FSAL) at the candidate point
-        w = q(x + h) - E
+        # stage 7 (FSAL) at the candidate point, where stage 6 took w
         k7a, k7b, k7c, k7d = nc, nd, w * na, w * nb
         # embedded error estimate
         ea = h * (_E1 * k1a + _E3 * k3a + _E4 * k4a + _E5 * k5a + _E6 * k6a + _E7 * k7a)

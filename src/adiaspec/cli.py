@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -528,6 +527,9 @@ def cmd_verify(cfg: RunConfig, seed: int, threads: int = 1) -> int:
         return est.value, est.standard_error
 
     if threads > 1:
+        # loaded here: concurrent.futures imports logging, which every
+        # other command would pay for at start-up
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run_cell, eps_order))
     else:

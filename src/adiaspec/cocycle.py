@@ -5,9 +5,11 @@ Two routes to an exponent live here.  `cocycle_lyapunov` iterates a
 discrete monodromy picture.  `direct_lyapunov` follows the
 quasi-periodic Schrodinger equation itself over a long window in
 unit-length blocks, the continuous picture; the blocks come from one
-`PhaseModel` of the block map in the slow phase.  Both go through one
-renormalised-product kernel, `_log_norms`, over all z samples at once: it
-reads factors in chunks of at most ``_ode.CHUNK`` columns (a, b, c, d),
+`PhaseModel` of the block map in the slow phase, a trigonometric
+interpolant evaluated from a table of powers of e^(i phi).  Both go
+through one renormalised-product kernel, `_log_norms`, over all z
+samples at once: it reads factors in chunks of at most ``_ode.CHUNK``
+columns (a, b, c, d),
 multiplies each run of `stride` of them as a pairwise tree
 (``_ode._fold``) and renormalises a batch of these block products by one
 log-depth prefix scan.  The stride is ``renorm_stride`` cocycle factors,
@@ -386,7 +388,10 @@ class PhaseModel:
     tol * max(1, max |G|); past ``_PHASES_MAX`` the model is refused with
     ResolutionFailure.  ``norm_bound`` bounds ||G||_F at every phase.
     ``check`` integrates a sample of a run's blocks directly and refuses
-    the model if they disagree.
+    the model if they disagree.  A call evaluates G at n phases from one
+    table of the powers e^(i k phi), k < K/2: one complex exponential and
+    K/2 complex products per phase, then two (4, K/2) by (K/2, n) matrix
+    products.
     """
 
     def __init__(self, V: PeriodicPotential, W, epsilon: float, E, z: float,
@@ -422,9 +427,22 @@ class PhaseModel:
             (np.abs(self._cos) + np.abs(self._sin)).sum(axis=1).max())
 
     def __call__(self, phases: np.ndarray) -> np.ndarray:
-        """(4, n) rows (a, b, c, d) of G at each phase of a 1-D array."""
-        x = np.outer(np.arange(self.K // 2), phases)
-        return self._cos @ np.cos(x) + self._sin @ np.sin(x)
+        """(4, n) rows (a, b, c, d) of G at each phase of a 1-D array.
+
+        One complex exponential u = e^(i phi) per phase; the powers u^k,
+        k < K/2, fill one (K/2, n) table by doubling (rows k..2k-1 are rows
+        0..k-1 times u^k, K/2 being a power of two), one complex product
+        per entry, and G = A Re(u^k) + B Im(u^k) is two matrix products.
+        """
+        u = np.exp(1j * phases)
+        powers = np.empty((self.K // 2, len(phases)), dtype=complex)
+        powers[0] = 1.0
+        k = 1
+        while k < len(powers):
+            np.multiply(powers[:k], u, out=powers[k:2 * k])
+            u = u * u
+            k *= 2
+        return self._cos @ powers.real + self._sin @ powers.imag
 
     def blocks(self, j0: int, j1: int) -> np.ndarray:
         """Rows of the unit blocks j0 <= j < j1 of the run."""
@@ -535,8 +553,10 @@ def herman_family(lam, n0: int, alpha, beta, m_amp: float, epsilon: float,
     its sup spectral norm over a 4096-point z grid equals m_amp exactly;
     the seed makes lower-bound sweeps reproducible.  On real z every
     Fourier mode is a power of u = e^{2 pi i z} (u^-1 = conj u), so the
-    array evaluator takes one exponential per z, and none for M1 when
-    m_amp = 0.
+    array evaluator takes one exponential per z, fills u^(n0-3) ...
+    u^(n0+3) by successive products with u and conj u, and applies one
+    (4, 7) table of lam (B + M1) coefficients to them in one matrix
+    product; with m_amp = 0 it is lam u^n0 B.
     """
     lam, alpha, beta = complex(lam), complex(alpha), complex(beta)
     if abs(alpha) >= 1.0:
@@ -545,28 +565,32 @@ def herman_family(lam, n0: int, alpha, beta, m_amp: float, epsilon: float,
         raise InvalidInputError("perturbation amplitude must be >= 0")
     base = np.array([[1.0], [beta], [0.0], [alpha]])  # rows of B
 
-    def modes(u: np.ndarray) -> np.ndarray:
-        # u^-3 ... u^3 as the rows of a (7, n) array
-        u2 = u * u
-        up = np.array([u, u2, u2 * u])
-        return np.concatenate([up[::-1].conj(), np.ones((1, len(u))), up])
+    def powers(u: np.ndarray, centre) -> np.ndarray:
+        # centre u^k, k = -3 ... 3, as the rows of a (7, n) array
+        out = np.empty((7, len(u)), dtype=complex)
+        out[3] = centre
+        uc = u.conj()
+        for k in range(3):
+            np.multiply(out[3 + k], u, out=out[4 + k])
+            np.multiply(out[3 - k], uc, out=out[2 - k])
+        return out
 
-    terms = None
+    table = None
     if m_amp > 0:
         rng = np.random.default_rng(seed)
         coeffs = (rng.standard_normal((2, 2, 7))
                   + 1j * rng.standard_normal((2, 2, 7)))
-        phases = modes(np.exp(2j * np.pi * np.arange(4096) / 4096.0))
-        vals = np.einsum("ijk,kz->zij", coeffs, phases)
+        modes = powers(np.exp(2j * np.pi * np.arange(4096) / 4096.0), 1.0)
+        vals = np.einsum("ijk,kz->zij", coeffs, modes)
         sup = np.linalg.svd(vals, compute_uv=False)[:, 0].max()
-        terms = (coeffs * (m_amp / sup)).reshape(4, 7)
+        table = lam * (coeffs * (m_amp / sup)).reshape(4, 7)
+        table[:, 3] += lam * base[:, 0]
 
     def rows(z: np.ndarray) -> np.ndarray:
         u = np.exp(2j * np.pi * np.asarray(z, dtype=float))
-        factor = lam * u ** n0
-        if terms is None:
-            return factor * base
-        return factor * (base + terms @ modes(u))
+        if table is None:
+            return lam * u ** n0 * base
+        return table @ powers(u, u ** n0)
 
     return MatrixFamily(
         kind="herman-test", evaluator=_one_point(rows),

@@ -912,6 +912,16 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_loads_no_thread_pool():
+    # concurrent.futures (and the logging it imports) is loaded only by
+    # verify --threads > 1
+    proc = _fresh_python(["-c", "import sys, adiaspec.cli; print(sorted("
+                          "m for m in sys.modules "
+                          "if m.split('.')[0] == 'concurrent'))"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_commands_run_without_scipy(tmp_path):
     cfg, out = prepare(tmp_path)
     commands = ["bands", "geometry", "actions", "stokes", "verify"]

@@ -462,6 +462,9 @@ HERMAN_CASES = {
     "seed-11-complex": (1.5 - 0.5j, 1, 0.4j, 0.2 + 0.1j, 0.05, 11),
     "n0-2": (2.0, 2, 0.5, 0.3, 0.1, 5),
     "unperturbed": (2.0, 1, 0.5, 1.0, 0.0, 0),
+    # the power table's ends u^(n0-3) and u^(n0+3) on both sides of u^0
+    **{f"n0={n0}-m_amp={m_amp}": (1.5 - 0.5j, n0, 0.4j, 0.2 + 0.1j, m_amp, 11)
+       for n0 in (-2, 0, 3) for m_amp in (0.0, 0.1)},
 }
 MODEL_COEFFS = (0.3 + 0.2j, -0.1j, 0.7, 0.05 + 0.4j)
 
@@ -776,6 +779,35 @@ def test_phase_model_doubles_past_a_high_frequency_tail(V_ref, E_ref,
     monkeypatch.setattr("adiaspec.cocycle._PHASES_MAX", model.K // 2)
     with pytest.raises(ResolutionFailure, match="phase model"):
         direct_lyapunov(V_ref, W, eps, E_ref, z=z, L=100.0, tol=tol)
+
+
+PHASE_SUM_CASES = {
+    # name: (W terms, energy offset from E_ref, K at least)
+    "reference": ([(1, 4.8, 0.0)], 0.0, 32),
+    "frequency-7": ([(1, 4.8, 0.0), (7, 0.08, 0.0)], 0.0, 64),
+    "complex-E": ([(1, 4.8, 0.0)], 0.3j, 32),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PHASE_SUM_CASES))
+def test_phase_model_evaluates_its_cosine_sine_sum(case, V_ref, E_ref):
+    # G(phi) = sum over k < K/2 of A_k cos(k phi) + B_k sin(k phi), summed
+    # term by term at one phase at a time
+    terms, dE, K = PHASE_SUM_CASES[case]
+    model = PhaseModel(V_ref, AnalyticPotential(terms, 0.5), 0.1, E_ref + dE,
+                       0.37, 1e-9)
+    assert model.K >= K
+    phases = np.concatenate([np.mod(0.1 * np.arange(0, 5000, 37), 2 * math.pi),
+                             [0.0, 1e-3, math.pi, 6.28, -1.3, 11.7]])
+    want = np.array([sum(model._cos[:, k] * math.cos(k * p)
+                         + model._sin[:, k] * math.sin(k * p)
+                         for k in range(model.K // 2))
+                     for p in phases.tolist()]).T
+    got = model(phases)
+    assert got.shape == (4, len(phases))
+    assert np.iscomplexobj(got) == (dE != 0)
+    scale = max(1.0, float(np.abs(want).max()))
+    assert np.abs(got - want).max() <= 1e-13 * scale
 
 
 def test_phase_model_sample_check_catches_a_corrupted_fill(

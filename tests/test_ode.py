@@ -195,6 +195,29 @@ def test_transfer_batch_evaluates_w_five_times_per_step(V_ref, monkeypatch):
     assert evaluations[0] == 5 * steps[0] + calls[0]
 
 
+def test_propagate_evaluates_q_five_times_per_attempted_step(V_ref):
+    # q(x0) once, then per attempted step, accepted or rejected, the nodes
+    # x + c h for c = 0.2, 0.3, 0.8, 8/9 and 1, where stages 6 and 7 share
+    # the end node and the next step's first stage reuses it (FSAL)
+    q0 = V_ref.evaluator()
+    xs = []
+
+    def q(x):
+        xs.append(x)
+        return q0(x)
+
+    _, _, nsteps = _ode.propagate(q, 4.4, 0.0, 1.0, rtol=1e-10, atol=1e-12)
+    attempts, rest = divmod(len(xs) - 1, 5)
+    assert rest == 0
+    assert attempts > nsteps  # some step was rejected and still made 5 calls
+    assert xs[0] == 0.0
+    nodes = np.array(xs[1:]).reshape(attempts, 5)
+    h = (nodes[:, 4] - nodes[:, 0]) / (1.0 - _C2)
+    x = nodes[:, 4] - h
+    want = x[:, None] + h[:, None] * np.array([_C2, _C3, _C4, _C5, 1.0])
+    assert np.abs(nodes - want).max() <= 1e-14
+
+
 def band_scan_nodes():
     """The 221 nodes of the reference band-scan model: 13 panels of degree
     16 over [-2.503, 45.5]."""
