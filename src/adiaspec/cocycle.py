@@ -6,8 +6,9 @@ discrete monodromy picture.  `direct_lyapunov` follows the
 quasi-periodic Schrodinger equation itself over a long window in
 unit-length blocks, the continuous picture; the blocks come from one
 `PhaseModel` of the block map in the slow phase, a trigonometric
-interpolant evaluated from a table of powers of e^(i phi).  Both go
-through one renormalised-product kernel, `_log_norms`, over all z
+interpolant filled and checked against sampled blocks of the run in one
+integration batch and evaluated from a table of powers of e^(i phi).
+Both go through one renormalised-product kernel, `_log_norms`, over all z
 samples at once: it reads factors in chunks of at most ``_ode.CHUNK``
 columns (a, b, c, d),
 multiplies each run of `stride` of them as a pairwise tree
@@ -50,7 +51,7 @@ _KINDS = ("model-M0", "herman-test", "user-table")
 # in the tests is 900k
 _COCYCLE_FACTORS_MAX = 10_000_000
 # a PhaseModel's first and largest number of fill phases, and the number of
-# a run's blocks direct_lyapunov integrates to check it
+# a run's blocks it integrates alongside its first fill to check itself
 _PHASES_MIN, _PHASES_MAX = 32, 1024
 _SAMPLE_BLOCKS = 32
 
@@ -328,8 +329,9 @@ def direct_lyapunov(V: PeriodicPotential, W, epsilon: float, E: float,
     `PhaseModel` of G per call stands in for integrating every block: it
     is filled at a few equispaced phases and checked against
     `_SAMPLE_BLOCKS` evenly spaced blocks of this run, integrated directly
-    (ConsistencyError if one disagrees).  The blocks are then evaluated
-    from the model and go to ``_log_norms`` with the derived stride
+    in the same batch as the first fill (ConsistencyError if one
+    disagrees).  The blocks are then evaluated from the model and go to
+    ``_log_norms`` with the derived stride
     s = max(1, min(64, N // 10, floor(350 / max(1, log B)))), where B =
     ``PhaseModel.norm_bound``: a fold of s blocks stays below e^350, and
     there are at least ten fold blocks, one log each in ``per_block``.
@@ -348,8 +350,7 @@ def direct_lyapunov(V: PeriodicPotential, W, epsilon: float, E: float,
         raise InsufficientLengthError(
             f"L={L} gives {nblocks} unit blocks; need at least 10"
         )
-    model = PhaseModel(V, W, epsilon, E, z, tol)
-    model.check(nblocks)
+    model = PhaseModel(V, W, epsilon, E, z, tol, nblocks)
     s = max(1, min(64, nblocks // 10,
                    math.floor(350.0 / max(1.0, math.log(model.norm_bound)))))
     blocks = _log_norms(lambda r, j0, j1: model.blocks(j0, j1), (z,),
@@ -385,23 +386,29 @@ class PhaseModel:
     Fourier coefficients are taken by a complex FFT (complex E gives a
     complex G).  K starts at ``_PHASES_MIN`` and doubles while the largest
     coefficient of the upper half of the frequencies, |k| >= K / 4, exceeds
-    tol * max(1, max |G|); past ``_PHASES_MAX`` the model is refused with
-    ResolutionFailure.  ``norm_bound`` bounds ||G||_F at every phase.
-    ``check`` integrates a sample of a run's blocks directly and refuses
-    the model if they disagree.  A call evaluates G at n phases from one
-    table of the powers e^(i k phi), k < K/2: one complex exponential and
-    K/2 complex products per phase, then two (4, K/2) by (K/2, n) matrix
-    products.
+    tol * max(1, max |G|); a refill integrates the K fill phases only, and
+    past ``_PHASES_MAX`` the model is refused with ResolutionFailure.
+    ``norm_bound`` bounds ||G||_F at every phase.  The first pass also
+    integrates ``_SAMPLE_BLOCKS`` evenly spaced blocks of the run of
+    nblocks blocks, and the model is refused with ConsistencyError if it
+    misses one by more than 10 tol max(1, max |block|).  A call evaluates G
+    at n phases from one table of the powers e^(i k phi), k < K/2: one
+    complex exponential and K/2 complex products per phase, then two
+    (4, K/2) by (K/2, n) matrix products.
     """
 
     def __init__(self, V: PeriodicPotential, W, epsilon: float, E, z: float,
-                 tol: float):
-        self.epsilon, self.tol = epsilon, tol
-        self._integrate = functools.partial(_block_transfers, V, W, epsilon,
-                                            E, z, tol=tol)
+                 tol: float, nblocks: int):
+        self.epsilon = epsilon
+        js = np.linspace(0, nblocks - 1, _SAMPLE_BLOCKS).astype(int)
+        # distinct, in order (np.unique would load numpy.ma on first use)
+        js = js[np.r_[True, js[1:] != js[:-1]]]
+        checks = np.mod(epsilon * js, TWO_PI)
         K = _PHASES_MIN
+        G = _block_transfers(V, W, epsilon, E, z, np.concatenate(
+            [TWO_PI / K * np.arange(K), checks]), tol)
+        G, direct = G[:, :K], G[:, K:]
         while True:
-            G = self._integrate(TWO_PI / K * np.arange(K))
             coef = np.fft.fft(G, axis=1) / K
             k = np.fft.fftfreq(K, 1.0 / K)
             tail = float(np.abs(coef[:, np.abs(k) >= K // 4]).max())
@@ -412,6 +419,8 @@ class PhaseModel:
                     f"phase model with {K} phases still has a Fourier tail "
                     f"of {tail:.3g}, above tol {tol} of the block scale")
             K *= 2
+            G = _block_transfers(V, W, epsilon, E, z,
+                                 TWO_PI / K * np.arange(K), tol)
         self.K = K
         # G = sum over |k| < K/2 of A_k cos(k phi) + B_k sin(k phi), with
         # A_k = C_k + C_-k and B_k = i (C_k - C_-k); the Nyquist term, already
@@ -425,6 +434,14 @@ class PhaseModel:
         # |entry of G| <= sum of its coefficients' moduli; ||G||_F <= 2 max
         self.norm_bound = 2.0 * float(
             (np.abs(self._cos) + np.abs(self._sin)).sum(axis=1).max())
+        diff = np.abs(self(checks) - direct).max(axis=0)
+        bound = 10.0 * tol * np.maximum(1.0, np.abs(direct).max(axis=0))
+        bad = np.flatnonzero(diff > bound)
+        if bad.size:
+            i = bad[0]
+            raise ConsistencyError(
+                f"phase model ({K} phases) misses block {js[i]} by "
+                f"{diff[i]:.3g}, above {bound[i]:.3g}")
 
     def __call__(self, phases: np.ndarray) -> np.ndarray:
         """(4, n) rows (a, b, c, d) of G at each phase of a 1-D array.
@@ -447,24 +464,6 @@ class PhaseModel:
     def blocks(self, j0: int, j1: int) -> np.ndarray:
         """Rows of the unit blocks j0 <= j < j1 of the run."""
         return self(np.mod(self.epsilon * np.arange(j0, j1), TWO_PI))
-
-    def check(self, nblocks: int) -> None:
-        """Integrate ``_SAMPLE_BLOCKS`` evenly spaced blocks of a run of
-        nblocks directly; ConsistencyError if one differs from the model by
-        more than 10 tol max(1, max |block|)."""
-        js = np.linspace(0, nblocks - 1, _SAMPLE_BLOCKS).astype(int)
-        # distinct, in order (np.unique would load numpy.ma on first use)
-        js = js[np.r_[True, js[1:] != js[:-1]]]
-        phases = np.mod(self.epsilon * js, TWO_PI)
-        direct = self._integrate(phases)
-        diff = np.abs(self(phases) - direct).max(axis=0)
-        bound = 10.0 * self.tol * np.maximum(1.0, np.abs(direct).max(axis=0))
-        bad = np.flatnonzero(diff > bound)
-        if bad.size:
-            i = bad[0]
-            raise ConsistencyError(
-                f"phase model ({self.K} phases) misses block {js[i]} by "
-                f"{diff[i]:.3g}, above {bound[i]:.3g}")
 
 
 def _block_transfers(V: PeriodicPotential, W, epsilon: float, E, z: float,

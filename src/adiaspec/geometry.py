@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._numerics import CubicHermite, bracketed_roots, brent, pchip_slopes
+from ._numerics import CubicHermite, bracketed_roots, pchip_slopes
 from .errors import (
     ConsistencyError,
     CoverageError,
@@ -55,8 +55,9 @@ class AnalyticPotential:
     The constructor verifies that W has exactly one non-degenerate maximum
     and one non-degenerate minimum per period and translates the maximum
     to zeta = 0.  Y is the caller's statement about how far the geometry
-    may be continued off the real axis; it is checked against the actual
-    branch-point configuration when level lines are traced.
+    may be continued off the real axis; `strip_clearance` checks it against
+    the complex branch points when the geometry is built and before level
+    lines are traced.
     """
 
     def __init__(self, coefficients, strip_half_width: float):
@@ -127,6 +128,20 @@ class AnalyticPotential:
                 f"strip_half_width={self.strip_half_width!r})")
 
 
+def _laurent(coeffs) -> np.ndarray:
+    """gamma with W(zeta) = sum over |k| <= F of gamma[k + F] u^k,
+    u = exp(i zeta), F the largest frequency of the trig sum."""
+    F = max(f for f, _, _ in coeffs)
+    gamma = np.zeros(2 * F + 1, dtype=complex)
+    for f, c, s in coeffs:
+        if f == 0:
+            gamma[F] += c
+        else:
+            gamma[F + f] += (c - 1j * s) / 2.0
+            gamma[F - f] += (c + 1j * s) / 2.0
+    return gamma
+
+
 def _trig_extrema(coeffs) -> tuple[float, float]:
     """(maximum location, minimum location) of a finite trig sum on [0, 2pi).
 
@@ -135,14 +150,8 @@ def _trig_extrema(coeffs) -> tuple[float, float]:
     nodes) need no special casing.  Exactly one maximum and one minimum
     are required.
     """
-    F = max(f for f, _, _ in coeffs)
-    gamma = np.zeros(2 * F + 1, dtype=complex)  # index k + F
-    for f, c, s in coeffs:
-        if f == 0:
-            gamma[F] += c
-        else:
-            gamma[F + f] += (c - 1j * s) / 2.0
-            gamma[F - f] += (c + 1j * s) / 2.0
+    gamma = _laurent(coeffs)
+    F = len(gamma) // 2
     dcoef = np.array([1j * (k - F) * gamma[k] for k in range(2 * F + 1)])
     # polynomial sum dcoef[k] u^k, highest degree first for np.roots
     poly = dcoef[::-1]
@@ -295,17 +304,18 @@ def _check_block(bands: BandStructure, n: int, m: int) -> int:
     return top_edge
 
 
-def best_window_energy(W: AnalyticPotential, bands: BandStructure, n: int, m: int,
-                       samples: int = 2001) -> float:
+def best_window_energy(W: AnalyticPotential, bands: BandStructure, n: int,
+                       m: int) -> float:
     """Energy maximizing the window margin; raises if no admissible energy.
 
-    The margin of ``analyze_window`` is evaluated on the whole grid in one
-    array pass, with the same float operations, and the first maximum wins.
+    The margin of ``analyze_window`` is evaluated on a grid of 2,001
+    energies in one array pass, with the same float operations, and the
+    first maximum wins.
     """
     lo_e = bands.edge(2 * (n + m)) - W.w_plus  # least E putting the block inside
     hi_e = bands.edge(2 * n - 1) - W.w_minus
     top = _check_block(bands, n, m)
-    grid = np.linspace(lo_e, hi_e, samples)
+    grid = np.linspace(lo_e, hi_e, 2001)
     lo, hi = grid - W.w_plus, grid - W.w_minus
     edges = np.array([bands.edge(j) for j in range(2 * n - 1, top)])[:, None]
     margins = [np.minimum(edges - lo, hi - edges).min(axis=0),
@@ -416,46 +426,29 @@ class IsoEnergyGeometry:
         }
 
 
-def strip_clearance(W: AnalyticPotential, bands: BandStructure, E: float,
-                    levels: int = 48) -> tuple[tuple[int, float], ...]:
+def strip_clearance(W: AnalyticPotential, bands: BandStructure,
+                    E: float) -> tuple[tuple[int, float], ...]:
     """Branch points off the real axis but inside the declared strip.
 
-    Complex zeros of E - W(zeta) - E_j can only lie on the two curves of
-    W^{-1}(R) rising from the critical points of W (the period has exactly
-    one maximum and one minimum).  Both curves are followed upward by
-    keeping Im W = 0; wherever E - W crosses a resolved band edge inside
-    the strip a violation (edge index, Im zeta) is recorded.
+    A branch point of kappa is a zero of W(zeta) - (E - E_j) for a resolved
+    band edge E_j.  Multiplied by u^F, u = exp(i zeta), that is a polynomial
+    of degree 2F in u, so one ``np.roots`` call finds every zero of a
+    period, at Im zeta = -log|u|.  Per edge with a zero at height
+    1e-7 < |Im zeta| <= Y, the violation (edge index, smallest such height)
+    is recorded; the floor counts the nearly real roots that ``np.roots``
+    gives for a double real zero (off by about sqrt(eps)) as real.
     """
     out: list[tuple[int, float]] = []
-    w = W.evaluator()
-    for base in (0.0, W.zeta_star):
-        ys = np.linspace(0.0, W.strip_half_width, levels + 1)[1:]
-        x = base
-        values = [w(base).real]
-        for y in ys:
-            def im_w(t):
-                return w(complex(t, y)).imag
-            lo_t, hi_t = x - 0.45, x + 0.45
-            f_lo, f_hi = im_w(lo_t), im_w(hi_t)
-            try:
-                if f_lo * f_hi > 0:
-                    break  # curve left the tracking window; treat as departed
-                x = brent(im_w, lo_t, hi_t, xtol=1e-10, fa=f_lo, fb=f_hi)
-            except ValueError:
-                break
-            values.append(w(complex(x, y)).real)
-        w_arr = np.array(values)
-        lo, hi = w_arr.min(), w_arr.max()
-        for j, e in enumerate(bands.edges, start=1):
-            t = E - e
-            crossed = (lo - 1e-12 <= t <= hi + 1e-12) and not (
-                min(w_arr[0], t) == t == w_arr[0]
-            )
-            if crossed and abs(t - w_arr[0]) > 1e-9:
-                # invert the sampled curve for the approximate height
-                k = int(np.argmin(np.abs(w_arr - t)))
-                y_hit = (0.0 if k == 0 else float(ys[k - 1]))
-                out.append((j, y_hit))
+    gamma = _laurent(W.coefficients)
+    F = len(gamma) // 2
+    for j, e in enumerate(bands.edges, start=1):
+        poly = gamma.copy()
+        poly[F] -= E - e
+        u = np.roots(poly[::-1])
+        heights = np.abs(np.log(np.abs(u[u != 0])))
+        inside = heights[(heights > 1e-7) & (heights <= W.strip_half_width)]
+        if inside.size:
+            out.append((j, float(inside.min())))
     return tuple(out)
 
 
@@ -538,10 +531,8 @@ def complex_momentum(W: AnalyticPotential, bands: BandStructure, E: float,
     cross a branch point.  Along it the discriminant is read from
     ``strip_model(bands, W, E, tol)``.
     """
-    if side not in ("+i0", "-i0", "off-axis"):
-        raise InvalidInputError(
-            f"side must be '+i0', '-i0' or 'off-axis', got {side!r}"
-        )
+    if side not in ("+i0", "-i0"):
+        raise InvalidInputError(f"side must be '+i0' or '-i0', got {side!r}")
     z = complex(zeta)
     w = W.evaluator()
     if z.imag == 0.0:

@@ -753,7 +753,7 @@ def test_phase_model_matches_rk4_oracle(case, request, E_ref):
     V, W = request.getfixturevalue(vname), request.getfixturevalue(wname)
     E = E_ref + dE
     eps, tol = 0.1, 1e-9
-    model = PhaseModel(V, W, eps, E, z, tol)
+    model = PhaseModel(V, W, eps, E, z, tol, 100_000)
     for j in (0, 17, 4321, 98765):
         got = model.blocks(j, j + 1)
         assert np.iscomplexobj(got) == isinstance(E, complex)
@@ -769,7 +769,7 @@ def test_phase_model_doubles_past_a_high_frequency_tail(V_ref, E_ref,
     # the upper half of the 32-phase band
     W = AnalyticPotential([(1, 4.8, 0.0), (7, 0.08, 0.0)], 0.5)
     eps, z, tol = 0.1, 0.37, 1e-9
-    model = PhaseModel(V_ref, W, eps, E_ref, z, tol)
+    model = PhaseModel(V_ref, W, eps, E_ref, z, tol, 3000)
     assert model.K > 32
     for j in (3, 2500):
         got = model.blocks(j, j + 1)[:, 0].reshape(2, 2)
@@ -795,7 +795,7 @@ def test_phase_model_evaluates_its_cosine_sine_sum(case, V_ref, E_ref):
     # term by term at one phase at a time
     terms, dE, K = PHASE_SUM_CASES[case]
     model = PhaseModel(V_ref, AnalyticPotential(terms, 0.5), 0.1, E_ref + dE,
-                       0.37, 1e-9)
+                       0.37, 1e-9, 5000)
     assert model.K >= K
     phases = np.concatenate([np.mod(0.1 * np.arange(0, 5000, 37), 2 * math.pi),
                              [0.0, 1e-3, math.pi, 6.28, -1.3, 11.7]])
@@ -818,15 +818,17 @@ def test_phase_model_sample_check_catches_a_corrupted_fill(
     def corrupted(*args, **kwargs):
         y = real(*args, **kwargs)
         batches.append(y.shape[1])
-        # the first batch is the model's fill; a smooth relative error
-        # leaves its Fourier tail as small as it was
-        return y * (1.0 + 1e-6) if len(batches) == 1 else y
+        # the first 32 columns are the model's fill, the rest the sampled
+        # blocks; a smooth relative error leaves the fill's Fourier tail as
+        # small as it was
+        y[:, :32] *= 1.0 + 1e-6
+        return y
 
     monkeypatch.setattr(_ode, "transfer_batch", corrupted)
     with pytest.raises(ConsistencyError, match="phase model"):
         direct_lyapunov(V_ref, W_ref, 0.2, E_ref, z=0.37, L=300.0)
-    # one 32-phase fill, then the 32 sampled blocks of the run
-    assert batches == [32, 32]
+    # one batch: the 32-phase fill and the 32 sampled blocks of the run
+    assert batches == [64]
 
 
 def test_direct_run_block_count_bounded_before_any_work(V_ref, W_ref, E_ref,

@@ -7,9 +7,11 @@ pre-gaps that only appear for m >= 1.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -339,6 +341,14 @@ def test_off_axis_momentum_detours_vertically_around_a_refused_path(
     assert abs(detour - straight) < 1e-12
 
 
+@pytest.mark.parametrize("side", ["off-axis", "upper"])
+def test_momentum_refuses_an_unknown_side(W_ref, bands_ref, E_ref, side):
+    # on the axis and off it alike; 'off-axis' once passed as '+i0'
+    for z in (1.0, 1.0 + 0.1j):
+        with pytest.raises(InvalidInputError, match="side must be"):
+            complex_momentum(W_ref, bands_ref, E_ref, z, side=side)
+
+
 def test_free_momentum_closed_form(V_zero):
     bands = band_edges(V_zero, 42.0)
     W = AnalyticPotential.cosine(0.5, 0.5)
@@ -628,6 +638,77 @@ def test_strip_clearance_clean_for_reference(W_ref, bands_ref, E_ref,
                                              geom_ref):
     assert strip_clearance(W_ref, bands_ref, E_ref) == ()
     assert geom_ref.strip_violations == ()
+
+
+def strip_zero_heights(W, t, Y):
+    """Sorted |Im zeta| in (1e-7, Y] of the zeros of W(zeta) - t over one
+    period, found independently of the module: the Laurent coefficients of
+    W come from an FFT of its real samples, the zeros of u^F (W - t) from
+    mpmath at 40 digits, and each zero is checked to solve W = t."""
+    F = max(f for f, _, _ in W.coefficients)
+    n = 4 * F + 4
+    gamma = np.fft.fft(W.value(TWO_PI * np.arange(n) / n)) / n
+    poly = [complex(gamma[k % n]) for k in range(F, -F - 1, -1)]
+    poly[F] -= t
+    with mpmath.workdps(40):
+        us = [complex(u) for u in mpmath.polyroots(poly, maxsteps=200,
+                                                    extraprec=80)]
+    heights = []
+    for u in us:
+        zeta = complex(cmath.log(u) / 1j)
+        assert abs(W.value(zeta) - t) < 1e-9 * max(1.0, abs(t))
+        if 1e-7 < abs(zeta.imag) <= Y:
+            heights.append(abs(zeta.imag))
+    return sorted(heights)
+
+
+@pytest.mark.parametrize("E", [4.4, 7.5, 16.0])
+def test_strip_clearance_cosine_closed_form(bands_ref, E):
+    # W = A cos zeta is real on Re zeta = 0 (A cosh y) and Re zeta = pi
+    # (-A cosh y): edge j has its zeros at height arccosh(|E - E_j| / A)
+    # when |E - E_j| > A, and none off the axis otherwise
+    A, Y = 4.8, 3.0
+    want = []
+    for j, e in enumerate(bands_ref.edges, start=1):
+        if abs(E - e) > A and math.acosh(abs(E - e) / A) <= Y:
+            want.append((j, math.acosh(abs(E - e) / A)))
+    got = strip_clearance(AnalyticPotential.cosine(A, Y), bands_ref, E)
+    assert want
+    assert [j for j, _ in got] == [j for j, _ in want]
+    for (_, y), (_, y_want) in zip(got, want):
+        assert abs(y - y_want) <= 1e-12
+
+
+def test_strip_clearance_finds_off_curve_zeros_of_two_harmonics(bands_ref):
+    # edge 2 of W = 4.8 cos + 0.6 cos 2 zeta has its zeros at
+    # +-2.594 +- 1.495i, inside a strip of half-width 1.5
+    W = AnalyticPotential([(1, 4.8, 0.0), (2, 0.6, 0.0)], 1.5)
+    E = 2.0
+    got = dict(strip_clearance(W, bands_ref, E))
+    assert 2 in got
+    assert abs(got[2] - 1.4951) < 1e-4
+    assert got[2] == pytest.approx(
+        strip_zero_heights(W, E - bands_ref.edge(2), 1.5)[0], abs=1e-10)
+
+
+@pytest.mark.parametrize("Y", [1.0, 1.5])
+def test_strip_clearance_seven_harmonics_one_entry_per_edge(bands_ref, Y):
+    # one entry per edge, at the least height of the zeros of the
+    # polynomial; the real branch points are not violations
+    W = AnalyticPotential([(1, 4.8, 0.0), (7, 0.08, 0.0)], Y)
+    E = 6.0
+    got = strip_clearance(W, bands_ref, E)
+    edges = [j for j, _ in got]
+    assert edges == sorted(set(edges))
+    assert all(y > 0.0 for _, y in got)
+    want = {}
+    for j, e in enumerate(bands_ref.edges, start=1):
+        heights = strip_zero_heights(W, E - e, Y)
+        if heights:
+            want[j] = heights[0]
+    assert edges == sorted(want)
+    for j, y in got:
+        assert y == pytest.approx(want[j], abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
