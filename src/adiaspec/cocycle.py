@@ -544,6 +544,21 @@ def model_matrix(a0, a1, b0, b1) -> MatrixFamily:
                         array_evaluator=rows)
 
 
+def _spectral_norms(m: np.ndarray) -> np.ndarray:
+    """Largest singular value of each 2x2 matrix of the (2, 2, n) array m.
+
+    sigma_max^2 is the larger eigenvalue of M^H M = [[p, q], [conj q, r]],
+    (p + r) / 2 + hypot((p - r) / 2, |q|): a sum of nonnegative terms, so
+    it keeps its digits where sigma_1 ~ sigma_2, unlike the
+    |M|_F^2 - 2 |det M| form of the same root.
+    """
+    (a, b), (c, d) = m
+    p = a.real ** 2 + a.imag ** 2 + c.real ** 2 + c.imag ** 2
+    r = b.real ** 2 + b.imag ** 2 + d.real ** 2 + d.imag ** 2
+    q = np.abs(a.conj() * b + c.conj() * d)
+    return np.sqrt(0.5 * (p + r) + np.hypot(0.5 * (p - r), q))
+
+
 def herman_family(lam, n0: int, alpha, beta, m_amp: float, epsilon: float,
                   seed: int = 0) -> MatrixFamily:
     """lam * e^{2 pi i n0 z} (B + M1(z)) with B = [[1, beta], [0, alpha]].
@@ -580,8 +595,7 @@ def herman_family(lam, n0: int, alpha, beta, m_amp: float, epsilon: float,
         coeffs = (rng.standard_normal((2, 2, 7))
                   + 1j * rng.standard_normal((2, 2, 7)))
         modes = powers(np.exp(2j * np.pi * np.arange(4096) / 4096.0), 1.0)
-        vals = np.einsum("ijk,kz->zij", coeffs, modes)
-        sup = np.linalg.svd(vals, compute_uv=False)[:, 0].max()
+        sup = _spectral_norms(np.einsum("ijk,kz->ijz", coeffs, modes)).max()
         table = lam * (coeffs * (m_amp / sup)).reshape(4, 7)
         table[:, 3] += lam * base[:, 0]
 

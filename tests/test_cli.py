@@ -167,7 +167,8 @@ def _lines(items):
 
 
 # valid ceilings stay at most 30 to keep each example fast (the band scan
-# grows faster than the ceiling: 400 takes ~6 s); ceilings too large to
+# grows faster than the ceiling: on the reference V, 400 takes ~0.1 s and
+# 1,800 ~1 s); ceilings too large to
 # scan are refused in closed form before any work, here through "1e9" and
 # "1e300" and in test_oversized_band_model_fill_exits_numeric_before_any_fill
 FUZZ_SECTIONS = st.fixed_dictionaries({
@@ -218,7 +219,7 @@ def test_bands_fuzzed_config_exits_cleanly_with_strict_output(sections):
 
 def test_oversized_band_model_fill_exits_numeric_before_any_fill(
         tmp_path, capsys, monkeypatch):
-    # 2e4 passes the scan-grid guard; the model fill would need ~3.5e7
+    # 2e4 passes the scan-grid guard; the model fill would need ~4.2e6
     # node-steps by the closed-form estimate
     def no_fill(*args, **kwargs):
         raise AssertionError("band model filled before its cost was bounded")

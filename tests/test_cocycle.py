@@ -400,6 +400,35 @@ def _herman_coeffs(m_amp, seed):
     return np.zeros((2, 2, 7), dtype=complex)
 
 
+def _svd_norms(m):
+    return np.linalg.svd(np.moveaxis(m, -1, 0), compute_uv=False)[:, 0]
+
+
+@pytest.mark.parametrize("seed", [7151, 4, 0])
+def test_herman_sup_norm_matches_svd(seed):
+    # the closed-form sigma_max of herman_family's perturbation draws
+    rng = np.random.default_rng(seed)
+    coeffs = (rng.standard_normal((2, 2, 7))
+              + 1j * rng.standard_normal((2, 2, 7)))
+    zg = np.arange(4096) / 4096.0
+    vals = np.einsum("ijk,kz->ijz", coeffs,
+                     np.exp(2j * np.pi * np.outer(np.arange(-3, 4), zg)))
+    got, want = cocycle._spectral_norms(vals), _svd_norms(vals)
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-14
+    assert got.max() == pytest.approx(want.max(), rel=1e-14)
+
+
+def test_spectral_norm_of_a_scaled_unitary_table():
+    # sigma_1 = sigma_2 = 2, where |M|_F^2 - 2|det M| loses half the digits
+    rng = np.random.default_rng(3)
+    u, v = rng.standard_normal((2, 4096)) + 1j * rng.standard_normal((2, 4096))
+    n = np.hypot(np.abs(u), np.abs(v))
+    u, v = u / n, v / n
+    m = 2.0 * np.array([[u, -v.conj()], [v, u.conj()]])
+    assert np.max(np.abs(cocycle._spectral_norms(m) / 2.0 - 1.0)) <= 1e-14
+    assert np.max(np.abs(_svd_norms(m) / 2.0 - 1.0)) <= 1e-14
+
+
 def scalar_herman(lam, n0, alpha, beta, m_amp, seed):
     lam, alpha, beta = complex(lam), complex(alpha), complex(beta)
     base = np.array([[1.0, beta], [0.0, alpha]])

@@ -37,6 +37,7 @@ from adiaspec import (
     quasimomentum_main,
     real_branch,
 )
+from adiaspec._numerics import brent
 
 from oracles import (
     kp_band_edges,
@@ -217,7 +218,7 @@ def test_model_fill_crosses_a_chunk_and_matches_scalar_and_oracle(
                          np.linspace(lo + 120 * 0.125, lo + 121 * 0.125, 5)])
     for V in (V_ref, V_mix):
         batches.clear()
-        model = DiscriminantModel(V, lo, hi, panel_width=0.125)
+        model = DiscriminantModel(V, lo, hi, panel_width=0.125, degree=16)
         rest = 136 * 17 - _ode.CHUNK
         assert batches == [(1, _ode.CHUNK), (4, rest)]
         assert all(S * m <= _ode.CHUNK for S, m in batches)
@@ -238,7 +239,7 @@ def test_unresolved_panels_are_refilled_at_twice_the_degree(V_ref, monkeypatch):
         return real(V, energies, tol)
 
     monkeypatch.setattr(hill, "_discriminant_batch", counted)
-    model = DiscriminantModel(V_ref, -2.5, 45.5, panel_width=6.0)
+    model = DiscriminantModel(V_ref, -2.5, 45.5, panel_width=6.0, degree=16)
     assert fills == [8 * 17, 6 * 33]
     assert [len(p.coef) - 1 for p in model._panels] == [32] * 6 + [16] * 2
     Es = np.linspace(-2.5, 45.5, 41)
@@ -294,6 +295,60 @@ def test_model_fill_accepts_large_entries_of_a_strong_potential():
     for E in (lo + 0.1, lo + 20.0, lo + 39.0):
         assert model(E) == pytest.approx(discriminant(V, E, tol=1e-12),
                                          rel=1e-10, abs=1e-10)
+
+
+def test_reference_band_scan_fills_its_model_in_one_batch(V_ref, monkeypatch):
+    # the scan interval [-2.55, 45.5] is one panel of 33 nodes, which
+    # pass together as 16 segments of the period
+    passed = []
+    real = _ode._fixed_steps
+
+    def counted(*args):
+        out = real(*args)
+        if out[1] is None:
+            passed.append(args[5].shape[1:])  # (segments, members)
+        return out
+
+    monkeypatch.setattr(_ode, "_fixed_steps", counted)
+    band_edges(V_ref, 45.0)
+    assert passed[0] == (16, 33)
+    # the rest are the edge polish's one-energy propagations
+    assert all(m == 1 for _, m in passed[1:])
+
+
+def test_narrow_gap_edges_at_a_high_ceiling(V_ref):
+    # gap 2 of V_ref is 0.05 wide and its edges keep the model's roots;
+    # with width-64 panels they stay within 5e-11 of the roots of a
+    # tol-1e-14 integration, where one degree-64 series over the whole
+    # scan is 1.2e-10 off
+    bands = band_edges(V_ref, 1800.0)
+
+    def f(E):
+        return hill._discriminant_batch(V_ref, np.array([E]), 1e-14)[0] - 2.0
+
+    for j in (4, 5):
+        e = bands.edge(j)
+        assert abs(e - brent(f, e - 1e-7, e + 1e-7, xtol=1e-15, rtol=1e-16)) < 5e-11
+
+
+def test_band_model_keeps_band_accuracy_on_a_strong_potential():
+    # this V's discriminant reaches ~7e3 below the spectrum, on the same
+    # width-64 panel as band 1; one degree-64 series over the whole scan is
+    # off by 1.6e-11 in band 1 and 9e-12 at the top of band 2.  Band 1 is
+    # held to mpmath: there two tol-1e-14 integrations differ by up to
+    # 7e-12 (roundoff of solutions that grow through the barrier)
+    V = PeriodicPotential.trig([(1, 120.0, 0.0), (2, 36.0, 12.0)])
+    bands = band_edges(V, 52.5)
+    model = bands.discriminant_model()
+    assert bands.num_complete_bands == 2
+    E = float(np.mean(bands.band(1)))
+    assert abs(model(E) - mp_discriminant(V, E, dps=18)) < 3e-12
+    lo, hi = bands.band(2)
+    Es = np.linspace(lo - 0.05, hi + 0.05, 101)
+    ref = hill._discriminant_batch(V, Es, 1e-14)
+    inside = np.abs(ref) <= 2.5
+    assert inside.sum() > 90
+    assert np.max(np.abs(model(Es[inside]) - ref[inside])) < 3e-12
 
 
 def test_scalar_model_calls_match_the_array_path_bit_for_bit(V_ref, V_kp):
@@ -433,7 +488,7 @@ def test_model_fill_size_follows_the_first_attempt(V_ref, monkeypatch):
     monkeypatch.setattr(_ode, "_fixed_steps", spy)
     hill.DiscriminantModel(V_ref, -2.5, 45.5)
     n, (S, nodes) = first[0]
-    assert nodes == 12 * 17 and S == _ode.segment_count(nodes) == 8
+    assert nodes == 33 and S == _ode.segment_count(nodes) == 16
     size = hill._model_fill_size(V_ref, -2.5, 45.5)
     assert n * S * nodes <= size <= (n + 1) * S * nodes
 
