@@ -3,9 +3,6 @@
 * ``bracketed_roots``: Chandrupatla's bracketing method on many brackets
   at once, with the stopping rule of Brent's method, for roots of
   array-valued models.
-* ``brent``: Brent's bracketed root finder (R. P. Brent, *Algorithms for
-  Minimization without Derivatives*, 1973, ch. 4), for the few roots where
-  each evaluation depends on the previous one or costs an integration.
 * ``gauss_kronrod``: globally adaptive 10-point Gauss / 21-point Kronrod
   quadrature, the QK21 rule and error estimate of QUADPACK (Piessens et
   al., 1983), bisecting the subinterval with the largest error.
@@ -18,7 +15,6 @@
 from __future__ import annotations
 
 import heapq
-import math
 
 import numpy as np
 
@@ -32,20 +28,26 @@ def bracketed_roots(f, lo, hi, xtol: float, rtol: float = 4.0 * _EPS,
     """Roots of the vectorised f, one per bracket [lo, hi] (f takes opposite
     signs at the ends; the brackets broadcast to the shape of f's values).
 
+    f(x, i) takes points x and the index i of their brackets in that
+    shape, so it can pick each bracket's own target: i is ``...`` (every
+    bracket) for the ends lo and hi as given, then the boolean mask of the
+    brackets still open, whose new points x holds in order.  Only those
+    are evaluated; f must act on each point alone, as a model does.
+
     Chandrupatla's method (Adv. Eng. Softw. 28, 1997), all brackets at
     once: the next point comes from inverse quadratic interpolation
     through the last three where their values admit it, by bisection
     otherwise, and at least tol / 2 inside the bracket.  A bracket stops
     once it is no wider than tol = xtol + rtol |x| (the stopping rule of
-    ``brent``) or an end hits a root; its end with the smaller |f| is
-    returned.  f is evaluated on the full shape every time.
-    ConvergenceFailure if a bracket is still open after `maxiter` steps.
+    Brent's method) or an end hits a root; its end with the smaller |f| is
+    returned.  ConvergenceFailure if a bracket is still open after
+    `maxiter` steps.
     """
     x1 = np.asarray(lo, dtype=float)
-    f1 = np.asarray(f(x1), dtype=float)
+    f1 = np.asarray(f(x1, ...), dtype=float)
     x1 = np.broadcast_to(x1, f1.shape)
     x2 = np.broadcast_to(np.asarray(hi, dtype=float), f1.shape)
-    f2 = np.asarray(f(x2), dtype=float)
+    f2 = np.asarray(f(x2, ...), dtype=float)
     x3, f3 = x2, f2
     t = np.full(f1.shape, 0.5)
     for step in range(maxiter + 1):
@@ -62,7 +64,9 @@ def bracketed_roots(f, lo, hi, xtol: float, rtol: float = 4.0 * _EPS,
                 f"after {maxiter} steps", achieved=float(np.max(width[active])))
         tl = 0.5 * tol / np.where(active, width, 1.0)
         x = x1 + np.clip(t, tl, 1.0 - tl) * (x2 - x1)
-        fx = np.asarray(f(x), dtype=float)
+        # closed brackets keep their values below, whatever fx holds there
+        fx = f1.copy()
+        fx[active] = f(x[active], active)
         # keep the end whose sign differs from the new point's; the other
         # end becomes the third point
         keep2 = np.sign(fx) == np.sign(f1)
@@ -79,63 +83,6 @@ def bracketed_roots(f, lo, hi, xtol: float, rtol: float = 4.0 * _EPS,
             t = np.where(quadratic,
                          f1 / (f1 - f2) * f3 / (f3 - f2)
                          - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
-
-
-def brent(f, a: float, b: float, xtol: float, rtol: float = 4.0 * _EPS, *,
-          fa: float | None = None, fb: float | None = None,
-          maxiter: int = 100) -> float:
-    """Root of the scalar f in [a, b] by Brent's method.
-
-    Inverse quadratic or secant steps are taken while they shrink the
-    bracket fast enough, bisection otherwise; the result is returned once
-    half the bracket is below (xtol + rtol |x|) / 2.  Known end values
-    `fa`, `fb` are not evaluated again.  ValueError when f does not change
-    sign on [a, b]; ConvergenceFailure after `maxiter` steps.
-    """
-    xpre, xcur = float(a), float(b)
-    fpre = float(f(xpre) if fa is None else fa)
-    fcur = float(f(xcur) if fb is None else fb)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f must take opposite signs at the bracket ends")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (
-                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = 0.5 * (xtol + rtol * abs(xcur))
-        sbis = 0.5 * (xblk - xcur)
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        short = False
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            short = 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
-        if short:
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = float(f(xcur))
-    raise ConvergenceFailure(
-        f"Brent's method did not converge in {maxiter} steps on [{a}, {b}]")
 
 
 # QK21: Kronrod abscissae on [0, 1] (the 10-point Gauss ones at odd

@@ -622,7 +622,7 @@ def _invert_w(W: AnalyticPotential, targets, side: str, xtol: float):
     ('-': (0, zeta_star), '+': (zeta_star, 2 pi)), one per target."""
     a, b = (0.0, W.zeta_star) if side == "-" else (W.zeta_star, TWO_PI)
     targets = np.asarray(targets, dtype=float)
-    return bracketed_roots(lambda z: W.value(z) - targets, a, b, xtol)
+    return bracketed_roots(lambda z, i: W.value(z) - targets[i], a, b, xtol)
 
 
 def real_branch(geom: IsoEnergyGeometry, label: BandLabel,
@@ -660,7 +660,8 @@ def real_branch(geom: IsoEnergyGeometry, label: BandLabel,
     inside = (f_lo > 0.0) & (f_hi < 0.0)
     e = np.where(f_lo <= 0.0, e_lo, e_hi)
     if inside.any():
-        e[inside] = bracketed_roots(lambda t: sgn * model(t) - want[inside],
+        target = want[inside]
+        e[inside] = bracketed_roots(lambda t, i: sgn * model(t) - target[i],
                                     e_lo, e_hi, xtol=1e-14, rtol=1e-15)
     zeta_in = _invert_w(geom.W, geom.energy - e, side, xtol=1e-13)
     # d zeta / d kappa through the chain kappa = k(E - W(zeta))

@@ -28,7 +28,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev, chebpts1, chebvander
 
 from . import _ode
-from ._numerics import bracketed_roots, brent
+from ._numerics import bracketed_roots
 from .errors import (
     ConsistencyError,
     CoverageError,
@@ -783,9 +783,10 @@ def band_edges(V: PeriodicPotential, ceiling: float, tol: float = 1e-10) -> Band
     of the discriminant.  Local maxima of f inside bands are refined, as
     roots of the model's derivative, to catch narrow or closed gaps
     (double roots).  All sign-change brackets are solved together on the
-    model, and each simple root is then polished by Brent's method on
-    the adaptive integrator directly.  A closed gap is recorded as a
-    repeated edge with its flag False.
+    model, and each simple root r then takes one Newton step on the
+    adaptive integrator's f with the model's slope, kept where it moves r
+    by less than 100 max(tol, 1e-12) max(1, |r|).  A closed gap is
+    recorded as a repeated edge with its flag False.
     """
     vmin = V.min_value()
     start = vmin - 1e-3 * (1.0 + abs(vmin))
@@ -823,25 +824,20 @@ def band_edges(V: PeriodicPotential, ceiling: float, tol: float = 1e-10) -> Band
         t = model(E)
         return t * t - 4.0
 
-    def f_direct(E):
-        t = discriminant(V, E, tol)
-        return t * t - 4.0
-
-    def polish(root: float) -> float:
-        w = 100.0 * max(tol, 1e-12) * max(1.0, abs(root))
-        a, b = root - w, root + w
+    def polish(r: float) -> float:
+        # one Newton step on the direct f = trace^2 - 4 from the model root
+        # r, with the model's slope; a step that leaves the window
+        # r +- w, where a direct root is sought, keeps r
+        w = 100.0 * max(tol, 1e-12) * max(1.0, abs(r))
         try:
-            fa, fb = f_direct(a), f_direct(b)
-            if fa == 0.0:
-                return a
-            if fb == 0.0:
-                return b
-            if fa * fb < 0:
-                return brent(f_direct, a, b, xtol=tol * 0.5, rtol=1e-15,
-                             fa=fa, fb=fb)
-        except (ValueError, ConsistencyError):
-            pass
-        return root
+            t = discriminant(V, r, tol)
+        except ConsistencyError:
+            return r
+        slope = 2.0 * t * model.derivative(r)
+        if slope == 0.0 or not math.isfinite(slope):
+            return r
+        s = (t * t - 4.0) / slope
+        return float(r - s) if abs(s) < w else r
 
     # brackets of simple roots: the scan's sign changes, then those around
     # the peak of every narrow gap the grid stepped over
@@ -861,8 +857,8 @@ def band_edges(V: PeriodicPotential, ceiling: float, tol: float = 1e-10) -> Band
         e_star = grid[interior].copy()
         peaked = d_a * d_b < 0.0
         if peaked.any():
-            e_star[peaked] = bracketed_roots(model.derivative, a[peaked],
-                                             b[peaked], xtol=tol * 1e-2)
+            e_star[peaked] = bracketed_roots(lambda E, i: model.derivative(E),
+                                             a[peaked], b[peaked], xtol=tol * 1e-2)
         f_star = f_model(e_star)
         for lo_i, e_i, hi_i, f_i in zip(a, e_star, b, f_star):
             if f_i > noise:
@@ -874,8 +870,8 @@ def band_edges(V: PeriodicPotential, ceiling: float, tol: float = 1e-10) -> Band
             elif f_i > -noise:
                 doubles.append(float(e_i))
 
-    roots = bracketed_roots(f_model, np.array(lo_br), np.array(hi_br),
-                            xtol=tol * 0.25, rtol=1e-15)
+    roots = bracketed_roots(lambda E, i: f_model(E), np.array(lo_br),
+                            np.array(hi_br), xtol=tol * 0.25, rtol=1e-15)
     simple = [polish(float(r)) for r in roots]
 
     simple.sort()

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from adiaspec import (
     ComplexDiscriminantModel,
@@ -37,7 +38,6 @@ from adiaspec import (
     quasimomentum_main,
     real_branch,
 )
-from adiaspec._numerics import brent
 
 from oracles import (
     kp_band_edges,
@@ -311,9 +311,8 @@ def test_reference_band_scan_fills_its_model_in_one_batch(V_ref, monkeypatch):
 
     monkeypatch.setattr(_ode, "_fixed_steps", counted)
     band_edges(V_ref, 45.0)
-    assert passed[0] == (16, 33)
-    # the rest are the edge polish's one-energy propagations
-    assert all(m == 1 for _, m in passed[1:])
+    # the edge polish integrates by the adaptive propagate, not in batches
+    assert passed == [(16, 33)]
 
 
 def test_narrow_gap_edges_at_a_high_ceiling(V_ref):
@@ -328,7 +327,50 @@ def test_narrow_gap_edges_at_a_high_ceiling(V_ref):
 
     for j in (4, 5):
         e = bands.edge(j)
-        assert abs(e - brent(f, e - 1e-7, e + 1e-7, xtol=1e-15, rtol=1e-16)) < 5e-11
+        assert abs(e - brentq(f, e - 1e-7, e + 1e-7, xtol=1e-15)) < 5e-11
+
+
+@pytest.mark.parametrize("coefficients", [
+    [(1, 2.0, 0.0)], [(1, 1.5, 0.5), (2, 0.0, -0.8)],
+    [(1, 120.0, 0.0), (2, 36.0, 12.0)]], ids=["V_ref", "V_mix", "strong"])
+def test_polished_edges_match_brentq_on_the_direct_discriminant(coefficients):
+    # each simple edge takes one Newton step from its model root; where the
+    # direct f = trace^2 - 4 changes sign in the polish window, the edge
+    # is its root there, found here independently
+    V = PeriodicPotential.trig(coefficients)
+    tol = 1e-10
+    bands = band_edges(V, 45.0, tol)
+
+    def f(E):
+        return discriminant(V, E, tol) ** 2 - 4.0
+
+    polished = 0
+    for e in bands.edges:
+        assert type(e) is float
+        w = 100.0 * tol * max(1.0, abs(e))
+        if f(e - w) * f(e + w) < 0.0:
+            assert abs(e - brentq(f, e - w, e + w, xtol=1e-15)) < 0.5 * tol
+            polished += 1
+    # all but V_ref's narrow gap 2 (edges 4 and 5)
+    assert polished == (3 if coefficients == [(1, 2.0, 0.0)] else len(bands.edges))
+
+
+@pytest.mark.parametrize("direct", ["refused", "nan"])
+def test_polish_keeps_the_model_root_without_a_direct_step(V_ref, bands_ref,
+                                                           direct, monkeypatch):
+    # a refused or non-finite direct value keeps every edge at its model
+    # root; so do the narrow-gap edges 4 and 5 of V_ref, whose Newton
+    # steps leave the polish window, while edges 1-3 move
+    def unusable(*args, **kwargs):
+        if direct == "refused":
+            raise ConsistencyError("propagator determinant drifted")
+        return math.nan
+
+    monkeypatch.setattr(hill, "discriminant", unusable)
+    roots = band_edges(V_ref, 45.0).edges
+    assert all(type(r) is float for r in roots)
+    assert bands_ref.edges[3:] == roots[3:]
+    assert all(e != r for e, r in zip(bands_ref.edges[:3], roots[:3]))
 
 
 def test_band_model_keeps_band_accuracy_on_a_strong_potential():
