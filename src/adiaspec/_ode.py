@@ -8,22 +8,29 @@ so the system reads a' = c, b' = d, c' = w a, d' = w b with w = q(x) - E.
 Complex energies work through ordinary numeric promotion because q is only
 ever evaluated at real x.
 
-Three integration routes live here:
+Three integration routes live here, on two Dormand-Prince tableaux:
 
-* ``propagate``: Dormand-Prince 5(4) on four scalars with per-step error
-  control, for single smooth-potential solves (one-period Floquet maps,
-  complex-energy continuation);
-* ``transfer_batch``: the same tableau with a fixed step, advancing a whole
-  batch of independent problems over one shared interval as numpy arrays,
-  for the phase nodes and sampled unit blocks of a direct run's phase
-  model and the many real energies of a Chebyshev discriminant model.
-  The interval is cut into equal segments that run side by side as extra
-  batch members, each from the identity, and their propagators are
-  multiplied in order (``_fold``).  Every step of every member and
-  segment passes the same embedded error test as ``propagate``, scaled by
-  that segment's own state.  A step keeps the state and its seven stage
+* ``propagate``: Dormand-Prince 5(4) (DOPRI5) on four scalars with
+  per-step error control, for single smooth-potential solves (one-period
+  Floquet maps, the band-edge polish, complex-energy continuation);
+* ``transfer_batch``: Dormand-Prince 8(5, 3) (DOP853) with a fixed step,
+  advancing a whole batch of independent problems over one shared
+  interval as numpy arrays, for the phase nodes and sampled unit blocks
+  of a direct run's phase model and the many real energies of a
+  Chebyshev discriminant model.  The interval is cut into equal segments
+  that run side by side as extra batch members, each from the identity,
+  and their propagators are multiplied in order (``_fold``).  Every step
+  of every member and segment passes Hairer's combined 5th/3rd-order
+  error test in ``propagate``'s scaled-RMS units, scaled by that
+  segment's own state.  A step keeps the state and its thirteen stage
   derivatives in one buffer and forms each stage state, the solution and
-  the error estimate as one matrix product of a tableau row with it;
+  the two error estimates as products of tableau rows with it.  At equal
+  tolerance it is the more accurate: on the reference trig V, unit blocks
+  at tol 1e-8 land within 1.7e-11 of a tol-1e-13 integration, where
+  DOPRI5 steps land within 2.4e-10, and discriminants at tol 1e-10 are
+  within 1.3e-12 (real E) and 1.5e-13 (complex E) of mpmath's, against
+  1.1e-11 for DOPRI5 steps; at tol 1e-12 both are near rounding
+  (5.1e-14 against 3.0e-14 on real E, 5.1e-15 against 2.9e-14 complex);
 * ``constant_coefficient_step``: the exact whole-interval propagator for a
   constant potential, combined segment-by-segment for piecewise data.
 """
@@ -37,8 +44,8 @@ import numpy as np
 
 from .errors import ConvergenceFailure, InvalidInputError
 
-# Dormand-Prince 5(4) tableau.  b-row differences e_j give the embedded
-# error estimate; stage 7 is FSAL.
+# Dormand-Prince 5(4) tableau of propagate.  b-row differences e_j give the
+# embedded error estimate; stage 7 is FSAL.
 _C2, _C3, _C4, _C5 = 0.2, 0.3, 0.8, 8.0 / 9.0
 _A21 = 0.2
 _A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
@@ -71,24 +78,81 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
     22.0 / 525.0,
     -1.0 / 40.0,
 )
-# the same tableau as arrays for transfer_batch: row s - 2 of _A weights
-# k1..k6 in the state of stage s = 2..7, stage 7's state being the
-# 5th-order solution (FSAL), and _E weights k1..k7 in the error estimate
-_C = (_C2, _C3, _C4, _C5)
-_A = np.array([
-    [_A21, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [_A31, _A32, 0.0, 0.0, 0.0, 0.0],
-    [_A41, _A42, _A43, 0.0, 0.0, 0.0],
-    [_A51, _A52, _A53, _A54, 0.0, 0.0],
-    [_A61, _A62, _A63, _A64, _A65, 0.0],
-    [_B1, 0.0, _B3, _B4, _B5, _B6],
-])
-_E = np.array([_E1, 0.0, _E3, _E4, _E5, _E6, _E7])
+
+
+def _table(text):
+    """The rows of a tableau written as text, each row ending in ';', as a
+    float array with every row padded by zeros to 12 columns."""
+    rows = [[float(v) for v in row.split()] for row in text.split(";")[:-1]]
+    return np.array([row + [0.0] * (12 - len(row)) for row in rows])
+
+
+# Dormand-Prince 8(5, 3) tableau (DOP853; Hairer, Norsett & Wanner,
+# Solving ODEs I, section II.5) of transfer_batch, as published.  Row
+# s - 2 of _A853 weights k1..k(s-1) in the state of stage s = 2..13, stage
+# 13's state being the 8th-order solution, whose derivative k13 is the
+# next step's k1 (FSAL).  _C853 holds the nodes of stages 2..11; stages 12
+# and 13 take the end node.  The rows of _E853 weight k1..k12 in the 5th-
+# and the 3rd-order error estimate.  Parsed from text at import, which
+# costs start-up less than compiling them as literals
+_C853 = tuple(float(c) for c in """
+    0.526001519587677318785587544488e-01 0.789002279381515978178381316732e-01
+    0.118350341907227396726757197510 0.281649658092772603273242802490
+    0.333333333333333333333333333333 0.25 0.307692307692307692307692307692
+    0.651282051282051282051282051282 0.6 0.857142857142857142857142857142
+""".split())
+_A853 = _table("""
+    5.26001519587677318785587544488e-2;
+    1.97250569845378994544595329183e-2 5.91751709536136983633785987549e-2;
+    2.95875854768068491816892993775e-2 0 8.87627564304205475450678981324e-2;
+    2.41365134159266685502369798665e-1 0 -8.84549479328286085344864962717e-1
+    9.24834003261792003115737966543e-1;
+    3.7037037037037037037037037037e-2 0 0 1.70828608729473871279604482173e-1
+    1.25467687566822425016691814123e-1;
+    3.7109375e-2 0 0 1.70252211019544039314978060272e-1
+    6.02165389804559606850219397283e-2 -1.7578125e-2;
+    3.70920001185047927108779319836e-2 0 0 1.70383925712239993810214054705e-1
+    1.07262030446373284651809199168e-1 -1.53194377486244017527936158236e-2
+    8.27378916381402288758473766002e-3;
+    6.24110958716075717114429577812e-1 0 0 -3.36089262944694129406857109825
+    -8.68219346841726006818189891453e-1 2.75920996994467083049415600797e1
+    2.01540675504778934086186788979e1 -4.34898841810699588477366255144e1;
+    4.77662536438264365890433908527e-1 0 0 -2.48811461997166764192642586468
+    -5.90290826836842996371446475743e-1 2.12300514481811942347288949897e1
+    1.52792336328824235832596922938e1 -3.32882109689848629194453265587e1
+    -2.03312017085086261358222928593e-2;
+    -9.3714243008598732571704021658e-1 0 0 5.18637242884406370830023853209
+    1.09143734899672957818500254654 -8.14978701074692612513997267357
+    -1.85200656599969598641566180701e1 2.27394870993505042818970056734e1
+    2.49360555267965238987089396762 -3.0467644718982195003823669022;
+    2.27331014751653820792359768449 0 0 -1.05344954667372501984066689879e1
+    -2.00087205822486249909675718444 -1.79589318631187989172765950534e1
+    2.79488845294199600508499808837e1 -2.85899827713502369474065508674
+    -8.87285693353062954433549289258 1.23605671757943030647266201528e1
+    6.43392746015763530355970484046e-1;
+    5.42937341165687622380535766363e-2 0 0 0 0
+    4.45031289275240888144113950566 1.89151789931450038304281599044
+    -5.8012039600105847814672114227 3.1116436695781989440891606237e-1
+    -1.52160949662516078556178806805e-1 2.01365400804030348374776537501e-1
+    4.47106157277725905176885569043e-2;
+""")
+_E853 = _table("""
+    0.1312004499419488073250102996e-1 0 0 0 0
+    -0.1225156446376204440720569753e+1 -0.4957589496572501915214079952
+    0.1664377182454986536961530415e+1 -0.3503288487499736816886487290
+    0.3341791187130174790297318841 0.8192320648511571246570742613e-1
+    -0.2235530786388629525884427845e-1;
+    0.244094488188976377952755905512 0 0 0 0 0 0 0
+    0.733846688281611857341361741547 0 0 0.220588235294117647058823529412e-1;
+""")
+# the 3rd-order weights: the solution's less the embedded bhh1..bhh3
+_E853[1] = _A853[-1] - _E853[1]
 
 _MAX_STEPS = 5_000_000
 # most members one transfer_batch call takes from its callers (energies),
 # and most members times segments it integrates side by side; bounds the
-# memory of a batch, and fixes where chunks start whatever the caller's
+# memory of a batch (its 14-row stage buffer holds at most 1.75 MiB
+# complex), and fixes where chunks start whatever the caller's
 # thread count.  cocycle._log_norms, the product kernel of both
 # Lyapunov exponents, reads each run's factors (cocycle factors, or unit
 # blocks from a direct run's phase model) in chunks of this size too (of
@@ -249,24 +313,27 @@ def transfer_batch(w, t0, t1, y0, rtol=1e-10, atol=1e-12):
     ``_fold`` and applied to ``y0``.
 
     Each step count runs in ``_fixed_steps``, which holds the state and the
-    seven stage derivatives in one (8, 4, S, ...) buffer: at most 8 * 4 *
-    CHUNK entries, 1 MiB complex.  A step evaluates w five times, at t + c h
-    for c = 0.2, 0.3, 0.8, 8/9 and at the end node, which stages 6 and 7
-    share and the next step's first stage reuses.  Measured on a shared
-    2-CPU Xeon VM, a step on energies of the reference trig V costs about
-    65 us plus 90 ns per real member and segment, or 55 us plus 190 ns per
-    complex one, w included.
+    thirteen stage derivatives in one (14, 4, S, ...) buffer: at most 14 *
+    4 * CHUNK entries, 1.75 MiB complex.  A step evaluates w eleven times,
+    at the ten nodes t + c h of stages 2-11 and at the end node, which
+    stages 12 and 13 share and the next step's first stage reuses.
+    Measured on a shared 2-CPU Xeon VM, a step on energies of the
+    reference trig V costs about 190 us plus 215 ns per real member and
+    segment, or 200 us plus 390 ns per complex one, w included, about
+    twice a DOPRI5 step (105 us plus 85 ns and 185 ns, timed alongside);
+    at node tolerance 1e-12 the reference band-scan fill executes 4 steps
+    per segment.
 
     All segments take the same steps.  The first step count follows
     ``propagate``'s initial-step rule on one segment, with the largest
     |w| at the segment starts.  Every step of every member and segment must
-    pass ``propagate``'s scaled-RMS embedded error test, scaled by that
-    segment's own state.  At the first step where one does not, the batch
-    keeps the state after the steps already accepted and re-plans only the
-    rest of the segments: their remaining step count is scaled from the
-    failed step's worst RMS error as ``propagate`` scales its step
-    (err**(1/5) / 0.9, the estimate being fifth order in h), but by no
-    less than ``_MIN_GROWTH`` and no more than ``_MAX_GROWTH``.  Raises
+    pass the error test of ``_fixed_steps``, scaled by that segment's own
+    state.  At the first step where one does not, the batch keeps the
+    state after the steps already accepted and re-plans only the rest of
+    the segments: their remaining step count is scaled from the failed
+    step's worst error as DOP853 scales its step (err**(1/8) / 0.9, the
+    estimate being eighth order in h), but by no less than ``_MIN_GROWTH``
+    and no more than ``_MAX_GROWTH``.  Raises
     ConvergenceFailure after ``_MAX_ATTEMPTS`` step counts, before any
     attempt of more than ``propagate``'s step budget ``_MAX_STEPS`` per
     segment, and at once when an error estimate is not finite.
@@ -304,7 +371,7 @@ def transfer_batch(w, t0, t1, y0, rtol=1e-10, atol=1e-12):
         start, last = t, n
         t = t + i * _step(t, ends, n)
         w0 = w(t)
-        growth = min(_MAX_GROWTH, max(_MIN_GROWTH, err ** 0.2 / 0.9))
+        growth = min(_MAX_GROWTH, max(_MIN_GROWTH, err ** 0.125 / 0.9))
         n = math.ceil((n - i) * growth)
     raise ConvergenceFailure(
         f"{last} fixed steps on [{float(np.min(start))}, {t1}] per segment "
@@ -350,34 +417,38 @@ def _fold(rows: np.ndarray, stride: int) -> np.ndarray:
 
 
 def _fixed_steps(w, w0, t0, t1, n, y, rtol, atol):
-    """n equal DOPRI5 steps from t0 to t1: (final state, None, n), or, as
+    """n equal DOP853 steps from t0 to t1: (final state, None, n), or, as
     soon as step i fails the error test, (state after the i accepted steps,
-    that step's RMS error in units of the tolerance, i).  t0 and t1 are
+    that step's error in units of the tolerance, i).  t0 and t1 are
     scalars, or arrays of segment ends that take one step (``_step``)
     together.
 
-    A step keeps the state y and its seven stage derivatives k1..k7 as rows
-    0-7 of one (8, 4, ...) buffer.  The state of each stage, the 5th-order
-    solution among them, is one product of its tableau row with the buffer's
-    rows before it, and the error estimate one product with k1..k7.  The
-    accepted solution and k7 (FSAL) become the next step's y and k1.
+    A step keeps the state y and its thirteen stage derivatives k1..k13 as
+    rows 0-13 of one (14, 4, ...) buffer.  The state of each stage, the
+    8th-order solution among them, is one product of its tableau row with
+    the buffer's rows before it, and the 5th- and 3rd-order error estimates
+    e5 and e3 one product with k1..k12.  The error is Hairer's combination
+    sqrt(s5^2 / (4 (s5 + 0.01 s3))) per member and segment, s5 and s3 being
+    the sums of the squares of e5 and e3 over its four entries, each scaled
+    by atol + rtol max(|y|, |y_new|).  The accepted solution and k13 (FSAL)
+    become the next step's y and k1.
     """
     h = _step(t0, t1, n)
     dtype = np.result_type(y, w0)
-    K = np.empty((8,) + np.shape(y), dtype)
+    K = np.empty((14,) + np.shape(y), dtype)
     # the products run on real views, a complex entry being two reals that
     # the same real tableau weight scales
     real = K.real.dtype
-    rows = K.reshape(8, -1).view(real)
+    rows = K.reshape(14, -1).view(real)
     # y's weight 1 before each row of h-scaled k-weights
-    hA = np.column_stack((np.ones(6), h * _A))
-    hE = h * _E
+    hA = np.column_stack((np.ones(12), h * _A853))
+    hE = h * _E853
     Y, yn = np.empty_like(K[0]), np.empty_like(K[0])
-    # stage s + 1 weighs rows 0..s into its state ys and writes k_{s+1} to
-    # row s + 1
-    stages = [(hA[s - 1, :s + 1], rows[:s + 1], ys, ys.reshape(-1).view(real),
-               K[s + 1]) for s, ys in enumerate((Y,) * 5 + (yn,), 1)]
-    e = np.empty(rows.shape[1], real)
+    # stage s weighs rows 0..s-1 into its state ys and writes k_s to row s
+    stages = [(hA[s - 2, :s], rows[:s], ys, ys.reshape(-1).view(real), K[s])
+              for s, ys in enumerate((Y,) * 11 + (yn,), 2)]
+    e = np.empty((2, rows.shape[1]), real)
+    tiny = np.finfo(real).tiny
     K[0] = y
     K[1, :2] = K[0, 2:]
     np.multiply(w0, K[0, :2], out=K[1, 2:])
@@ -385,31 +456,38 @@ def _fixed_steps(w, w0, t0, t1, n, y, rtol, atol):
     ayn, scale = np.empty_like(ay), np.empty_like(ay)
     for i in range(n):
         t = t0 + i * h
-        for s, (a, k, ys, flat, ks) in enumerate(stages, 1):
-            if s < 5:
-                ws = w(t + _C[s - 1] * h)
-            elif s == 5:
+        for s, (a, k, ys, flat, ks) in enumerate(stages, 2):
+            if s < 12:
+                ws = w(t + _C853[s - 2] * h)
+            elif s == 12:
                 # the last node lands on t1 exactly, not a rounding away
-                # from it; stages 6 and 7 share it
+                # from it; stages 12 and 13 share it
                 ws = w(t1 if i == n - 1 else t0 + (i + 1) * h)
             np.matmul(a, k, out=flat)
             ks[:2] = ys[2:]
             np.multiply(ws, ys[:2], out=ks[2:])
-        np.matmul(hE, rows[1:], out=e)
+        np.matmul(hE, rows[1:13], out=e)
         np.abs(yn, out=ayn)
         np.maximum(ay, ayn, out=scale)
         scale *= rtol
         scale += atol
-        ratio = np.abs(e.view(dtype)).reshape(ay.shape)
+        ratio = np.abs(e.view(dtype)).reshape((2,) + ay.shape)
         ratio /= scale
         ratio *= ratio
-        worst = float(np.max(np.sum(ratio, axis=0)))
+        s5, s3 = np.sum(ratio, axis=1)
+        # s5 / sqrt(s5 + 0.01 s3) is twice the error; tiny keeps 0 / 0 at 0
+        s3 *= 0.01
+        s3 += s5
+        s3 += tiny
+        np.sqrt(s3, out=s3)
+        s5 /= s3
+        worst = float(np.max(s5))
         if not math.isfinite(worst):
             raise ConvergenceFailure(
                 f"non-finite error estimate at t={float(np.min(t))!r}")
-        if worst > 4.0:  # 0.25 * sum > 1: the RMS test of propagate
-            return K[0].copy(), math.sqrt(0.25 * worst), i
-        K[0], K[1] = yn, K[7]
+        if worst > 2.0:
+            return K[0].copy(), 0.5 * worst, i
+        K[0], K[1] = yn, K[13]
         ay, ayn = ayn, ay
     return K[0].copy(), None, n
 

@@ -394,7 +394,8 @@ class PhaseModel:
     misses one by more than 10 tol max(1, max |block|).  A call evaluates G
     at n phases from one table of the powers e^(i k phi), k < K/2: one
     complex exponential and K/2 complex products per phase, then two
-    (4, K/2) by (K/2, n) matrix products.
+    (4, K/2) by (K/2, n) real matrix products, (8, K/2) for a complex G
+    with its coefficients' real and imaginary parts apart.
     """
 
     def __init__(self, V: PeriodicPotential, W, epsilon: float, E, z: float,
@@ -434,6 +435,11 @@ class PhaseModel:
         # |entry of G| <= sum of its coefficients' moduli; ||G||_F <= 2 max
         self.norm_bound = 2.0 * float(
             (np.abs(self._cos) + np.abs(self._sin)).sum(axis=1).max())
+        # complex coefficients as real rows, their imaginary parts in rows
+        # 4-7, so that the power table's real parts are never cast to complex
+        self._parts = tuple(
+            np.concatenate((c.real, c.imag)) if np.iscomplexobj(c) else c
+            for c in (self._cos, self._sin))
         diff = np.abs(self(checks) - direct).max(axis=0)
         bound = 10.0 * tol * np.maximum(1.0, np.abs(direct).max(axis=0))
         bad = np.flatnonzero(diff > bound)
@@ -449,7 +455,9 @@ class PhaseModel:
         One complex exponential u = e^(i phi) per phase; the powers u^k,
         k < K/2, fill one (K/2, n) table by doubling (rows k..2k-1 are rows
         0..k-1 times u^k, K/2 being a power of two), one complex product
-        per entry, and G = A Re(u^k) + B Im(u^k) is two matrix products.
+        per entry, and G = A Re(u^k) + B Im(u^k) is two matrix products,
+        of (8, K/2) real matrices for a complex G, its real and imaginary
+        parts.
         """
         u = np.exp(1j * phases)
         powers = np.empty((self.K // 2, len(phases)), dtype=complex)
@@ -459,7 +467,13 @@ class PhaseModel:
             np.multiply(powers[:k], u, out=powers[k:2 * k])
             u = u * u
             k *= 2
-        return self._cos @ powers.real + self._sin @ powers.imag
+        A, B = self._parts
+        out = A @ powers.real + B @ powers.imag
+        if len(out) == 4:
+            return out
+        G = np.empty((4, len(phases)), complex)
+        G.real, G.imag = out[:4], out[4:]
+        return G
 
     def blocks(self, j0: int, j1: int) -> np.ndarray:
         """Rows of the unit blocks j0 <= j < j1 of the run."""

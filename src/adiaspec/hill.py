@@ -265,9 +265,9 @@ def _discriminant_batch(V: PeriodicPotential, energies: np.ndarray,
     """Discriminant of a trigonometric V at many real energies.
 
     The energies go through ``_ode.transfer_batch`` together, in chunks of
-    at most ``_ode.CHUNK``: fixed-step DOPRI5 on segments of the period
+    at most ``_ode.CHUNK``: fixed-step DOP853 on segments of the period
     side by side, in which every step of every energy and segment passes
-    ``propagate``'s error test at rtol = tol, atol = tol * 1e-2; after a
+    the kernel's error test at rtol = tol, atol = tol * 1e-2; after a
     failed step the chunk keeps the steps it has accepted and goes on from
     there with a finer step.  V is sampled once per stage node of each
     segment and shared by all energies.
@@ -728,7 +728,7 @@ def _check_grid_size(lo: float, hi: float, offset: float) -> None:
 
 # most node-steps a band model's fill may need, as estimated by
 # _model_fill_size; ceilings up to ~7,600 pass on V = 2 cos(2 pi x), where
-# a scan to 7,000 takes ~6 s on a shared 2-CPU Xeon VM
+# a scan to 7,000 takes ~0.7 s on a shared 2-CPU Xeon VM
 _FILL_NODE_STEPS_MAX = 1_000_000
 
 
@@ -743,8 +743,8 @@ def _model_fill_size(V: PeriodicPotential, lo: float, hi: float) -> int:
     estimate takes the largest for E on [lo, hi], at one of its ends, for
     every node.  Retries, which the node tolerance makes the rule, and
     panels refilled at a higher degree add steps the estimate leaves out:
-    the reference scan's 33 nodes start at 2 steps per segment and pass
-    at 68.
+    the reference scan's 33 nodes start at 2 steps per segment, fail at
+    the first and pass at 3, 4 steps executed in all.
     """
     nodes = max(1, math.ceil((hi - lo) / _PANEL_WIDTH)) * (_PANEL_DEGREE + 1)
     q = V.array_evaluator()

@@ -734,7 +734,7 @@ def test_unresolved_discriminant_panel_exits_numeric(tmp_path, capsys,
 def test_every_fixed_step_batch_fits_a_chunk(command, tmp_path, monkeypatch):
     # segments times members of every batch of the band scan, window,
     # band, strip and phase models stay within _ode.CHUNK, so the
-    # (8, 4, segments, members) stage buffer holds at most 1 MiB complex
+    # (14, 4, segments, members) stage buffer holds at most 1.75 MiB complex
     shapes = []
     real = _ode._fixed_steps
 

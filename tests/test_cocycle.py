@@ -911,7 +911,8 @@ def step_count_cases(V_ref):
     return {
         "energies": (lambda t: q(t) - Es, 1e-12,
                      [lambda x, e=e: qs(x) - e for e in Es]),
-        "blocks": (lambda t: q(t) - E + 4.8 * np.cos(0.2 * t + phases), 1e-8,
+        # at rtol 1e-8 the blocks pass their first step count
+        "blocks": (lambda t: q(t) - E + 4.8 * np.cos(0.2 * t + phases), 1e-10,
                    [lambda x, p=p: qs(x) - E + 4.8 * math.cos(0.2 * x + p)
                     for p in phases]),
         "ramp": (lambda t: -ks * (40.0 * t) ** 2, 1e-10,
@@ -951,7 +952,7 @@ def test_transfer_batch_step_count_follows_the_error(case, V_ref, monkeypatch):
             break
         restart += i + 1
         n = math.ceil(n * min(_ode._MAX_GROWTH,
-                              max(_ode._MIN_GROWTH, err ** 0.2 / 0.9)))
+                              max(_ode._MIN_GROWTH, err ** 0.125 / 0.9)))
     # every attempt ran the S segments side by side and some failed; on the
     # ramp one failed after accepting steps and was resumed from there; no
     # more steps ran in all (a failed step is executed too)

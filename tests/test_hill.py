@@ -181,7 +181,7 @@ def test_kronig_penney_closed_form_discriminant(V_kp):
 
 def mp_discriminant(V, E, dps=25):
     """Trace of the period map by mpmath's Taylor-series ODE solver at dps
-    digits: independent of both DOPRI5 and the RK4 oracle.  Real E gives a
+    digits: independent of DOPRI5, DOP853 and the RK4 oracle.  Real E gives a
     float, complex E a complex."""
     with mpmath.workdps(dps):
         terms = [(2 * mpmath.pi * f, mpmath.mpf(c), mpmath.mpf(s))

@@ -1,6 +1,7 @@
-"""The batched DOPRI5 kernel: the stage-buffer step against the
-expression-per-stage step it replaced, segmented transfer_batch against the
-single-segment one it replaced, and transfer_batch's broadcasting."""
+"""The batched DOP853 kernel: the stage-buffer step against an
+expression-per-stage step from scipy's published coefficients, segmented
+transfer_batch against the single-segment one it replaced, and
+transfer_batch's broadcasting, work and accuracy."""
 
 from __future__ import annotations
 
@@ -9,13 +10,10 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import chebpts1
+from scipy.integrate._ivp import dop853_coefficients as dop853
 
-from adiaspec import _ode
-from adiaspec._ode import (
-    _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
-    _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6,
-    _C2, _C3, _C4, _C5, _E1, _E3, _E4, _E5, _E6, _E7,
-)
+from adiaspec import _ode, cocycle, hill
+from adiaspec._ode import _C2, _C3, _C4, _C5
 from adiaspec.errors import ConvergenceFailure
 from test_hill import mp_discriminant
 
@@ -25,35 +23,33 @@ def _rhs(w, y):
 
 
 def reference_fixed_steps(w, w0, t0, t1, n, y, rtol, atol):
-    """The expression-per-stage step, kept as the oracle of _fixed_steps."""
+    """n DOP853 steps stage by stage, from scipy's coefficients: the oracle
+    of _fixed_steps, with Hairer's combined 5th/3rd-order error."""
+    A, C, E3, E5 = dop853.A, dop853.C, dop853.E3, dop853.E5
     h = (t1 - t0) / n
     k1 = _rhs(w0, y)
     ay = np.abs(y)
     for i in range(n):
         t = t0 + i * h
-        k2 = _rhs(w(t + _C2 * h), y + (h * _A21) * k1)
-        k3 = _rhs(w(t + _C3 * h), y + (h * _A31) * k1 + (h * _A32) * k2)
-        k4 = _rhs(w(t + _C4 * h),
-                  y + (h * _A41) * k1 + (h * _A42) * k2 + (h * _A43) * k3)
-        k5 = _rhs(w(t + _C5 * h),
-                  y + (h * _A51) * k1 + (h * _A52) * k2 + (h * _A53) * k3
-                  + (h * _A54) * k4)
         w1 = w(t1 if i == n - 1 else t0 + (i + 1) * h)
-        k6 = _rhs(w1, y + (h * _A61) * k1 + (h * _A62) * k2 + (h * _A63) * k3
-                  + (h * _A64) * k4 + (h * _A65) * k5)
-        yn = (y + (h * _B1) * k1 + (h * _B3) * k3 + (h * _B4) * k4
-              + (h * _B5) * k5 + (h * _B6) * k6)
-        k7 = _rhs(w1, yn)
-        e = ((h * _E1) * k1 + (h * _E3) * k3 + (h * _E4) * k4
-             + (h * _E5) * k5 + (h * _E6) * k6 + (h * _E7) * k7)
-        ayn = np.abs(yn)
-        ratio = np.abs(e) / (atol + rtol * np.maximum(ay, ayn))
-        worst = float(np.max(np.sum(ratio * ratio, axis=0)))
+        k = [k1]
+        for s in range(1, 12):
+            ys = y + sum((h * A[s, j]) * k[j] for j in range(s))
+            k.append(_rhs(w1 if C[s] == 1.0 else w(t + C[s] * h), ys))
+        yn = y + sum((h * A[12, j]) * k[j] for j in range(12))
+        scale = atol + rtol * np.maximum(ay, np.abs(yn))
+        e5 = sum((h * E5[j]) * k[j] for j in range(12)) / scale
+        e3 = sum((h * E3[j]) * k[j] for j in range(12)) / scale
+        s5 = np.sum(np.abs(e5) ** 2, axis=0)
+        s3 = np.sum(np.abs(e3) ** 2, axis=0)
+        with np.errstate(invalid="ignore"):
+            err = np.where(s5 + s3 > 0.0, s5 / np.sqrt(4.0 * (s5 + 0.01 * s3)), 0.0)
+        worst = float(np.max(err))
         if not math.isfinite(worst):
             raise ConvergenceFailure(f"non-finite error estimate at t={t!r}")
-        if worst > 4.0:
-            return y, math.sqrt(0.25 * worst), i
-        y, k1, ay = yn, k7, ayn
+        if worst > 1.0:
+            return y, worst, i
+        y, k1, ay = yn, _rhs(w1, yn), np.abs(yn)
     return y, None, n
 
 
@@ -70,7 +66,7 @@ def reference_transfer_batch(w, t0, t1, y0, rtol, atol):
             return y
         t = t + i * ((t1 - t) / n)
         w0 = w(t)
-        growth = min(_ode._MAX_GROWTH, max(_ode._MIN_GROWTH, err ** 0.2 / 0.9))
+        growth = min(_ode._MAX_GROWTH, max(_ode._MIN_GROWTH, err ** 0.125 / 0.9))
         n = math.ceil((n - i) * growth)
     raise ConvergenceFailure("reference step counts exhausted")
 
@@ -90,13 +86,13 @@ def oracle_cases(V_ref):
     Ez = 12.0 + 9.0 * chebpts1(65) + 1.5j * np.sin(np.arange(65.0))
     phases = np.linspace(0.0, 2.0 * math.pi, 300, endpoint=False)
     return {
-        # at rtol 1e-12, 973 steps fail at step 454 and 1216 pass
+        # at rtol 1e-12, 44 steps fail at step 10 and 48 pass
         "energies": (lambda t: q(t) - Es, identity(Es.shape), 1e-12,
-                     [973, 1216, 220]),
+                     [44, 48, 20]),
         "complex": (lambda t: q(t) - Ez, identity(Ez.shape, complex), 1e-12,
-                    [150, 600]),
+                    [30, 40]),
         "blocks": (lambda t: q(t) - 4.4 + 4.8 * np.cos(0.2 * t + phases),
-                   identity(phases.shape), 1e-8, [20, 80]),
+                   identity(phases.shape), 1e-8, [8, 20]),
     }
 
 
@@ -168,9 +164,9 @@ def test_transfer_batch_promotes_real_state_to_complex_w():
     assert np.abs(y - constant_w_transfer(w, y0)).max() <= 1e-8
 
 
-def test_transfer_batch_evaluates_w_five_times_per_step(V_ref, monkeypatch):
-    # nodes t + c h for c = 0.2, 0.3, 0.8, 8/9 and the end node, which
-    # stages 6 and 7 share and the next step's first stage reuses (FSAL);
+def test_transfer_batch_evaluates_w_eleven_times_per_step(V_ref, monkeypatch):
+    # the ten nodes t + c h of stages 2..11 and the end node, which stages
+    # 12 and 13 share and the next step's first stage reuses (FSAL);
     # transfer_batch adds w(t0) once per call of _fixed_steps
     q = V_ref.array_evaluator()
     Es = np.linspace(-2.5, 45.5, 200)
@@ -192,7 +188,7 @@ def test_transfer_batch_evaluates_w_five_times_per_step(V_ref, monkeypatch):
     monkeypatch.setattr(_ode, "_fixed_steps", spy)
     _ode.transfer_batch(w, 0.0, 1.0, identity(Es.shape), rtol=1e-12, atol=1e-14)
     assert calls[0] > 1
-    assert evaluations[0] == 5 * steps[0] + calls[0]
+    assert evaluations[0] == 11 * steps[0] + calls[0]
 
 
 def test_propagate_evaluates_q_five_times_per_attempted_step(V_ref):
@@ -286,3 +282,47 @@ def test_transfer_batch_refuses_step_counts_over_the_budget(monkeypatch):
         _ode.transfer_batch(lambda t: np.where(t < 0.03, 0.0, -900.0 * k),
                             0.0, 1.0, identity(k.shape))
     assert counts and max(counts) <= _ode._MAX_STEPS
+
+
+def executed_steps(monkeypatch):
+    """Spy on _fixed_steps: a list that gets (step count, steps executed,
+    passed) per call, a failed step counting as executed."""
+    log = []
+    real = _ode._fixed_steps
+
+    def spy(*args):
+        out = real(*args)
+        log.append((args[4], out[2] + (out[1] is not None), out[1] is None))
+        return out
+
+    monkeypatch.setattr(_ode, "_fixed_steps", spy)
+    return log
+
+
+def test_reference_band_fill_takes_few_steps_per_segment(V_ref, monkeypatch):
+    # the 33 nodes of the reference scan run as 16 segments; DOPRI5 took
+    # 68 steps per segment at node_tol 1e-12, DOP853 takes 4 (one failed)
+    log = executed_steps(monkeypatch)
+    hill.DiscriminantModel(V_ref, -2.55, 45.5, node_tol=1e-12)
+    assert log[-1][2] and sum(steps for _, steps, _ in log) <= 8, log
+
+
+def test_verify_phase_models_pass_their_first_step_count(V_ref, W_ref, E_ref,
+                                                         monkeypatch):
+    # the three direct runs of the reference verify: 400 periods at each
+    # epsilon, tol 1e-8; every fill passes in the first attempt
+    for eps in (0.2, 0.1, 0.05):
+        log = executed_steps(monkeypatch)
+        nblocks = cocycle.unit_blocks(400 * 2.0 * math.pi / eps)
+        cocycle.PhaseModel(V_ref, W_ref, eps, E_ref, 0.0, 1e-8, nblocks)
+        assert log and all(passed for _, _, passed in log), (eps, log)
+
+
+def test_block_transfers_at_tol_1e8_within_1e10_of_a_tight_run(V_ref, W_ref,
+                                                               E_ref):
+    # DOPRI5 missed this by 2.3e-10
+    phases = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    G = cocycle._block_transfers(V_ref, W_ref, 0.2, E_ref, 0.37, phases, 1e-8)
+    tight = cocycle._block_transfers(V_ref, W_ref, 0.2, E_ref, 0.37, phases,
+                                     1e-13)
+    assert np.abs(G - tight).max() <= 1e-10
