@@ -7,154 +7,50 @@ slow variable (branch points, pre-bands, pre-gaps, level lines),
 `actions` turns pre-gaps into tunneling actions and the asymptotic
 Lyapunov exponent, and `cocycle` measures the exponent directly from
 matrix products or from long-range integration of the equation itself.
+
+A public name loads its module on first use (PEP 562), so a command
+imports only the modules it runs.
 """
 
-from .actions import (
-    ActionSet,
-    AsymptoticLyapunov,
-    Coefficient,
-    action_with_error,
-    coefficient_magnitude_window,
-    compute_actions,
-    lyapunov_asymptotic,
-    total_T,
-    tunneling_action,
-    tunneling_coefficient,
-    window_model,
-)
-from .cocycle import (
-    CocycleSpec,
-    ConjugationReport,
-    LyapunovEstimate,
-    MatrixFamily,
-    SmallDenominatorWarning,
-    cocycle_lyapunov,
-    conjugation_invariance_check,
-    default_z_samples,
-    direct_lyapunov,
-    frequency_from_epsilon,
-    herman_bound_check,
-    herman_family,
-    model_matrix,
-    theta_to_Theta,
-)
-from .errors import (
-    AdiaspecError,
-    BranchSelectionError,
-    ConfigError,
-    ConsistencyError,
-    ConvergenceFailure,
-    CoverageError,
-    DegeneracyError,
-    DegeneratePointError,
-    InsufficientLengthError,
-    InvalidInputError,
-    NonFiniteResultError,
-    PathError,
-    ResolutionFailure,
-    StallError,
-)
-from .geometry import (
-    AnalyticPotential,
-    BandLabel,
-    GapLabel,
-    IsoEnergyGeometry,
-    RealBranch,
-    StokesLine,
-    WindowReport,
-    analyze_window,
-    best_window_energy,
-    branch_points,
-    complex_momentum,
-    period_index,
-    real_branch,
-    sigma_set,
-    strip_clearance,
-    strip_model,
-    trace_stokes_line,
-)
-from .hill import (
-    BandStructure,
-    ComplexDiscriminantModel,
-    DiscriminantModel,
-    FundamentalMatrix,
-    PeriodicPotential,
-    QuasiMomentumValue,
-    band_edges,
-    bloch_floquet,
-    discriminant,
-    fundamental_matrix,
-    quasimomentum_main,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ActionSet",
-    "AdiaspecError",
-    "AnalyticPotential",
-    "AsymptoticLyapunov",
-    "BandLabel",
-    "BandStructure",
-    "BranchSelectionError",
-    "Coefficient",
-    "ComplexDiscriminantModel",
-    "CocycleSpec",
-    "ConfigError",
-    "ConjugationReport",
-    "ConsistencyError",
-    "ConvergenceFailure",
-    "CoverageError",
-    "DegeneracyError",
-    "DegeneratePointError",
-    "DiscriminantModel",
-    "FundamentalMatrix",
-    "GapLabel",
-    "InsufficientLengthError",
-    "InvalidInputError",
-    "IsoEnergyGeometry",
-    "LyapunovEstimate",
-    "MatrixFamily",
-    "NonFiniteResultError",
-    "PathError",
-    "PeriodicPotential",
-    "QuasiMomentumValue",
-    "RealBranch",
-    "ResolutionFailure",
-    "SmallDenominatorWarning",
-    "StallError",
-    "StokesLine",
-    "WindowReport",
-    "action_with_error",
-    "analyze_window",
-    "band_edges",
-    "best_window_energy",
-    "bloch_floquet",
-    "branch_points",
-    "cocycle_lyapunov",
-    "coefficient_magnitude_window",
-    "complex_momentum",
-    "compute_actions",
-    "conjugation_invariance_check",
-    "default_z_samples",
-    "direct_lyapunov",
-    "discriminant",
-    "frequency_from_epsilon",
-    "fundamental_matrix",
-    "herman_bound_check",
-    "herman_family",
-    "lyapunov_asymptotic",
-    "model_matrix",
-    "period_index",
-    "quasimomentum_main",
-    "real_branch",
-    "sigma_set",
-    "strip_clearance",
-    "strip_model",
-    "theta_to_Theta",
-    "total_T",
-    "trace_stokes_line",
-    "tunneling_action",
-    "tunneling_coefficient",
-    "window_model",
-]
+# public name -> the module that defines it
+_OWNERS = {name: module for module, names in {
+    "actions": "ActionSet AsymptoticLyapunov Coefficient action_with_error "
+               "coefficient_magnitude_window compute_actions "
+               "lyapunov_asymptotic total_T tunneling_action "
+               "tunneling_coefficient window_model",
+    "cocycle": "CocycleSpec ConjugationReport LyapunovEstimate MatrixFamily "
+               "SmallDenominatorWarning cocycle_lyapunov "
+               "conjugation_invariance_check default_z_samples "
+               "direct_lyapunov frequency_from_epsilon herman_bound_check "
+               "herman_family model_matrix theta_to_Theta",
+    "errors": "AdiaspecError BranchSelectionError ConfigError "
+              "ConsistencyError ConvergenceFailure CoverageError "
+              "DegeneracyError DegeneratePointError InsufficientLengthError "
+              "InvalidInputError NonFiniteResultError PathError "
+              "ResolutionFailure StallError",
+    "geometry": "AnalyticPotential BandLabel GapLabel IsoEnergyGeometry "
+                "RealBranch StokesLine WindowReport analyze_window "
+                "best_window_energy branch_points complex_momentum "
+                "period_index real_branch sigma_set strip_clearance "
+                "strip_model trace_stokes_line",
+    "hill": "BandStructure ComplexDiscriminantModel DiscriminantModel "
+            "FundamentalMatrix PeriodicPotential QuasiMomentumValue "
+            "band_edges bloch_floquet discriminant fundamental_matrix "
+            "quasimomentum_main",
+}.items() for name in names.split()}
+
+__all__ = sorted(_OWNERS)
+
+
+def __getattr__(name):
+    if name not in _OWNERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_OWNERS[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -20,8 +20,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import actions as actions_mod
-from . import cocycle as cocycle_mod
 from . import geometry as geometry_mod
 from . import hill
 from .errors import (
@@ -281,6 +279,11 @@ def _write(cfg: RunConfig, name: str, text: str) -> None:
 
 # ---------------------------------------------------------------------------
 # shared pipeline pieces
+#
+# actions and cocycle are imported inside the commands that run them, as
+# concurrent.futures is in cmd_verify: geometry and stokes load neither,
+# and actions does not load cocycle or the numpy.fft and numpy.random it
+# brings, so each command's start-up pays only for what it runs
 
 
 def _band_structure(cfg: RunConfig) -> hill.BandStructure:
@@ -336,8 +339,8 @@ def _best(reports):
                default=None)
 
 
-def _actions(cfg: RunConfig, bands, report,
-             model=None) -> actions_mod.ActionSet:
+def _actions(cfg: RunConfig, bands, report, model=None):
+    from . import actions as actions_mod
     geom = geometry_mod.branch_points(cfg.potential_w, bands, report)
     return actions_mod.compute_actions(geom, tol=cfg.tol_quad, model=model)
 
@@ -382,6 +385,7 @@ def cmd_geometry(cfg: RunConfig, seed: int, energy: float | None = None) -> int:
 
 
 def cmd_actions(cfg: RunConfig, seed: int) -> int:
+    from . import actions as actions_mod
     bands = _band_structure(cfg)
     admissible = sorted((r for r in _windows(cfg, bands) if r.all_ok),
                         key=lambda r: r.energy)
@@ -458,6 +462,7 @@ def cmd_stokes(cfg: RunConfig, seed: int) -> int:
 
 
 def cmd_cocycle(cfg: RunConfig, seed: int) -> int:
+    from . import cocycle as cocycle_mod
     if not cfg.model:
         raise ConfigError("missing [model] section for the cocycle command")
     kind = cfg.model.get("kind", "model")
@@ -508,6 +513,8 @@ def cmd_cocycle(cfg: RunConfig, seed: int) -> int:
 
 
 def cmd_verify(cfg: RunConfig, seed: int, threads: int = 1) -> int:
+    from . import actions as actions_mod
+    from . import cocycle as cocycle_mod
     # the smallest epsilon has the longest run; refuse it before the scan
     cocycle_mod.unit_blocks(cfg.periods * 2.0 * math.pi / min(cfg.epsilons))
     bands = _band_structure(cfg)

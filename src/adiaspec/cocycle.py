@@ -29,8 +29,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-# numpy loads these two on first use; load them with this module, so that
-# a command's run time holds no import
+# numpy loads these two on first use (PhaseModel's FFT, herman_family's
+# generator); load them with this module, so that a command's run time
+# holds no import.  Only cocycle and verify import this module, so only
+# they pay the ~17 ms
 import numpy.fft  # noqa: F401
 import numpy.random  # noqa: F401
 
@@ -223,6 +225,35 @@ def _norms(rows: np.ndarray) -> np.ndarray:
     return np.hypot(np.hypot(m[0], m[1]), np.hypot(m[2], m[3]))
 
 
+def _det2(rows: np.ndarray) -> np.ndarray:
+    """a d - b c of each matrix in complex rows (a, b, c, d) in about twice
+    the working precision: Ogita, Rump and Oishi's Dot2 on Dekker's exact
+    products.  It keeps the digits of a determinant that the plain a d - b c
+    cancels to 0.0, as in unimodular blocks with entries ~1e21."""
+    a, b, c, d = rows
+
+    def dot2(pairs):
+        total = err = 0.0
+        for x, y in pairs:
+            # x y = p + e exactly, from the 26-bit halves of x and y
+            p = x * y
+            sx, sy = 134217729.0 * x, 134217729.0 * y
+            xh, yh = sx - (sx - x), sy - (sy - y)
+            xl, yl = x - xh, y - yh
+            e = xl * yl - (((p - xh * yh) - xl * yh) - xh * yl)
+            # total + p = s + (the rounding error of s) exactly
+            s = total + p
+            z = s - total
+            err = err + ((total - (s - z)) + (p - z)) + e
+            total = s
+        return total + err
+
+    return (dot2([(a.real, d.real), (-a.imag, d.imag),
+                  (-b.real, c.real), (b.imag, c.imag)])
+            + 1j * dot2([(a.real, d.imag), (a.imag, d.real),
+                         (-b.real, c.imag), (-b.imag, c.real)]))
+
+
 def _unit(rows: np.ndarray) -> np.ndarray:
     # times the reciprocal: complex over real divides much more slowly
     return rows * (1.0 / _norms(rows))
@@ -282,10 +313,12 @@ def _log_norms(rows_of, zs: tuple, N: int, stride: int) -> np.ndarray:
 def cocycle_lyapunov(spec: CocycleSpec) -> LyapunovEstimate:
     """theta = lim (1/N) log ||M(z + (N-1)h) ... M(z)||.
 
-    The factors of every z, none singular, go to one ``_log_norms`` call
-    with stride `renorm_stride`.  With several z samples the estimate is their
-    mean and the standard error their spread; with a single z it is the
-    spread of per-block growth rates.  N times the number of z samples
+    The factors of every z go to one ``_log_norms`` call with stride
+    `renorm_stride`; a factor whose determinant is below 1e-29 |M|_F^2,
+    taken in twice the working precision, is singular (DegeneracyError).
+    With several z samples the estimate is their mean and the standard
+    error their spread; with a single z it is the spread of per-block
+    growth rates.  N times the number of z samples
     is bounded by ``_COCYCLE_FACTORS_MAX`` before any factor is evaluated.
     """
     zs = spec.effective_z_samples
@@ -299,6 +332,11 @@ def cocycle_lyapunov(spec: CocycleSpec) -> LyapunovEstimate:
         rows = spec.family.rows((zs[r] + np.arange(n0, n1) * h) % 1.0)
         det = rows[0] * rows[3] - rows[1] * rows[2]
         bad = np.flatnonzero(np.abs(det) < 1e-300)
+        if bad.size:
+            # a tiny a d - b c may be cancellation between large entries;
+            # 1e-29 |M|_F^2 is well above the rounding of _det2
+            m = rows[:, bad]
+            bad = bad[np.abs(_det2(m)) <= 1e-29 * _norms(m) ** 2]
         if bad.size:
             raise DegeneracyError(f"singular matrix in the cocycle "
                                   f"at step {n0 + bad[0]} (z={zs[r]})")

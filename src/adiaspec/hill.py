@@ -727,24 +727,27 @@ def _check_grid_size(lo: float, hi: float, offset: float) -> None:
 
 
 # most node-steps a band model's fill may need, as estimated by
-# _model_fill_size; ceilings up to ~7,600 pass on V = 2 cos(2 pi x), where
-# a scan to 7,000 takes ~0.7 s on a shared 2-CPU Xeon VM
-_FILL_NODE_STEPS_MAX = 1_000_000
+# _model_fill_size: a scan of about 7 s, the budget this limit stood for
+# when it was set.  On V = 2 cos(2 pi x), on a shared 2-CPU Xeon VM, a
+# scan to 7,000 (1.1e6 node-steps) takes ~0.7 s and one to 30,000 (9.7e6)
+# 4.4 s; ceilings up to ~41,900 pass
+_FILL_NODE_STEPS_MAX = 16_000_000
 
 
 def _model_fill_size(V: PeriodicPotential, lo: float, hi: float) -> int:
-    """Node-steps of the first step count of a default-shaped
-    ``DiscriminantModel`` fill on [lo, hi], in closed form.
+    """Node-steps of a default-shaped ``DiscriminantModel`` fill on
+    [lo, hi], in closed form.
 
     The nodes are those of its panels at the start degree.  Each energy
     chunk of the fill runs S = ``_ode.segment_count`` segments of the
-    period side by side, each from ``_ode.first_step_count(1 / S, .)``
+    period side by side, each from n = ``_ode.first_step_count(1 / S, .)``
     steps at the chunk's largest |V - E| over the segment starts; the
     estimate takes the largest for E on [lo, hi], at one of its ends, for
-    every node.  Retries, which the node tolerance makes the rule, and
-    panels refilled at a higher degree add steps the estimate leaves out:
-    the reference scan's 33 nodes start at 2 steps per segment, fail at
-    the first and pass at 3, 4 steps executed in all.
+    every node.  At the node tolerance that first count fails at its first
+    step, and the retry covers the segment in at least ``_ode._MIN_GROWTH``
+    times n steps: 1 + ceil(1.25 n) per segment, the 4 the reference scan's
+    33 nodes execute.  Panels refilled at a higher degree, and retries that
+    grow by more, add steps the estimate leaves out.
     """
     nodes = max(1, math.ceil((hi - lo) / _PANEL_WIDTH)) * (_PANEL_DEGREE + 1)
     q = V.array_evaluator()
@@ -753,7 +756,8 @@ def _model_fill_size(V: PeriodicPotential, lo: float, hi: float) -> int:
         S = _ode.segment_count(members)
         v = q(np.arange(S) / S)
         wmax = float(np.max(np.maximum(np.abs(v - lo), np.abs(v - hi))))
-        return members * S * _ode.first_step_count(1.0 / S, wmax)
+        n = _ode.first_step_count(1.0 / S, wmax)
+        return members * S * (1 + math.ceil(_ode._MIN_GROWTH * n))
 
     full, rest = divmod(nodes, _ode.CHUNK)
     return full * size(_ode.CHUNK) + (size(rest) if rest else 0)

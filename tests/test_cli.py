@@ -219,13 +219,13 @@ def test_bands_fuzzed_config_exits_cleanly_with_strict_output(sections):
 
 def test_oversized_band_model_fill_exits_numeric_before_any_fill(
         tmp_path, capsys, monkeypatch):
-    # 2e4 passes the scan-grid guard; the model fill would need ~4.2e6
+    # 1e5 passes the scan-grid guard; the model fill would need ~5.9e7
     # node-steps by the closed-form estimate
     def no_fill(*args, **kwargs):
         raise AssertionError("band model filled before its cost was bounded")
 
     monkeypatch.setattr(hill, "_discriminant_batch", no_fill)
-    cfg, out = prepare(tmp_path, {"grid": {"ceiling": "2e4"}})
+    cfg, out = prepare(tmp_path, {"grid": {"ceiling": "1e5"}})
     start = time.perf_counter()
     assert main(["bands", "--config", cfg]) == 4
     assert time.perf_counter() - start < 0.5
@@ -333,12 +333,12 @@ def test_non_finite_energy_flag_exits_input_error(tmp_path, capsys, value):
 
 def test_non_finite_result_exits_numeric_without_writing(tmp_path, capsys,
                                                          monkeypatch):
-    real = cli.cocycle_mod.cocycle_lyapunov
+    real = cocycle.cocycle_lyapunov
 
     def nan_theta(spec):
         return replace(real(spec), value=math.nan)
 
-    monkeypatch.setattr(cli.cocycle_mod, "cocycle_lyapunov", nan_theta)
+    monkeypatch.setattr(cocycle, "cocycle_lyapunov", nan_theta)
     cfg, out = prepare(tmp_path)
     assert main(["cocycle", "--config", cfg]) == 4
     captured = capsys.readouterr()
@@ -906,21 +906,58 @@ def _fresh_python(args, **kwargs):
                           text=True, env=env, **kwargs)
 
 
-def test_import_loads_no_scipy():
-    proc = _fresh_python(["-c", "import sys, adiaspec.cli; print(sorted("
-                          "m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
+# run in a fresh interpreter: import adiaspec.cli, then run each command
+# through main() on the config argv[1]; the last line is a JSON map from
+# "import" and each command to the modules loaded by then
+_LOADS = """
+import json, sys
+import adiaspec.cli
+loaded = {"import": sorted(sys.modules)}
+for command in sys.argv[2:]:
+    assert adiaspec.cli.main([command, "--config", sys.argv[1]]) == 0, command
+    loaded[command] = sorted(sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def _loaded_after(cfg="", commands=(), cwd=None):
+    proc = _fresh_python(["-c", _LOADS, cfg, *commands], cwd=cwd)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return {step: set(names) for step, names in
+            json.loads(proc.stdout.splitlines()[-1]).items()}
+
+
+def _loaded_under(prefix, names):
+    return sorted(m for m in names if m == prefix or m.startswith(prefix + "."))
+
+
+def test_import_loads_no_scipy():
+    assert _loaded_under("scipy", _loaded_after()["import"]) == []
 
 
 def test_import_loads_no_thread_pool():
     # concurrent.futures (and the logging it imports) is loaded only by
     # verify --threads > 1
-    proc = _fresh_python(["-c", "import sys, adiaspec.cli; print(sorted("
-                          "m for m in sys.modules "
-                          "if m.split('.')[0] == 'concurrent'))"])
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert _loaded_under("concurrent", _loaded_after()["import"]) == []
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    # one interpreter runs the commands in this order, so each step's
+    # modules include its predecessors': bands, geometry and stokes never
+    # load actions, cocycle or the numpy.fft/numpy.random cocycle brings,
+    # and actions never loads cocycle
+    cfg, _ = prepare(tmp_path)
+    loaded = _loaded_after(cfg, ["bands", "geometry", "stokes", "actions"],
+                           cwd=tmp_path)
+    for step in ("import", "bands", "geometry", "stokes"):
+        for module in ("adiaspec.actions", "adiaspec.cocycle", "numpy.random",
+                       "numpy.fft"):
+            assert _loaded_under(module, loaded[step]) == [], (step, module)
+    assert "adiaspec.actions" in loaded["actions"]
+    assert "adiaspec.cocycle" not in loaded["actions"]
+    # load_config builds a geometry.AnalyticPotential, so every command
+    # loads geometry and hill
+    assert {"adiaspec.geometry", "adiaspec.hill"} <= loaded["import"]
 
 
 def test_commands_run_without_scipy(tmp_path):
@@ -931,6 +968,40 @@ def test_commands_run_without_scipy(tmp_path):
     codes = [line for line in proc.stdout.splitlines() if line.startswith("exit ")]
     assert codes == [f"exit {c} 0" for c in commands]
     assert (out / "verify.json").is_file()
+
+
+# ---------------------------------------------------------------------------
+# package surface
+
+
+def test_every_public_name_is_its_modules_object():
+    # every public name is a class or function of the module it resolves from
+    for name in adiaspec.__all__:
+        value = getattr(adiaspec, name)
+        assert value is vars(sys.modules[value.__module__])[name], name
+    namespace: dict = {}
+    exec("from adiaspec import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == adiaspec.__all__
+    assert all(namespace[n] is getattr(adiaspec, n) for n in namespace)
+    assert set(adiaspec.__all__) | {"__version__"} <= set(dir(adiaspec))
+    with pytest.raises(AttributeError, match="no attribute 'band_edge'"):
+        adiaspec.band_edge  # noqa: B018
+
+
+def test_package_loads_a_module_on_first_use():
+    proc = _fresh_python(["-c", (
+        "import sys, adiaspec\n"
+        "def loaded():\n"
+        "    return [m for m in sys.modules if m.startswith('adiaspec.')]\n"
+        "print(loaded())\n"
+        "adiaspec.band_edges\n"
+        "print('adiaspec.hill' in loaded(), 'adiaspec.cocycle' in loaded())\n"
+        "from adiaspec import cocycle, cli, _ode\n"
+        "print(adiaspec.cocycle is cocycle, cli.main is adiaspec.cli.main, "
+        "_ode.CHUNK > 0)\n")])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True False", "True True True"]
 
 
 def _top_level_imports(path):

@@ -112,6 +112,36 @@ def test_singular_matrix_detected():
         run(fam, N=100)
 
 
+@pytest.mark.parametrize("matrix", [
+    [[0.0, 0.0], [0.0, 0.0]],
+    # rank one, every entry nonzero: a d - b c cancels exactly
+    [[1.0, 1.0], [1.0, 1.0]],
+    [[2.0 ** 70, 3 * 2.0 ** 64], [2.0 ** 76, 3 * 2.0 ** 70]],
+    [[1 + 2j, 3 - 1j], [2 + 4j, 6 - 2j]],
+])
+def test_exactly_singular_factor_raises_at_any_scale(matrix):
+    with pytest.raises(DegeneracyError, match="singular matrix"):
+        run(constant_family(matrix), N=10)
+
+
+def test_unimodular_factors_with_large_entries_are_not_singular(V_zero):
+    # V = 0, E = -2500: G = [[cosh 50, sinh 50 / 50], [50 sinh 50, cosh 50]]
+    # has entries ~1e21-1e23 and a d - b c of exactly 0.0 in floating point
+    model = PhaseModel(V_zero, None, 0.1, -2500.0, 0.0, 1e-12, 200)
+    a, b, c, d = model.blocks(0, 5)
+    assert np.all(a * d - b * c == 0.0)
+
+    def rows(z):
+        return model(2 * math.pi * np.asarray(z))
+
+    fam = MatrixFamily(kind="user-table", evaluator=_one_point(rows),
+                       array_evaluator=rows)
+    est = run(fam, N=200, h=0.1 / (2 * math.pi), stride=4)
+    assert est.value == pytest.approx(50.0, rel=1e-3)
+    direct = direct_lyapunov(V_zero, None, 0.1, -2500.0, L=200.0, tol=1e-12)
+    assert est.value == pytest.approx(direct.value, rel=1e-12)
+
+
 def test_overflowing_entry_detected():
     # both parts of the entry are finite, its modulus is not
     fam = constant_family([[1.5e308 + 1.5e308j, 0.0], [0.0, 1.0]])

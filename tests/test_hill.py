@@ -516,23 +516,39 @@ def test_huge_ceiling_rejected_before_any_model_build(V_ref, monkeypatch):
         band_edges(V_ref, 1e9)
 
 
-def test_model_fill_size_follows_the_first_attempt(V_ref, monkeypatch):
-    # one energy chunk: the estimate is its node count times its segments
-    # times the first step count, taken at an end of the interval, not at
-    # the end nodes
-    first = []
+def test_model_fill_size_counts_the_retry(V_ref, monkeypatch):
+    # one energy chunk of 33 nodes in 16 segments; its first step count
+    # fails at the first step and the retry passes, and the estimate
+    # counts both: within 1.5x of the node-steps executed
+    executed = []
     real = _ode._fixed_steps
 
-    def spy(*args):
-        first.append((args[4], args[5].shape[1:]))
-        return real(*args)
+    def spy(w, w0, t, ends, n, y, rtol, atol):
+        out = real(w, w0, t, ends, n, y, rtol, atol)
+        steps = n if out[1] is None else out[2] + 1
+        executed.append((steps, y.shape[1:]))
+        return out
 
     monkeypatch.setattr(_ode, "_fixed_steps", spy)
     hill.DiscriminantModel(V_ref, -2.5, 45.5)
-    n, (S, nodes) = first[0]
-    assert nodes == 33 and S == _ode.segment_count(nodes) == 16
+    assert {shape for _, shape in executed} == {(16, 33)}
+    assert len(executed) == 2
+    steps = sum(n * 16 * 33 for n, _ in executed)
     size = hill._model_fill_size(V_ref, -2.5, 45.5)
-    assert n * S * nodes <= size <= (n + 1) * S * nodes
+    assert steps / 1.5 <= size <= 1.5 * steps
+
+
+def test_fill_limit_admits_a_ceiling_of_ten_thousand(V_ref, monkeypatch):
+    # the pre-check only: the scan itself would take about a second
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("past the pre-check")
+
+    monkeypatch.setattr(hill, "DiscriminantModel", no_model)
+    assert (hill._model_fill_size(V_ref, -2.5, 10000.5)
+            <= hill._FILL_NODE_STEPS_MAX)
+    with pytest.raises(AssertionError, match="past the pre-check"):
+        band_edges(V_ref, 10000.0)
 
 
 def test_band_model_fill_limit(V_ref, V_kp, bands_kp, monkeypatch):
