@@ -8,7 +8,7 @@ so the system reads a' = c, b' = d, c' = w a, d' = w b with w = q(x) - E.
 Complex energies work through ordinary numeric promotion because q is only
 ever evaluated at real x.
 
-Three integration routes live here, on two Dormand-Prince tableaux:
+Three integration routes live here, two on Dormand-Prince tableaux:
 
 * ``propagate``: Dormand-Prince 5(4) (DOPRI5) on four scalars with
   per-step error control, for single smooth-potential solves (one-period
@@ -17,27 +17,29 @@ Three integration routes live here, on two Dormand-Prince tableaux:
   advancing a whole batch of independent problems over one shared
   interval as numpy arrays, for the phase nodes and sampled unit blocks
   of a direct run's phase model and the many real energies of a
-  Chebyshev discriminant model.  The interval is cut into equal segments
-  that run side by side as extra batch members, each from the identity,
-  and their propagators are multiplied in order (``_fold``).  Every step
-  of every member and segment passes Hairer's combined 5th/3rd-order
-  error test in ``propagate``'s scaled-RMS units, scaled by that
-  segment's own state.  A step keeps the state and its thirteen stage
-  derivatives in one buffer and forms each stage state, the solution and
-  the two error estimates as products of tableau rows with it.  At equal
-  tolerance it is the more accurate: on the reference trig V, unit blocks
-  at tol 1e-8 land within 1.7e-11 of a tol-1e-13 integration, where
-  DOPRI5 steps land within 2.4e-10, and discriminants at tol 1e-10 are
-  within 1.3e-12 (real E) and 1.5e-13 (complex E) of mpmath's, against
-  1.1e-11 for DOPRI5 steps; at tol 1e-12 both are near rounding
-  (5.1e-14 against 3.0e-14 on real E, 5.1e-15 against 2.9e-14 complex);
+  Chebyshev discriminant model of trigonometric V.  The interval is cut
+  into equal segments that run side by side as extra batch members, each
+  from the identity, and their propagators are multiplied in order
+  (``_fold``).  Every step of every member and segment passes Hairer's
+  combined 5th/3rd-order error test in ``propagate``'s scaled-RMS units,
+  scaled by that segment's own state.  A step keeps the state and its
+  thirteen stage derivatives in one buffer and forms each stage state,
+  the solution and the two error estimates as products of tableau rows
+  with it.  At equal tolerance it is the more accurate: on the reference
+  trig V, unit blocks at tol 1e-8 land within 1.7e-11 of a tol-1e-13
+  integration, where DOPRI5 steps land within 2.4e-10, and discriminants
+  at tol 1e-10 are within 1.3e-12 (real E) and 1.5e-13 (complex E) of
+  mpmath's, against 1.1e-11 for DOPRI5 steps; at tol 1e-12 both are near
+  rounding (5.1e-14 against 3.0e-14 on real E, 5.1e-15 against 2.9e-14
+  complex);
 * ``constant_coefficient_step``: the exact whole-interval propagator for a
-  constant potential, combined segment-by-segment for piecewise data.
+  constant potential at an array of energies, which ``hill`` multiplies
+  segment by segment into the one exact product for piecewise data: its
+  scalar discriminant and the fill of its Chebyshev model's panels.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -493,26 +495,30 @@ def _fixed_steps(w, w0, t0, t1, n, y, rtol, atol):
 
 
 def constant_coefficient_step(w, length):
-    """Exact propagator factors over one interval of constant w = v - E.
+    """Exact propagator factors over one interval of constant w = v - E,
+    w an array (one value per energy) or a scalar.
 
-    Returns (C, S) with the step matrix [[C, S], [w S, C]]; det = 1 holds
-    identically.  Real w takes real branches so real energies never pick
-    up spurious imaginary parts; the |u| < 1e-4 series keeps the w -> 0
-    crossover smooth to full precision.
+    Returns arrays (C, S) of w's shape, the step matrix being
+    [[C, S], [w S, C]]; det = 1 holds identically.  Real w takes real
+    branches (cos/sin for w < 0, cosh/sinh for w > 0) so real energies
+    never pick up spurious imaginary parts, complex w a complex square
+    root; the |u| < 1e-4 series keeps the w -> 0 crossover smooth to full
+    precision.  Every branch is evaluated at every w, the overflow and
+    0 / 0 of the unused ones silenced.
     """
-    u = w * length * length
-    if abs(u) < 1e-4:
-        C = 1.0 + u * (0.5 + u * (1.0 / 24.0 + u / 720.0))
-        S = length * (1.0 + u * (1.0 / 6.0 + u * (1.0 / 120.0 + u / 5040.0)))
-        return C, S
-    if isinstance(w, complex):
-        omega = cmath.sqrt(-w)
-        z = omega * length
-        return cmath.cos(z), length * cmath.sin(z) / z
-    if w < 0.0:
-        omega = math.sqrt(-w)
-        z = omega * length
-        return math.cos(z), math.sin(z) / omega
-    mu = math.sqrt(w)
-    z = mu * length
-    return math.cosh(z), math.sinh(z) / mu
+    w = np.asarray(w)
+    u = w * (length * length)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.iscomplexobj(w):
+            z = np.sqrt(-w) * length
+            C, S = np.cos(z), length * np.sin(z) / z
+        else:
+            r = np.sqrt(np.abs(w))
+            neg, z = w < 0.0, r * length
+            C = np.where(neg, np.cos(z), np.cosh(z))
+            S = np.where(neg, np.sin(z), np.sinh(z)) / r
+        small = np.abs(u) < 1e-4
+        C = np.where(small, 1.0 + u * (0.5 + u * (1.0 / 24.0 + u / 720.0)), C)
+        S = np.where(small, length * (1.0 + u * (1.0 / 6.0 + u * (
+            1.0 / 120.0 + u / 5040.0))), S)
+    return C, S

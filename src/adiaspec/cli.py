@@ -27,12 +27,17 @@ from .errors import (
     ConfigError,
     InvalidInputError,
     NonFiniteResultError,
+    ResolutionFailure,
 )
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_ASSUMPTION = 3
 EXIT_NUMERIC = 4
+
+# most energies in a window.energy_grid: each admissible one costs ~2 ms
+# of actions (and any one ~46 us and ~480 B of window report)
+_ENERGY_GRID_MAX = 10_000
 
 
 @dataclass(frozen=True)
@@ -124,6 +129,9 @@ def load_config(path: str) -> RunConfig:
         energy_grid = (_number(grid_raw[0], "window.energy_grid min"),
                        _number(grid_raw[1], "window.energy_grid max"),
                        _int_at_least(grid_raw[2], 1, "window.energy_grid count"))
+        if energy_grid[2] > _ENERGY_GRID_MAX:
+            raise ResolutionFailure(f"window.energy_grid count {energy_grid[2]} "
+                                    f"is above the limit of {_ENERGY_GRID_MAX}")
 
     ceiling = _positive(need("grid", "ceiling"), "grid.ceiling")
 
@@ -417,7 +425,11 @@ def cmd_actions(cfg: RunConfig, seed: int) -> int:
 
 def cmd_stokes(cfg: RunConfig, seed: int) -> int:
     family = cfg.stokes.get("family", "kappa")
+    if family not in ("kappa", "kappa-pi"):
+        raise ConfigError(f"stokes.family must be kappa|kappa-pi, got {family!r}")
     direction = _number(cfg.stokes.get("direction", "1"), "stokes.direction", int)
+    if direction not in (1, -1):
+        raise ConfigError(f"stokes.direction must be 1 or -1, got {direction}")
     max_length = _positive(cfg.stokes.get("max_length", "1.0"), "stokes.max_length")
     starts: list[complex] = []
     for line in cfg.stokes.get("starts", "").splitlines():

@@ -179,9 +179,13 @@ class FundamentalMatrix:
 
 
 def _propagate_piecewise(V: PeriodicPotential, E, x0: float, x1: float):
-    """Exact segment-product propagation for piecewise-constant V."""
-    breaks = [b for b, _ in V.segments]
-    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    """Exact segment-product propagation for piecewise-constant V at an
+    array of energies E (or one), each segment one vectorised
+    ``_ode.constant_coefficient_step``, as the segment walk does not
+    depend on E: the rows (a, b, c, d) and an error bound, of E's shape."""
+    E = np.asarray(E, dtype=np.result_type(E, float))
+    a, b = np.ones_like(E), np.zeros_like(E)
+    c, d = b, a
     x = x0
     nseg = 0
     while x < x1 - 1e-15 * max(1.0, abs(x1)):
@@ -198,13 +202,13 @@ def _propagate_piecewise(V: PeriodicPotential, E, x0: float, x1: float):
         end = min(nxt, x1)
         length = end - x
         if length > 0:
-            C, S = _ode.constant_coefficient_step(value - E, length)
             w = value - E
+            C, S = _ode.constant_coefficient_step(w, length)
             a, c = C * a + S * c, w * S * a + C * c
             b, d = C * b + S * d, w * S * b + C * d
             nseg += 1
         x = end
-    scale = max(abs(a), abs(b), abs(c), abs(d), 1.0)
+    scale = np.maximum(np.max(np.abs([a, b, c, d]), axis=0), 1.0)
     return (a, b, c, d), 4e-16 * nseg * scale
 
 
@@ -226,7 +230,8 @@ def fundamental_matrix(V: PeriodicPotential, E, x0: float = 0.0, x1: float = 1.0
     if not (tol > 0):
         raise InvalidInputError("tolerance must be positive")
     if V.kind == "piecewise-constant":
-        (a, b, c, d), err = _propagate_piecewise(V, E, x0, x1)
+        rows, err = _propagate_piecewise(V, E, x0, x1)
+        (a, b, c, d), err = (r.item() for r in rows), err.item()
     else:
         q = V.evaluator()
         (a, b, c, d), err, _ = _ode.propagate(
@@ -254,7 +259,7 @@ def discriminant(V: PeriodicPotential, E, tol: float = 1e-10):
     if V.kind == "piecewise-constant":
         Ev = complex(E) if isinstance(E, complex) and E.imag != 0.0 else float(np.real(E))
         (a, _, _, d), _ = _propagate_piecewise(V, Ev, 0.0, 1.0)
-        return a + d
+        return (a + d).item()
     fm = fundamental_matrix(V, E, 0.0, 1.0, tol)
     m = fm.matrix
     return m[0, 0] + m[1, 1]
@@ -262,16 +267,20 @@ def discriminant(V: PeriodicPotential, E, tol: float = 1e-10):
 
 def _discriminant_batch(V: PeriodicPotential, energies: np.ndarray,
                         tol: float) -> np.ndarray:
-    """Discriminant of a trigonometric V at many real energies.
+    """Discriminant of V at many real energies.
 
-    The energies go through ``_ode.transfer_batch`` together, in chunks of
-    at most ``_ode.CHUNK``: fixed-step DOP853 on segments of the period
-    side by side, in which every step of every energy and segment passes
-    the kernel's error test at rtol = tol, atol = tol * 1e-2; after a
-    failed step the chunk keeps the steps it has accepted and goes on from
-    there with a finer step.  V is sampled once per stage node of each
-    segment and shared by all energies.
+    Piecewise-constant V takes the exact product, all energies at once.
+    Otherwise the energies go through ``_ode.transfer_batch`` together, in
+    chunks of at most ``_ode.CHUNK``: fixed-step DOP853 on segments of the
+    period side by side, in which every step of every energy and segment
+    passes the kernel's error test at rtol = tol, atol = tol * 1e-2; after
+    a failed step the chunk keeps the steps it has accepted and goes on
+    from there with a finer step.  V is sampled once per stage node of
+    each segment and shared by all energies.
     """
+    if V.kind == "piecewise-constant":
+        (a, _, _, d), _ = _propagate_piecewise(V, energies, 0.0, 1.0)
+        return a + d
     q = V.array_evaluator()
     out = np.empty(len(energies))
     for i in range(0, len(energies), _ode.CHUNK):
@@ -330,11 +339,10 @@ class DiscriminantModel:
     node_tol keeps as many coefficients as the degree, or more) is filled
     again at twice the degree, all such panels in one more batch, up to
     ``_PANEL_DEGREE_MAX``; one still unresolved there raises
-    ResolutionFailure.  ``band_edges`` builds one per scan and keeps it on
-    the ``BandStructure``, whose real-energy readers (branch tables,
+    ResolutionFailure.  Piecewise-constant potentials fill the same panels
+    from their exact product.  ``band_edges`` builds one per scan and keeps
+    it on the ``BandStructure``, whose real-energy readers (branch tables,
     action quadratures, the real-axis quasi-momentum) all share it.
-    Piecewise-constant potentials skip the panels: their exact product
-    formula is already cheap.
 
     An array of energies is summed in one Clenshaw recurrence over all its
     points, each with the coefficients of its own panel (zero-padded to the
@@ -352,11 +360,6 @@ class DiscriminantModel:
         self.lo = float(lo)
         self.hi = float(hi)
         self.node_tol = node_tol
-        self.direct = V.kind == "piecewise-constant"
-        if self.direct:
-            self._panels: list[Chebyshev] = []
-            self._bounds = [self.lo, self.hi]
-            return
         bounds = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / panel_width)) + 1)
         self._set_panels(bounds, self._fill(bounds, degree))
 
@@ -398,16 +401,13 @@ class DiscriminantModel:
         """This model where it already reaches down to `lo`; else a new one
         that keeps every panel of this one bit for bit and adds panels of
         the default width over [lo - 0.5, self.lo], filled in one batch at
-        the same node_tol (piecewise-constant V only lowers the bound)."""
+        the same node_tol."""
         if not math.isfinite(lo):
             raise InvalidInputError("non-finite energy")
         if lo >= self.lo:
             return self
         out = copy.copy(self)
         out.lo = lo - 0.5
-        if self.direct:
-            out._bounds = [out.lo, self.hi]
-            return out
         bounds = np.linspace(out.lo, self.lo,
                              max(1, math.ceil((self.lo - out.lo) / _PANEL_WIDTH)) + 1)
         out._set_panels(np.concatenate([bounds, self._bounds[1:]]),
@@ -424,26 +424,20 @@ class DiscriminantModel:
     def __call__(self, E):
         if isinstance(E, float):
             # one real energy (np.float64 too): the same range check and
-            # clipped panel choice as below, without the array machinery
+            # clipped panel choice as _sum, without the array machinery
             self._check_range(E, E)
-            if self.direct:
-                return float(discriminant(self.V, float(E)))
             i = min(max(bisect_right(self._bounds, E) - 1, 0),
                     len(self._panels) - 1)
             return float(self._panels[i](E))
+        return self._sum(self._coef, E)
+
+    def _sum(self, coef: np.ndarray, E):
+        """The panel series with coefficient columns `coef` at E, a float
+        or an array, after the range check."""
         arr = np.asarray(E, dtype=float)
-        scalar = arr.ndim == 0
         xs = np.atleast_1d(arr)
         if xs.size:
             self._check_range(xs.min(), xs.max())
-        if self.direct:
-            out = np.array([discriminant(self.V, float(e)) for e in xs])
-        else:
-            out = self._sum(self._coef, xs)
-        return float(out[0]) if scalar else out
-
-    def _sum(self, coef: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """The panel series with coefficient columns `coef` at the 1-D xs."""
         idx = np.clip(np.searchsorted(self._bounds, xs, side="right") - 1, 0,
                       len(self._panels) - 1)
         out = np.empty_like(xs)
@@ -452,26 +446,14 @@ class DiscriminantModel:
             off, scl = self._maps[j].T
             out[i:i + _ode.CHUNK] = _clenshaw(coef[:, j],
                                               off + scl * xs[i:i + _ode.CHUNK])
-        return out
+        return float(out[0]) if arr.ndim == 0 else out
 
     def derivative(self, E):
-        """d/dE of the discriminant (panel derivative, or a central
-        difference for the exact piecewise route); E scalar or array."""
-        arr = np.asarray(E, dtype=float)
-        xs = np.atleast_1d(arr)
-        if xs.size:
-            self._check_range(xs.min(), xs.max())
-        if self.direct:
-            h = 1e-6 * (1.0 + np.abs(xs))
-            out = np.array([(discriminant(self.V, e + dh)
-                             - discriminant(self.V, e - dh)) / (2.0 * dh)
-                            for e, dh in zip(xs, h)])
-        else:
-            if self._deriv_coef is None:
-                self._deriv_coef = _columns([p.deriv().coef
-                                             for p in self._panels])
-            out = self._sum(self._deriv_coef, xs)
-        return float(out[0]) if arr.ndim == 0 else out
+        """d/dE of the discriminant, the derivative of the panels' series;
+        E scalar or array."""
+        if self._deriv_coef is None:
+            self._deriv_coef = _columns([p.deriv().coef for p in self._panels])
+        return self._sum(self._deriv_coef, E)
 
 
 def _columns(coefs) -> np.ndarray:
@@ -543,8 +525,7 @@ class ComplexDiscriminantModel:
     tol * max(1, |value|), as above the scan's reach, the scalar
     ``discriminant`` at `tol` is returned instead and counted in
     ``fallbacks``.  A panel that has not reached its plateau at degree 256
-    is not used at all, and piecewise-constant potentials keep their exact
-    product route.
+    is not used at all.
     """
 
     def __init__(self, model: DiscriminantModel, lo, hi, tol: float):
@@ -552,12 +533,11 @@ class ComplexDiscriminantModel:
             raise InvalidInputError("empty model interval")
         self.V = model.V
         self.tol = tol
-        self.exact = model.direct
         self.fallbacks = 0
         self._coef: list[float] = []
         self._weights: list[float] = []
         hi = min(hi, model.hi)
-        if self.exact or not hi > lo:
+        if not hi > lo:
             return
         model = model.reaching(lo)
         self._mid, self._half = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -594,8 +574,7 @@ class ComplexDiscriminantModel:
         value, err = self.bound(E)
         if err <= self.tol * max(1.0, abs(value)):
             return value
-        if not self.exact:
-            self.fallbacks += 1
+        self.fallbacks += 1
         return discriminant(self.V, E, self.tol)
 
 
@@ -798,7 +777,8 @@ def band_edges(V: PeriodicPotential, ceiling: float, tol: float = 1e-10) -> Band
         raise InvalidInputError(f"ceiling {ceiling} below the potential minimum")
     # refuse an oversized scan in closed form before any work: first its
     # grid (which _weyl_grid checks again), then the model fill, which
-    # grows faster than the ceiling; piecewise-constant V fills no panels
+    # grows faster than the ceiling; piecewise-constant V fills its panels
+    # from the exact product, which takes no ODE steps
     _check_grid_size(start, ceiling, vmin)
     lo, hi = start - 0.5, ceiling + 0.5
     if V.kind != "piecewise-constant":

@@ -235,6 +235,22 @@ def test_oversized_band_model_fill_exits_numeric_before_any_fill(
     assert list(out.iterdir()) == []
 
 
+def test_oversized_energy_grid_exits_numeric_before_the_band_scan(
+        tmp_path, capsys, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("band scan ran before the grid was bounded")
+
+    monkeypatch.setattr(hill, "band_edges", no_scan)
+    cfg, out = prepare(tmp_path, {"window": {"energy_grid": "3.9 4.8 10001"}})
+    assert main(["geometry", "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ResolutionFailure")
+    assert "window.energy_grid" in err
+    assert not out.exists()
+    cfg, _ = prepare(tmp_path, {"window": {"energy_grid": "3.9 4.8 10000"}})
+    assert load_config(cfg).energy_grid == (3.9, 4.8, 10000)
+
+
 def test_csv_output_uses_unix_newlines(tmp_path):
     cfg, out = prepare(tmp_path, ZERO_V)
     assert main(["bands", "--config", cfg]) == 0
@@ -608,7 +624,9 @@ def test_point_values_of_w_skip_the_array_path(tmp_path, monkeypatch, command):
 
 
 @pytest.mark.parametrize("key,value", [
+    ("family", "foo"),
     ("direction", "x"),
+    ("direction", "2"),
     ("starts", "0.1 -0.02 7"),
     ("max_length", "0"),
     ("max_length", "-3"),

@@ -544,14 +544,13 @@ def test_level_line_to_the_strip_edge_falls_back_to_the_scalar_route(
 
 def test_stokes_step_evaluates_the_discriminant_twelve_times(V_zero,
                                                              monkeypatch):
-    # V = 0 is piecewise constant, so every value takes the scalar route;
     # on the real axis the line is straight, no step is rejected, and the
     # set-up before the first step does not depend on max_length
     bands = band_edges(V_zero, 42.0)
     W = AnalyticPotential.cosine(0.5, 0.5)
     calls = []
-    real = hill.discriminant
-    monkeypatch.setattr(hill, "discriminant",
+    real = hill.ComplexDiscriminantModel.__call__
+    monkeypatch.setattr(hill.ComplexDiscriminantModel, "__call__",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
     counts = []
     for length in (0.4, 0.8):

@@ -10,6 +10,7 @@ import cmath
 import gc
 import math
 import time
+import warnings
 import weakref
 
 import mpmath
@@ -411,11 +412,11 @@ def test_scalar_model_calls_match_the_array_path_bit_for_bit(V_ref, V_kp):
             for cast in (float, np.float64):
                 with pytest.raises(InvalidInputError):
                     model(cast(E))
-    # piecewise-constant V keeps its exact product formula, no panels
+    # piecewise-constant V fills its panels from the exact product
     model = DiscriminantModel(V_kp, 0.0, 12.0)
-    assert model.direct
     for E in (0.3, 5.0, 11.9):
-        assert model(E) == discriminant(V_kp, E)
+        exact = discriminant(V_kp, E)
+        assert abs(model(E) - exact) <= 1e-12 * max(1.0, abs(exact))
 
 
 def test_model_users_keep_no_potential_alive(W_ref, bands_ref, report_ref):
@@ -473,12 +474,11 @@ def test_complex_model_falls_back_deep_in_the_strip(V_ref, strip_model):
     assert strip_model.fallbacks == before + 1
 
 
-def test_complex_model_keeps_the_exact_piecewise_route(V_kp, bands_kp):
+def test_complex_model_panel_matches_the_kp_closed_form(bands_kp):
+    # the panel read from the piecewise scan model, with no fallback
     model = ComplexDiscriminantModel(bands_kp.model, 0.0, 12.0, tol=1e-9)
     for E in (3.0 + 0.05j, 9.0 - 2.0j):
-        assert model(E) == discriminant(V_kp, E, tol=1e-9)
-        assert model(E) == pytest.approx(kp_discriminant(KP_SEGMENTS, E),
-                                         abs=1e-12)
+        assert abs(model(E) - kp_discriminant(KP_SEGMENTS, E)) < 1e-12
     assert model.fallbacks == 0
 
 
@@ -503,6 +503,63 @@ def test_free_band_edges_all_gaps_closed(V_zero):
     assert np.allclose(bands.edges[:5], pis, atol=1e-8)
     for k in range(1, len(bands.gap_open) + 1):
         assert not bands.is_gap_open(k)
+
+
+def test_free_band_edges_stay_on_the_squares_up_to_four_hundred(V_zero):
+    # the closed gaps' double edges come from the panels' derivative
+    bands = band_edges(V_zero, 400.0)
+    edges = np.array(bands.edges)
+    assert len(edges) == 13
+    n = (np.arange(13) + 1) // 2  # 0, 1, 1, 2, 2, ..., 6, 6
+    assert np.max(np.abs(edges - (math.pi * n) ** 2)) < 1e-11
+    assert not any(bands.gap_open)
+
+
+def test_strong_kronig_penney_barrier_edges_match_closed_form():
+    segments = [(0.0, 0.5, 0.0), (0.5, 1.0, 400.0)]
+    V = PeriodicPotential.piecewise([(0.0, 0.0), (0.5, 400.0)])
+    got = band_edges(V, 600.0).edges
+    want = kp_band_edges(segments, ceiling=600.0, vmin=0.0)
+    assert len(got) == len(want)
+    assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-9
+
+
+def _step_closed_form(w: complex, length: float):
+    if w == 0:
+        return 1.0, length
+    z = cmath.sqrt(-w) * length
+    return cmath.cos(z), length * cmath.sin(z) / z
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_constant_coefficient_step_branch_by_branch(dtype):
+    # w < 0 and w > 0 on both sides of |u| = |w| length^2 = 1e-4, w = 0,
+    # and strong w on both sides; complex w off the axis too
+    length = 0.5
+    w = [-100.0, -40.0, -4.4e-4, -3.6e-4, 0.0, 3.6e-4, 4.4e-4, 60.0, 100.0]
+    if dtype is complex:
+        w += [30.0 + 20.0j, -50.0 + 1.0j, 2e-4j, -3e-4 - 2e-4j]
+    w = np.array(w, dtype=dtype)
+    C, S = _ode.constant_coefficient_step(w, length)
+    assert C.dtype == S.dtype == w.dtype
+    for wi, c, s in zip(w, C, S):
+        c_want, s_want = _step_closed_form(complex(wi), length)
+        assert abs(c - c_want) <= 1e-14 * abs(c_want)
+        assert abs(s - s_want) <= 1e-14 * abs(s_want)
+    unit = np.abs(w) * length ** 2 <= 25.0
+    drift = np.abs(C * C - w * S * S - 1.0)
+    assert np.all(drift[unit] <= 1e-13 * (np.abs(C * C) + np.abs(w * S * S))[unit])
+
+
+def test_constant_coefficient_step_silences_the_unused_branch():
+    # cosh(1581) overflows, but w < 0 takes cos/sin
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        C, S = _ode.constant_coefficient_step(np.array([-1e7, 4.0]), 0.5)
+    z = math.sqrt(1e7) * 0.5
+    assert C[0] == pytest.approx(math.cos(z), rel=1e-14)
+    assert S[0] == pytest.approx(math.sin(z) / math.sqrt(1e7), rel=1e-14)
+    assert C[1] == pytest.approx(math.cosh(1.0), rel=1e-14)
 
 
 def test_huge_ceiling_rejected_before_any_model_build(V_ref, monkeypatch):
@@ -557,7 +614,7 @@ def test_band_model_fill_limit(V_ref, V_kp, bands_kp, monkeypatch):
     monkeypatch.setattr(hill, "_FILL_NODE_STEPS_MAX", 0)
     with pytest.raises(ResolutionFailure, match="band model fill"):
         band_edges(V_ref, 5.0)
-    # piecewise-constant V fills no panels
+    # piecewise-constant V is exempt: its fill takes no ODE steps
     assert band_edges(V_kp, 30.0).edges == bands_kp.edges
 
 
@@ -663,8 +720,7 @@ def test_below_spectrum_momentum_is_imaginary(V_ref, bands_ref):
 
 def test_momentum_below_the_band_scan(V_ref, bands_ref, V_kp, bands_kp):
     # energies under the scan's model read an extension of it, which
-    # agrees with the scalar discriminant; piecewise-constant V only
-    # lowers the model's bound and stays exact
+    # agrees with the scalar discriminant, for piecewise-constant V too
     for V, bands in ((V_ref, bands_ref), (V_kp, bands_kp)):
         for E in (bands.model.lo - 0.3, bands.model.lo - 6.0):
             k = quasimomentum_main(bands, E).value
@@ -672,8 +728,8 @@ def test_momentum_below_the_band_scan(V_ref, bands_ref, V_kp, bands_kp):
             assert 2.0 * math.cosh(k.imag) == pytest.approx(
                 discriminant(V, E, tol=1e-12), rel=1e-11)
     ext = bands_kp.model.reaching(-5.0)
-    assert ext.direct and ext.lo < -5.0 and ext.hi == bands_kp.model.hi
-    assert ext(-5.0) == discriminant(V_kp, -5.0)
+    assert ext.lo < -5.0 and ext.hi == bands_kp.model.hi
+    assert ext(-5.0) == pytest.approx(discriminant(V_kp, -5.0), rel=1e-12)
 
 
 def test_gap_midpoint_against_acosh_oracle(V_ref, bands_ref):
