@@ -28,7 +28,9 @@ class ConvergenceFailure(AdiaspecError, RuntimeError):
 
 
 class ResolutionFailure(AdiaspecError, RuntimeError):
-    """A scan grid was too coarse to isolate the features it looked for."""
+    """A model could not resolve what it must (a Chebyshev panel at its
+    highest degree, the alternation of the band edges), or a run's cost,
+    bounded before any work starts, is over its limit."""
 
 
 class CoverageError(AdiaspecError, ValueError):

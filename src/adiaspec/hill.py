@@ -28,7 +28,6 @@ import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev, chebpts1, chebvander
 
 from . import _ode
-from ._numerics import bracketed_roots
 from .errors import (
     ConsistencyError,
     CoverageError,
@@ -352,15 +351,14 @@ class DiscriminantModel:
     """
 
     def __init__(self, V: PeriodicPotential, lo: float, hi: float, *,
-                 node_tol: float = 1e-12, panel_width: float = _PANEL_WIDTH,
-                 degree: int = _PANEL_DEGREE):
+                 node_tol: float = 1e-12, degree: int = _PANEL_DEGREE):
         if not (hi > lo):
             raise InvalidInputError("empty model interval")
         self.V = V
         self.lo = float(lo)
         self.hi = float(hi)
         self.node_tol = node_tol
-        bounds = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / panel_width)) + 1)
+        bounds = np.linspace(lo, hi, _panel_count(lo, hi) + 1)
         self._set_panels(bounds, self._fill(bounds, degree))
 
     def _fill(self, bounds: np.ndarray, degree: int) -> list[np.ndarray]:
@@ -395,24 +393,32 @@ class DiscriminantModel:
         # each panel's map of its domain onto [-1, 1], as Chebyshev applies it
         self._maps = np.array([p.mapparms() for p in self._panels])
         self._coef = _columns(coefs)
-        self._deriv_coef = None
+        self._deriv_coef = self._extension = None
 
     def reaching(self, lo: float) -> "DiscriminantModel":
-        """This model where it already reaches down to `lo`; else a new one
-        that keeps every panel of this one bit for bit and adds panels of
-        the default width over [lo - 0.5, self.lo], filled in one batch at
-        the same node_tol."""
+        """This model where it already reaches down to `lo`; else its
+        extension, kept for every later `lo` it covers: every panel of this
+        model bit for bit under whole panels of the default width laid down
+        from self.lo past lo.  Each added panel is filled in a batch of its
+        own at the same node_tol, so its values do not depend on how far
+        the extension reached when it was laid."""
         if not math.isfinite(lo):
             raise InvalidInputError("non-finite energy")
         if lo >= self.lo:
             return self
+        ext = self._extension or self
+        if lo >= ext.lo:
+            return ext
+        bounds, coefs = list(ext._bounds), [p.coef for p in ext._panels]
+        while bounds[0] > lo:
+            k = len(bounds) - len(self._bounds) + 1
+            edge = self.lo - k * _PANEL_WIDTH
+            coefs.insert(0, self._fill(np.array([edge, bounds[0]]), _PANEL_DEGREE)[0])
+            bounds.insert(0, edge)
         out = copy.copy(self)
-        out.lo = lo - 0.5
-        bounds = np.linspace(out.lo, self.lo,
-                             max(1, math.ceil((self.lo - out.lo) / _PANEL_WIDTH)) + 1)
-        out._set_panels(np.concatenate([bounds, self._bounds[1:]]),
-                        out._fill(bounds, _PANEL_DEGREE)
-                        + [p.coef for p in self._panels])
+        out.lo = bounds[0]
+        out._set_panels(np.array(bounds), coefs)
+        self._extension = out
         return out
 
     def _check_range(self, lo: float, hi: float) -> None:
@@ -674,35 +680,14 @@ class BandStructure:
         return ("gap", pos // 2)
 
 
-_SCAN_STEP_MAX = 0.08
-_SCAN_STEP_SCALE = TWO_PI / 256.0
-_SCAN_POINTS_MAX = 2_000_000
+# most panels a band model may lay: at the default width, ceilings up to
+# about 160,000
+_PANELS_MAX = 2_500
 
 
-def _weyl_grid_size(lo: float, hi: float, offset: float) -> int:
-    """Upper bound on ``len(_weyl_grid(lo, hi, offset))``, in closed form.
-
-    With u = x - offset and c = 2 pi / 256 the step is c for u <= 1,
-    c sqrt(u) up to u* = (0.08 / c)^2 and 0.08 beyond, so tau, the integral
-    of dx / step over [lo, hi], follows piecewise.  From one node to the
-    next the step grows by at most sqrt(1 + c); every step but the last
-    thus covers at least 1 / sqrt(1 + c) of tau, and the grid holds at
-    most tau sqrt(1 + c) + 2 points.
-    """
-    c = _SCAN_STEP_SCALE
-    u_star = (_SCAN_STEP_MAX / c) ** 2
-    a, b = lo - offset, hi - offset
-    tau = max(0.0, min(b, 1.0) - a) / c
-    p, q = max(a, 1.0), min(b, u_star)
-    if q > p:
-        tau += 2.0 * (math.sqrt(q) - math.sqrt(p)) / c
-    tau += max(0.0, b - max(a, u_star)) / _SCAN_STEP_MAX
-    return math.floor(tau * math.sqrt(1.0 + c)) + 2
-
-
-def _check_grid_size(lo: float, hi: float, offset: float) -> None:
-    if _weyl_grid_size(lo, hi, offset) > _SCAN_POINTS_MAX:
-        raise ResolutionFailure("scan grid exploded; ceiling too large?")
+def _panel_count(lo: float, hi: float) -> int:
+    """Panels of a default-shaped ``DiscriminantModel`` on [lo, hi]."""
+    return max(1, math.ceil((hi - lo) / _PANEL_WIDTH))
 
 
 # most node-steps a band model's fill may need, as estimated by
@@ -728,7 +713,7 @@ def _model_fill_size(V: PeriodicPotential, lo: float, hi: float) -> int:
     33 nodes execute.  Panels refilled at a higher degree, and retries that
     grow by more, add steps the estimate leaves out.
     """
-    nodes = max(1, math.ceil((hi - lo) / _PANEL_WIDTH)) * (_PANEL_DEGREE + 1)
+    nodes = _panel_count(lo, hi) * (_PANEL_DEGREE + 1)
     q = V.array_evaluator()
 
     def size(members: int) -> int:
@@ -742,71 +727,71 @@ def _model_fill_size(V: PeriodicPotential, lo: float, hi: float) -> int:
     return full * size(_ode.CHUNK) + (size(rest) if rest else 0)
 
 
-def _weyl_grid(lo: float, hi: float, offset: float) -> np.ndarray:
-    """Scan grid with step tied to the asymptotic edge spacing 2 pi sqrt(E).
-
-    Its size is bounded (``_weyl_grid_size``) before any node is laid.
-    """
-    _check_grid_size(lo, hi, offset)
-    pts = [lo]
-    x = lo
-    while x < hi:
-        step = min(_SCAN_STEP_MAX,
-                   _SCAN_STEP_SCALE * math.sqrt(max(x - offset, 1.0)))
-        x = min(x + step, hi)
-        pts.append(x)
-    return np.array(pts)
+def _real_roots(series: Chebyshev, lo: float, hi: float) -> np.ndarray:
+    """Real roots of a panel's series on its domain and in [lo, hi], from
+    the eigenvalues of its colleague matrix; a root within 1e-8 of the
+    panel's width of the real axis or of the domain counts."""
+    a, b = series.domain
+    slack = 1e-8 * (b - a)
+    r = series.roots()
+    r = r.real[np.abs(r.imag) <= slack]
+    return r[(r >= max(a - slack, lo)) & (r <= min(b + slack, hi))]
 
 
 def band_edges(V: PeriodicPotential, ceiling: float, tol: float = 1e-10) -> BandStructure:
-    """All band edges below `ceiling` by scanning and bracketing the
-    discriminant.
+    """All band edges below `ceiling`, as the roots of the panels of one
+    Chebyshev model of the discriminant over the scan.
 
-    The scan works on f = trace^2 - 4 evaluated through a Chebyshev model
-    of the discriminant.  Local maxima of f inside bands are refined, as
-    roots of the model's derivative, to catch narrow or closed gaps
-    (double roots).  All sign-change brackets are solved together on the
-    model, and each simple root r then takes one Newton step on the
-    adaptive integrator's f with the model's slope, kept where it moves r
-    by less than 100 max(tol, 1e-12) max(1, |r|).  A closed gap is
-    recorded as a repeated edge with its flag False.
+    Each panel's series gives its real roots of trace - 2, trace + 2 and
+    trace' directly, as eigenvalues (``_real_roots``; Boyd, SIAM J. Numer.
+    Anal. 40, 2002).  A root d of trace' where |trace(d)^2 - 4| is within
+    the noise level 4e-9 is a closed gap, recorded as a repeated edge with
+    its flag False; it replaces the simple roots its double root splits
+    into, those within 1e-4 max(1, |d|) of d.  Each simple root r then
+    takes one Newton step on the adaptive integrator's f = trace^2 - 4
+    with the model's slope, kept where it moves r by less than
+    100 max(tol, 1e-12) max(1, |r|).
     """
     vmin = V.min_value()
     start = vmin - 1e-3 * (1.0 + abs(vmin))
     if ceiling <= start:
         raise InvalidInputError(f"ceiling {ceiling} below the potential minimum")
     # refuse an oversized scan in closed form before any work: first its
-    # grid (which _weyl_grid checks again), then the model fill, which
-    # grows faster than the ceiling; piecewise-constant V fills its panels
-    # from the exact product, which takes no ODE steps
-    _check_grid_size(start, ceiling, vmin)
+    # panel count, then the model fill, which grows faster than the
+    # ceiling; piecewise-constant V fills its panels from the exact
+    # product, which takes no ODE steps
     lo, hi = start - 0.5, ceiling + 0.5
+    if _panel_count(lo, hi) > _PANELS_MAX:
+        raise ResolutionFailure(
+            f"band model of {_panel_count(lo, hi)} panels, over the limit of "
+            f"{_PANELS_MAX}; ceiling too large?")
     if V.kind != "piecewise-constant":
         size = _model_fill_size(V, lo, hi)
         if size > _FILL_NODE_STEPS_MAX:
             raise ResolutionFailure(
                 f"band model fill estimated at {size} node-steps, over the "
                 f"limit of {_FILL_NODE_STEPS_MAX}; ceiling too large?")
-    grid = _weyl_grid(start, ceiling, offset=vmin)
     model = DiscriminantModel(V, lo, hi, node_tol=min(1e-12, tol * 1e-2))
-    delta = model(grid)
 
-    # refine until the discriminant is resolved between neighbours
-    for _ in range(40):
-        jumps = np.abs(np.diff(delta)) > 1.6
-        if not jumps.any():
-            break
-        inserts = 0.5 * (grid[:-1][jumps] + grid[1:][jumps])
-        grid = np.sort(np.concatenate([grid, inserts]))
-        delta = model(grid)
-    else:
-        raise ResolutionFailure("discriminant oscillates below scan resolution")
+    simple, extrema = [], []
+    for p in model._panels:
+        for s in (p - 2.0, p + 2.0):
+            simple += _real_roots(s, start, ceiling).tolist()
+        extrema += _real_roots(p.deriv(), start, ceiling).tolist()
 
-    f = delta * delta - 4.0
+    def near(r: float, d: float) -> bool:
+        return abs(r - d) <= 1e-4 * max(1.0, abs(d))
 
-    def f_model(E):
-        t = model(E)
-        return t * t - 4.0
+    # closed gaps: extrema of the trace at +-2 within the noise, once where
+    # neighbouring panels both hold one, each in place of the simple roots
+    # its double root splits into
+    extrema = np.array(extrema)
+    t = model(extrema)
+    doubles: list[float] = []
+    for d in np.sort(extrema[np.abs(t * t - 4.0) <= 4e-9]).tolist():
+        if not (doubles and near(d, doubles[-1])):
+            doubles.append(d)
+    simple = [r for r in simple if not any(near(r, d) for d in doubles)]
 
     def polish(r: float) -> float:
         # one Newton step on the direct f = trace^2 - 4 from the model root
@@ -823,42 +808,7 @@ def band_edges(V: PeriodicPotential, ceiling: float, tol: float = 1e-10) -> Band
         s = (t * t - 4.0) / slope
         return float(r - s) if abs(s) < w else r
 
-    # brackets of simple roots: the scan's sign changes, then those around
-    # the peak of every narrow gap the grid stepped over
-    change = f[:-1] * f[1:] < 0
-    lo_br, hi_br = list(grid[:-1][change]), list(grid[1:][change])
-
-    doubles: list[float] = []
-    noise = 4e-9
-    interior = np.flatnonzero(
-        (f[1:-1] >= f[:-2]) & (f[1:-1] >= f[2:]) & (f[1:-1] >= -1e-4)
-        & (f[1:-1] < 0.0)
-    ) + 1  # local maxima of f inside bands that come near zero
-    if interior.size:
-        # the peak of f = trace^2 - 4 near +-2 is the extremum of the trace
-        a, b = grid[interior - 1], grid[interior + 1]
-        d_a, d_b = model.derivative(a), model.derivative(b)
-        e_star = grid[interior].copy()
-        peaked = d_a * d_b < 0.0
-        if peaked.any():
-            e_star[peaked] = bracketed_roots(lambda E, i: model.derivative(E),
-                                             a[peaked], b[peaked], xtol=tol * 1e-2)
-        f_star = f_model(e_star)
-        for lo_i, e_i, hi_i, f_i in zip(a, e_star, b, f_star):
-            if f_i > noise:
-                # a narrow open gap the scan grid stepped over
-                for lo_j, hi_j in ((lo_i, e_i), (e_i, hi_i)):
-                    if f_model(lo_j) * f_model(hi_j) < 0:
-                        lo_br.append(lo_j)
-                        hi_br.append(hi_j)
-            elif f_i > -noise:
-                doubles.append(float(e_i))
-
-    roots = bracketed_roots(lambda E, i: f_model(E), np.array(lo_br),
-                            np.array(hi_br), xtol=tol * 0.25, rtol=1e-15)
-    simple = [polish(float(r)) for r in roots]
-
-    simple.sort()
+    simple = sorted(polish(r) for r in simple)
     merged: list[float] = []
     for r in simple:
         if merged and abs(r - merged[-1]) <= max(tol, 1e-12):
@@ -873,7 +823,7 @@ def band_edges(V: PeriodicPotential, ceiling: float, tol: float = 1e-10) -> Band
             if abs(dv - expected) > 1e-5:
                 raise ResolutionFailure(
                     f"edge alternation broken at edge {j} (trace {dv:.6f}, "
-                    f"expected {expected}); scan resolution insufficient"
+                    f"expected {expected}); band model roots missed an edge"
                 )
 
     flags = []

@@ -217,9 +217,10 @@ def test_model_fill_crosses_a_chunk_and_matches_scalar_and_oracle(
     Es = np.concatenate([np.linspace(lo, hi, 25),
                          # around the first chunk boundary, node 2048
                          np.linspace(lo + 120 * 0.125, lo + 121 * 0.125, 5)])
+    monkeypatch.setattr(hill, "_PANEL_WIDTH", 0.125)
     for V in (V_ref, V_mix):
         batches.clear()
-        model = DiscriminantModel(V, lo, hi, panel_width=0.125, degree=16)
+        model = DiscriminantModel(V, lo, hi, degree=16)
         rest = 136 * 17 - _ode.CHUNK
         assert batches == [(1, _ode.CHUNK), (4, rest)]
         assert all(S * m <= _ode.CHUNK for S, m in batches)
@@ -240,7 +241,8 @@ def test_unresolved_panels_are_refilled_at_twice_the_degree(V_ref, monkeypatch):
         return real(V, energies, tol)
 
     monkeypatch.setattr(hill, "_discriminant_batch", counted)
-    model = DiscriminantModel(V_ref, -2.5, 45.5, panel_width=6.0, degree=16)
+    monkeypatch.setattr(hill, "_PANEL_WIDTH", 6.0)
+    model = DiscriminantModel(V_ref, -2.5, 45.5, degree=16)
     assert fills == [8 * 17, 6 * 33]
     assert [len(p.coef) - 1 for p in model._panels] == [32] * 6 + [16] * 2
     Es = np.linspace(-2.5, 45.5, 41)
@@ -250,11 +252,12 @@ def test_unresolved_panels_are_refilled_at_twice_the_degree(V_ref, monkeypatch):
     assert np.array_equal(model(Es), [model(float(e)) for e in Es])
 
 
-def test_panel_unresolved_at_the_highest_degree_is_refused(V_ref):
+def test_panel_unresolved_at_the_highest_degree_is_refused(V_ref, monkeypatch):
     # 2 cos sqrt(E) oscillates ~36 times over [0, 5e4]: more than a
     # degree-128 series resolves
+    monkeypatch.setattr(hill, "_PANEL_WIDTH", 5e4)
     with pytest.raises(ResolutionFailure, match="unresolved at degree 128"):
-        DiscriminantModel(V_ref, 0.0, 5e4, panel_width=5e4)
+        DiscriminantModel(V_ref, 0.0, 5e4)
 
 
 def test_array_evaluator_matches_the_scalar_potential(V_ref, V_mix, V_kp):
@@ -563,14 +566,26 @@ def test_constant_coefficient_step_silences_the_unused_branch():
 
 
 def test_huge_ceiling_rejected_before_any_model_build(V_ref, monkeypatch):
-    # the scan grid's size guard must fire before the discriminant model
-    # lays out ceiling / 4 panels
+    # the panel cap must fire before the discriminant model lays out
+    # ceiling / 64 panels
     def no_model(*args, **kwargs):
-        raise AssertionError("DiscriminantModel built before the grid guard")
+        raise AssertionError("DiscriminantModel built before the panel cap")
 
     monkeypatch.setattr(hill, "DiscriminantModel", no_model)
-    with pytest.raises(ResolutionFailure, match="scan grid exploded"):
+    with pytest.raises(ResolutionFailure, match="panels, over the limit"):
         band_edges(V_ref, 1e9)
+
+
+def test_huge_piecewise_ceiling_rejected_before_any_model_build(V_kp, monkeypatch):
+    # piecewise-constant V skips the fill-size estimate, not the panel cap
+    def no_model(*args, **kwargs):
+        raise AssertionError("DiscriminantModel built before the panel cap")
+
+    monkeypatch.setattr(hill, "DiscriminantModel", no_model)
+    start = time.perf_counter()
+    with pytest.raises(ResolutionFailure, match="panels, over the limit"):
+        band_edges(V_kp, 1e9)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_model_fill_size_counts_the_retry(V_ref, monkeypatch):
@@ -618,23 +633,21 @@ def test_band_model_fill_limit(V_ref, V_kp, bands_kp, monkeypatch):
     assert band_edges(V_kp, 30.0).edges == bands_kp.edges
 
 
-@pytest.mark.parametrize("lo, hi, offset", [
-    (-2.1, 45.0, -2.0), (0.0, 0.5, 0.0), (-10.0, 3.0, -10.0), (5.0, 6.0, 0.0),
-    (3.0, 200.0, 0.0), (-1.0, 1000.0, 0.5), (-3.0, 12.0, -3.0),
+@pytest.mark.parametrize("lo, hi", [
+    (-2.1, 45.0), (0.0, 0.5), (-10.0, 3.0), (5.0, 6.0), (3.0, 200.0),
+    (-1.0, 1000.0), (-3.0, 12.0),
 ])
-def test_scan_grid_size_bounds_the_grid(lo, hi, offset):
-    got = len(hill._weyl_grid(lo, hi, offset))
-    want = hill._weyl_grid_size(lo, hi, offset)
-    assert got <= want <= 1.02 * got + 2
+def test_panel_count_is_the_models_panels(V_kp, lo, hi):
+    # the cap's closed form counts the panels the model lays
+    model = DiscriminantModel(V_kp, lo, hi)
+    assert len(model._panels) == hill._panel_count(lo, hi)
+    assert max(np.diff(model._bounds)) <= hill._PANEL_WIDTH * (1.0 + 1e-15)
 
 
-def test_huge_ceiling_rejected_before_the_scan_grid():
-    # the closed-form size fires before the first node is laid
-    assert hill._weyl_grid_size(-2.0, 1e9, 0.0) > 1e10
-    start = time.perf_counter()
-    with pytest.raises(ResolutionFailure, match="scan grid exploded"):
-        hill._weyl_grid(-2.0, 1e9, 0.0)
-    assert time.perf_counter() - start < 0.5
+def test_panel_cap_admits_ceilings_up_to_about_160000():
+    # 2,500 panels of width 64
+    assert hill._panel_count(-2.5, 159_000.5) <= hill._PANELS_MAX
+    assert hill._panel_count(-2.5, 161_000.5) > hill._PANELS_MAX
 
 
 def test_kronig_penney_edges_match_closed_form(bands_kp):
@@ -654,6 +667,52 @@ def test_edge_discriminant_alternation(V_ref, bands_ref):
     for j, e in enumerate(bands_ref.edges, start=1):
         want = 2.0 if (j % 4) in (0, 1) else -2.0
         assert discriminant(V_ref, e) == pytest.approx(want, abs=1e-8)
+
+
+# the ten scans whose edge structure the Chebyshev panel roots reproduce
+# from the earlier grid scan: (V, ceiling, edge count, closed gaps)
+SEVEN_HARMONICS = [(1, 3.0, 0.0), (2, 0.0, 1.5), (3, 1.0, 0.5), (4, -0.8, 0.0),
+                   (5, 0.0, 0.6), (6, 0.4, 0.3), (7, 0.3, -0.2)]
+EDGE_SCANS = {
+    "V_ref": (PeriodicPotential.trig([(1, 2.0, 0.0)]), 45.0, 5, []),
+    "V_mix": (PeriodicPotential.trig([(1, 1.5, 0.5), (2, 0.0, -0.8)]), 200.0, 9, []),
+    "zero": (PeriodicPotential.zero(), 400.0, 13, [1, 2, 3, 4, 5, 6]),
+    "kp30": (PeriodicPotential.piecewise([(0.0, 0.0), (0.5, 6.0)]), 30.0, 3, []),
+    "kp100": (PeriodicPotential.piecewise([(0.0, 0.0), (0.5, 6.0)]), 100.0, 7, []),
+    "strong": (PeriodicPotential.trig([(1, 120.0, 0.0), (2, 36.0, 12.0)]), 400.0, 13, []),
+    "seven": (PeriodicPotential.trig(SEVEN_HARMONICS), 400.0, 13, []),
+    "well": (PeriodicPotential.piecewise([(0.0, 0.0), (0.5, -400.0)]), 300.0, 14, []),
+    "barrier": (PeriodicPotential.piecewise([(0.0, 0.0), (0.5, 400.0)]), 600.0, 13, []),
+    "cos20": (PeriodicPotential.trig([(1, 20.0, 0.0)]), 200.0, 9, []),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_SCANS)
+def test_panel_roots_keep_the_edge_structure(name):
+    V, ceiling, count, closed = EDGE_SCANS[name]
+    bands = band_edges(V, ceiling)
+    assert len(bands.edges) == count
+    assert [k for k in range(1, len(bands.gap_open) + 1)
+            if not bands.is_gap_open(k)] == closed
+
+
+@pytest.mark.parametrize("name", ["V_ref", "V_mix", "strong", "kp100", "well"])
+def test_unpolished_edges_are_the_model_roots(name, monkeypatch):
+    # with the direct discriminant refused the polish keeps every panel
+    # root, which brentq finds again on the model's own trace -+ 2
+    def refused(*args, **kwargs):
+        raise ConsistencyError("propagator determinant drifted")
+
+    monkeypatch.setattr(hill, "discriminant", refused)
+    V, ceiling, count, _ = EDGE_SCANS[name]
+    bands = band_edges(V, ceiling)
+    model = bands.discriminant_model()
+    assert len(bands.edges) == count
+    for j, e in enumerate(bands.edges, start=1):
+        level = 2.0 if j % 4 in (0, 1) else -2.0
+        h = 1e-9 * max(1.0, abs(e))
+        root = brentq(lambda E: model(E) - level, e - h, e + h, xtol=1e-15)
+        assert abs(e - root) <= 1e-12 * max(1.0, abs(e))
 
 
 # ---------------------------------------------------------------------------
@@ -730,6 +789,35 @@ def test_momentum_below_the_band_scan(V_ref, bands_ref, V_kp, bands_kp):
     ext = bands_kp.model.reaching(-5.0)
     assert ext.lo < -5.0 and ext.hi == bands_kp.model.hi
     assert ext(-5.0) == pytest.approx(discriminant(V_kp, -5.0), rel=1e-12)
+
+
+def test_momentum_below_the_scan_fills_its_extension_once(V_ref, monkeypatch):
+    # the extension lives on the model: its one width-64 panel under the
+    # scan serves every energy it covers, and each panel it adds later is
+    # filled alone, so its values are those of a fresh extension bit for bit
+    fills = []
+    real = hill._discriminant_batch
+
+    def counted(V, energies, tol):
+        fills.append(len(energies))
+        return real(V, energies, tol)
+
+    bands = band_edges(V_ref, 45.0)
+    monkeypatch.setattr(hill, "_discriminant_batch", counted)
+    ks = [quasimomentum_main(bands, E).value for E in (-3.0, -3.0, -8.0)]
+    assert fills == [33]
+    ext = bands.model.reaching(-8.0)
+    assert ext is bands.model.reaching(-3.0)
+    assert ext.lo == bands.model.lo - 64.0
+    fresh = band_edges(V_ref, 45.0).model.reaching(-8.0)
+    assert ext._coef.tobytes() == fresh._coef.tobytes()
+    assert ks[0] == ks[1] == quasimomentum_main(bands, -3.0).value
+    fills.clear()
+    grown = bands.model.reaching(-100.0)
+    assert fills == [33]
+    fresh = band_edges(V_ref, 45.0).model.reaching(-100.0)
+    assert grown._coef.tobytes() == fresh._coef.tobytes()
+    assert grown._coef[:, 1:].tobytes() == ext._coef.tobytes()
 
 
 def test_gap_midpoint_against_acosh_oracle(V_ref, bands_ref):
