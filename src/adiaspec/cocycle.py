@@ -7,10 +7,15 @@ quasi-periodic Schrodinger equation itself over a long window in
 unit-length blocks, the continuous picture; the blocks come from one
 `PhaseModel` of the block map in the slow phase, a trigonometric
 interpolant filled and checked against sampled blocks of the run in one
-integration batch and evaluated from a table of powers of e^(i phi).
-Both go through one renormalised-product kernel, `_log_norms`, over all z
-samples at once: it reads factors in chunks of at most ``_ode.CHUNK``
-columns (a, b, c, d),
+integration batch.  Both orbits, z + n h and phi_j = eps j, are
+arithmetic progressions, and the families given by a Fourier table (model,
+Herman) and the phase model evaluate along them alike:
+sum_f C_f e^(i f (x0 + s j)) = sum_f (C_f e^(i f x0)) Omega[f, j], a few
+exponentials at the start x0, reduced within an ulp (`_orbit_phase`), and
+one matrix product with a table Omega built once per run
+(`_orbit_table`).  Both routes go through one renormalised-product
+kernel, `_log_norms`, over all z samples at once: it
+reads factors in chunks of at most ``_ode.CHUNK`` columns (a, b, c, d),
 multiplies each run of `stride` of them as a pairwise tree
 (``_ode._fold``) and renormalises a batch of these block products by one
 log-depth prefix scan.  The stride is ``renorm_stride`` cocycle factors,
@@ -56,6 +61,10 @@ _COCYCLE_FACTORS_MAX = 10_000_000
 # a run's blocks it integrates alongside its first fill to check itself
 _PHASES_MIN, _PHASES_MAX = 32, 1024
 _SAMPLE_BLOCKS = 32
+# blocks of a run the phase model's table covers, rotated once per span; at
+# a chunk's width (512 KiB at K = 32) the table, built after the fill and
+# alive through the run, cost ~900 KiB of fresh heap pages per model
+_TABLE_BLOCKS = 256
 
 
 class SmallDenominatorWarning(UserWarning):
@@ -69,21 +78,48 @@ class MatrixFamily:
     The evaluator takes a real z and returns a (2, 2) complex array.  An
     optional array evaluator takes a 1-D array of z and returns the
     (4, n) rows (a, b, c, d) of all n matrices at once; families without
-    one are evaluated point by point.  Periodicity, and agreement of the
-    two evaluators, are spot-checked at construction; families of kind
-    'model-M0' are additionally checked for the conjugation symmetry
-    between the two rows on real z.
+    one are evaluated point by point.  A family may instead be given as a
+    Fourier table ``(freqs, coeffs)``, consecutive integer frequencies f
+    and (4, M) coefficients C_f, M(z) = sum_f C_f e^(2 pi i f z); both
+    evaluators are then its direct sum, and `orbit` rotates the table
+    along the shift.  Periodicity, and agreement of the two evaluators, are
+    spot-checked at construction; families of kind 'model-M0' are
+    additionally checked for the conjugation symmetry between the two
+    rows on real z.
     """
 
     kind: str
-    evaluator: object = field(repr=False, compare=False)
+    evaluator: object = field(default=None, repr=False, compare=False)
     parameters: tuple = ()
     metadata: dict = field(default_factory=dict, compare=False)
     array_evaluator: object = field(default=None, repr=False, compare=False)
+    fourier: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise InvalidInputError(f"kind must be one of {_KINDS}")
+        if self.fourier is not None:
+            freqs, coeffs = (np.asarray(self.fourier[0]),
+                             np.asarray(self.fourier[1], dtype=complex))
+            if (freqs.ndim != 1 or freqs.dtype.kind not in "iu"
+                    or coeffs.shape != (4, len(freqs)) or not len(freqs)
+                    or (np.diff(freqs) != 1).any()):
+                raise InvalidInputError(
+                    "a Fourier table is M consecutive integer frequencies "
+                    "and (4, M) coefficients")
+            if self.evaluator is not None or self.array_evaluator is not None:
+                raise InvalidInputError(
+                    "a family given by a Fourier table takes no evaluator")
+
+            def direct_sum(z: np.ndarray) -> np.ndarray:
+                u = np.exp(2j * np.pi * np.asarray(z, dtype=float))
+                return coeffs @ _powers(u, freqs)
+
+            object.__setattr__(self, "fourier", (freqs, coeffs))
+            object.__setattr__(self, "array_evaluator", direct_sum)
+            object.__setattr__(self, "evaluator", _one_point(direct_sum))
+        elif self.evaluator is None:
+            raise InvalidInputError("a family needs an evaluator")
         spots = (0.0, 0.21, 0.5, 0.77)
         for z in spots:
             m0 = np.asarray(self.evaluator(z))
@@ -122,6 +158,72 @@ class MatrixFamily:
             return np.asarray(self.array_evaluator(z), dtype=complex)
         ms = np.asarray([self.evaluator(v) for v in z.tolist()], dtype=complex)
         return ms.reshape(-1, 4).T
+
+    def orbit(self, h: float):
+        """The factors along the shift z -> z + h: a function of (z, n0,
+        n1) that returns the (4, n1 - n0) rows of M(z + n h),
+        n0 <= n < n1, for n1 - n0 <= ``_ode.CHUNK``.
+
+        A family with a Fourier table rotates one table: with
+        x0 = (z + n0 h) mod 1, n0 h reduced within an ulp
+        (`_orbit_phase`), M(z + n h) = sum_f C_f e^(2 pi i f x0)
+        Omega[f, n - n0] for the table Omega = `_orbit_table` of step h,
+        built once here, so a chunk costs one exponential per frequency
+        and one matrix product.  Any other family is evaluated at
+        (z + n h) mod 1 through `rows`.
+        """
+        if self.fourier is None:
+            return lambda z, n0, n1: self.rows(
+                (z + np.arange(n0, n1) * h) % 1.0)
+        freqs, coeffs = self.fourier
+        omega = _orbit_table(h, freqs, _ode.CHUNK)
+
+        def chunk(z: float, n0: int, n1: int) -> np.ndarray:
+            x0 = (z + _orbit_phase(h, n0)) % 1.0
+            start = np.exp(2j * np.pi * x0 * freqs)
+            return (coeffs * start) @ omega[:, :n1 - n0]
+        return chunk
+
+
+def _powers(u: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """u^f for the consecutive integers f of freqs and each u of a 1-D
+    array of unit complex numbers, as (len(freqs), n).  From u^c, c the f
+    nearest to 0 (numpy's integer power; exactly 1 for c = 0), the powers
+    u^(c + k) and u^(c - k) = u^c conj(u)^k are filled by doubling (rows
+    k .. 2k-1 are rows 0 .. k-1 times u^k), one complex product per
+    entry."""
+    lo, hi = int(freqs[0]), int(freqs[-1])
+    c = min(max(0, lo), hi)
+    p = np.empty((hi - lo + 1, len(u)), dtype=complex)
+    p[c - lo] = u ** c if c else 1.0
+    for rows, v in ((p[c - lo:], u), (p[c - lo::-1], u.conj())):
+        k = 1
+        while k < len(rows):
+            m = min(k, len(rows) - k)
+            np.multiply(rows[:m], v, out=rows[k:k + m])
+            v = v * v
+            k *= 2
+    return p
+
+
+def _orbit_phase(step: float, j, period: float = 1.0):
+    """step j mod period for integers 0 <= j < 2^24 (an int or an array),
+    within an ulp of its exact value: the step is split as s_hi + s_lo,
+    s_hi cut to 29 significant bits, so that s_hi j and its reduction are
+    exact."""
+    m, e = math.frexp(step)
+    hi = math.ldexp(round(math.ldexp(m, 29)), e - 29)
+    return np.mod(np.mod(hi * j, period) + (step - hi) * j, period)
+
+
+def _orbit_table(step: float, freqs: np.ndarray, n: int,
+                 period: float = 1.0) -> np.ndarray:
+    """Omega[f, j] = e^(2 pi i f x_j / period), x_j = step j mod period
+    (`_orbit_phase`), for the consecutive integers f of freqs and j < n, as a
+    (len(freqs), n) table: one complex exponential per column, then its
+    powers (`_powers`)."""
+    x = _orbit_phase(step, np.arange(n), period)
+    return _powers(np.exp(1j * (TWO_PI / period) * x), freqs)
 
 
 def _one_point(rows):
@@ -313,9 +415,10 @@ def _log_norms(rows_of, zs: tuple, N: int, stride: int) -> np.ndarray:
 def cocycle_lyapunov(spec: CocycleSpec) -> LyapunovEstimate:
     """theta = lim (1/N) log ||M(z + (N-1)h) ... M(z)||.
 
-    The factors of every z go to one ``_log_norms`` call with stride
-    `renorm_stride`; a factor whose determinant is below 1e-29 |M|_F^2,
-    taken in twice the working precision, is singular (DegeneracyError).
+    The factors come from ``family.orbit(h)``, and those of every z go to
+    one ``_log_norms`` call with stride `renorm_stride`; a factor whose
+    determinant is below 1e-29 |M|_F^2, taken in twice the working
+    precision, is singular (DegeneracyError).
     With several z samples the estimate is their mean and the standard
     error their spread; with a single z it is the spread of per-block
     growth rates.  N times the number of z samples
@@ -328,8 +431,10 @@ def cocycle_lyapunov(spec: CocycleSpec) -> LyapunovEstimate:
             f"N={N} with {len(zs)} z samples is {N * len(zs)} cocycle "
             f"factors, above the limit of {_COCYCLE_FACTORS_MAX}")
 
+    orbit = spec.family.orbit(h)
+
     def factors(r: int, n0: int, n1: int) -> np.ndarray:
-        rows = spec.family.rows((zs[r] + np.arange(n0, n1) * h) % 1.0)
+        rows = orbit(zs[r], n0, n1)
         det = rows[0] * rows[3] - rows[1] * rows[2]
         bad = np.flatnonzero(np.abs(det) < 1e-300)
         if bad.size:
@@ -429,11 +534,11 @@ class PhaseModel:
     ``norm_bound`` bounds ||G||_F at every phase.  The first pass also
     integrates ``_SAMPLE_BLOCKS`` evenly spaced blocks of the run of
     nblocks blocks, and the model is refused with ConsistencyError if it
-    misses one by more than 10 tol max(1, max |block|).  A call evaluates G
-    at n phases from one table of the powers e^(i k phi), k < K/2: one
-    complex exponential and K/2 complex products per phase, then two
-    (4, K/2) by (K/2, n) real matrix products, (8, K/2) for a complex G
-    with its coefficients' real and imaginary parts apart.
+    misses one by more than 10 tol max(1, max |block|).  `blocks` reads
+    the run from a table of e^(i k eps j), k < K/2, built here for
+    min(``_TABLE_BLOCKS``, nblocks) blocks; G's coefficients are real
+    matrices, (8, K/2) for a complex G with their real and imaginary parts
+    apart.
     """
 
     def __init__(self, V: PeriodicPotential, W, epsilon: float, E, z: float,
@@ -474,10 +579,15 @@ class PhaseModel:
         self.norm_bound = 2.0 * float(
             (np.abs(self._cos) + np.abs(self._sin)).sum(axis=1).max())
         # complex coefficients as real rows, their imaginary parts in rows
-        # 4-7, so that the power table's real parts are never cast to complex
+        # 4-7, so that the powers' real parts are never cast to complex
         self._parts = tuple(
             np.concatenate((c.real, c.imag)) if np.iscomplexobj(c) else c
             for c in (self._cos, self._sin))
+        # e^(i k eps j), k < K/2, for the blocks j of one span, as its real
+        # and imaginary parts
+        omega = _orbit_table(epsilon, np.arange(K // 2),
+                             min(_TABLE_BLOCKS, nblocks), TWO_PI)
+        self._omega = (omega.real.copy(), omega.imag.copy())
         diff = np.abs(self(checks) - direct).max(axis=0)
         bound = 10.0 * tol * np.maximum(1.0, np.abs(direct).max(axis=0))
         bad = np.flatnonzero(diff > bound)
@@ -488,34 +598,41 @@ class PhaseModel:
                 f"{diff[i]:.3g}, above {bound[i]:.3g}")
 
     def __call__(self, phases: np.ndarray) -> np.ndarray:
-        """(4, n) rows (a, b, c, d) of G at each phase of a 1-D array.
-
-        One complex exponential u = e^(i phi) per phase; the powers u^k,
-        k < K/2, fill one (K/2, n) table by doubling (rows k..2k-1 are rows
-        0..k-1 times u^k, K/2 being a power of two), one complex product
-        per entry, and G = A Re(u^k) + B Im(u^k) is two matrix products,
-        of (8, K/2) real matrices for a complex G, its real and imaginary
-        parts.
-        """
-        u = np.exp(1j * phases)
-        powers = np.empty((self.K // 2, len(phases)), dtype=complex)
-        powers[0] = 1.0
-        k = 1
-        while k < len(powers):
-            np.multiply(powers[:k], u, out=powers[k:2 * k])
-            u = u * u
-            k *= 2
+        """(4, n) rows (a, b, c, d) of G at each phase of a 1-D array:
+        one complex exponential u = e^(i phi) per phase, its powers u^k,
+        k < K/2 (`_powers`), and G = A Re(u^k) + B Im(u^k)."""
         A, B = self._parts
-        out = A @ powers.real + B @ powers.imag
-        if len(out) == 4:
-            return out
-        G = np.empty((4, len(phases)), complex)
-        G.real, G.imag = out[:4], out[4:]
-        return G
+        powers = _powers(np.exp(1j * phases), np.arange(self.K // 2))
+        return self._rows(A @ powers.real + B @ powers.imag)
 
     def blocks(self, j0: int, j1: int) -> np.ndarray:
-        """Rows of the unit blocks j0 <= j < j1 of the run."""
-        return self(np.mod(self.epsilon * np.arange(j0, j1), TWO_PI))
+        """Rows of the unit blocks j0 <= j < j1 of the run.
+
+        The blocks are taken in spans of the table's width, each from its
+        first block s.  With phi_s = eps s mod 2 pi
+        (`_orbit_phase`) and theta = eps (j - s), G =
+        sum_k A_k cos k(phi_s + theta) + B_k sin k(phi_s + theta) is
+        (A cos k phi_s + B sin k phi_s) Re(e^(i k theta)) -
+        (A sin k phi_s - B cos k phi_s) Im(e^(i k theta)): K/2 cosines and
+        sines per span, and two batched real matrix products with the table
+        of e^(i k theta) built once by the constructor.
+        """
+        (A, B), (re, im) = self._parts, self._omega
+        starts = np.arange(j0, j1, re.shape[1])
+        kphi = np.multiply.outer(_orbit_phase(self.epsilon, starts, TWO_PI),
+                                 np.arange(self.K // 2))[:, None]
+        cos, sin = np.cos(kphi), np.sin(kphi)
+        out = (A * cos + B * sin) @ re - (A * sin - B * cos) @ im
+        return self._rows(np.concatenate(out, axis=1)[:, :j1 - j0])
+
+    @staticmethod
+    def _rows(out: np.ndarray) -> np.ndarray:
+        # (8, n) real and imaginary parts of a complex G as (4, n) complex
+        if len(out) == 4:
+            return out
+        G = np.empty((4, out.shape[1]), complex)
+        G.real, G.imag = out[:4], out[4:]
+        return G
 
 
 def _block_transfers(V: PeriodicPotential, W, epsilon: float, E, z: float,
@@ -576,24 +693,21 @@ def model_matrix(a0, a1, b0, b1) -> MatrixFamily:
         M0(z) = [[a0 + a1 u, b0 + b1 u],
                  [conj(b0) + conj(b1)/u, conj(a0) + conj(a1)/u]],
 
-    u = exp(2 pi i z).  No normalization is applied: the metadata records
-    sup |det M0 - 1| over a z grid so callers can judge how far from
-    unimodular the supplied coefficients are.
+    u = exp(2 pi i z), as the Fourier table of frequencies -1, 0, 1.  No
+    normalization is applied: the metadata records sup |det M0 - 1| over
+    the 257-point grid z = j / 256, an orbit of step 1/256, so callers can
+    judge how far from unimodular the supplied coefficients are.
     """
     a0, a1, b0, b1 = complex(a0), complex(a1), complex(b0), complex(b1)
-
-    def rows(z: np.ndarray) -> np.ndarray:
-        u = np.exp(2j * np.pi * z)
-        return np.array([a0 + a1 * u, b0 + b1 * u,
-                         b0.conjugate() + b1.conjugate() / u,
-                         a0.conjugate() + a1.conjugate() / u])
-
-    a, b, c, d = rows(np.linspace(0.0, 1.0, 257))
+    freqs = np.arange(-1, 2)
+    coeffs = np.array([[0.0, a0, a1], [0.0, b0, b1],
+                       [b1.conjugate(), b0.conjugate(), 0.0],
+                       [a1.conjugate(), a0.conjugate(), 0.0]])
+    a, b, c, d = coeffs @ _orbit_table(1.0 / 256, freqs, 257)
     dev = float(np.abs(a * d - b * c - 1.0).max())
-    return MatrixFamily(kind="model-M0", evaluator=_one_point(rows),
-                        parameters=(a0, a1, b0, b1),
+    return MatrixFamily(kind="model-M0", parameters=(a0, a1, b0, b1),
                         metadata={"det_deviation": dev},
-                        array_evaluator=rows)
+                        fourier=(freqs, coeffs))
 
 
 def _spectral_norms(m: np.ndarray) -> np.ndarray:
@@ -616,52 +730,34 @@ def herman_family(lam, n0: int, alpha, beta, m_amp: float, epsilon: float,
     """lam * e^{2 pi i n0 z} (B + M1(z)) with B = [[1, beta], [0, alpha]].
 
     M1 is a seeded degree-3 trigonometric matrix polynomial rescaled so
-    its sup spectral norm over a 4096-point z grid equals m_amp exactly;
-    the seed makes lower-bound sweeps reproducible.  On real z every
-    Fourier mode is a power of u = e^{2 pi i z} (u^-1 = conj u), so the
-    array evaluator takes one exponential per z, fills u^(n0-3) ...
-    u^(n0+3) by successive products with u and conj u, and applies one
-    (4, 7) table of lam (B + M1) coefficients to them in one matrix
-    product; with m_amp = 0 it is lam u^n0 B.
+    its sup spectral norm over the 4096-point grid z = j / 4096 (an orbit
+    of step 1/4096, `_orbit_table`) equals m_amp exactly; the seed makes
+    lower-bound sweeps reproducible.  The family is the Fourier table of
+    lam (B + M1): frequencies n0 - 3 ... n0 + 3 with (4, 7) coefficients,
+    lam B added at n0; with m_amp = 0 it is lam B at n0 alone.
     """
     lam, alpha, beta = complex(lam), complex(alpha), complex(beta)
     if abs(alpha) >= 1.0:
         raise InvalidInputError("need |alpha| < 1")
     if m_amp < 0:
         raise InvalidInputError("perturbation amplitude must be >= 0")
-    base = np.array([[1.0], [beta], [0.0], [alpha]])  # rows of B
-
-    def powers(u: np.ndarray, centre) -> np.ndarray:
-        # centre u^k, k = -3 ... 3, as the rows of a (7, n) array
-        out = np.empty((7, len(u)), dtype=complex)
-        out[3] = centre
-        uc = u.conj()
-        for k in range(3):
-            np.multiply(out[3 + k], u, out=out[4 + k])
-            np.multiply(out[3 - k], uc, out=out[2 - k])
-        return out
-
-    table = None
+    # lam B at u^n0, then the seven modes of lam M1 around it
+    freqs, coeffs = np.array([n0]), lam * np.array([[1.0], [beta], [0.0],
+                                                    [alpha]])
     if m_amp > 0:
         rng = np.random.default_rng(seed)
-        coeffs = (rng.standard_normal((2, 2, 7))
-                  + 1j * rng.standard_normal((2, 2, 7)))
-        modes = powers(np.exp(2j * np.pi * np.arange(4096) / 4096.0), 1.0)
-        sup = _spectral_norms(np.einsum("ijk,kz->ijz", coeffs, modes)).max()
-        table = lam * (coeffs * (m_amp / sup)).reshape(4, 7)
-        table[:, 3] += lam * base[:, 0]
-
-    def rows(z: np.ndarray) -> np.ndarray:
-        u = np.exp(2j * np.pi * np.asarray(z, dtype=float))
-        if table is None:
-            return lam * u ** n0 * base
-        return table @ powers(u, u ** n0)
-
+        m1 = (rng.standard_normal((2, 2, 7))
+              + 1j * rng.standard_normal((2, 2, 7)))
+        modes = _orbit_table(1.0 / 4096, np.arange(-3, 4), 4096)
+        sup = _spectral_norms(np.einsum("ijk,kz->ijz", m1, modes)).max()
+        table = lam * (m1 * (m_amp / sup)).reshape(4, 7)
+        table[:, 3] += coeffs[:, 0]
+        freqs, coeffs = n0 + np.arange(-3, 4), table
     return MatrixFamily(
-        kind="herman-test", evaluator=_one_point(rows),
+        kind="herman-test",
         parameters=(lam, n0, alpha, beta, float(m_amp), float(epsilon), seed),
         metadata={"seed": seed, "m_amp": float(m_amp)},
-        array_evaluator=rows,
+        fourier=(freqs, coeffs),
     )
 
 

@@ -6,7 +6,9 @@ import cmath
 import math
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -211,11 +213,12 @@ def test_factor_limit_is_checked_before_any_evaluation(monkeypatch):
     class Evaluated(Exception):
         pass
 
-    def evaluated(self, z):
+    def evaluated(self, h):
         raise Evaluated
 
     fam = herman_family(2.0, 1, 0.5, 0.3, 0.1, 0.1, seed=3)
-    monkeypatch.setattr(MatrixFamily, "rows", evaluated)
+    # the orbit is where every factor of a run comes from
+    monkeypatch.setattr(MatrixFamily, "orbit", evaluated)
     spec = CocycleSpec(family=fam, h=H_REF, N=_COCYCLE_FACTORS_MAX // 8,
                        z_samples=default_z_samples(8))
     with pytest.raises(Evaluated):
@@ -257,20 +260,31 @@ def test_non_finite_z_rejected_at_construction(z0, zs):
 # the prefix-scan kernel against a sequential per-block oracle
 
 
-def block_oracle(evaluate, h: float, z: float, N: int, stride: int):
+def block_oracle(factor, N: int, stride: int):
     """log ||F_k|| of the sequential product renormalised after every
-    block of `stride` factors, one factor at a time, in plain numpy; the
-    norm is taken on F over its largest entry, so blocks past 1e154 keep
-    their squares finite."""
+    block of `stride` factors, one factor factor(n) at a time, in plain
+    numpy; the norm is taken on F over its largest entry, so blocks past
+    1e154 keep their squares finite."""
     F, logs = np.eye(2, dtype=complex), []
     for b0 in range(0, N, stride):
         for n in range(b0, min(b0 + stride, N)):
-            F = np.asarray(evaluate((z + n * h) % 1.0), dtype=complex) @ F
+            F = np.asarray(factor(n), dtype=complex) @ F
         top = np.abs(F).max()
         nrm = top * np.linalg.norm(F / top)
         logs.append(math.log(nrm))
         F = F / nrm
     return np.array(logs)
+
+
+def orbit_factors(family, h: float, z: float, N: int):
+    """factor(n) = M(z + n h) from the family's own orbit evaluation, in
+    chunks of CHUNK, so that an oracle on these factors tests the product
+    algebra alone (where a chunk starts moves its factors by rounding
+    only)."""
+    orbit = family.orbit(h)
+    rows = np.concatenate([orbit(z, n0, min(n0 + CHUNK, N))
+                           for n0 in range(0, N, CHUNK)], axis=1)
+    return lambda n: rows[:, n].reshape(2, 2)
 
 
 SCAN_ZS = (0.13, 0.46, 0.82)
@@ -280,14 +294,15 @@ SCAN_ZS = (0.13, 0.46, 0.82)
 def test_scan_matches_sequential_block_oracle(stride):
     # 3 CHUNK + 5 factors: three chunk boundaries, a partial last block
     # for strides 7 and CHUNK + 3, one block for 50000 (lam = 1 keeps it
-    # representable)
+    # representable); the factors' own accuracy along the orbit is
+    # test_orbit_matches_the_exact_orbit_point's
     N = 3 * CHUNK + 5
     fam = herman_family(1.0, 1, 0.5, 0.3, 0.1, 0.1, seed=8)
     est = cocycle_lyapunov(CocycleSpec(family=fam, h=H_REF, N=N,
                                        renorm_stride=stride,
                                        z_samples=SCAN_ZS))
     blocks = est.per_block.reshape(len(SCAN_ZS), -1)
-    want = [block_oracle(fam.evaluator, H_REF, z, N, stride)
+    want = [block_oracle(orbit_factors(fam, H_REF, z, N), N, stride)
             for z in SCAN_ZS]
     for got, logs in zip(blocks, want):
         assert got.shape == logs.shape == (math.ceil(N / stride),)
@@ -316,7 +331,8 @@ def test_blocks_past_the_square_range_keep_finite_norms():
     N, stride = 600, 8
     fam = herman_family(1e25, 1, 0.5, 0.3, 0.1, 0.1, seed=3)
     est = run(fam, N=N, z0=0.37, stride=stride)
-    logs = block_oracle(fam.evaluator, H_REF, 0.37, N, stride)
+    logs = block_oracle(lambda n: fam.evaluator((0.37 + n * H_REF) % 1.0),
+                        N, stride)
     assert logs.min() > math.log(1e154)
     assert np.abs(est.per_block - logs).max() <= 1e-13 * np.abs(logs).max()
     diag = run(constant_family([[1e25, 0.0], [0.0, 1.0]]), N=N, stride=stride)
@@ -579,6 +595,73 @@ def test_array_form_disagreeing_with_evaluator_is_refused():
 
 
 # ---------------------------------------------------------------------------
+# factors along the orbit from one rotated Fourier table
+
+
+ORBIT_FAMILIES = {
+    **{f"herman-n0={n0}-m_amp={m_amp}": (1.0, n0, 0.5, 0.3, m_amp)
+       for n0 in (-2, 1, 3) for m_amp in (0.0, 0.1)},
+    "model": MODEL_COEFFS,
+}
+
+
+def exact_orbit_rows(family, z: float, h: float, ns) -> np.ndarray:
+    """(4, len(ns)) rows of sum_f C_f e^(2 pi i f x) of the family's
+    Fourier table at the exact orbit points x = z + n h, z and h read as
+    the binary fractions they are, by mpmath at 40 digits."""
+    freqs, coeffs = family.fourier
+    out = np.empty((4, len(ns)), dtype=complex)
+    with mpmath.workdps(40):
+        for col, n in enumerate(ns):
+            u = mpmath.expjpi(2 * (mpmath.mpf(z) + n * mpmath.mpf(h)))
+            powers = [u ** int(f) for f in freqs]
+            for i in range(4):
+                out[i, col] = complex(mpmath.fsum(
+                    mpmath.mpc(complex(c)) * p
+                    for c, p in zip(coeffs[i], powers)))
+    return out
+
+
+@pytest.mark.parametrize("n0", [3 * CHUNK, 488 * CHUNK])
+@pytest.mark.parametrize("case", sorted(ORBIT_FAMILIES))
+def test_orbit_matches_the_exact_orbit_point(case, n0):
+    # chunk starts n0 = 6144 and 999,424; the table's rotation must be no
+    # less accurate than evaluating each (z + n h) mod 1, whose rounding
+    # grows with n h
+    params = ORBIT_FAMILIES[case]
+    fam = (model_matrix(*params) if case == "model"
+           else herman_family(*params, 0.1, seed=8))
+    z, h = 0.46, H_REF
+    cols = np.r_[0:CHUNK:31, CHUNK - 1]
+    want = exact_orbit_rows(fam, z, h, (n0 + cols).tolist())
+    scale = np.abs(fam.fourier[1]).sum(axis=1).max()
+    got = fam.orbit(h)(z, n0, n0 + CHUNK)[:, cols]
+    plain = fam.rows((z + (n0 + cols) * h) % 1.0)
+    err, plain_err = (float(np.abs(r - want).max()) / scale
+                      for r in (got, plain))
+    assert err <= plain_err
+    assert err <= 1e-14
+
+
+def test_fourier_table_is_the_family():
+    freqs, coeffs = np.array([-1, 0, 1]), np.zeros((4, 3), dtype=complex)
+    coeffs[0, 1] = coeffs[3, 1] = 1.0
+    fam = MatrixFamily(kind="user-table", fourier=(freqs, coeffs))
+    assert np.array_equal(fam.evaluator(0.37), np.eye(2))
+    with pytest.raises(InvalidInputError, match="takes no evaluator"):
+        MatrixFamily(kind="user-table", evaluator=fam.evaluator,
+                     fourier=(freqs, coeffs))
+    with pytest.raises(InvalidInputError, match="Fourier table"):
+        MatrixFamily(kind="user-table", fourier=(freqs * 0.5, coeffs))
+    with pytest.raises(InvalidInputError, match="Fourier table"):
+        MatrixFamily(kind="user-table", fourier=(freqs, coeffs[:, :2]))
+    with pytest.raises(InvalidInputError, match="consecutive"):
+        MatrixFamily(kind="user-table", fourier=(freqs[::-1], coeffs))
+    with pytest.raises(InvalidInputError, match="needs an evaluator"):
+        MatrixFamily(kind="user-table")
+
+
+# ---------------------------------------------------------------------------
 # Herman-type families
 
 
@@ -600,8 +683,11 @@ def test_unperturbed_herman_rows_skip_the_perturbation():
     fam = herman_family(2.0 - 1.0j, 3, 0.5, 0.3, 0.0, 0.1)
     z = np.linspace(-0.4, 1.3, 11)
     u3 = np.exp(2j * np.pi * z) ** 3
-    want = (2.0 - 1.0j) * u3 * np.array([[1.0], [0.3], [0.0], [0.5]])
-    assert np.array_equal(fam.rows(z), want)
+    # one Fourier term, lam B at u^3, and not seven with six of them zero
+    lam_b = (2.0 - 1.0j) * np.array([[1.0], [0.3], [0.0], [0.5]])
+    assert fam.fourier[0].tolist() == [3]
+    assert np.array_equal(fam.fourier[1], lam_b)
+    assert np.array_equal(fam.rows(z), lam_b @ u3[None])
 
 
 def test_herman_base_case_exact():
@@ -867,6 +953,37 @@ def test_phase_model_evaluates_its_cosine_sine_sum(case, V_ref, E_ref):
     assert np.iscomplexobj(got) == (dE != 0)
     scale = max(1.0, float(np.abs(want).max()))
     assert np.abs(got - want).max() <= 1e-13 * scale
+
+
+def exact_phases(eps: float, js) -> np.ndarray:
+    """eps j mod 2 pi, the double eps times the integer j reduced by the
+    model's period 2 * math.pi in exact rational arithmetic, then
+    rounded once."""
+    e, period = Fraction(eps), Fraction(2 * math.pi)
+    return np.array([float(e * j % period) for j in js])
+
+
+@pytest.mark.parametrize("case", sorted(PHASE_SUM_CASES))
+def test_phase_model_blocks_rotate_one_table_along_the_run(case, V_ref,
+                                                          E_ref):
+    # a chunk of blocks from the constructor's table, rotated to the start
+    # of each span, against the model at each block's own phase
+    # eps j mod 2 pi; that
+    # phase is reduced exactly, since np.mod(eps * j, 2 pi) rounds eps j
+    # by up to 7e-12 at j = 10^6, which moves G by up to 8e-12 here
+    terms, dE, _ = PHASE_SUM_CASES[case]
+    eps, nblocks = 0.1, 1_000_000 + CHUNK
+    model = PhaseModel(V_ref, AnalyticPotential(terms, 0.5), eps,
+                       E_ref + dE, 0.37, 1e-9, nblocks)
+    for j0 in (0, 6144, 1_000_000):
+        js = range(j0, j0 + CHUNK)
+        got = model.blocks(j0, j0 + CHUNK)
+        want = model(exact_phases(eps, js))
+        scale = max(1.0, float(np.abs(want).max()))
+        assert np.abs(got - want).max() <= 1e-12 * scale, j0
+        # no farther than the model at the rounded phases np.mod(eps j, 2 pi)
+        plain = model(np.mod(eps * np.array(js), 2 * math.pi))
+        assert np.abs(got - want).max() <= np.abs(plain - want).max(), j0
 
 
 def test_phase_model_sample_check_catches_a_corrupted_fill(
