@@ -39,6 +39,23 @@ EXIT_NUMERIC = 4
 # of actions (and any one ~46 us and ~480 B of window report)
 _ENERGY_GRID_MAX = 10_000
 
+# every key some command reads, by section (configparser lowercases keys:
+# [cocycle] N is "n"); any other section or key is refused, so that a typo
+# does not run on defaults
+_CONFIG_KEYS = {
+    "potential_v": {"kind", "terms", "segments"},
+    "potential_w": {"terms", "strip_half_width"},
+    "window": {"n", "m", "energy", "energy_grid"},
+    "grid": {"ceiling"},
+    "cocycle": {"epsilons", "periods", "z", "z_samples", "n",
+                "renorm_stride", "seed"},
+    "model": {"kind", "store_blocks", "a0", "a1", "b0", "b1",
+              "lam", "n0", "alpha", "beta", "m_amp"},
+    "stokes": {"family", "direction", "max_length", "starts"},
+    "tolerances": {"edge", "quadrature", "ode"},
+    "output": {"directory", "formats"},
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -99,6 +116,12 @@ def load_config(path: str) -> RunConfig:
         cp.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
+    for section in cp.sections():
+        if section not in _CONFIG_KEYS:
+            raise ConfigError(f"unknown config section [{section}]")
+        for key in cp.options(section):
+            if key not in _CONFIG_KEYS[section]:
+                raise ConfigError(f"unknown config key {section}.{key}")
 
     def need(section: str, key: str) -> str:
         if not cp.has_option(section, key):

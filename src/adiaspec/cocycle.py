@@ -9,11 +9,12 @@ unit-length blocks, the continuous picture; the blocks come from one
 interpolant filled and checked against sampled blocks of the run in one
 integration batch.  Both orbits, z + n h and phi_j = eps j, are
 arithmetic progressions, and the families given by a Fourier table (model,
-Herman) and the phase model evaluate along them alike:
-sum_f C_f e^(i f (x0 + s j)) = sum_f (C_f e^(i f x0)) Omega[f, j], a few
-exponentials at the start x0, reduced within an ulp (`_orbit_phase`), and
-one matrix product with a table Omega built once per run
-(`_orbit_table`).  Both routes go through one renormalised-product
+Herman and their conjugates) and the phase model evaluate along them
+alike: sum_f C_f e^(i f (x0 + s j)) = sum_f (C_f e^(i f x0)) Omega[f, j],
+a few exponentials at the start x0, reduced within an ulp
+(`_orbit_phase`), and one matrix product with a table Omega built once
+per run (`_orbit_table`); a family given by an evaluator alone is
+evaluated point by point.  Both routes go through one renormalised-product
 kernel, `_log_norms`, over all z samples at once: it
 reads factors in chunks of at most ``_ode.CHUNK`` columns (a, b, c, d),
 multiplies each run of `stride` of them as a pairwise tree
@@ -73,26 +74,23 @@ class SmallDenominatorWarning(UserWarning):
 
 @dataclass(frozen=True)
 class MatrixFamily:
-    """A 1-periodic family z -> M(z) of 2x2 complex matrices.
+    """A 1-periodic family z -> M(z) of 2x2 complex matrices, given as a
+    Fourier table or by an evaluator.
 
-    The evaluator takes a real z and returns a (2, 2) complex array.  An
-    optional array evaluator takes a 1-D array of z and returns the
-    (4, n) rows (a, b, c, d) of all n matrices at once; families without
-    one are evaluated point by point.  A family may instead be given as a
-    Fourier table ``(freqs, coeffs)``, consecutive integer frequencies f
-    and (4, M) coefficients C_f, M(z) = sum_f C_f e^(2 pi i f z); both
-    evaluators are then its direct sum, and `orbit` rotates the table
-    along the shift.  Periodicity, and agreement of the two evaluators, are
-    spot-checked at construction; families of kind 'model-M0' are
-    additionally checked for the conjugation symmetry between the two
-    rows on real z.
+    A Fourier table ``(freqs, coeffs)`` is consecutive integer frequencies
+    f and (4, M) coefficients C_f of the rows (a, b, c, d),
+    M(z) = sum_f C_f e^(2 pi i f z); `orbit` rotates the table along the
+    shift, and the family's evaluator is its direct sum at one z.  An
+    evaluator alone takes a real z and returns a (2, 2) complex array, and
+    the family is evaluated point by point.  Periodicity is spot-checked
+    at construction; families of kind 'model-M0' are additionally checked
+    for the conjugation symmetry between the two rows on real z.
     """
 
     kind: str
     evaluator: object = field(default=None, repr=False, compare=False)
     parameters: tuple = ()
     metadata: dict = field(default_factory=dict, compare=False)
-    array_evaluator: object = field(default=None, repr=False, compare=False)
     fourier: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -107,21 +105,19 @@ class MatrixFamily:
                 raise InvalidInputError(
                     "a Fourier table is M consecutive integer frequencies "
                     "and (4, M) coefficients")
-            if self.evaluator is not None or self.array_evaluator is not None:
+            if self.evaluator is not None:
                 raise InvalidInputError(
                     "a family given by a Fourier table takes no evaluator")
 
-            def direct_sum(z: np.ndarray) -> np.ndarray:
-                u = np.exp(2j * np.pi * np.asarray(z, dtype=float))
-                return coeffs @ _powers(u, freqs)
+            def direct_sum(z: float) -> np.ndarray:
+                u = np.exp(2j * np.pi * np.array([float(z)]))
+                return (coeffs @ _powers(u, freqs)).reshape(2, 2)
 
             object.__setattr__(self, "fourier", (freqs, coeffs))
-            object.__setattr__(self, "array_evaluator", direct_sum)
-            object.__setattr__(self, "evaluator", _one_point(direct_sum))
+            object.__setattr__(self, "evaluator", direct_sum)
         elif self.evaluator is None:
             raise InvalidInputError("a family needs an evaluator")
-        spots = (0.0, 0.21, 0.5, 0.77)
-        for z in spots:
+        for z in (0.0, 0.21, 0.5, 0.77):
             m0 = np.asarray(self.evaluator(z))
             m1 = np.asarray(self.evaluator(z + 1.0))
             if m0.shape != (2, 2):
@@ -135,27 +131,13 @@ class MatrixFamily:
                     raise ConsistencyError(
                         "model matrix lost its row conjugation symmetry"
                     )
-        if self.array_evaluator is not None:
-            rows = np.asarray(self.array_evaluator(np.array(spots)))
-            if rows.shape != (4, len(spots)):
-                raise InvalidInputError(
-                    "array evaluator must return (4, n) rows (a, b, c, d)")
-            for z, col in zip(spots, rows.T):
-                m0 = np.asarray(self.evaluator(z)).reshape(4)
-                scale = 1.0 + np.abs(m0).max()
-                if np.abs(col - m0).max() > 1e-12 * scale:
-                    raise ConsistencyError(
-                        f"array evaluator disagrees with the evaluator "
-                        f"at z={z}")
 
     def __call__(self, z: float) -> np.ndarray:
         return np.asarray(self.evaluator(z), dtype=complex)
 
     def rows(self, z: np.ndarray) -> np.ndarray:
-        """(4, n) complex rows (a, b, c, d) of M at each z of a 1-D array:
-        one call of the array evaluator, else one evaluator call per z."""
-        if self.array_evaluator is not None:
-            return np.asarray(self.array_evaluator(z), dtype=complex)
+        """(4, n) complex rows (a, b, c, d) of M at each z of a 1-D array,
+        one evaluator call per z."""
         ms = np.asarray([self.evaluator(v) for v in z.tolist()], dtype=complex)
         return ms.reshape(-1, 4).T
 
@@ -169,8 +151,8 @@ class MatrixFamily:
         (`_orbit_phase`), M(z + n h) = sum_f C_f e^(2 pi i f x0)
         Omega[f, n - n0] for the table Omega = `_orbit_table` of step h,
         built once here, so a chunk costs one exponential per frequency
-        and one matrix product.  Any other family is evaluated at
-        (z + n h) mod 1 through `rows`.
+        and one matrix product.  A family given by an evaluator is
+        evaluated at each (z + n h) mod 1 (`rows`).
         """
         if self.fourier is None:
             return lambda z, n0, n1: self.rows(
@@ -224,13 +206,6 @@ def _orbit_table(step: float, freqs: np.ndarray, n: int,
     powers (`_powers`)."""
     x = _orbit_phase(step, np.arange(n), period)
     return _powers(np.exp(1j * (TWO_PI / period) * x), freqs)
-
-
-def _one_point(rows):
-    """The scalar evaluator of an array evaluator: its (2, 2) case."""
-    def ev(zv: float) -> np.ndarray:
-        return rows(np.array([float(zv)]))[:, 0].reshape(2, 2)
-    return ev
 
 
 @dataclass(frozen=True)
@@ -814,29 +789,39 @@ def conjugation_invariance_check(family: MatrixFamily, h: float,
 
 
 def _conjugated(family: MatrixFamily, h: float, key: str) -> MatrixFamily:
-    """The family conjugated as `key` says, with an array evaluator.
+    """The family conjugated as `key` says.
 
-    'swap-sigma' conjugates by the antidiagonal involution; 's-twist'
-    replaces M(z) by S(z + h)^{-1} M(z) S(z) with S(z) =
-    diag(e^{i pi z}, e^{-i pi z}), which is unitary for real z, so both
-    transforms preserve the exponent.  Both act on the rows of
-    ``family.rows(z)``: a permutation, or elementwise phases.
+    'swap-sigma' conjugates by the antidiagonal involution, sigma M sigma =
+    [[d, c], [b, a]]; 's-twist' replaces M(z) by S(z + h)^{-1} M(z) S(z)
+    with S(z) = diag(e^{i pi z}, e^{-i pi z}), which is unitary for real
+    z, so both transforms preserve the exponent.  The twist multiplies the
+    rows (a, b, c, d) by w^-1, w^-1 u^-1, w u and w, with w = e^{i pi h}
+    and u = e^{2 pi i z}.  A Fourier table is conjugated as a table:
+    swap-sigma reverses its rows; the S-twist scales them and moves row b
+    down and row c up one frequency, one frequency wider at each end.  A
+    family given by an evaluator is conjugated point by point.
     """
-    if key == "swap-sigma":
-        def twist(m: np.ndarray, z: np.ndarray) -> np.ndarray:
-            return m[::-1]  # sigma M sigma = [[d, c], [b, a]]
-    elif key == "s-twist":
-        def twist(m: np.ndarray, z: np.ndarray) -> np.ndarray:
-            s0 = np.exp(1j * np.pi * z)
-            d0 = np.exp(1j * np.pi * (z + h))
-            return m * np.array([s0 / d0, 1.0 / (d0 * s0), d0 * s0, d0 / s0])
-    else:
+    if key not in ("swap-sigma", "s-twist"):
         raise InvalidInputError("variant must be 'swap-sigma' or 'S-twist'")
+    w = cmath.exp(1j * math.pi * h)
+    derived = dict(kind="user-table", parameters=family.parameters,
+                   metadata={"derived_from": family.kind, "variant": key})
+    if family.fourier is not None:
+        freqs, coeffs = family.fourier
+        if key == "swap-sigma":
+            return MatrixFamily(**derived, fourier=(freqs, coeffs[::-1]))
+        table = np.zeros((4, len(freqs) + 2), dtype=complex)
+        table[0, 1:-1], table[1, :-2] = coeffs[:2] * w.conjugate()
+        table[2, 2:], table[3, 1:-1] = coeffs[2:] * w
+        return MatrixFamily(**derived, fourier=(
+            np.arange(freqs[0] - 1, freqs[-1] + 2), table))
 
-    def rows(z: np.ndarray) -> np.ndarray:
-        return twist(family.rows(z), z)
+    def twisted(z: float) -> np.ndarray:
+        m = np.asarray(family.evaluator(z), dtype=complex)
+        if key == "swap-sigma":
+            return m[::-1, ::-1]
+        u = cmath.exp(2j * math.pi * z)
+        return m * np.array([[w.conjugate(), (w * u).conjugate()],
+                             [w * u, w]])
 
-    return MatrixFamily(kind="user-table", evaluator=_one_point(rows),
-                        parameters=family.parameters,
-                        metadata={"derived_from": family.kind, "variant": key},
-                        array_evaluator=rows)
+    return MatrixFamily(**derived, evaluator=twisted)

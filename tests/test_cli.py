@@ -285,6 +285,19 @@ def test_missing_key_exits_input_error(tmp_path, capsys):
     assert "missing key window.n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, named", [
+    ("model", "m_ampp", "key model.m_ampp"),
+    ("cocycle", "epsilon", "key cocycle.epsilon"),
+    ("modle", "m_amp", "section [modle]")])
+def test_unknown_config_key_exits_input_error(tmp_path, capsys, section,
+                                              key, named):
+    # a typo would otherwise run on the key's default: m_amp = 0
+    cfg, out = prepare(tmp_path, {section: {key: "0.1"}})
+    assert main(["cocycle", "--config", cfg]) == 2
+    assert f"unknown config {named}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_potential_kind_exits_input_error(tmp_path, capsys):
     cfg, _ = prepare(tmp_path, {"potential_v": {"kind": "quartic"}})
     assert main(["bands", "--config", cfg]) == 2
@@ -723,7 +736,8 @@ def test_oversized_cocycle_exits_numeric_before_any_factor(tmp_path, capsys,
         raise AssertionError("cocycle factor evaluated before its cost "
                              "was bounded")
 
-    monkeypatch.setattr(cocycle.MatrixFamily, "rows", no_factors)
+    # every factor of a run comes from the family's orbit
+    monkeypatch.setattr(cocycle.MatrixFamily, "orbit", no_factors)
     cfg, out = prepare(tmp_path, {"cocycle": {"N": "2000000",
                                               "z_samples": "8"}})
     start = time.perf_counter()

@@ -44,7 +44,6 @@ from adiaspec.cocycle import (
     PhaseModel,
     _block_transfers,
     _conjugated,
-    _one_point,
     unit_blocks,
 )
 from oracles import plain_cocycle, rk4_transfer, wkb_average_rate
@@ -133,11 +132,10 @@ def test_unimodular_factors_with_large_entries_are_not_singular(V_zero):
     a, b, c, d = model.blocks(0, 5)
     assert np.all(a * d - b * c == 0.0)
 
-    def rows(z):
-        return model(2 * math.pi * np.asarray(z))
+    def ev(z: float) -> np.ndarray:
+        return model(np.array([2 * math.pi * z]))[:, 0].reshape(2, 2)
 
-    fam = MatrixFamily(kind="user-table", evaluator=_one_point(rows),
-                       array_evaluator=rows)
+    fam = MatrixFamily(kind="user-table", evaluator=ev)
     est = run(fam, N=200, h=0.1 / (2 * math.pi), stride=4)
     assert est.value == pytest.approx(50.0, rel=1e-3)
     direct = direct_lyapunov(V_zero, None, 0.1, -2500.0, L=200.0, tol=1e-12)
@@ -198,7 +196,6 @@ def test_user_table_without_array_form_matches_plain_cocycle():
         return herman.evaluator(z)
 
     fam = MatrixFamily(kind="user-table", evaluator=ev)
-    assert fam.array_evaluator is None
     calls.clear()
     N, z0 = 3000, 0.29
     est = run(fam, N=N, z0=z0, stride=7)
@@ -344,14 +341,11 @@ def test_degenerate_sample_named_in_a_multi_z_run():
     # after factor 4004, and the other two samples never come near it
     N, stride, bad = 3 * CHUNK + 5, 7, 0.6
 
-    def rows(z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        hit = np.abs((z - bad + 0.5) % 1.0 - 0.5) < 1e-9
-        one, zero = np.ones_like(z), np.zeros_like(z)
-        return np.array([np.where(hit, np.inf, 1.0), 0.3 * one, zero, one])
+    def ev(z: float) -> np.ndarray:
+        hit = abs((z - bad + 0.5) % 1.0 - 0.5) < 1e-9
+        return np.array([[math.inf if hit else 1.0, 0.3], [0.0, 1.0]])
 
-    fam = MatrixFamily(kind="user-table", evaluator=_one_point(rows),
-                       array_evaluator=rows)
+    fam = MatrixFamily(kind="user-table", evaluator=ev)
     z_bad = (bad - 4000 * H_REF) % 1.0
     spec = CocycleSpec(family=fam, h=H_REF, N=N, renorm_stride=stride,
                        z_samples=(0.13, z_bad, 0.82))
@@ -428,7 +422,7 @@ def test_model_exponent_in_configured_window():
 
 
 # ---------------------------------------------------------------------------
-# array evaluators against the point-by-point formulas they replaced
+# Fourier tables against the point-by-point formulas they replaced
 
 
 def _herman_coeffs(m_amp, seed):
@@ -552,7 +546,11 @@ def array_cases():
             herman_family(lam, n0, alpha, beta, m_amp, 0.1, seed=seed),
             scalar_herman(lam, n0, alpha, beta, m_amp, seed))
     cases["model"] = (model_matrix(*MODEL_COEFFS), scalar_model(*MODEL_COEFFS))
-    for base in ("herman-seed-3", "model"):
+    # given by an evaluator alone, so conjugated point by point
+    cases["model-evaluator"] = (
+        MatrixFamily(kind="user-table", evaluator=scalar_model(*MODEL_COEFFS)),
+        scalar_model(*MODEL_COEFFS))
+    for base in ("herman-seed-3", "model", "model-evaluator"):
         fam, ev = cases[base]
         for variant in ("swap-sigma", "s-twist"):
             cases[f"{base}-{variant}"] = (
@@ -584,25 +582,21 @@ def test_model_det_deviation_matches_point_scan():
     assert fam.metadata["det_deviation"] == pytest.approx(dev, rel=1e-13)
 
 
-def test_array_form_disagreeing_with_evaluator_is_refused():
-    model = model_matrix(*MODEL_COEFFS)
-    with pytest.raises(ConsistencyError, match="array evaluator"):
-        MatrixFamily(kind="user-table", evaluator=model.evaluator,
-                     array_evaluator=lambda z: model.rows(z) * (1 + 1e-9))
-    with pytest.raises(InvalidInputError, match="array evaluator"):
-        MatrixFamily(kind="user-table", evaluator=model.evaluator,
-                     array_evaluator=lambda z: model.rows(z)[:, :1])
-
-
 # ---------------------------------------------------------------------------
 # factors along the orbit from one rotated Fourier table
 
 
 ORBIT_FAMILIES = {
-    **{f"herman-n0={n0}-m_amp={m_amp}": (1.0, n0, 0.5, 0.3, m_amp)
+    **{f"herman-n0={n0}-m_amp={m_amp}":
+       herman_family(1.0, n0, 0.5, 0.3, m_amp, 0.1, seed=8)
        for n0 in (-2, 1, 3) for m_amp in (0.0, 0.1)},
-    "model": MODEL_COEFFS,
+    "model": model_matrix(*MODEL_COEFFS),
 }
+# the conjugates of conjugation_invariance_check's transformed runs
+ORBIT_FAMILIES.update({
+    f"{base}-{variant}": _conjugated(ORBIT_FAMILIES[base], H_REF, variant)
+    for base in ("herman-n0=1-m_amp=0.1", "model")
+    for variant in ("swap-sigma", "s-twist")})
 
 
 def exact_orbit_rows(family, z: float, h: float, ns) -> np.ndarray:
@@ -628,9 +622,7 @@ def test_orbit_matches_the_exact_orbit_point(case, n0):
     # chunk starts n0 = 6144 and 999,424; the table's rotation must be no
     # less accurate than evaluating each (z + n h) mod 1, whose rounding
     # grows with n h
-    params = ORBIT_FAMILIES[case]
-    fam = (model_matrix(*params) if case == "model"
-           else herman_family(*params, 0.1, seed=8))
+    fam = ORBIT_FAMILIES[case]
     z, h = 0.46, H_REF
     cols = np.r_[0:CHUNK:31, CHUNK - 1]
     want = exact_orbit_rows(fam, z, h, (n0 + cols).tolist())
@@ -671,12 +663,14 @@ def test_herman_exponent_matches_the_per_mode_exponential_form(seed):
     params = (3.0, 1, 0.5, 0.3, 0.1)
     fam = herman_family(*params, 0.05, seed=seed)
     rows = exponential_herman_rows(*params, seed)
-    oracle = MatrixFamily(kind="herman-test", evaluator=_one_point(rows),
-                          array_evaluator=rows)
-    theta = [cocycle_lyapunov(CocycleSpec(
-        family=f, h=H_REF, N=20000, z_samples=default_z_samples(8))).value
-        for f in (fam, oracle)]
-    assert theta[0] == pytest.approx(theta[1], rel=1e-12, abs=0.0)
+    zs, N = default_z_samples(8), 20000
+    theta = cocycle_lyapunov(CocycleSpec(family=fam, h=H_REF, N=N,
+                                         z_samples=zs)).value
+    # the oracle's factors at each (z + n h) mod 1, a chunk per call
+    oracle = cocycle._log_norms(
+        lambda r, n0, n1: rows((zs[r] + np.arange(n0, n1) * H_REF) % 1.0),
+        zs, N, 8).sum() / (N * len(zs))
+    assert theta == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
 def test_unperturbed_herman_rows_skip_the_perturbation():
