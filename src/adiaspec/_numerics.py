@@ -6,10 +6,8 @@
 * ``gauss_kronrod``: globally adaptive 10-point Gauss / 21-point Kronrod
   quadrature, the QK21 rule and error estimate of QUADPACK (Piessens et
   al., 1983), bisecting the subinterval with the largest error.
-* ``CubicHermite`` and ``pchip_slopes``: piecewise cubic Hermite
-  interpolation with given slopes, and the monotone slopes of Fritsch and
-  Carlson (SIAM J. Numer. Anal. 17, 1980) in the weighted harmonic-mean
-  form with a one-sided three-point end rule.
+* ``CubicHermite``: piecewise cubic Hermite interpolation with given
+  slopes.
 """
 
 from __future__ import annotations
@@ -177,38 +175,6 @@ def gauss_kronrod(f, a: float, b: float, epsabs: float, epsrel: float,
         total = sum(v for *_, v in heap)
         total_err = sum(-e for e, *_ in heap)
     return total, total_err
-
-
-def pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Monotone (Fritsch-Carlson) node slopes of the data y at x.
-
-    Interior slopes are the weighted harmonic mean of the neighbouring
-    secants, or zero where those differ in sign or one vanishes; the end
-    slopes come from the one-sided three-point formula, clipped to keep
-    the interpolant monotone.  Two points give the secant.
-    """
-    h = np.diff(x)
-    m = np.diff(y) / h
-    if len(x) == 2:
-        return np.array([m[0], m[0]])
-    d = np.zeros(len(x))
-    w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
-    smooth = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0.0) & (m[:-1] != 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-    d[1:-1][smooth] = 1.0 / whmean[smooth]
-    d[0] = _pchip_end(h[0], h[1], m[0], m[1])
-    d[-1] = _pchip_end(h[-1], h[-2], m[-1], m[-2])
-    return d
-
-
-def _pchip_end(h0: float, h1: float, m0: float, m1: float) -> float:
-    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
 
 
 class CubicHermite:

@@ -46,12 +46,6 @@ class ActionSet:
         if any(v <= 0 for _, v, _ in self.entries):
             raise ConsistencyError("tunneling actions must be positive")
 
-    def action(self, label: GapLabel) -> float:
-        for lab, v, _ in self.entries:
-            if lab == label:
-                return v
-        raise KeyError(label)
-
     @property
     def labels(self) -> tuple[GapLabel, ...]:
         return tuple(lab for lab, _, _ in self.entries)

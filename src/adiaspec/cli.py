@@ -38,6 +38,9 @@ EXIT_NUMERIC = 4
 # most energies in a window.energy_grid: each admissible one costs ~2 ms
 # of actions (and any one ~46 us and ~480 B of window report)
 _ENERGY_GRID_MAX = 10_000
+# most [stokes] starts: each trace takes up to 20,000 steps (~15-25 ms at
+# the default max_length)
+_STOKES_STARTS_MAX = 1_000
 
 # every key some command reads, by section (configparser lowercases keys:
 # [cocycle] N is "n"); any other section or key is refused, so that a typo
@@ -370,10 +373,10 @@ def _best(reports):
                default=None)
 
 
-def _actions(cfg: RunConfig, bands, report, model=None):
+def _actions(cfg: RunConfig, bands, report):
     from . import actions as actions_mod
     geom = geometry_mod.branch_points(cfg.potential_w, bands, report)
-    return actions_mod.compute_actions(geom, tol=cfg.tol_quad, model=model)
+    return actions_mod.compute_actions(geom, tol=cfg.tol_quad)
 
 
 # ---------------------------------------------------------------------------
@@ -422,11 +425,9 @@ def cmd_actions(cfg: RunConfig, seed: int) -> int:
                         key=lambda r: r.energy)
     if not admissible:
         return _no_admissible(cfg)
-    # the lowest energy has the lowest window bottom
-    model = actions_mod.window_model(bands, cfg.potential_w, admissible[0].energy)
     rows = []
     for rep in admissible:
-        aset = _actions(cfg, bands, rep, model)
+        aset = _actions(cfg, bands, rep)
         asym = actions_mod.lyapunov_asymptotic(aset, cfg.epsilons[0])
         logT_cols = {eps: actions_mod.total_T(aset, eps)[1]
                      for eps in cfg.epsilons}
@@ -463,6 +464,9 @@ def cmd_stokes(cfg: RunConfig, seed: int) -> int:
             raise ConfigError("stokes.starts lines need: re_zeta im_zeta")
         starts.append(complex(_number(parts[0], "stokes.starts"),
                               _number(parts[1], "stokes.starts")))
+    if len(starts) > _STOKES_STARTS_MAX:
+        raise ResolutionFailure(f"stokes.starts has {len(starts)} starts, above "
+                                f"the limit of {_STOKES_STARTS_MAX}")
     bands = _band_structure(cfg)
     rep = _best(_windows(cfg, bands))
     if rep is None:

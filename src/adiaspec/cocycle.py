@@ -768,10 +768,6 @@ class ConjugationReport:
     theta_transformed: float
     combined_standard_error: float
 
-    @property
-    def difference(self) -> float:
-        return abs(self.theta_base - self.theta_transformed)
-
 
 def conjugation_invariance_check(family: MatrixFamily, h: float,
                                  variant: str, *, N: int = 20000,

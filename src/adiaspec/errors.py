@@ -41,7 +41,7 @@ class ConsistencyError(AdiaspecError, RuntimeError):
     """Intermediate results contradict each other (e.g. a lost root bracket)."""
 
 
-class DegeneratePointError(AdiaspecError, ValueError):
+class DegeneratePointError(InvalidInputError):
     """Evaluation requested exactly at a degenerate point (band edge,
     branch point) where the operation is not single-valued."""
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._numerics import CubicHermite, bracketed_roots, pchip_slopes
+from ._numerics import CubicHermite, bracketed_roots
 from .errors import (
     ConsistencyError,
     CoverageError,
@@ -70,16 +70,10 @@ class AnalyticPotential:
             raise InvalidInputError("strip half-width must be positive")
         self.strip_half_width = float(strip_half_width)
         # locate extrema of the raw sum, then shift the maximum to 0
-        z_max, _ = _trig_extrema(coeffs)
-        coeffs = _shift_coefficients(coeffs, z_max)
-        z_max2, z_min2 = _trig_extrema(coeffs)
-        if abs(z_max2) > 1e-9 and abs(z_max2 - TWO_PI) > 1e-9:
-            coeffs = _shift_coefficients(coeffs, z_max2)
-            _, z_min2 = _trig_extrema(coeffs)
-        self.coefficients = coeffs
-        self.zeta_star = z_min2 % TWO_PI
-        if not (0.0 < self.zeta_star < TWO_PI):
-            raise ConsistencyError("minimum did not fall inside the open period")
+        z_max, z_min = _trig_extrema(coeffs)
+        self.coefficients = _shift_coefficients(coeffs, z_max)
+        # _trig_extrema keeps the two apart, so this lies in (0, 2 pi)
+        self.zeta_star = (z_min - z_max) % TWO_PI
         self.w_plus = float(self.value(0.0))
         self.w_minus = float(self.value(self.zeta_star))
         if not self.w_plus > self.w_minus:
@@ -273,56 +267,50 @@ class WindowReport:
 def analyze_window(W: AnalyticPotential, bands: BandStructure, E: float,
                    n: int, m: int) -> WindowReport:
     """Check the three admissibility conditions of the energy window."""
-    top_edge = _check_block(bands, n, m)
-    lo, hi = E - W.w_plus, E - W.w_minus
+    inside, below, above = (v[..., 0].tolist() for v in
+                            _window_margins(W, bands, np.array([E]), n, m))
     a1 = all(bands.is_gap_open(j) for j in range(max(0, n - 1), n + m + 1))
-    edge_margins = []
-    for j in range(2 * n - 1, 2 * (n + m) + 1):
-        e = bands.edge(j)
-        edge_margins.append(min(e - lo, hi - e))
-    a2 = all(v > 0 for v in edge_margins)
-    below = lo - bands.edge(2 * n - 2) if n >= 2 else math.inf
-    above = bands.edge(top_edge) - hi
-    a3 = below > 0 and above > 0
-    return WindowReport(energy=float(E), n=n, m=m, window=(lo, hi),
-                        a1_ok=a1, a2_ok=a2, a3_ok=a3,
-                        edge_margins=tuple(edge_margins),
+    return WindowReport(energy=float(E), n=n, m=m,
+                        window=(E - W.w_plus, E - W.w_minus), a1_ok=a1,
+                        a2_ok=all(v > 0 for v in inside),
+                        a3_ok=below > 0 and above > 0,
+                        edge_margins=tuple(inside),
                         outside_margins=(below, above))
 
 
-def _check_block(bands: BandStructure, n: int, m: int) -> int:
-    """Index of the first edge above the band block [n, n + m]; raises if
-    the block is malformed or the band table does not reach that edge."""
+def _window_margins(W: AnalyticPotential, bands: BandStructure,
+                    E: np.ndarray, n: int, m: int):
+    """Margins of the band block [n, n + m] at the energies E (an array):
+    each block edge's distance to the nearer window end (one row per edge,
+    in edge order), the clearance of the window bottom above the edge below
+    the block (inf for n = 1), and that of the edge above the block over
+    the window top.  a2 and a3 hold where all are positive."""
     if n < 1 or m < 0:
         raise InvalidInputError("need n >= 1 and m >= 0")
-    top_edge = 2 * (n + m) + 1
-    if len(bands.edges) < top_edge:
-        raise CoverageError(
-            f"band table has {len(bands.edges)} edges, needs {top_edge}; "
-            f"raise the ceiling"
-        )
-    return top_edge
+    top = 2 * (n + m) + 1  # the first edge above the block
+    if len(bands.edges) < top:
+        raise CoverageError(f"band table has {len(bands.edges)} edges, needs "
+                            f"{top}; raise the ceiling")
+    lo, hi = E - W.w_plus, E - W.w_minus
+    edges = np.array([bands.edge(j) for j in range(2 * n - 1, top)])[:, None]
+    below = lo - bands.edge(2 * n - 2) if n >= 2 else np.full_like(lo, math.inf)
+    return np.minimum(edges - lo, hi - edges), below, bands.edge(top) - hi
 
 
 def best_window_energy(W: AnalyticPotential, bands: BandStructure, n: int,
                        m: int) -> float:
     """Energy maximizing the window margin; raises if no admissible energy.
 
-    The margin of ``analyze_window`` is evaluated on a grid of 2,001
-    energies in one array pass, with the same float operations, and the
-    first maximum wins.
+    The smallest of ``_window_margins`` is taken on a grid of 2,001
+    energies, the one array pass that ``analyze_window`` makes for one
+    energy, and the first maximum wins.
     """
     lo_e = bands.edge(2 * (n + m)) - W.w_plus  # least E putting the block inside
     hi_e = bands.edge(2 * n - 1) - W.w_minus
-    top = _check_block(bands, n, m)
     grid = np.linspace(lo_e, hi_e, 2001)
-    lo, hi = grid - W.w_plus, grid - W.w_minus
-    edges = np.array([bands.edge(j) for j in range(2 * n - 1, top)])[:, None]
-    margins = [np.minimum(edges - lo, hi - edges).min(axis=0),
-               bands.edge(top) - hi]
-    if n >= 2:
-        margins.append(lo - bands.edge(2 * n - 2))
-    best_E = float(grid[np.argmax(np.min(margins, axis=0))])
+    inside, below, above = _window_margins(W, bands, grid, n, m)
+    best_E = float(grid[np.argmax(np.min([inside.min(axis=0), below, above],
+                                         axis=0))])
     if not analyze_window(W, bands, best_E, n, m).all_ok:
         raise InvalidInputError(
             f"no admissible energy for bands {n}..{n + m} with this W"
@@ -526,10 +514,8 @@ def complex_momentum(W: AnalyticPotential, bands: BandStructure, E: float,
     For real zeta on a pre-gap the two boundary values differ; `side`
     picks the limit from the upper ('+i0', Im kappa > 0 on every pre-gap)
     or lower half-strip ('-i0', the complex conjugate).  Off-axis points
-    are reached by analytic continuation from a real anchor inside a
-    nearby pre-band; the path is subdivided adaptively and refuses to
-    cross a branch point.  Along it the discriminant is read from
-    ``strip_model(bands, W, E, tol)``.
+    are reached by ``_continued_momentum``, which reads the discriminant
+    from ``strip_model(bands, W, E, tol)``.
     """
     if side not in ("+i0", "-i0"):
         raise InvalidInputError(f"side must be '+i0' or '-i0', got {side!r}")
@@ -541,20 +527,26 @@ def complex_momentum(W: AnalyticPotential, bands: BandStructure, E: float,
                                            tol=tol).value)
         # the lower boundary value is the Schwarz reflection of the upper
         return upper.conjugate() if side == "-i0" else upper
-    anchor = _regular_anchor(W, bands, E, z.real, tol)
-    k0 = quasimomentum_main(bands, E - w(anchor).real, tol=tol).value
     model = strip_model(bands, W, E, tol)
+    return _continued_momentum(W, bands, E, z, lambda p: model(E - w(p)), tol)
 
-    def delta_of(p):
-        return model(E - w(p))
 
+def _continued_momentum(W, bands, E, z: complex, delta_of, tol: float) -> complex:
+    """kappa at z by analytic continuation of cos kappa = delta_of / 2 from
+    a real anchor near Re z whose local energy sits inside a band, where
+    kappa is real.  The path is the straight segment to z, subdivided
+    adaptively; where it is refused near a branch point, the path goes
+    vertically off the axis at the anchor and then level to z."""
+    w = W.evaluator()
+    anchor = _regular_anchor(W, bands, E, z.real, tol)
+    k0 = complex(quasimomentum_main(bands, E - w(anchor).real, tol=tol).value)
     try:
-        return complex(_track_momentum(delta_of, complex(anchor), complex(k0), z))
+        return _track_momentum(delta_of, complex(anchor), k0, z)
     except PathError:
         # a straight path may clip a real branch point; go around vertically
         way = complex(anchor, z.imag)
-        k_mid = _track_momentum(delta_of, complex(anchor), complex(k0), way)
-        return complex(_track_momentum(delta_of, way, k_mid, z))
+        k_mid = _track_momentum(delta_of, complex(anchor), k0, way)
+        return _track_momentum(delta_of, way, k_mid, z)
 
 
 def _regular_anchor(W, bands, E, x0: float, tol: float) -> float:
@@ -593,17 +585,15 @@ class RealBranch:
     """
 
     def __init__(self, label: BandLabel, kappa_grid: np.ndarray,
-                 zeta_values: np.ndarray, derivatives: np.ndarray | None = None):
+                 zeta_values: np.ndarray, derivatives: np.ndarray):
         d = np.diff(zeta_values)
         if not ((d > 0).all() or (d < 0).all()):
             raise ConsistencyError(f"branch table for {label} is not monotone")
         self.label = label
         self.kappa_grid = kappa_grid
         self.zeta_values = zeta_values
-        if derivatives is None:
-            derivatives = pchip_slopes(kappa_grid, zeta_values)
-        # exact slopes, where given, keep full interpolation order at the
-        # flat endpoints, where kappa resolves a square root of zeta
+        # exact slopes keep full interpolation order at the flat endpoints,
+        # where kappa resolves a square root of zeta
         self._interp = CubicHermite(kappa_grid, zeta_values, derivatives)
 
     def __call__(self, kappa):
@@ -751,7 +741,10 @@ def trace_stokes_line(W: AnalyticPotential, bands: BandStructure, E: float,
     The curve solves d zeta / ds = conj(kappa(zeta) - shift) normalized to
     unit speed (shift = pi for the 'kappa-pi' family), so the level value
     is constant along it.  Steps are Runge-Kutta with halved-step error
-    control; the complex momentum is branch-tracked along the curve.
+    control.  The complex momentum at `start` is continued as in
+    ``complex_momentum`` (``_continued_momentum``: straight from a real
+    anchor, else by the vertical detour), then branch-tracked along the
+    curve.
     Tracing stops at the strip boundary, near a branch point, at
     `max_length` (InvalidInputError unless positive), or when the tangent
     field stalls.
@@ -798,12 +791,7 @@ def trace_stokes_line(W: AnalyticPotential, bands: BandStructure, E: float,
     def delta_of(p: complex):
         return model(E - w(p))
 
-    anchor = _regular_anchor(W, bands, E, z0.real, tol)
-    k0 = quasimomentum_main(bands, E - w(anchor).real, tol=tol).value
-    # vertically off the axis, then level to the start
-    way = complex(anchor, z0.imag)
-    k_mid = _track_momentum(delta_of, complex(anchor), complex(k0), way)
-    k_cur = _track_momentum(delta_of, way, k_mid, z0)
+    k_cur = _continued_momentum(W, bands, E, z0, delta_of, tol)
 
     def tangent(d: complex, k_ref: complex):
         k = _acos_branch_candidates(d / 2.0, k_ref)

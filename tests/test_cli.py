@@ -656,6 +656,34 @@ def test_stokes_malformed_section_exits_before_band_scan(tmp_path, capsys,
     assert f"stokes.{key}" in capsys.readouterr().err
 
 
+def test_stokes_over_the_start_limit_exits_numeric_before_band_scan(
+        tmp_path, capsys, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("band scan ran before the starts were counted")
+
+    monkeypatch.setattr(hill, "band_edges", no_scan)
+    starts = "".join(f"\n    {0.001 * i!r} -0.02" for i in range(1001))
+    cfg, out = prepare(tmp_path, {"stokes": {"starts": starts}})
+    assert main(["stokes", "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ResolutionFailure")
+    assert "stokes.starts" in err and "1001" in err
+    assert list(out.iterdir()) == []
+    # 1,000 starts pass the count and reach the band scan
+    cfg, _ = prepare(tmp_path, {"stokes": {"starts": starts[:starts.rindex("\n")]}})
+    with pytest.raises(AssertionError, match="band scan ran"):
+        main(["stokes", "--config", cfg])
+
+
+def test_stokes_start_on_a_branch_point_exits_input(tmp_path, capsys,
+                                                     geom_ref):
+    z = geom_ref.branch_zetas[0][2]
+    cfg, out = prepare(tmp_path, {"stokes": {"starts": f"{z!r} 0.0"}})
+    assert main(["stokes", "--config", cfg]) == 2
+    assert "branch point" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_geometry_stokes_verify_report_one_energy(tmp_path):
     # a short trace: only the energy matters here
     cfg, out = prepare(tmp_path, {"stokes": {"max_length": "0.05"}})

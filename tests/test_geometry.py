@@ -615,6 +615,18 @@ def test_tracer_rejects_degenerate_start(W_ref, bands_ref, E_ref, geom_ref):
         trace_stokes_line(W_ref, bands_ref, E_ref, complex(z1m, 0.0))
 
 
+def test_trace_starts_at_complex_momentum(W_ref, bands_ref, E_ref, geom_ref):
+    # the trace reaches its start by complex_momentum's own continuation
+    starts = [complex(z, -0.02) for _, _, z in geom_ref.branch_zetas]
+    starts += [complex(1.0, 0.3), complex(4.0, -0.4)]
+    for start in starts:
+        line = trace_stokes_line(W_ref, bands_ref, E_ref, start,
+                                 max_length=0.01, tol=1e-9)
+        want = complex_momentum(W_ref, bands_ref, E_ref, start, tol=1e-9)
+        assert line.points[0] == start
+        assert abs(line.kappa[0] - want) <= 1e-12
+
+
 def test_tracer_rejects_bad_arguments(W_ref, bands_ref, E_ref):
     with pytest.raises(InvalidInputError):
         trace_stokes_line(W_ref, bands_ref, E_ref, 1.0 + 0.1j, family="nope")

@@ -12,7 +12,6 @@ from adiaspec import _numerics, actions as actions_mod
 from adiaspec import (
     ConvergenceFailure,
     PeriodicPotential,
-    RealBranch,
     band_edges,
     real_branch,
     tunneling_action,
@@ -93,7 +92,7 @@ def test_unreachable_plus_side_tolerance_exits_numeric(geom_ref):
 # interpolants
 
 
-def test_hermite_and_pchip_match_scipy_on_a_branch_table(geom_ref):
+def test_hermite_matches_scipy_on_a_branch_table(geom_ref):
     br = real_branch(geom_ref, geom_ref.band_labels[0], points=128)
     x, y = br.kappa_grid, br.zeta_values
     xs = np.concatenate([x, np.linspace(0.0, math.pi, 4001)])
@@ -102,24 +101,6 @@ def test_hermite_and_pchip_match_scipy_on_a_branch_table(geom_ref):
     ours = _numerics.CubicHermite(x, y, slopes)(xs)
     want = scipy_interpolate.CubicHermiteSpline(x, y, slopes)(xs)
     assert np.max(np.abs(ours - want)) <= 1e-14 * scale
-    # a table without slopes interpolates by PCHIP
-    pchip = RealBranch(br.label, x, y)
-    want = scipy_interpolate.PchipInterpolator(x, y)(xs)
-    assert np.max(np.abs(pchip(xs) - want)) <= 1e-14 * scale
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_pchip_matches_scipy_on_rough_data(seed):
-    rng = np.random.default_rng(seed)
-    x = np.cumsum(rng.uniform(0.01, 1.0, 40))
-    y = rng.standard_normal(40)
-    y[10:14] = y[10]  # a flat stretch
-    xs = np.linspace(x[0], x[-1], 2001)
-    ours = _numerics.CubicHermite(x, y, _numerics.pchip_slopes(x, y))(xs)
-    want = scipy_interpolate.PchipInterpolator(x, y)(xs)
-    assert np.max(np.abs(ours - want)) <= 1e-14 * np.max(np.abs(y))
-    two = _numerics.pchip_slopes(x[:2], y[:2])
-    assert np.allclose(two, (y[1] - y[0]) / (x[1] - x[0]), rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------
