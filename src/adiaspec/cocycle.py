@@ -9,18 +9,15 @@ unit-length blocks, the continuous picture; the blocks come from one
 interpolant filled and checked against sampled blocks of the run in one
 integration batch.  Both orbits, z + n h and phi_j = eps j, are
 arithmetic progressions, and the families given by a Fourier table (model,
-Herman and their conjugates) and the phase model evaluate along them
-alike: sum_f C_f e^(i f (x0 + s j)) = sum_f (C_f e^(i f x0)) Omega[f, j],
-a few exponentials at the start x0, reduced within an ulp
-(`_orbit_phase`), and one matrix product with a table Omega built once
-per run (`_orbit_table`); a family given by an evaluator alone is
+Herman and their conjugates) and the phase model are read along them by
+one table rotation, `_rotation`; a family given by an evaluator alone is
 evaluated point by point.  Both routes go through one renormalised-product
-kernel, `_log_norms`, over all z samples at once: it
-reads factors in chunks of at most ``_ode.CHUNK`` columns (a, b, c, d),
-multiplies each run of `stride` of them as a pairwise tree
-(``_ode._fold``) and renormalises a batch of these block products by one
-log-depth prefix scan.  The stride is ``renorm_stride`` cocycle factors,
-or a number of unit blocks derived from the phase model's norm bound.
+kernel, `_log_norms`, over all z samples at once: it reads factors in
+chunks of at most ``_ode.CHUNK`` columns (a, b, c, d), multiplies each
+run of `stride` of them as a pairwise tree (``_ode._fold``) and
+renormalises a batch of these block products by one log-depth prefix
+scan.  The stride is ``renorm_stride`` cocycle factors, or a number of
+unit blocks derived from the phase model's norm bound.
 The bridge is Theta = (eps / 2 pi) theta, plus the model matrix M0 and
 a Herman-type lower-bound checker for families with a dominant
 oscillating mode.
@@ -62,9 +59,11 @@ _COCYCLE_FACTORS_MAX = 10_000_000
 # a run's blocks it integrates alongside its first fill to check itself
 _PHASES_MIN, _PHASES_MAX = 32, 1024
 _SAMPLE_BLOCKS = 32
-# blocks of a run the phase model's table covers, rotated once per span; at
-# a chunk's width (512 KiB at K = 32) the table, built after the fill and
-# alive through the run, cost ~900 KiB of fresh heap pages per model
+# points of an orbit `_rotation`'s table covers, rotated once per span.  A
+# chunk-wide table cost a phase model ~900 KiB of fresh heap pages; and real
+# products of at most 32 rows and 256 columns never stalled, where complex
+# ones, or real ones of 64 rows or 512 columns, took ~16 ms a call in some
+# interpreters with numpy's threaded OpenBLAS, against ~30 us
 _TABLE_BLOCKS = 256
 
 
@@ -110,8 +109,8 @@ class MatrixFamily:
                     "a family given by a Fourier table takes no evaluator")
 
             def direct_sum(z: float) -> np.ndarray:
-                u = np.exp(2j * np.pi * np.array([float(z)]))
-                return (coeffs @ _powers(u, freqs)).reshape(2, 2)
+                return _fourier_sum(freqs, coeffs, np.array([float(z)])
+                                    ).reshape(2, 2)
 
             object.__setattr__(self, "fourier", (freqs, coeffs))
             object.__setattr__(self, "evaluator", direct_sum)
@@ -143,28 +142,13 @@ class MatrixFamily:
 
     def orbit(self, h: float):
         """The factors along the shift z -> z + h: a function of (z, n0,
-        n1) that returns the (4, n1 - n0) rows of M(z + n h),
-        n0 <= n < n1, for n1 - n0 <= ``_ode.CHUNK``.
-
-        A family with a Fourier table rotates one table: with
-        x0 = (z + n0 h) mod 1, n0 h reduced within an ulp
-        (`_orbit_phase`), M(z + n h) = sum_f C_f e^(2 pi i f x0)
-        Omega[f, n - n0] for the table Omega = `_orbit_table` of step h,
-        built once here, so a chunk costs one exponential per frequency
-        and one matrix product.  A family given by an evaluator is
-        evaluated at each (z + n h) mod 1 (`rows`).
-        """
+        n1) that returns the (4, n1 - n0) rows of M(z + n h), n0 <= n < n1,
+        by the Fourier table's `_rotation` (period 1), or for a family given
+        by an evaluator at each (z + n h) mod 1 (`rows`)."""
         if self.fourier is None:
             return lambda z, n0, n1: self.rows(
                 (z + np.arange(n0, n1) * h) % 1.0)
-        freqs, coeffs = self.fourier
-        omega = _orbit_table(h, freqs, _ode.CHUNK)
-
-        def chunk(z: float, n0: int, n1: int) -> np.ndarray:
-            x0 = (z + _orbit_phase(h, n0)) % 1.0
-            start = np.exp(2j * np.pi * x0 * freqs)
-            return (coeffs * start) @ omega[:, :n1 - n0]
-        return chunk
+        return _rotation(*self.fourier, h)
 
 
 def _powers(u: np.ndarray, freqs: np.ndarray) -> np.ndarray:
@@ -206,6 +190,51 @@ def _orbit_table(step: float, freqs: np.ndarray, n: int,
     powers (`_powers`)."""
     x = _orbit_phase(step, np.arange(n), period)
     return _powers(np.exp(1j * (TWO_PI / period) * x), freqs)
+
+
+def _fourier_sum(freqs, coeffs, x: np.ndarray, period: float = 1.0):
+    """(4, n) rows of sum_f C_f e^(2 pi i f x / period) at each x of a 1-D
+    array, by powers of e^(2 pi i x / period); real if Hermitian."""
+    out = coeffs @ _powers(np.exp(1j * (TWO_PI / period) * x), freqs)
+    return out.real if _hermitian(freqs, coeffs) else out
+
+
+def _hermitian(freqs: np.ndarray, coeffs: np.ndarray) -> bool:
+    """Whether C_-f = conj(C_f) for every f: a real sum at real points."""
+    return bool(freqs[0] == -freqs[-1]
+                and (coeffs == coeffs[:, ::-1].conj()).all())
+
+
+def _rotation(freqs: np.ndarray, coeffs: np.ndarray, step: float,
+              period: float = 1.0):
+    """A Fourier table's sum along an arithmetic orbit: a function of
+    (x, n0, n1) that returns the (4, n1 - n0) rows of `_fourier_sum` at
+    x + step n, n0 <= n < n1.  In spans of ``_TABLE_BLOCKS`` points from
+    s, with x_s = (x + step s) mod period (`_orbit_phase`), the sum is
+    sum_f c_f Omega[f, n - s], c_f = C_f e^(2 pi i f x_s / period) and
+    Omega = `_orbit_table`: rows (Re c_f, Im c_f) times rows (Re, -Im) of
+    Omega_f, and (Im, Re) for the imaginary part.  A Hermitian table is
+    summed from its f >= 0 half, C_0 + 2 Re sum_(f > 0): real, one product.
+    """
+    if real := _hermitian(freqs, coeffs):
+        m = int(freqs[-1])
+        freqs, coeffs = freqs[m:], coeffs[:, m:] * np.where(freqs[m:], 2.0, 1.0)
+    omega = _orbit_table(step, freqs, _TABLE_BLOCKS, period)
+    pairs = ((omega.real, -omega.imag), (omega.imag, omega.real))
+    parts = [np.stack(p, axis=1).reshape(-1, _TABLE_BLOCKS)
+             for p in pairs[:1 if real else 2]]
+
+    def rows(x: float, n0: int, n1: int) -> np.ndarray:
+        xs = np.mod(x + _orbit_phase(step, np.arange(n0, n1, _TABLE_BLOCKS),
+                                     period), period)
+        c = (coeffs[:, None] * np.exp(np.multiply.outer(
+            1j * (TWO_PI / period) * xs, freqs))).view(float).reshape(
+                4 * len(xs), -1)  # (4 spans, 2 M)
+        out = c @ parts[0]
+        if not real:
+            out = np.stack((out, c @ parts[1]), axis=-1).view(complex)[..., 0]
+        return out.reshape(4, -1)[:, :n1 - n0]
+    return rows
 
 
 @dataclass(frozen=True)
@@ -506,19 +535,18 @@ class PhaseModel:
     coefficient of the upper half of the frequencies, |k| >= K / 4, exceeds
     tol * max(1, max |G|); a refill integrates the K fill phases only, and
     past ``_PHASES_MAX`` the model is refused with ResolutionFailure.
-    ``norm_bound`` bounds ||G||_F at every phase.  The first pass also
-    integrates ``_SAMPLE_BLOCKS`` evenly spaced blocks of the run of
-    nblocks blocks, and the model is refused with ConsistencyError if it
-    misses one by more than 10 tol max(1, max |block|).  `blocks` reads
-    the run from a table of e^(i k eps j), k < K/2, built here for
-    min(``_TABLE_BLOCKS``, nblocks) blocks; G's coefficients are real
-    matrices, (8, K/2) for a complex G with their real and imaginary parts
-    apart.
+    The model is G's Fourier table over |f| < K / 2, the Nyquist term,
+    already below the tolerance, dropped, and made exactly Hermitian for a
+    real G, so that its sums stay real.  ``norm_bound`` = 2 max_r sum_f
+    |C_f| bounds ||G||_F at every phase (an entry is at most the sum of its
+    coefficients' moduli).  The first pass also integrates
+    ``_SAMPLE_BLOCKS`` evenly spaced blocks of the run of nblocks blocks,
+    and the model is refused with ConsistencyError if it misses one by more
+    than 10 tol max(1, max |block|).
     """
 
     def __init__(self, V: PeriodicPotential, W, epsilon: float, E, z: float,
                  tol: float, nblocks: int):
-        self.epsilon = epsilon
         js = np.linspace(0, nblocks - 1, _SAMPLE_BLOCKS).astype(int)
         # distinct, in order (np.unique would load numpy.ma on first use)
         js = js[np.r_[True, js[1:] != js[:-1]]]
@@ -541,28 +569,12 @@ class PhaseModel:
             G = _block_transfers(V, W, epsilon, E, z,
                                  TWO_PI / K * np.arange(K), tol)
         self.K = K
-        # G = sum over |k| < K/2 of A_k cos(k phi) + B_k sin(k phi), with
-        # A_k = C_k + C_-k and B_k = i (C_k - C_-k); the Nyquist term, already
-        # below the tolerance, is dropped so the interpolant of a real G
-        # stays real
-        pos, neg = coef[:, :K // 2], coef[:, (K - np.arange(K // 2)) % K]
-        self._cos, self._sin = pos + neg, 1j * (pos - neg)
-        self._cos[:, 0] = pos[:, 0]
+        table = np.concatenate((coef[:, K // 2 + 1:], coef[:, :K // 2]), axis=1)
         if not np.iscomplexobj(G):
-            self._cos, self._sin = self._cos.real, self._sin.real
-        # |entry of G| <= sum of its coefficients' moduli; ||G||_F <= 2 max
-        self.norm_bound = 2.0 * float(
-            (np.abs(self._cos) + np.abs(self._sin)).sum(axis=1).max())
-        # complex coefficients as real rows, their imaginary parts in rows
-        # 4-7, so that the powers' real parts are never cast to complex
-        self._parts = tuple(
-            np.concatenate((c.real, c.imag)) if np.iscomplexobj(c) else c
-            for c in (self._cos, self._sin))
-        # e^(i k eps j), k < K/2, for the blocks j of one span, as its real
-        # and imaginary parts
-        omega = _orbit_table(epsilon, np.arange(K // 2),
-                             min(_TABLE_BLOCKS, nblocks), TWO_PI)
-        self._omega = (omega.real.copy(), omega.imag.copy())
+            table = 0.5 * (table + table[:, ::-1].conj())
+        self._fourier = (np.arange(1 - K // 2, K // 2), table)
+        self.norm_bound = 2.0 * float(np.abs(table).sum(axis=1).max())
+        self._orbit = _rotation(*self._fourier, epsilon, TWO_PI)
         diff = np.abs(self(checks) - direct).max(axis=0)
         bound = 10.0 * tol * np.maximum(1.0, np.abs(direct).max(axis=0))
         bad = np.flatnonzero(diff > bound)
@@ -573,41 +585,14 @@ class PhaseModel:
                 f"{diff[i]:.3g}, above {bound[i]:.3g}")
 
     def __call__(self, phases: np.ndarray) -> np.ndarray:
-        """(4, n) rows (a, b, c, d) of G at each phase of a 1-D array:
-        one complex exponential u = e^(i phi) per phase, its powers u^k,
-        k < K/2 (`_powers`), and G = A Re(u^k) + B Im(u^k)."""
-        A, B = self._parts
-        powers = _powers(np.exp(1j * phases), np.arange(self.K // 2))
-        return self._rows(A @ powers.real + B @ powers.imag)
+        """(4, n) rows (a, b, c, d) of G at each phase of a 1-D array, the
+        table's direct sum (`_fourier_sum`)."""
+        return _fourier_sum(*self._fourier, phases, TWO_PI)
 
     def blocks(self, j0: int, j1: int) -> np.ndarray:
-        """Rows of the unit blocks j0 <= j < j1 of the run.
-
-        The blocks are taken in spans of the table's width, each from its
-        first block s.  With phi_s = eps s mod 2 pi
-        (`_orbit_phase`) and theta = eps (j - s), G =
-        sum_k A_k cos k(phi_s + theta) + B_k sin k(phi_s + theta) is
-        (A cos k phi_s + B sin k phi_s) Re(e^(i k theta)) -
-        (A sin k phi_s - B cos k phi_s) Im(e^(i k theta)): K/2 cosines and
-        sines per span, and two batched real matrix products with the table
-        of e^(i k theta) built once by the constructor.
-        """
-        (A, B), (re, im) = self._parts, self._omega
-        starts = np.arange(j0, j1, re.shape[1])
-        kphi = np.multiply.outer(_orbit_phase(self.epsilon, starts, TWO_PI),
-                                 np.arange(self.K // 2))[:, None]
-        cos, sin = np.cos(kphi), np.sin(kphi)
-        out = (A * cos + B * sin) @ re - (A * sin - B * cos) @ im
-        return self._rows(np.concatenate(out, axis=1)[:, :j1 - j0])
-
-    @staticmethod
-    def _rows(out: np.ndarray) -> np.ndarray:
-        # (8, n) real and imaginary parts of a complex G as (4, n) complex
-        if len(out) == 4:
-            return out
-        G = np.empty((4, out.shape[1]), complex)
-        G.real, G.imag = out[:4], out[4:]
-        return G
+        """Rows of the run's unit blocks j0 <= j < j1, G at eps j, by
+        `_rotation` with period 2 pi."""
+        return self._orbit(0.0, j0, j1)
 
 
 def _block_transfers(V: PeriodicPotential, W, epsilon: float, E, z: float,

@@ -231,14 +231,19 @@ def fundamental_matrix(V: PeriodicPotential, E, x0: float = 0.0, x1: float = 1.0
     if V.kind == "piecewise-constant":
         rows, err = _propagate_piecewise(V, E, x0, x1)
         (a, b, c, d), err = (r.item() for r in rows), err.item()
+        # each entry of the exact product is accurate relative to its own
+        # size, so ad - bc rounds relative to the products ad and bc, as in
+        # _discriminant_batch
+        products = abs(a * d) + abs(b * c)
     else:
         q = V.evaluator()
         (a, b, c, d), err, _ = _ode.propagate(
             q, E, x0, x1, rtol=tol, atol=tol * 1e-2
         )
+        products = 0.0
     m = np.array([[a, b], [c, d]])
-    _check_unimodular(a, b, c, d, 10.0 * max(tol, 1e-13) * max(1.0, abs(a), abs(d))
-                      + 1e4 * err)
+    _check_unimodular(a, b, c, d, 10.0 * max(tol, 1e-13)
+                      * max(1.0, abs(a), abs(d), products) + 1e4 * err)
     return FundamentalMatrix(matrix=m, energy=E, x0=x0, x1=x1,
                              tolerance_achieved=err)
 
@@ -254,13 +259,9 @@ def _check_unimodular(a, b, c, d, bound) -> None:
 
 
 def discriminant(V: PeriodicPotential, E, tol: float = 1e-10):
-    """Trace of the period map at energy E (real for real E)."""
-    if V.kind == "piecewise-constant":
-        Ev = complex(E) if isinstance(E, complex) and E.imag != 0.0 else float(np.real(E))
-        (a, _, _, d), _ = _propagate_piecewise(V, Ev, 0.0, 1.0)
-        return (a + d).item()
-    fm = fundamental_matrix(V, E, 0.0, 1.0, tol)
-    m = fm.matrix
+    """Trace of the period map at energy E (real for real E), from
+    `fundamental_matrix` and its input checks."""
+    m = fundamental_matrix(V, E, 0.0, 1.0, tol).matrix
     return m[0, 0] + m[1, 1]
 
 
@@ -847,19 +848,13 @@ class QuasiMomentumValue:
 
 
 def _acos_branch_candidates(w: complex, k_ref: complex) -> complex:
-    """Solution of cos k = w closest to k_ref among all branches."""
+    """Solution of cos k = w closest to k_ref among all branches: for each
+    sign of acos w, the lattice point 2 pi l nearest in real part."""
     p = cmath.acos(w)
-    best = None
-    best_dist = math.inf
-    for s in (1.0, -1.0):
-        base = s * p
-        l = round((k_ref.real - base.real) / TWO_PI)
-        for dl in (-1, 0, 1):
-            cand = base + TWO_PI * (l + dl)
-            dist = abs(cand - k_ref)
-            if dist < best_dist:
-                best, best_dist = cand, dist
-    return best
+    a, b = p, -p
+    a += TWO_PI * round((k_ref.real - a.real) / TWO_PI)
+    b += TWO_PI * round((k_ref.real - b.real) / TWO_PI)
+    return a if abs(a - k_ref) <= abs(b - k_ref) else b
 
 
 # _track_momentum's subdivision depth and step budget

@@ -44,6 +44,8 @@ from adiaspec.cocycle import (
     PhaseModel,
     _block_transfers,
     _conjugated,
+    _hermitian,
+    _rotation,
     unit_blocks,
 )
 from oracles import plain_cocycle, rk4_transfer, wkb_average_rate
@@ -635,6 +637,32 @@ def test_orbit_matches_the_exact_orbit_point(case, n0):
     assert err <= 1e-14
 
 
+@pytest.mark.parametrize("case", ["model", "phase-model"])
+def test_hermitian_table_rotates_in_real_arithmetic(case, V_ref, W_ref,
+                                                     E_ref):
+    # criterion 7's real model matrix and a real-E phase model's table: the
+    # rotation of a Hermitian table is real and is the real part of the
+    # complex route, which the same table takes once a zero coefficient
+    # pads it at one end; both within 1e-15 of the sum's bound
+    # 2 max_r sum_f |C_f| on ||M||_F
+    if case == "model":
+        (freqs, coeffs), step, period = (
+            model_matrix(1.25, 0, 0.75, 0).fourier, H_REF, 1.0)
+    else:
+        model = PhaseModel(V_ref, W_ref, 0.1, E_ref, 0.37, 1e-9, 5000)
+        (freqs, coeffs), step, period = model._fourier, 0.1, 2 * math.pi
+    padded = (np.arange(freqs[0], freqs[-1] + 2),
+              np.pad(coeffs, ((0, 0), (0, 1))))
+    assert _hermitian(freqs, coeffs) and not _hermitian(*padded)
+    scale = 2.0 * np.abs(coeffs).sum(axis=1).max()
+    real, full = (_rotation(*t, step, period) for t in ((freqs, coeffs),
+                                                         padded))
+    for n0 in (0, 6144, 1_000_000):
+        got, want = real(0.46, n0, n0 + CHUNK), full(0.46, n0, n0 + CHUNK)
+        assert got.dtype == float and want.dtype == complex
+        assert np.abs(got - want.real).max() <= 1e-15 * scale, n0
+
+
 def test_fourier_table_is_the_family():
     freqs, coeffs = np.array([-1, 0, 1]), np.zeros((4, 3), dtype=complex)
     coeffs[0, 1] = coeffs[3, 1] = 1.0
@@ -930,16 +958,23 @@ PHASE_SUM_CASES = {
 
 @pytest.mark.parametrize("case", sorted(PHASE_SUM_CASES))
 def test_phase_model_evaluates_its_cosine_sine_sum(case, V_ref, E_ref):
-    # G(phi) = sum over k < K/2 of A_k cos(k phi) + B_k sin(k phi), summed
-    # term by term at one phase at a time
+    # the table's direct sum against G(phi) = sum over k < K/2 of
+    # A_k cos(k phi) + B_k sin(k phi), A_k = C_k + C_-k and
+    # B_k = i (C_k - C_-k) (A_0 = C_0, B_0 = 0), summed term by term at one
+    # phase at a time; a real G has a Hermitian table and real rows
     terms, dE, K = PHASE_SUM_CASES[case]
     model = PhaseModel(V_ref, AnalyticPotential(terms, 0.5), 0.1, E_ref + dE,
                        0.37, 1e-9, 5000)
     assert model.K >= K
+    freqs, table = model._fourier
+    assert freqs.tolist() == list(range(1 - model.K // 2, model.K // 2))
+    assert _hermitian(freqs, table) == (dE == 0)
+    C = dict(zip(freqs.tolist(), table.T))
+    A = [C[0]] + [C[k] + C[-k] for k in range(1, model.K // 2)]
+    B = [0.0] + [1j * (C[k] - C[-k]) for k in range(1, model.K // 2)]
     phases = np.concatenate([np.mod(0.1 * np.arange(0, 5000, 37), 2 * math.pi),
                              [0.0, 1e-3, math.pi, 6.28, -1.3, 11.7]])
-    want = np.array([sum(model._cos[:, k] * math.cos(k * p)
-                         + model._sin[:, k] * math.sin(k * p)
+    want = np.array([sum(A[k] * math.cos(k * p) + B[k] * math.sin(k * p)
                          for k in range(model.K // 2))
                      for p in phases.tolist()]).T
     got = model(phases)

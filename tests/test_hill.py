@@ -176,6 +176,41 @@ def test_kronig_penney_closed_form_discriminant(V_kp):
         assert got == pytest.approx(want, abs=1e-10)
 
 
+@pytest.mark.parametrize("name", ["V_ref", "V_kp"])
+@pytest.mark.parametrize("E, tol", [(math.nan, 1e-10), (math.inf, 1e-10),
+                                    (1.3, -1.0), (1.3, 0.0)])
+def test_discriminant_refuses_bad_input_for_every_potential(name, E, tol,
+                                                            request):
+    # piecewise-constant V goes through fundamental_matrix's checks too
+    with pytest.raises(InvalidInputError):
+        discriminant(request.getfixturevalue(name), E, tol)
+
+
+def test_strong_barrier_discriminant_is_checked_relative_to_its_products(
+        monkeypatch):
+    # entries of ~1e7 and more, whose d - b c rounds by ~eps |a d|: the
+    # direct discriminant still returns, at real and complex E, and the
+    # band-edge polish refuses none of its calls
+    for v0 in (1500.0, 2000.0):
+        V = PeriodicPotential.piecewise([(0.0, 0.0), (0.5, v0)])
+        for E in (1.3, -50.0, 3.0 + 40.0j, 20.0 + 300.0j):
+            want = kp_discriminant([(0.0, 0.5, 0.0), (0.5, 1.0, v0)], E)
+            assert discriminant(V, E) == pytest.approx(want, rel=1e-9)
+    refused = []
+
+    def spy(*args, **kwargs):
+        try:
+            return discriminant(*args, **kwargs)
+        except ConsistencyError:
+            refused.append(args[1])
+            raise
+
+    monkeypatch.setattr(hill, "discriminant", spy)
+    bands = band_edges(PeriodicPotential.piecewise([(0.0, 0.0), (0.5, 1500.0)]),
+                       150.0)
+    assert len(bands.edges) == 4 and refused == []
+
+
 # ---------------------------------------------------------------------------
 # Chebyshev discriminant model (batched node fill)
 
@@ -717,6 +752,34 @@ def test_unpolished_edges_are_the_model_roots(name, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # quasi-momentum
+
+
+def six_candidate_branch(w: complex, k_ref: complex) -> complex:
+    """The nearest solution of cos k = w to k_ref among the lattice points
+    l - 1, l, l + 1 around the rounded one, for each sign of acos w."""
+    p, best, best_dist = cmath.acos(w), None, math.inf
+    for s in (1.0, -1.0):
+        base = s * p
+        l = round((k_ref.real - base.real) / (2 * math.pi))
+        for dl in (-1, 0, 1):
+            cand = base + 2 * math.pi * (l + dl)
+            if abs(cand - k_ref) < best_dist:
+                best, best_dist = cand, abs(cand - k_ref)
+    return best
+
+
+def test_branch_candidates_match_the_six_candidate_rule():
+    # complex w over six decades and real w around [-1, 1], where acos w
+    # has a zero part; the reprs compare signed zeros too
+    rng = np.random.default_rng(5)
+    n = 20_000
+    ws = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** \
+        rng.uniform(-3, 3, n)
+    ws[::2] = rng.uniform(-1.5, 1.5, n // 2)
+    ks = (rng.uniform(-40, 40, n) + 1j * rng.uniform(-5, 5, n))
+    for w, k in zip(ws.tolist(), ks.tolist()):
+        assert (repr(hill._acos_branch_candidates(w, k))
+                == repr(six_candidate_branch(w, k))), (w, k)
 
 
 def test_free_quasimomentum_closed_forms(V_zero):
