@@ -34,8 +34,9 @@ _OWNERS = {name: module for module, names in {
               "ResolutionFailure StallError",
     "geometry": "AnalyticPotential BandLabel GapLabel IsoEnergyGeometry "
                 "RealBranch StokesLine WindowReport analyze_window "
-                "best_window_energy branch_points complex_momentum "
-                "period_index real_branch sigma_set strip_clearance "
+                "analyze_windows best_window_energy branch_points "
+                "complex_momentum grid_geometries period_index real_branch "
+                "real_branches sigma_set strip_clearance "
                 "strip_model trace_stokes_line",
     "hill": "BandStructure ComplexDiscriminantModel DiscriminantModel "
             "FundamentalMatrix PeriodicPotential QuasiMomentumValue "

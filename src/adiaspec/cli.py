@@ -347,8 +347,8 @@ def _windows(cfg: RunConfig, bands,
             # an infeasible automatic search is an assumption failure, not
             # a malformed config; let the caller report it
             return []
-    return [geometry_mod.analyze_window(cfg.potential_w, bands, E, cfg.n, cfg.m)
-            for E in candidates]
+    return geometry_mod.analyze_windows(cfg.potential_w, bands, candidates,
+                                        cfg.n, cfg.m)
 
 
 def _no_admissible(cfg: RunConfig) -> int:
@@ -371,12 +371,6 @@ def _best(reports):
     """Admissible report with the largest margin (the first on ties), or None."""
     return max((r for r in reports if r.all_ok), key=lambda r: r.margin,
                default=None)
-
-
-def _actions(cfg: RunConfig, bands, report):
-    from . import actions as actions_mod
-    geom = geometry_mod.branch_points(cfg.potential_w, bands, report)
-    return actions_mod.compute_actions(geom, tol=cfg.tol_quad)
 
 
 # ---------------------------------------------------------------------------
@@ -409,11 +403,11 @@ def cmd_geometry(cfg: RunConfig, seed: int, energy: float | None = None) -> int:
         geom = geometry_mod.branch_points(cfg.potential_w, bands, report)
         payload["geometry"] = geom.to_dict()
         if "csv" in cfg.formats:
-            for label in geom.band_labels:
-                branch = geometry_mod.real_branch(geom, label)
-                name = str(branch.label).replace("+", "p").replace("-", "m")
-                _write_csv(cfg, seed, f"branch_{name}.csv", ["kappa", "zeta"],
-                           [[k, zv] for k, zv in branch.table()])
+            for j in range(geom.n, geom.n + geom.m + 1):
+                for branch in geometry_mod.real_branches(geom, j):
+                    name = str(branch.label).replace("+", "p").replace("-", "m")
+                    _write_csv(cfg, seed, f"branch_{name}.csv", ["kappa", "zeta"],
+                               [[k, zv] for k, zv in branch.table()])
     _write_json(cfg, seed, "geometry.json", payload)
     return EXIT_OK
 
@@ -426,13 +420,13 @@ def cmd_actions(cfg: RunConfig, seed: int) -> int:
     if not admissible:
         return _no_admissible(cfg)
     rows = []
-    for rep in admissible:
-        aset = _actions(cfg, bands, rep)
+    for geom in geometry_mod.grid_geometries(cfg.potential_w, bands, admissible):
+        aset = actions_mod.compute_actions(geom, tol=cfg.tol_quad)
         asym = actions_mod.lyapunov_asymptotic(aset, cfg.epsilons[0])
         logT_cols = {eps: actions_mod.total_T(aset, eps)[1]
                      for eps in cfg.epsilons}
         for label, s_val, _err in aset.entries:
-            row = [rep.energy, str(label), s_val]
+            row = [geom.energy, str(label), s_val]
             for eps in cfg.epsilons:
                 row.append(actions_mod.tunneling_coefficient(s_val, eps).value)
             for eps in cfg.epsilons:
@@ -561,7 +555,8 @@ def cmd_verify(cfg: RunConfig, seed: int, threads: int = 1) -> int:
     if rep is None:
         return _no_admissible(cfg)
     E = rep.energy
-    aset = _actions(cfg, bands, rep)
+    aset = actions_mod.compute_actions(
+        geometry_mod.branch_points(cfg.potential_w, bands, rep), tol=cfg.tol_quad)
     theta_asym = actions_mod.lyapunov_asymptotic(aset, cfg.epsilons[0]).theta_asym
     eps_order = sorted(cfg.epsilons, reverse=True)
 

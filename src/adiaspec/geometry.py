@@ -267,15 +267,22 @@ class WindowReport:
 def analyze_window(W: AnalyticPotential, bands: BandStructure, E: float,
                    n: int, m: int) -> WindowReport:
     """Check the three admissibility conditions of the energy window."""
-    inside, below, above = (v[..., 0].tolist() for v in
-                            _window_margins(W, bands, np.array([E]), n, m))
+    return analyze_windows(W, bands, [E], n, m)[0]
+
+
+def analyze_windows(W: AnalyticPotential, bands: BandStructure, energies,
+                    n: int, m: int) -> list[WindowReport]:
+    """``analyze_window`` at each of the energies, in order, from one
+    ``_window_margins`` pass; a1 does not depend on the energy."""
+    E = np.asarray(energies, dtype=float)
+    inside, below, above = _window_margins(W, bands, E, n, m)
     a1 = all(bands.is_gap_open(j) for j in range(max(0, n - 1), n + m + 1))
-    return WindowReport(energy=float(E), n=n, m=m,
-                        window=(E - W.w_plus, E - W.w_minus), a1_ok=a1,
-                        a2_ok=all(v > 0 for v in inside),
-                        a3_ok=below > 0 and above > 0,
-                        edge_margins=tuple(inside),
-                        outside_margins=(below, above))
+    return [WindowReport(energy=e, n=n, m=m, window=(e - W.w_plus, e - W.w_minus),
+                         a1_ok=a1, a2_ok=all(v > 0 for v in edge),
+                         a3_ok=lo > 0 and hi > 0, edge_margins=tuple(edge),
+                         outside_margins=(lo, hi))
+            for e, edge, lo, hi in zip(E.tolist(), inside.T.tolist(),
+                                       below.tolist(), above.tolist())]
 
 
 def _window_margins(W: AnalyticPotential, bands: BandStructure,
@@ -443,27 +450,51 @@ def strip_clearance(W: AnalyticPotential, bands: BandStructure,
 def branch_points(W: AnalyticPotential, bands: BandStructure,
                   report: WindowReport, *, xtol: float = 1e-12) -> IsoEnergyGeometry:
     """Solve W(zeta) = E - E_j on both monotone half-periods for every
-    in-window edge and assemble the pre-band/pre-gap families.
+    in-window edge and assemble the pre-band/pre-gap families: the one
+    report case of ``grid_geometries``."""
+    return grid_geometries(W, bands, [report], xtol=xtol)[0]
 
-    Requires an all-clear window report.  The interlacing of the branch
-    points and the tiling of one period are validated before returning.
+
+def grid_geometries(W: AnalyticPotential, bands: BandStructure, reports, *,
+                    xtol: float = 1e-12) -> tuple[IsoEnergyGeometry, ...]:
+    """``branch_points`` at every report's energy, in order.
+
+    Requires all-clear window reports of one band block (n, m), checked
+    before any solve.  The branch points of every (energy, edge) pair come
+    from one ``_invert_w`` call per half-period, whose brackets iterate
+    independently.  The interlacing of each energy's branch points and the
+    tiling of its period are validated before returning.
     """
-    if not report.all_ok:
-        raise InvalidInputError(
-            "window conditions fail; iso-energy geometry is undefined"
-        )
-    E, n, m = report.energy, report.n, report.m
-    zs = W.zeta_star
+    for rep in reports:
+        if not rep.all_ok:
+            raise InvalidInputError(
+                f"window conditions fail at E = {rep.energy!r}; iso-energy "
+                f"geometry is undefined")
+    if len({(rep.n, rep.m) for rep in reports}) > 1:
+        raise InvalidInputError("window reports of one grid need one n and m")
+    if not reports:
+        return ()
+    n, m = reports[0].n, reports[0].m
     js = range(2 * n - 1, 2 * (n + m) + 1)
-    targets = [E - bands.edge(j) for j in js]
+    energies = np.array([rep.energy for rep in reports])
+    targets = energies[:, None] - np.array([bands.edge(j) for j in js])
     zm, zp = (_invert_w(W, targets, side, xtol).tolist() for side in "-+")
+    return tuple(_geometry(W, bands, rep, js, a, b)
+                 for rep, a, b in zip(reports, zm, zp))
+
+
+def _geometry(W, bands, report, js, zm, zp) -> IsoEnergyGeometry:
+    """The geometry at one report's energy from its branch points zm, zp
+    (one per edge of js, on the '-' and '+' half-periods)."""
+    E, n, m = report.energy, report.n, report.m
+    zs, at = W.zeta_star, f"at E = {report.energy!r}"
     pts = [(j, s, z) for j, a, b in zip(js, zm, zp)
            for s, z in (("-", a), ("+", b))]
     bz = {(j, s): z for j, s, z in pts}
 
     full = [0.0] + zm + [zs] + zp[::-1] + [TWO_PI]
     if any(b <= a for a, b in zip(full, full[1:])):
-        raise ConsistencyError(f"branch points do not interlace: {full}")
+        raise ConsistencyError(f"branch points do not interlace {at}: {full}")
 
     pre_bands = []
     for j in range(n, n + m + 1):
@@ -486,12 +517,13 @@ def branch_points(W: AnalyticPotential, bands: BandStructure,
     cursor = left_end
     for a, b in pieces:
         if abs(a - cursor) > 1e-9:
-            raise ConsistencyError("pre-band/pre-gap tiling has a hole")
+            raise ConsistencyError(f"pre-band/pre-gap tiling has a hole {at}")
         cursor = b
     if abs(cursor - bz[2 * n - 1, "+"]) > 1e-9:
-        raise ConsistencyError("pre-band/pre-gap tiling does not close the period")
+        raise ConsistencyError(f"pre-band/pre-gap tiling does not close the "
+                               f"period {at}")
     if not any(a < 0.0 < b for a, b in (pre_gaps[0][1],)):
-        raise ConsistencyError("window-bottom pre-gap misses zeta = 0")
+        raise ConsistencyError(f"window-bottom pre-gap misses zeta = 0 {at}")
 
     violations = strip_clearance(W, bands, E)
     return IsoEnergyGeometry(
@@ -609,7 +641,8 @@ class RealBranch:
 
 def _invert_w(W: AnalyticPotential, targets, side: str, xtol: float):
     """zeta with W(zeta) = target on the monotone half-period of `side`
-    ('-': (0, zeta_star), '+': (zeta_star, 2 pi)), one per target."""
+    ('-': (0, zeta_star), '+': (zeta_star, 2 pi)), one per target, in the
+    targets' shape."""
     a, b = (0.0, W.zeta_star) if side == "-" else (W.zeta_star, TWO_PI)
     targets = np.asarray(targets, dtype=float)
     return bracketed_roots(lambda z, i: W.value(z) - targets[i], a, b, xtol)
@@ -617,20 +650,30 @@ def _invert_w(W: AnalyticPotential, targets, side: str, xtol: float):
 
 def real_branch(geom: IsoEnergyGeometry, label: BandLabel,
                 points: int = 512) -> RealBranch:
-    """Tabulated real branch zeta(kappa) on the pre-band `label`.
+    """Tabulated real branch zeta(kappa) on the pre-band `label`: its side
+    of ``real_branches``."""
+    return real_branches(geom, label.index, points)[{"-": 0, "+": 1}[label.side]]
+
+
+def real_branches(geom: IsoEnergyGeometry, index: int,
+                  points: int = 512) -> tuple[RealBranch, RealBranch]:
+    """Tabulated real branches zeta(kappa) on the two pre-bands of band
+    `index`, the '-' side first.
 
     Interior nodes invert the quasi-momentum on the spectral band through
-    the band scan's discriminant model (``geom.bands``), then invert
-    W on the proper half-period, all nodes at once
-    (``_numerics.bracketed_roots``); the two endpoints are taken verbatim
-    from the branch points so the table is exactly consistent with the
-    geometry.
+    the band scan's discriminant model (``geom.bands``), all nodes at once
+    (``_numerics.bracketed_roots``) and once for both sides, since both
+    half-periods of a band meet the same energies at the same kappa; each
+    side then inverts W on its half-period.  The two endpoints are taken
+    verbatim from the branch points so the table is exactly consistent
+    with the geometry.
     """
-    geom.pre_band(label)
+    labels = [BandLabel(index, side) for side in "-+"]
+    for label in labels:
+        geom.pre_band(label)
     model = geom.bands.discriminant_model()
-    j, side = label.index, label.side
-    band_lo, band_hi = geom.bands.band(j)
-    sgn = (-1.0) ** (j - 1)
+    band_lo, band_hi = geom.bands.band(index)
+    sgn = (-1.0) ** (index - 1)
 
     # Nodes cluster quadratically toward kappa = 0 and pi: the inverse map
     # k(zeta) steepens like 1/kappa there, so edge panels must shrink for
@@ -653,14 +696,17 @@ def real_branch(geom: IsoEnergyGeometry, label: BandLabel,
         target = want[inside]
         e[inside] = bracketed_roots(lambda t, i: sgn * model(t) - target[i],
                                     e_lo, e_hi, xtol=1e-14, rtol=1e-15)
-    zeta_in = _invert_w(geom.W, geom.energy - e, side, xtol=1e-13)
     # d zeta / d kappa through the chain kappa = k(E - W(zeta))
     dk_dE = -sgn * model.derivative(e) / (2.0 * np.sin(kap))
-    dE_dz = -geom.W.derivative(zeta_in)
-    zetas = np.concatenate(([geom.branch_zeta(2 * j - 1, side)], zeta_in,
-                            [geom.branch_zeta(2 * j, side)]))
-    slopes = np.concatenate(([0.0], 1.0 / (dk_dE * dE_dz), [0.0]))
-    return RealBranch(label, kg, zetas, derivatives=slopes)
+    out = []
+    for label in labels:
+        zeta_in = _invert_w(geom.W, geom.energy - e, label.side, xtol=1e-13)
+        dE_dz = -geom.W.derivative(zeta_in)
+        zetas = np.concatenate(([geom.branch_zeta(2 * index - 1, label.side)],
+                                zeta_in, [geom.branch_zeta(2 * index, label.side)]))
+        slopes = np.concatenate(([0.0], 1.0 / (dk_dE * dE_dz), [0.0]))
+        out.append(RealBranch(label, kg, zetas, derivatives=slopes))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -549,6 +549,83 @@ def test_actions_grid_fills_one_window_model(tmp_path, monkeypatch, grid):
     assert len(results) == len(csv_rows(out, "actions.csv")[1]) // 2 > 1
 
 
+@pytest.mark.parametrize("overrides", [
+    GRID,
+    {"window": {"energy_grid": "4.1 4.7 11"}},
+    {"window": {"n": "2", "energy_grid": "10 30 9"},
+     "potential_w": {"terms": "1 0.5 0.0"}},
+])
+def test_grid_window_reports_equal_one_energy_reports(tmp_path, bands_ref,
+                                                      overrides):
+    # one margin pass over the grid, bit for bit the per-energy reports
+    c = load_config(prepare(tmp_path, overrides)[0])
+    lo, hi, count = c.energy_grid
+    step = (hi - lo) / (count - 1)
+    want = [analyze_window(c.potential_w, bands_ref, lo + i * step, c.n, c.m)
+            for i in range(count)]
+    assert repr(cli._windows(c, bands_ref)) == repr(want)
+
+
+def count_w_inversions(monkeypatch):
+    """Targets' shapes of the _invert_w calls, and the number of
+    bracketed_roots solves in the geometry module."""
+    shapes, solves = [], []
+    invert, roots = geometry._invert_w, geometry.bracketed_roots
+    monkeypatch.setattr(geometry, "_invert_w", lambda W, targets, *a, **k: (
+        shapes.append(np.shape(targets)) or invert(W, targets, *a, **k)))
+    monkeypatch.setattr(geometry, "bracketed_roots", lambda *a, **k: (
+        solves.append(1) or roots(*a, **k)))
+    return shapes, solves
+
+
+@pytest.mark.parametrize("grid, count", [("4.1 4.7 11", 11), ("4.2 4.6 3", 3)])
+def test_actions_grid_inverts_w_once_per_half_period(tmp_path, monkeypatch,
+                                                     grid, count):
+    # every grid energy is admissible; its branch points come from the
+    # same two inversions, one per half-period
+    shapes, _ = count_w_inversions(monkeypatch)
+    cfg, out = prepare(tmp_path, {"window": {"energy_grid": grid}})
+    assert main(["actions", "--config", cfg]) == 0
+    assert len(csv_rows(out, "actions.csv")[1]) == 2 * count
+    assert shapes == [(count, 2), (count, 2)]
+
+
+@pytest.mark.parametrize("overrides, bands", [
+    (None, 1),
+    ({"potential_w": {"terms": "1 20.0 0.0", "strip_half_width": "0.03"},
+      "window": {"m": "1", "energy": "19.5"}}, 2),
+])
+def test_geometry_solves_each_band_energy_once(tmp_path, monkeypatch,
+                                               overrides, bands):
+    # the branch points take two inversions; each band one energy solve
+    # that its two tables share, and one inversion per table
+    shapes, solves = count_w_inversions(monkeypatch)
+    cfg, out = prepare(tmp_path, overrides)
+    assert main(["geometry", "--config", cfg]) == 0
+    assert len(list(out.glob("branch_*.csv"))) == 2 * bands
+    assert len(shapes) == 2 + 2 * bands
+    assert len(solves) - len(shapes) == bands
+
+
+def test_actions_grid_names_the_energy_whose_branch_points_fail(
+        tmp_path, monkeypatch, capsys):
+    # the third grid energy's branch points come back in reverse order:
+    # a numeric failure naming that energy, and nothing written
+    invert = geometry._invert_w
+
+    def swapped(*args, **kwargs):
+        z = invert(*args, **kwargs)
+        z[2] = z[2, ::-1]
+        return z
+
+    monkeypatch.setattr(geometry, "_invert_w", swapped)
+    cfg, out = prepare(tmp_path, {"window": {"energy_grid": "4.2 4.6 5"}})
+    assert main(["actions", "--config", cfg]) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "ConsistencyError" in err and "interlace at E = 4.4:" in err
+    assert not (out / "actions.csv").exists()
+
+
 def test_verify_fills_one_discriminant_model(tmp_path, monkeypatch):
     builds, results, _ = run_counting_fills(tmp_path, monkeypatch, "verify")
     assert builds == 1

@@ -20,21 +20,27 @@ from scipy.optimize import brentq
 
 from adiaspec import (
     AnalyticPotential,
+    BandLabel,
     BandStructure,
+    ConsistencyError,
     CoverageError,
     DegeneratePointError,
     DiscriminantModel,
     InvalidInputError,
     PathError,
+    _numerics,
     analyze_window,
+    analyze_windows,
     band_edges,
     best_window_energy,
     branch_points,
     complex_momentum,
     geometry,
+    grid_geometries,
     hill,
     period_index,
     real_branch,
+    real_branches,
     quasimomentum_main,
     sigma_set,
     strip_clearance,
@@ -502,6 +508,139 @@ def test_real_branches_share_one_model_per_band(two_band_geometry, monkeypatch):
     for br in branches:
         again = real_branch(geom, br.label, points=64)
         assert np.array_equal(again.table(), br.table())
+
+
+# ---------------------------------------------------------------------------
+# energy grids: one pass per grid, equal to the one-energy calls
+
+
+@pytest.fixture(scope="module", params=["reference", "two-band", "harmonics",
+                                        "kronig-penney"])
+def grid_case(request, W_ref, bands_ref, bands_kp):
+    """(W, bands, all-clear reports) of an energy grid: the reference grid
+    4.1 4.7 11, an m = 1 block, a three-harmonic W and a Kronig-Penney V."""
+    W, bands, energies, n, m = {
+        "reference": (W_ref, bands_ref, np.linspace(4.1, 4.7, 11), 1, 0),
+        "two-band": (AnalyticPotential.cosine(20.0, 0.03), bands_ref,
+                     np.linspace(19.48, 19.51, 4), 1, 1),
+        "harmonics": (AnalyticPotential([(1, 4.8, 0.0), (2, 0.6, 0.0),
+                                         (3, 0.1, 0.05)], 0.5),
+                      bands_ref, np.linspace(4.6, 5.2, 7), 1, 0),
+        "kronig-penney": (AnalyticPotential.cosine(5.0, 0.3), bands_kp,
+                          np.linspace(6.6, 7.1, 6), 1, 0),
+    }[request.param]
+    reports = analyze_windows(W, bands, energies, n, m)
+    assert all(r.all_ok for r in reports)
+    return W, bands, reports
+
+
+def test_grid_window_reports_equal_one_energy_reports(grid_case):
+    W, bands, reports = grid_case
+    n, m = reports[0].n, reports[0].m
+    one = [analyze_window(W, bands, r.energy, n, m) for r in reports]
+    assert repr(one) == repr(reports)
+
+
+def test_grid_branch_points_equal_one_energy_inversions(grid_case):
+    # repr of a float is exact, so equal reprs are equal bits
+    W, bands, reports = grid_case
+    geoms = grid_geometries(W, bands, reports)
+    n, m = reports[0].n, reports[0].m
+    js = range(2 * n - 1, 2 * (n + m) + 1)
+    for rep, geom in zip(reports, geoms, strict=True):
+        assert repr(geom) == repr(branch_points(W, bands, rep))
+        assert geom.strip_violations == strip_clearance(W, bands, rep.energy)
+        targets = [rep.energy - bands.edge(j) for j in js]
+        for side in "-+":
+            alone = geometry._invert_w(W, targets, side, 1e-12).tolist()
+            assert repr([geom.branch_zeta(j, side) for j in js]) == repr(alone)
+
+
+def per_label_table(geom, label, points):
+    """(zeta, d zeta / d kappa) at the nodes of one pre-band's table, with
+    its own band-energy solve: the real branch computed one label at a
+    time."""
+    model = geom.bands.discriminant_model()
+    j, side = label.index, label.side
+    band_lo, band_hi = geom.bands.band(j)
+    sgn = (-1.0) ** (j - 1)
+    kg = 0.5 * math.pi * (1.0 - np.cos(np.linspace(0.0, math.pi, points)))
+    kap = kg[1:-1]
+    want = 2.0 * np.cos(kap)
+    pad = 1e-12 * max(1.0, band_hi - band_lo)
+    e_lo, e_hi = band_lo + pad, band_hi - pad
+    f_lo = sgn * model(e_lo) - want
+    f_hi = sgn * model(e_hi) - want
+    inside = (f_lo > 0.0) & (f_hi < 0.0)
+    e = np.where(f_lo <= 0.0, e_lo, e_hi)
+    target = want[inside]
+    e[inside] = _numerics.bracketed_roots(lambda t, i: sgn * model(t) - target[i],
+                                          e_lo, e_hi, xtol=1e-14, rtol=1e-15)
+    zeta_in = geometry._invert_w(geom.W, geom.energy - e, side, xtol=1e-13)
+    dk_dE = -sgn * model.derivative(e) / (2.0 * np.sin(kap))
+    dE_dz = -geom.W.derivative(zeta_in)
+    zetas = np.concatenate(([geom.branch_zeta(2 * j - 1, side)], zeta_in,
+                            [geom.branch_zeta(2 * j, side)]))
+    return zetas, np.concatenate(([0.0], 1.0 / (dk_dE * dE_dz), [0.0]))
+
+
+@pytest.mark.parametrize("points", [512, 3000])
+def test_band_tables_equal_per_label_tables(grid_case, points):
+    # both half-periods read one band-energy solve; each table equals the
+    # one computed for its label alone, bit for bit
+    W, bands, reports = grid_case
+    geom = branch_points(W, bands, reports[len(reports) // 2])
+    for j in range(geom.n, geom.n + geom.m + 1):
+        both = real_branches(geom, j, points=points)
+        assert [br.label for br in both] == [BandLabel(j, "-"), BandLabel(j, "+")]
+        for br in both:
+            zetas, slopes = per_label_table(geom, br.label, points)
+            assert np.array_equal(br.zeta_values, zetas)
+            assert all(np.array_equal(c, want) for c, want in zip(
+                br._interp._c, _numerics.CubicHermite(br.kappa_grid, zetas,
+                                                      slopes)._c))
+            alone = real_branch(geom, br.label, points=points)
+            assert np.array_equal(alone.table(), br.table())
+    with pytest.raises(KeyError):
+        real_branches(geom, geom.n + geom.m + 1)
+    with pytest.raises(KeyError):
+        real_branch(geom, BandLabel(geom.n, ""))
+
+
+def test_grid_refuses_an_inadmissible_report_before_any_solve(
+        W_ref, bands_ref, monkeypatch):
+    good, bad = analyze_windows(W_ref, bands_ref, [4.4, 9.0], 1, 0)
+    assert good.all_ok and not bad.all_ok
+    monkeypatch.setattr(geometry, "bracketed_roots", None)
+    monkeypatch.setattr(geometry, "strip_clearance", None)
+    with pytest.raises(InvalidInputError, match=f"E = {bad.energy!r}"):
+        grid_geometries(W_ref, bands_ref, [good, bad])
+    two = analyze_window(AnalyticPotential.cosine(20.0, 0.03), bands_ref,
+                         19.5, 1, 1)
+    with pytest.raises(InvalidInputError, match="one n and m"):
+        grid_geometries(W_ref, bands_ref, [good, two])
+    assert grid_geometries(W_ref, bands_ref, []) == ()
+
+
+def swap_zetas_at(row, monkeypatch):
+    """Make _invert_w return the branch points of the energy at `row` in
+    reverse edge order."""
+    invert = geometry._invert_w
+
+    def swapped(*args, **kwargs):
+        z = invert(*args, **kwargs)
+        z[row] = z[row, ::-1]
+        return z
+
+    monkeypatch.setattr(geometry, "_invert_w", swapped)
+
+
+def test_grid_names_the_energy_whose_branch_points_fail(W_ref, bands_ref,
+                                                        monkeypatch):
+    reports = analyze_windows(W_ref, bands_ref, [4.2, 4.4, 4.6], 1, 0)
+    swap_zetas_at(1, monkeypatch)
+    with pytest.raises(ConsistencyError, match=r"interlace at E = 4\.4:"):
+        grid_geometries(W_ref, bands_ref, reports)
 
 
 # ---------------------------------------------------------------------------

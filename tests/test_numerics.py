@@ -162,8 +162,9 @@ def test_bracketed_roots_evaluate_only_open_brackets(geom_ref, monkeypatch):
         return roots
 
     monkeypatch.setattr(geometry, "bracketed_roots", spied)
-    real_branch(geom_ref, geom_ref.band_labels[0])
-    assert [len(s[5]) for s in solves] == [510, 510]
+    # band 1's energy solve, then its W inversions on both half-periods
+    geometry.real_branches(geom_ref, 1)
+    assert [len(s[5]) for s in solves] == [510, 510, 510]
     for f, lo, hi, args, kwargs, roots, (points, calls) in solves:
         assert points < 0.8 * calls * len(roots)
         for k in range(0, len(roots), 17):
