@@ -38,9 +38,13 @@ EXIT_NUMERIC = 4
 # most energies in a window.energy_grid: each admissible one costs ~2 ms
 # of actions (and any one ~46 us and ~480 B of window report)
 _ENERGY_GRID_MAX = 10_000
+# most cocycle.epsilons: each verify cell pays for one phase-model fill
+_EPSILONS_MAX = 100
 # most [stokes] starts: each trace takes up to 20,000 steps (~15-25 ms at
 # the default max_length)
 _STOKES_STARTS_MAX = 1_000
+# how far below each '-' branch point the default Stokes starts lie
+_STOKES_DEFAULT_DEPTH = 0.02
 
 # every key some command reads, by section (configparser lowercases keys:
 # [cocycle] N is "n"); any other section or key is refused, so that a typo
@@ -165,6 +169,9 @@ def load_config(path: str) -> RunConfig:
                 for t in opt("cocycle", "epsilons", "0.2 0.1 0.05").split())
     if not eps or any(e <= 0 for e in eps):
         raise ConfigError("cocycle.epsilons must be positive numbers")
+    if len(eps) > _EPSILONS_MAX:
+        raise ResolutionFailure(f"cocycle.epsilons has {len(eps)} values, above "
+                                f"the limit of {_EPSILONS_MAX}")
     periods = _positive(opt("cocycle", "periods", "200"), "cocycle.periods")
     z = _number(opt("cocycle", "z", "0.0"), "cocycle.z")
     z_samples = _int_at_least(opt("cocycle", "z_samples", "8"), 1,
@@ -449,6 +456,7 @@ def cmd_stokes(cfg: RunConfig, seed: int) -> int:
     if direction not in (1, -1):
         raise ConfigError(f"stokes.direction must be 1 or -1, got {direction}")
     max_length = _positive(cfg.stokes.get("max_length", "1.0"), "stokes.max_length")
+    Y = cfg.potential_w.strip_half_width
     starts: list[complex] = []
     for line in cfg.stokes.get("starts", "").splitlines():
         parts = line.split()
@@ -458,24 +466,31 @@ def cmd_stokes(cfg: RunConfig, seed: int) -> int:
             raise ConfigError("stokes.starts lines need: re_zeta im_zeta")
         starts.append(complex(_number(parts[0], "stokes.starts"),
                               _number(parts[1], "stokes.starts")))
+        if not abs(starts[-1].imag) < Y:
+            raise ConfigError(f"stokes.starts: {starts[-1]} lies outside the "
+                              f"strip |Im zeta| < {Y}")
     if len(starts) > _STOKES_STARTS_MAX:
         raise ResolutionFailure(f"stokes.starts has {len(starts)} starts, above "
                                 f"the limit of {_STOKES_STARTS_MAX}")
+    if not starts and not _STOKES_DEFAULT_DEPTH < Y:
+        raise ConfigError(f"the default Stokes starts lie {_STOKES_DEFAULT_DEPTH} "
+                          f"below the axis, outside the strip |Im zeta| < {Y}; "
+                          f"give stokes.starts")
     bands = _band_structure(cfg)
     rep = _best(_windows(cfg, bands))
     if rep is None:
         return _no_admissible(cfg)
+    geom = geometry_mod.branch_points(cfg.potential_w, bands, rep)
     if not starts:
         # default: just below each branch point on the left half-period
-        geom = geometry_mod.branch_points(cfg.potential_w, bands, rep)
-        starts = [complex(zv, -0.02) for j, s, zv in geom.branch_zetas
-                  if s == "-"]
+        starts = [complex(zv, -_STOKES_DEFAULT_DEPTH)
+                  for j, s, zv in geom.branch_zetas if s == "-"]
     rows = []
     traces = []
     for idx, start in enumerate(starts):
         line = geometry_mod.trace_stokes_line(
-            cfg.potential_w, bands, rep.energy, start,
-            family=family, direction=direction, max_length=max_length,
+            geom, start, family=family, direction=direction,
+            max_length=max_length,
         )
         traces.append({
             "trace": idx,
@@ -489,7 +504,7 @@ def cmd_stokes(cfg: RunConfig, seed: int) -> int:
             rows.append([idx, i, p.real, p.imag, k.real, k.imag])
     _write_csv(cfg, seed, "stokes.csv", ["trace", "node", "re_zeta", "im_zeta",
                                          "re_kappa", "im_kappa"], rows)
-    _write_json(cfg, seed, "stokes.json", {"energy": rep.energy, "family": family,
+    _write_json(cfg, seed, "stokes.json", {"energy": geom.energy, "family": family,
                                            "direction": direction, "traces": traces})
     return EXIT_OK
 
@@ -548,8 +563,13 @@ def cmd_cocycle(cfg: RunConfig, seed: int) -> int:
 def cmd_verify(cfg: RunConfig, seed: int, threads: int = 1) -> int:
     from . import actions as actions_mod
     from . import cocycle as cocycle_mod
-    # the smallest epsilon has the longest run; refuse it before the scan
-    cocycle_mod.unit_blocks(cfg.periods * 2.0 * math.pi / min(cfg.epsilons))
+    # every cell's run length, and their sum, are bounded before the scan
+    blocks = [cocycle_mod.unit_blocks(cfg.periods * 2.0 * math.pi / eps)
+              for eps in cfg.epsilons]
+    if sum(blocks) > cocycle_mod._COCYCLE_FACTORS_MAX:
+        raise ResolutionFailure(
+            f"the epsilon cells are {sum(blocks)} unit blocks in all, above "
+            f"the limit of {cocycle_mod._COCYCLE_FACTORS_MAX}")
     bands = _band_structure(cfg)
     rep = _best(_windows(cfg, bands))
     if rep is None:

@@ -482,7 +482,7 @@ def direct_lyapunov(V: PeriodicPotential, W, epsilon: float, E: float,
     s = max(1, min(64, N // 10, floor(350 / max(1, log B)))), where B =
     ``PhaseModel.norm_bound``: a fold of s blocks stays below e^350, and
     there are at least ten fold blocks, one log each in ``per_block``.
-    Theta = (sum of the logs) / N, with N bounded by
+    Theta = (sum of the logs) / N, with 10 <= N <=
     ``_COCYCLE_FACTORS_MAX`` (`unit_blocks`); the ODE work does not depend
     on N.  The standard error is the spread of slopes over ten consecutive
     segments of whole fold blocks, each its log sum over its unit-block
@@ -493,10 +493,6 @@ def direct_lyapunov(V: PeriodicPotential, W, epsilon: float, E: float,
     if not (math.isfinite(z) and cmath.isfinite(E)):
         raise InvalidInputError("z and E must be finite")
     nblocks = unit_blocks(L)
-    if nblocks < 10:
-        raise InsufficientLengthError(
-            f"L={L} gives {nblocks} unit blocks; need at least 10"
-        )
     model = PhaseModel(V, W, epsilon, E, z, tol, nblocks)
     s = max(1, min(64, nblocks // 10,
                    math.floor(350.0 / max(1.0, math.log(model.norm_bound)))))
@@ -512,9 +508,13 @@ def direct_lyapunov(V: PeriodicPotential, W, epsilon: float, E: float,
 
 
 def unit_blocks(L: float) -> int:
-    """The number of unit blocks [j, j + 1] in a run over [0, L];
-    ResolutionFailure above ``_COCYCLE_FACTORS_MAX``, before any work."""
+    """The number of unit blocks [j, j + 1] in a run over [0, L], before
+    any work: InsufficientLengthError below 10, ResolutionFailure above
+    ``_COCYCLE_FACTORS_MAX``."""
     nblocks = math.floor(L + 1e-9)
+    if nblocks < 10:
+        raise InsufficientLengthError(
+            f"L={L} gives {nblocks} unit blocks; need at least 10")
     if nblocks > _COCYCLE_FACTORS_MAX:
         raise ResolutionFailure(
             f"L={L} is {nblocks} unit blocks, above the limit of "

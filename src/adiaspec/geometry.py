@@ -28,6 +28,7 @@ from .errors import (
     DegeneratePointError,
     InvalidInputError,
     PathError,
+    ResolutionFailure,
     StallError,
 )
 from .hill import (
@@ -42,6 +43,9 @@ TWO_PI = 2.0 * math.pi
 # points of _regular_anchor's scan within pi of its x0; the first step
 # length and the step budget of trace_stokes_line
 _ANCHOR_SAMPLES, _STOKES_STEP0, _STOKES_MAX_STEPS = 257, 5e-3, 20000
+# largest Fourier frequency F of W: every extremum and strip solve finds the
+# roots of a degree-2F polynomial (~2 ms per energy at F = 16, ~0.25 s at 64)
+_W_FREQUENCY_MAX = 16
 
 
 # ---------------------------------------------------------------------------
@@ -56,8 +60,9 @@ class AnalyticPotential:
     and one non-degenerate minimum per period and translates the maximum
     to zeta = 0.  Y is the caller's statement about how far the geometry
     may be continued off the real axis; `strip_clearance` checks it against
-    the complex branch points when the geometry is built and before level
-    lines are traced.
+    the complex branch points when the geometry is built, and level lines
+    are traced only on a geometry that passes.  The largest frequency is at
+    most ``_W_FREQUENCY_MAX`` (ResolutionFailure, before any root solve).
     """
 
     def __init__(self, coefficients, strip_half_width: float):
@@ -66,6 +71,10 @@ class AnalyticPotential:
             raise InvalidInputError("potential has no oscillating Fourier mode")
         if any(f < 0 for f, _, _ in coeffs):
             raise InvalidInputError("Fourier frequencies must be nonnegative")
+        F = max(f for f, _, _ in coeffs)
+        if F > _W_FREQUENCY_MAX:
+            raise ResolutionFailure(f"slow potential frequency {F} is above "
+                                    f"the limit of {_W_FREQUENCY_MAX}")
         if not (strip_half_width > 0):
             raise InvalidInputError("strip half-width must be positive")
         self.strip_half_width = float(strip_half_width)
@@ -778,11 +787,12 @@ def strip_model(bands: BandStructure, W: AnalyticPotential, E: float,
                                     center + reach, tol)
 
 
-def trace_stokes_line(W: AnalyticPotential, bands: BandStructure, E: float,
-                      start, family: str = "kappa", direction: int = 1,
-                      max_length: float = 2.0, *, tol: float = 1e-9) -> StokesLine:
+def trace_stokes_line(geom: IsoEnergyGeometry, start, family: str = "kappa",
+                      direction: int = 1, max_length: float = 2.0, *,
+                      tol: float = 1e-9) -> StokesLine:
     """Trace the level line of Im int (kappa - shift) d zeta through `start`,
-    kappa the complex momentum of ``bands``' operator and W.
+    kappa the complex momentum of the geometry's operator (``geom.W``,
+    ``geom.bands``) at its energy.
 
     The curve solves d zeta / ds = conj(kappa(zeta) - shift) normalized to
     unit speed (shift = pi for the 'kappa-pi' family), so the level value
@@ -791,9 +801,12 @@ def trace_stokes_line(W: AnalyticPotential, bands: BandStructure, E: float,
     ``complex_momentum`` (``_continued_momentum``: straight from a real
     anchor, else by the vertical detour), then branch-tracked along the
     curve.
-    Tracing stops at the strip boundary, near a branch point, at
-    `max_length` (InvalidInputError unless positive), or when the tangent
-    field stalls.
+    A geometry with ``strip_violations``, a start outside the strip
+    |Im zeta| < Y and a `max_length` that is not positive are refused
+    (InvalidInputError), as is a start at one of ``geom.branch_zetas``
+    (DegeneratePointError).  Tracing stops at the strip boundary, near a
+    branch point (``geom.branch_zetas`` and their 2 pi translates), at
+    `max_length`, or when the tangent field stalls.
 
     The discriminant at E - W(zeta) comes from the trace's own
     ``strip_model(bands, W, E, tol)``, a bounded Chebyshev panel that
@@ -808,25 +821,23 @@ def trace_stokes_line(W: AnalyticPotential, bands: BandStructure, E: float,
         raise InvalidInputError("direction must be +1 or -1")
     if not max_length > 0:
         raise InvalidInputError(f"max_length must be positive, got {max_length}")
-    violations = strip_clearance(W, bands, E)
-    if violations:
-        raise InvalidInputError(
-            f"strip of half-width {W.strip_half_width} contains complex branch "
-            f"points: {violations}; shrink the declared strip"
-        )
-    shift = math.pi if family == "kappa-pi" else 0.0
+    W, bands, E = geom.W, geom.bands, geom.energy
     Y = W.strip_half_width
+    if geom.strip_violations:
+        raise InvalidInputError(
+            f"strip of half-width {Y} contains complex branch "
+            f"points: {geom.strip_violations}; shrink the declared strip"
+        )
     z0 = complex(start)
-
-    # branch points of this energy, with 2 pi translates, for stop radius
-    targets = [E - e for e in bands.edges if W.w_minus < E - e < W.w_plus]
-    stops: list[complex] = [
-        complex(r + shift2, 0.0)
-        for side in ("-", "+") for r in _invert_w(W, targets, side, xtol=1e-12)
-        for shift2 in (-TWO_PI, 0.0, TWO_PI)
-    ]
+    if not abs(z0.imag) < Y:
+        raise InvalidInputError(
+            f"start {z0} lies outside the strip |Im zeta| < {Y}")
+    shift = math.pi if family == "kappa-pi" else 0.0
+    # the branch points of this energy with their 2 pi translates
+    stops = [complex(z + s, 0.0) for _, _, z in geom.branch_zetas
+             for s in (-TWO_PI, 0.0, TWO_PI)]
     r_stop = max(1e3 * bands.edge_tol, 1e-7)
-    if stops and min(abs(z0 - s) for s in stops) < r_stop:
+    if min(abs(z0 - s) for s in stops) < r_stop:
         raise DegeneratePointError(
             "cannot start a level line at a branch point"
         )
@@ -877,7 +888,7 @@ def trace_stokes_line(W: AnalyticPotential, bands: BandStructure, E: float,
         if abs(pts[-1].imag) >= Y:
             reason = "strip-boundary"
             break
-        if stops and min(abs(pts[-1] - s) for s in stops) < r_stop:
+        if min(abs(pts[-1] - s) for s in stops) < r_stop:
             reason = "branch-point"
             break
         h = min(h, max_length - length + 1e-12)

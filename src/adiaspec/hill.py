@@ -21,7 +21,6 @@ from __future__ import annotations
 import cmath
 import copy
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,12 +168,6 @@ class FundamentalMatrix:
     energy: complex
     x0: float
     x1: float
-    tolerance_achieved: float
-
-    @property
-    def det(self) -> complex:
-        m = self.matrix
-        return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
 
 def _propagate_piecewise(V: PeriodicPotential, E, x0: float, x1: float):
@@ -244,8 +237,7 @@ def fundamental_matrix(V: PeriodicPotential, E, x0: float = 0.0, x1: float = 1.0
     m = np.array([[a, b], [c, d]])
     _check_unimodular(a, b, c, d, 10.0 * max(tol, 1e-13)
                       * max(1.0, abs(a), abs(d), products) + 1e4 * err)
-    return FundamentalMatrix(matrix=m, energy=E, x0=x0, x1=x1,
-                             tolerance_achieved=err)
+    return FundamentalMatrix(matrix=m, energy=E, x0=x0, x1=x1)
 
 
 def _check_unimodular(a, b, c, d, bound) -> None:
@@ -346,9 +338,9 @@ class DiscriminantModel:
 
     An array of energies is summed in one Clenshaw recurrence over all its
     points, each with the coefficients of its own panel (zero-padded to the
-    highest degree), in chunks of ``_ode.CHUNK`` points; values are bit for
-    bit those of the panel's ``Chebyshev`` at the point, which a single
-    real energy calls directly.
+    highest degree), in chunks of ``_ode.CHUNK`` points, and a single
+    energy the same way; values are bit for bit those of the panel's
+    ``Chebyshev`` at the point.
     """
 
     def __init__(self, V: PeriodicPotential, lo: float, hi: float, *,
@@ -429,13 +421,6 @@ class DiscriminantModel:
             )
 
     def __call__(self, E):
-        if isinstance(E, float):
-            # one real energy (np.float64 too): the same range check and
-            # clipped panel choice as _sum, without the array machinery
-            self._check_range(E, E)
-            i = min(max(bisect_right(self._bounds, E) - 1, 0),
-                    len(self._panels) - 1)
-            return float(self._panels[i](E))
         return self._sum(self._coef, E)
 
     def _sum(self, coef: np.ndarray, E):

@@ -720,6 +720,9 @@ def test_point_values_of_w_skip_the_array_path(tmp_path, monkeypatch, command):
     ("starts", "0.1 -0.02 7"),
     ("max_length", "0"),
     ("max_length", "-3"),
+    # on or beyond the declared strip |Im zeta| < 0.5
+    ("starts", "1.0 0.5"),
+    ("starts", "1.0 -0.02\n    2.0 -1.5"),
 ])
 def test_stokes_malformed_section_exits_before_band_scan(tmp_path, capsys,
                                                          monkeypatch, key,
@@ -758,6 +761,39 @@ def test_stokes_start_on_a_branch_point_exits_input(tmp_path, capsys,
     cfg, out = prepare(tmp_path, {"stokes": {"starts": f"{z!r} 0.0"}})
     assert main(["stokes", "--config", cfg]) == 2
     assert "branch point" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("starts", [None, "1.0 -0.02\n    4.0 0.1"])
+def test_stokes_builds_one_geometry_for_all_traces(tmp_path, monkeypatch,
+                                                    starts):
+    # the branch points take two inversions and the strip one check; the
+    # traces read their stops and the strip verdict from that geometry
+    shapes, _ = count_w_inversions(monkeypatch)
+    checks = []
+    clearance = geometry.strip_clearance
+    monkeypatch.setattr(geometry, "strip_clearance", lambda *a, **k: (
+        checks.append(1) or clearance(*a, **k)))
+    overrides = {"stokes": {"max_length": "0.05"}}
+    if starts is not None:
+        overrides["stokes"]["starts"] = starts
+    cfg, out = prepare(tmp_path, overrides)
+    assert main(["stokes", "--config", cfg]) == 0
+    assert len(load_json(out, "stokes.json")["result"]["traces"]) == 2
+    assert shapes == [(1, 2), (1, 2)]
+    assert len(checks) == 1
+
+
+def test_default_stokes_starts_outside_a_thin_strip_exit_input(tmp_path, capsys,
+                                                               monkeypatch):
+    # the default starts lie 0.02 below the axis
+    def no_scan(*args, **kwargs):
+        raise AssertionError("band scan ran before the starts were checked")
+
+    monkeypatch.setattr(hill, "band_edges", no_scan)
+    cfg, out = prepare(tmp_path, {"potential_w": {"strip_half_width": "0.02"}})
+    assert main(["stokes", "--config", cfg]) == 2
+    assert "give stokes.starts" in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 
@@ -902,6 +938,62 @@ def test_oversized_verify_exits_numeric_before_the_band_scan(tmp_path, capsys,
     assert err.startswith("numeric failure: ResolutionFailure")
     assert "unit blocks" in err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("cocycle_keys, error, match", [
+    # 0.2 periods at epsilon 0.5 is 2 unit blocks
+    ({"periods": "0.2"}, "InsufficientLengthError", "need at least 10"),
+    # 5e5 periods: 5.2M and 6.3M unit blocks, each below the 1e7 limit
+    ({"periods": "5e5"}, "ResolutionFailure", "in all, above the limit"),
+])
+def test_verify_cells_are_bounded_before_the_band_scan(
+        tmp_path, capsys, monkeypatch, cocycle_keys, error, match):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("band scan started before the cells were "
+                             "bounded")
+
+    monkeypatch.setattr(hill, "band_edges", no_scan)
+    cfg, out = prepare(tmp_path, {"cocycle": cocycle_keys})
+    assert main(["verify", "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"numeric failure: {error}")
+    assert match in err
+    assert list(out.iterdir()) == []
+
+
+def test_overlong_epsilon_list_exits_numeric_before_any_work(tmp_path, capsys,
+                                                             monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("band scan started before the epsilons were "
+                             "counted")
+
+    monkeypatch.setattr(hill, "band_edges", no_scan)
+    epsilons = " ".join(repr(0.5 + 0.001 * i) for i in range(101))
+    cfg, out = prepare(tmp_path, {"cocycle": {"epsilons": epsilons}})
+    assert main(["verify", "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ResolutionFailure")
+    assert "cocycle.epsilons has 101 values" in err
+    assert not out.exists()
+    # 100 epsilons pass the count
+    fewer = epsilons[:epsilons.rindex(" ")]
+    cfg, _ = prepare(tmp_path, {"cocycle": {"epsilons": fewer}})
+    assert len(load_config(cfg).epsilons) == 100
+
+
+def test_high_frequency_w_exits_numeric_before_the_band_scan(tmp_path, capsys,
+                                                             monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("band scan started before W was bounded")
+
+    monkeypatch.setattr(hill, "band_edges", no_scan)
+    cfg, out = prepare(tmp_path, {"potential_w": {
+        "terms": "\n    1 4.8 0.0\n    1024 1e-9 0.0"}})
+    assert main(["bands", "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ResolutionFailure")
+    assert "frequency 1024" in err
+    assert not out.exists()
 
 
 def test_cocycle_without_model_section_exits_input_error(tmp_path, capsys):

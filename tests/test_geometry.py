@@ -28,6 +28,7 @@ from adiaspec import (
     DiscriminantModel,
     InvalidInputError,
     PathError,
+    ResolutionFailure,
     _numerics,
     analyze_window,
     analyze_windows,
@@ -165,6 +166,21 @@ def test_evaluator_matches_value_bit_for_bit():
     got = np.array([w(a).real for a in x.tolist()])
     want = np.array([W.value(a) for a in x.tolist()])
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_slow_potential_frequency_is_bounded_before_any_root_solve(
+        monkeypatch):
+    # F = 17 would take a degree-34 companion solve per extremum search and
+    # per edge of every strip check; refused before the first one
+    def no_roots(*args, **kwargs):
+        raise AssertionError("companion solve before the frequency check")
+
+    monkeypatch.setattr(np, "roots", no_roots)
+    with pytest.raises(ResolutionFailure, match="frequency 17 is above"):
+        AnalyticPotential([(1, 4.8, 0.0), (17, 1e-9, 0.0)], 0.5)
+    monkeypatch.undo()
+    W = AnalyticPotential([(1, 4.8, 0.0), (16, 1e-9, 0.0)], 0.5)
+    assert W.w_plus > W.w_minus
 
 
 # ---------------------------------------------------------------------------
@@ -647,25 +663,24 @@ def test_grid_names_the_energy_whose_branch_points_fail(W_ref, bands_ref,
 # level lines
 
 
-def test_level_drift_stays_below_budget(W_ref, bands_ref, E_ref, geom_ref):
+def test_level_drift_stays_below_budget(geom_ref):
     _, (lo, hi) = geom_ref.pre_gaps[1]
     start = complex(0.5 * (lo + hi) + 0.2, 0.12)
     for family in ("kappa", "kappa-pi"):
         for direction in (1, -1):
-            line = trace_stokes_line(W_ref, bands_ref, E_ref, start,
-                                     family=family, direction=direction,
-                                     max_length=1.5)
+            line = trace_stokes_line(geom_ref, start, family=family,
+                                     direction=direction, max_length=1.5)
             assert line.reason in ("max-length", "strip-boundary")
             assert line.length > 0.1
             assert line.level_drift() < 1e-6 * line.length
 
 
 def test_level_line_to_the_strip_edge_falls_back_to_the_scalar_route(
-        W_ref, bands_ref, E_ref, monkeypatch):
+        W_ref, E_ref, geom_ref, monkeypatch):
     # this line climbs to |Im (E - W)| = 2.5, where the complex model hands
     # its points to the scalar integrator; forcing every point there must
     # give the same trace within the tracer's own accuracy
-    args = (W_ref, bands_ref, E_ref, complex(0.3, 0.15))
+    args = (geom_ref, complex(0.3, 0.15))
     kw = dict(family="kappa-pi", direction=-1, max_length=1.5)
     line = trace_stokes_line(*args, **kw)
     assert line.reason == "strip-boundary"
@@ -681,12 +696,17 @@ def test_level_line_to_the_strip_edge_falls_back_to_the_scalar_route(
     assert np.max(np.abs(scalar.kappa - line.kappa)) < 1e-6
 
 
-def test_stokes_step_evaluates_the_discriminant_twelve_times(V_zero,
+def pre_band_midpoint(geom):
+    (_, (lo, hi)), _ = geom.pre_bands
+    return 0.5 * (lo + hi)
+
+
+def test_stokes_step_evaluates_the_discriminant_twelve_times(geom_ref,
                                                              monkeypatch):
-    # on the real axis the line is straight, no step is rejected, and the
-    # set-up before the first step does not depend on max_length
-    bands = band_edges(V_zero, 42.0)
-    W = AnalyticPotential.cosine(0.5, 0.5)
+    # on a pre-band kappa is real, so the line runs straight along the real
+    # axis, no step is rejected, and the set-up before the first step does
+    # not depend on max_length
+    start = pre_band_midpoint(geom_ref)
     calls = []
     real = hill.ComplexDiscriminantModel.__call__
     monkeypatch.setattr(hill.ComplexDiscriminantModel, "__call__",
@@ -694,7 +714,7 @@ def test_stokes_step_evaluates_the_discriminant_twelve_times(V_zero,
     counts = []
     for length in (0.4, 0.8):
         calls.clear()
-        line = trace_stokes_line(W, bands, 2.0, 1.0, max_length=length)
+        line = trace_stokes_line(geom_ref, start, max_length=length)
         counts.append((len(calls), len(line.steps)))
     (c1, n1), (c2, n2) = counts
     assert n2 > n1
@@ -706,8 +726,7 @@ def test_piecewise_level_line_solves_the_closed_form_dispersion(bands_kp):
     E = best_window_energy(W, bands_kp, 1, 0)
     geom = branch_points(W, bands_kp, analyze_window(W, bands_kp, E, 1, 0))
     z1m = geom.branch_zetas[0][2]
-    line = trace_stokes_line(W, bands_kp, E, complex(z1m, -0.02),
-                             max_length=1.0)
+    line = trace_stokes_line(geom, complex(z1m, -0.02), max_length=1.0)
     assert line.reason == "max-length"
     assert line.fallbacks == 0
     assert line.level_drift() < 1e-6 * line.length
@@ -717,11 +736,11 @@ def test_piecewise_level_line_solves_the_closed_form_dispersion(bands_kp):
         assert abs(np.cos(k) - half_trace) < 1e-9 * max(1.0, abs(half_trace))
 
 
-def test_level_values_agree_with_trapezoid(W_ref, bands_ref, E_ref, geom_ref):
+def test_level_values_agree_with_trapezoid(geom_ref):
     # cruder independent quadrature over the same polyline
     _, (lo, hi) = geom_ref.pre_gaps[1]
     start = complex(0.5 * (lo + hi) + 0.2, 0.12)
-    line = trace_stokes_line(W_ref, bands_ref, E_ref, start, max_length=1.0)
+    line = trace_stokes_line(geom_ref, start, max_length=1.0)
     zs = np.empty(2 * len(line.points) - 1, dtype=complex)
     fs = np.empty_like(zs)
     zs[::2], zs[1::2] = line.points, line.mids
@@ -730,28 +749,25 @@ def test_level_values_agree_with_trapezoid(W_ref, bands_ref, E_ref, geom_ref):
     assert drift < 3e-5 * line.length
 
 
-def test_free_level_line_stays_on_real_axis(V_zero):
-    bands = band_edges(V_zero, 42.0)
-    W = AnalyticPotential.cosine(0.5, 0.5)
-    line = trace_stokes_line(W, bands, 2.0, 1.0, max_length=0.8)
+def test_pre_band_level_line_stays_on_real_axis(geom_ref):
+    line = trace_stokes_line(geom_ref, pre_band_midpoint(geom_ref),
+                             max_length=0.8)
     assert line.reason == "max-length"
     assert np.all(np.imag(line.points) == 0.0)
 
 
-def test_vertical_line_under_odd_branch_point(W_ref, bands_ref, E_ref,
-                                              geom_ref):
+def test_vertical_line_under_odd_branch_point(geom_ref):
     z1m = geom_ref.branch_zetas[0][2]
-    line = trace_stokes_line(W_ref, bands_ref, E_ref,
-                             complex(z1m, -0.02), direction=-1,
+    line = trace_stokes_line(geom_ref, complex(z1m, -0.02), direction=-1,
                              max_length=1.0)
     assert line.reason == "strip-boundary"
     assert np.all(np.diff(np.imag(line.points)) < 0.0)
 
 
-def test_tracer_rejects_degenerate_start(W_ref, bands_ref, E_ref, geom_ref):
+def test_tracer_rejects_degenerate_start(geom_ref):
     z1m = geom_ref.branch_zetas[0][2]
     with pytest.raises(DegeneratePointError):
-        trace_stokes_line(W_ref, bands_ref, E_ref, complex(z1m, 0.0))
+        trace_stokes_line(geom_ref, complex(z1m, 0.0))
 
 
 def test_trace_starts_at_complex_momentum(W_ref, bands_ref, E_ref, geom_ref):
@@ -759,29 +775,38 @@ def test_trace_starts_at_complex_momentum(W_ref, bands_ref, E_ref, geom_ref):
     starts = [complex(z, -0.02) for _, _, z in geom_ref.branch_zetas]
     starts += [complex(1.0, 0.3), complex(4.0, -0.4)]
     for start in starts:
-        line = trace_stokes_line(W_ref, bands_ref, E_ref, start,
-                                 max_length=0.01, tol=1e-9)
+        line = trace_stokes_line(geom_ref, start, max_length=0.01, tol=1e-9)
         want = complex_momentum(W_ref, bands_ref, E_ref, start, tol=1e-9)
         assert line.points[0] == start
         assert abs(line.kappa[0] - want) <= 1e-12
 
 
-def test_tracer_rejects_bad_arguments(W_ref, bands_ref, E_ref):
-    with pytest.raises(InvalidInputError):
-        trace_stokes_line(W_ref, bands_ref, E_ref, 1.0 + 0.1j, family="nope")
-    with pytest.raises(InvalidInputError):
-        trace_stokes_line(W_ref, bands_ref, E_ref, 1.0 + 0.1j, direction=0)
+def test_tracer_rejects_bad_arguments(geom_ref):
+    with pytest.raises(InvalidInputError, match="family"):
+        trace_stokes_line(geom_ref, 1.0 + 0.1j, family="nope")
+    with pytest.raises(InvalidInputError, match="direction"):
+        trace_stokes_line(geom_ref, 1.0 + 0.1j, direction=0)
     for length in (0.0, -3.0):
         with pytest.raises(InvalidInputError, match="max_length"):
-            trace_stokes_line(W_ref, bands_ref, E_ref, 1.0 + 0.1j,
-                              max_length=length)
+            trace_stokes_line(geom_ref, 1.0 + 0.1j, max_length=length)
+
+
+@pytest.mark.parametrize("start", [1.0 + 0.6j, 1.0 + 3.0j, 2.0 - 1.5j,
+                                   1.0 + 0.5j])
+def test_tracer_rejects_a_start_outside_the_strip(geom_ref, start):
+    # kappa there would be continued past the declared strip |Im zeta| < 0.5
+    with pytest.raises(InvalidInputError, match="outside the strip"):
+        trace_stokes_line(geom_ref, start)
 
 
 def test_strip_clearance_blocks_wide_strips(bands_ref, E_ref):
     wide = AnalyticPotential.cosine(4.8, 1.0)
-    assert strip_clearance(wide, bands_ref, E_ref)
-    with pytest.raises(InvalidInputError):
-        trace_stokes_line(wide, bands_ref, E_ref, 1.0 + 0.1j, max_length=0.1)
+    geom = branch_points(wide, bands_ref,
+                         analyze_window(wide, bands_ref, E_ref, 1, 0))
+    assert geom.strip_violations == strip_clearance(wide, bands_ref, E_ref)
+    assert geom.strip_violations
+    with pytest.raises(InvalidInputError, match="contains complex branch"):
+        trace_stokes_line(geom, 1.0 + 0.1j, max_length=0.1)
 
 
 def test_strip_clearance_clean_for_reference(W_ref, bands_ref, E_ref,

@@ -12,6 +12,7 @@ import math
 import time
 import warnings
 import weakref
+from bisect import bisect_right
 
 import mpmath
 import numpy as np
@@ -283,7 +284,11 @@ def test_unresolved_panels_are_refilled_at_twice_the_degree(V_ref, monkeypatch):
     Es = np.linspace(-2.5, 45.5, 41)
     scalar = np.array([discriminant(V_ref, float(e), tol=1e-12) for e in Es])
     assert np.max(np.abs(model(Es) - scalar)) < 1e-10
-    # the array path sums the zero-padded degree-16 panels bit for bit
+    # the array path sums the zero-padded degree-16 panels bit for bit, as
+    # each panel's own Chebyshev does; a single energy takes the same path
+    panels = [model._panels[min(bisect_right(model._bounds, e) - 1, 7)]
+              for e in Es.tolist()]
+    assert np.array_equal(model(Es), [p(e) for p, e in zip(panels, Es)])
     assert np.array_equal(model(Es), [model(float(e)) for e in Es])
 
 
