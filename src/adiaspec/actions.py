@@ -166,60 +166,48 @@ def _action(model, geom, label: GapLabel,
     if not b > a:
         raise InvalidInputError(f"pre-gap {label} has no interior")
     im_kappa = _im_kappa_factory(model, geom, label)
+    if side not in ("+i0", "-i0"):
+        raise InvalidInputError(f"side must be '+i0' or '-i0', got {side!r}")
+    # '+i0': Im kappa(zeta + i0) by adaptive Gauss-Kronrod; '-i0': the
+    # mirrored Im kappa(zeta - i0) = -Im kappa(zeta + i0) by Gauss-Legendre
+    # doubling, its sign flipped back
+    sign = 1.0 if side == "+i0" else -1.0
     mid = 0.5 * (a + b)
-    if side == "+i0":
-        total, err = 0.0, 0.0
-        # left half: zeta = a + u^2; right half: zeta = b - u^2
-        for edge, sgn in ((a, 1.0), (b, -1.0)):
-            ulim = math.sqrt(abs(mid - edge))
-            val, e = gauss_kronrod(
-                lambda u: 2.0 * u * im_kappa(edge + sgn * u * u), 0.0, ulim,
-                epsabs=1e-12 * scale, epsrel=1e-11 * scale, limit=200)
-            total += val
-            err += e
-        return 2.0 * total, 2.0 * err
-    if side == "-i0":
-        # Im kappa(zeta - i0) = -Im kappa(zeta + i0); integrate the mirrored
-        # boundary value with nested Gauss-Legendre instead of Gauss-Kronrod
-        def mirrored(u, edge, sgn):
-            return 2.0 * u * (-im_kappa(edge + sgn * u * u))
-
-        total, err = 0.0, 0.0
-        for edge, sgn in ((a, 1.0), (b, -1.0)):
-            ulim = math.sqrt(abs(mid - edge))
-            val, e = _gauss_doubling(lambda u: mirrored(u, edge, sgn), 0.0, ulim,
-                                     rtol=1e-12 * scale)
-            total += val
-            err += e
-        return -2.0 * total, 2.0 * err
-    raise InvalidInputError(f"side must be '+i0' or '-i0', got {side!r}")
+    total, err = 0.0, 0.0
+    # left half: zeta = a + u^2; right half: zeta = b - u^2
+    for edge, sgn in ((a, 1.0), (b, -1.0)):
+        f = lambda u: 2.0 * u * (sign * im_kappa(edge + sgn * u * u))
+        ulim = math.sqrt(abs(mid - edge))
+        val, e = (gauss_kronrod(f, 0.0, ulim, epsabs=1e-12 * scale,
+                                epsrel=1e-11 * scale, limit=200) if sign > 0
+                  else _gauss_doubling(f, 0.0, ulim, rtol=1e-12 * scale))
+        total += val
+        err += e
+    return 2.0 * sign * total, 2.0 * err
 
 
 def _gauss_doubling(f, a: float, b: float, rtol: float = 1e-12,
                     max_level: int = 10) -> tuple[float, float]:
     """Composite Gauss-Legendre with panel doubling until two levels agree
     to rtol * max(1, |total|); ConvergenceFailure if they still do not
-    after ``max_level`` levels.  A tolerance within a few ulps of the
-    total is out of reach: an exact tie of two levels there is rounding,
-    not convergence, and never counts."""
+    after ``max_level`` levels.  f takes all 16 * 2^level nodes of a level
+    as one 1-D array.  A tolerance within a few ulps of the total is out of
+    reach: an exact tie of two levels there is rounding, not convergence,
+    and never counts."""
     nodes, weights = np.polynomial.legendre.leggauss(16)
-    results: list[float] = []
-    diff = math.inf
+    previous, diff = None, math.inf
     for level in range(max_level):
-        panels = 2 ** level
-        total = 0.0
-        edges = np.linspace(a, b, panels + 1)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (hi - lo)
-            center = 0.5 * (hi + lo)
-            total += half * sum(w * f(center + half * x)
-                                for x, w in zip(nodes, weights))
-        results.append(total)
-        if len(results) >= 2:
-            diff = abs(results[-1] - results[-2])
+        edges = np.linspace(a, b, 2 ** level + 1)
+        half = 0.5 * (edges[1:] - edges[:-1])
+        center = 0.5 * (edges[1:] + edges[:-1])
+        values = f((center[:, None] + half[:, None] * nodes).ravel())
+        total = float(np.sum(half * (values.reshape(-1, 16) @ weights)))
+        if previous is not None:
+            diff = abs(total - previous)
             bound = rtol * max(1.0, abs(total))
             if bound > 4.0 * math.ulp(total) and diff <= bound:
-                return results[-1], diff
+                return total, diff
+        previous = total
     raise ConvergenceFailure(
         f"Gauss-Legendre doubling on [{a}, {b}] still changes by {diff:.3g} "
         f"after {max_level} levels, above rtol {rtol:.3g}", achieved=diff)

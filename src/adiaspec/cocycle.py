@@ -81,7 +81,8 @@ class MatrixFamily:
     M(z) = sum_f C_f e^(2 pi i f z); `orbit` rotates the table along the
     shift, and the family's evaluator is its direct sum at one z.  An
     evaluator alone takes a real z and returns a (2, 2) complex array, and
-    the family is evaluated point by point.  Periodicity is spot-checked
+    the family is evaluated point by point, at the orbit phases the table
+    rotation reads (`_orbit_phase`).  Periodicity is spot-checked
     at construction; families of kind 'model-M0' are additionally checked
     for the conjugation symmetry between the two rows on real z.
     """
@@ -144,10 +145,11 @@ class MatrixFamily:
         """The factors along the shift z -> z + h: a function of (z, n0,
         n1) that returns the (4, n1 - n0) rows of M(z + n h), n0 <= n < n1,
         by the Fourier table's `_rotation` (period 1), or for a family given
-        by an evaluator at each (z + n h) mod 1 (`rows`)."""
+        by an evaluator at each (z + (n h mod 1)) mod 1 (`rows`), n h reduced
+        by `_orbit_phase` as in the table's rotation."""
         if self.fourier is None:
             return lambda z, n0, n1: self.rows(
-                (z + np.arange(n0, n1) * h) % 1.0)
+                np.mod(z + _orbit_phase(h, np.arange(n0, n1)), 1.0))
         return _rotation(*self.fourier, h)
 
 

@@ -591,25 +591,31 @@ def _continued_momentum(W, bands, E, z: complex, delta_of, tol: float) -> comple
 
 
 def _regular_anchor(W, bands, E, x0: float, tol: float) -> float:
-    """Real zeta near x0 whose local energy sits well inside a band."""
+    """Real zeta near x0 whose local energy sits well inside a band: the
+    first best of a scan whose energies are classified at once, by the
+    rules of ``bands.locate(e, atol=100 * tol)``."""
     grid = x0 + np.linspace(-math.pi, math.pi, _ANCHOR_SAMPLES)
-    w = W.evaluator()
-    best, best_score = None, -math.inf
-    for z in grid.tolist():
-        e = E - w(z).real
-        loc = bands.locate(e, atol=100 * tol)
-        if loc[0] != "band":
-            continue
-        lo, hi = bands.band(loc[1])
-        score = min(e - lo, hi - e) - 0.05 * abs(z - x0)
-        if score > best_score:
-            best, best_score = z, score
-    if best is None:
+    e = E - W.value(grid)
+    if not bands.edges:
+        raise CoverageError("no edges resolved")
+    edges = np.asarray(bands.edges)
+    # pos edges lie strictly below e; an odd count puts e inside band
+    # (pos + 1) // 2, unless it is within the snap of its nearer edge
+    pos = np.searchsorted(edges, e)
+    snap = np.minimum(np.abs(e - edges[np.maximum(pos - 1, 0)]),
+                      np.abs(e - edges[np.minimum(pos, len(edges) - 1)]))
+    inside = (pos % 2 == 1) & (snap > 100 * tol) & (e <= bands.ceiling)
+    if not inside.any():
         raise PathError(
             f"no regular anchor found near zeta = {x0}: the local energy "
             f"leaves every resolved band"
         )
-    return best
+    z, e, n = grid[inside], e[inside], (pos[inside] + 1) // 2
+    # a band cut off by the ceiling has no top: CoverageError, as band(n)
+    bands.band(int(n.max()))
+    score = (np.minimum(e - edges[2 * n - 2], edges[2 * n - 1] - e)
+             - 0.05 * np.abs(z - x0))
+    return float(z[np.argmax(score)])
 
 
 # ---------------------------------------------------------------------------
@@ -695,8 +701,7 @@ def real_branches(geom: IsoEnergyGeometry, index: int,
     want = 2.0 * np.cos(kap)
     pad = 1e-12 * max(1.0, band_hi - band_lo)
     e_lo, e_hi = band_lo + pad, band_hi - pad
-    f_lo = sgn * model(e_lo) - want
-    f_hi = sgn * model(e_hi) - want
+    f_lo, f_hi = sgn * model(np.array([e_lo, e_hi]))[:, None] - want
     # nodes whose target the model misses inside the padded band are
     # clamped to the nearer end
     inside = (f_lo > 0.0) & (f_hi < 0.0)

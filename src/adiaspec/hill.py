@@ -512,8 +512,9 @@ class ComplexDiscriminantModel:
         eta * sum_{n <= N} rho^n + sum_{N < n <= degree} |c_n| rho^n,
 
     with rho the parameter of the Bernstein ellipse through the energy, N
-    the kept degree, eta the coefficient error implied by node_tol and the
-    dropped coefficients c_n as the tail.  Where the bound exceeds
+    the kept degree, eta = 2 node_tol mean_k max(1, |Delta_k|) the
+    coefficient error implied by node_tol at the nodes x_k and the dropped
+    coefficients c_n as the tail.  Where the bound exceeds
     tol * max(1, |value|), as above the scan's reach, the scalar
     ``discriminant`` at `tol` is returned instead and counted in
     ``fallbacks``.  A panel that has not reached its plateau at degree 256
@@ -539,9 +540,11 @@ class ComplexDiscriminantModel:
             coef = _interpolation_coefficients(values, x)
             keep = _chop(coef, model.node_tol)
             if keep <= degree:
-                # interpolation coefficients are node sums weighted by
-                # |T_n| <= 1, so each is off by at most twice the node error
-                eta = 2.0 * model.node_tol * max(1.0, float(np.max(np.abs(values))))
+                # each coefficient is a node sum with weights
+                # (2 / (degree + 1)) T_n(x_k), |T_n| <= 1: off by at most
+                # twice the mean node error node_tol max(1, |Delta_k|)
+                eta = 2.0 * model.node_tol * float(
+                    np.mean(np.maximum(1.0, np.abs(values))))
                 self._coef = coef[:keep].tolist()
                 self._weights = [eta] * keep + np.abs(coef[keep:]).tolist()
                 return
@@ -657,12 +660,10 @@ class BandStructure:
         if E > self.ceiling:
             return ("above",)
         pos = int(np.searchsorted(np.asarray(self.edges), E))
-        # pos edges lie strictly below E
+        # pos edges lie strictly below E: an odd count is inside a band,
+        # past an odd edge count the one cut off by the ceiling
         if pos % 2 == 1:
             return ("band", (pos + 1) // 2)
-        if pos == len(self.edges):
-            # past the last resolved edge but under the ceiling
-            return ("band", (pos + 1) // 2) if len(self.edges) % 2 == 1 else ("gap", pos // 2)
         return ("gap", pos // 2)
 
 
@@ -735,8 +736,8 @@ def band_edges(V: PeriodicPotential, ceiling: float, tol: float = 1e-10) -> Band
     its flag False; it replaces the simple roots its double root splits
     into, those within 1e-4 max(1, |d|) of d.  Each simple root r then
     takes one Newton step on the adaptive integrator's f = trace^2 - 4
-    with the model's slope, kept where it moves r by less than
-    100 max(tol, 1e-12) max(1, |r|).
+    with the model's slope (all slopes in one read), kept where it moves r
+    by less than 100 max(tol, 1e-12) max(1, |r|).
     """
     vmin = V.min_value()
     start = vmin - 1e-3 * (1.0 + abs(vmin))
@@ -779,22 +780,22 @@ def band_edges(V: PeriodicPotential, ceiling: float, tol: float = 1e-10) -> Band
             doubles.append(d)
     simple = [r for r in simple if not any(near(r, d) for d in doubles)]
 
-    def polish(r: float) -> float:
+    def polish(r: float, dt: float) -> float:
         # one Newton step on the direct f = trace^2 - 4 from the model root
-        # r, with the model's slope; a step that leaves the window
-        # r +- w, where a direct root is sought, keeps r
+        # r, with the model's slope dt of the trace; a step that leaves the
+        # window r +- w, where a direct root is sought, keeps r
         w = 100.0 * max(tol, 1e-12) * max(1.0, abs(r))
         try:
             t = discriminant(V, r, tol)
         except ConsistencyError:
             return r
-        slope = 2.0 * t * model.derivative(r)
+        slope = 2.0 * t * dt
         if slope == 0.0 or not math.isfinite(slope):
             return r
         s = (t * t - 4.0) / slope
         return float(r - s) if abs(s) < w else r
 
-    simple = sorted(polish(r) for r in simple)
+    simple = sorted(map(polish, simple, model.derivative(np.array(simple))))
     merged: list[float] = []
     for r in simple:
         if merged and abs(r - merged[-1]) <= max(tol, 1e-12):

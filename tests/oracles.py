@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 
+import mpmath
 import numpy as np
 
 
@@ -78,6 +79,25 @@ def oracle_discriminant(V, E, steps: int = 4000):
     if np.all(np.isreal(np.asarray(E))):
         return np.real(tr) if np.ndim(tr) else float(np.real(tr))
     return tr
+
+
+def mp_discriminant(V, E, dps=25):
+    """Trace of the period map by mpmath's Taylor-series ODE solver at dps
+    digits: independent of DOPRI5, DOP853 and the RK4 oracle.  Real E gives a
+    float, complex E a complex."""
+    with mpmath.workdps(dps):
+        terms = [(2 * mpmath.pi * f, mpmath.mpf(c), mpmath.mpf(s))
+                 for f, c, s in V.coefficients]
+        kind = complex if isinstance(E, complex) else float
+        E = mpmath.mpmathify(E)
+
+        def rhs(x, y):
+            w = sum(c * mpmath.cos(om * x) + s * mpmath.sin(om * x)
+                    for om, c, s in terms) - E
+            return [y[1], w * y[0], y[3], w * y[2]]
+
+        y = mpmath.odefun(rhs, 0, [1, 0, 0, 1])(1)
+        return kind(y[0] + y[3])
 
 
 # ---------------------------------------------------------------------------

@@ -69,8 +69,8 @@ def test_cross_check_side_refuses_an_unreachable_tolerance(geom_ref):
 
 
 def test_cross_check_side_refuses_a_tolerance_below_rounding(geom_ref):
-    # as above on g0, whose levels 1 and 2 tie exactly: at rtol 1e-18 an
-    # exact tie of rounded sums must not pass for convergence
+    # as above on g0, whose left half ties exactly at levels 4 and 5: at
+    # rtol 1e-18 an exact tie of rounded sums must not pass for convergence
     label = geom_ref.gap_labels[0]
     with pytest.raises(ConvergenceFailure, match="after 10 levels"):
         tunneling_action(geom_ref, label, side="-i0", tol=1e-16)
@@ -81,8 +81,20 @@ def test_gauss_doubling_raises_when_levels_keep_changing():
     # above rtol after ten levels, whatever the rounding
     with pytest.raises(ConvergenceFailure, match="after 10 levels"):
         actions_mod._gauss_doubling(lambda u: abs(u - 1.0 / 3.0), 0.0, 1.0)
-    value, err = actions_mod._gauss_doubling(math.exp, 0.0, 1.0)
+    value, err = actions_mod._gauss_doubling(np.exp, 0.0, 1.0)
     assert abs(value - (math.e - 1.0)) <= 1e-14 and err <= 1e-12
+
+
+def test_cross_check_side_reads_the_model_once_per_rule_level(
+        W_ref, bands_ref, geom_ref):
+    # each half-interval's rule reads all 16 * 2^level nodes of a level in
+    # one call: two gaps, two halves, two levels each on the reference
+    model = window_model(bands_ref, W_ref, geom_ref.energy)
+    counted = _RipplingModel(model, ripple=0.0)
+    acts = compute_actions(geom_ref, side="-i0", model=counted)
+    assert counted.reads <= 10
+    assert acts.total_action == pytest.approx(
+        compute_actions(geom_ref).total_action, rel=1e-12)
 
 
 def test_actions_against_brute_force_oracle(V_ref, W_ref, bands_ref, E_ref,
@@ -112,14 +124,16 @@ def test_quadrature_converged_in_tolerance(geom_ref):
 class _RipplingModel:
     """A window model with a small ripple on the discriminant, so the
     quadrature must subdivide to resolve it; counts the energies it is
-    evaluated at (one per scalar call, one per element of an array)."""
+    evaluated at (one per scalar call, one per element of an array) in
+    `calls` and the calls themselves in `reads`."""
 
-    def __init__(self, model):
-        self.model, self.calls = model, 0
+    def __init__(self, model, ripple: float = 1e-6):
+        self.model, self.ripple, self.calls, self.reads = model, ripple, 0, 0
 
     def __call__(self, E):
         self.calls += np.size(E)
-        return self.model(E) * (1.0 + 1e-6 * np.sin(200.0 * E))
+        self.reads += 1
+        return self.model(E) * (1.0 + self.ripple * np.sin(200.0 * E))
 
 
 @pytest.mark.parametrize("side", ["+i0", "-i0"])

@@ -637,6 +637,18 @@ def test_orbit_matches_the_exact_orbit_point(case, n0):
     assert err <= 1e-14
 
 
+@pytest.mark.parametrize("n0", [10**6, 5 * 10**6])
+def test_evaluator_family_reads_the_orbit_at_the_tables_phases(n0):
+    # a Herman family wrapped as an evaluator is read at the orbit phases
+    # the table's rotation reads, n h reduced exactly (`_orbit_phase`);
+    # (z + n h) mod 1 put its rows ~1e-9 off at n0 = 5e6
+    table = ORBIT_FAMILIES["herman-n0=1-m_amp=0.1"]
+    wrapped = MatrixFamily(kind="user-table", evaluator=table.evaluator)
+    want = table.orbit(H_REF)(0.46, n0, n0 + 256)
+    got = wrapped.orbit(H_REF)(0.46, n0, n0 + 256)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("case", ["model", "phase-model"])
 def test_hermitian_table_rotates_in_real_arithmetic(case, V_ref, W_ref,
                                                      E_ref):

@@ -49,7 +49,7 @@ from adiaspec import (
     trace_stokes_line,
 )
 
-from oracles import chebyshev_discriminant, kp_discriminant
+from oracles import chebyshev_discriminant, kp_discriminant, mp_discriminant
 
 TWO_PI = 2.0 * math.pi
 
@@ -361,6 +361,75 @@ def test_off_axis_momentum_detours_vertically_around_a_refused_path(
     assert a1 == a0 and z0 == z2 == z
     assert way == w2 == complex(a0.real, z.imag)
     assert abs(detour - straight) < 1e-12
+
+
+def anchor_by_locate(W, bands, E, x0: float, tol: float):
+    """The regular anchor point by point: the first best score among the
+    scan points whose local energy ``bands.locate`` puts in a band."""
+    grid = x0 + np.linspace(-math.pi, math.pi, geometry._ANCHOR_SAMPLES)
+    w = W.evaluator()
+    best, best_score = None, -math.inf
+    for z in grid.tolist():
+        e = E - w(z).real
+        loc = bands.locate(e, atol=100 * tol)
+        if loc[0] != "band":
+            continue
+        lo, hi = bands.band(loc[1])
+        score = min(e - lo, hi - e) - 0.05 * abs(z - x0)
+        if score > best_score:
+            best, best_score = z, score
+    return best
+
+
+@pytest.mark.parametrize("amplitude, E", [(4.8, 4.4), (7.0, 2.86), (20.0, 19.5)])
+def test_regular_anchor_classifies_its_scan_without_locate(
+        bands_ref, amplitude, E, monkeypatch):
+    # the 257 scan energies are classified in one pass, by locate's rules
+    W = AnalyticPotential.cosine(amplitude, 0.5)
+    x0s = np.linspace(-2.0, 8.0, 9).tolist()
+    want = [anchor_by_locate(W, bands_ref, E, x0, 1e-10) for x0 in x0s]
+    assert None not in want
+    calls = []
+    real = BandStructure.locate
+    monkeypatch.setattr(BandStructure, "locate",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    got = [geometry._regular_anchor(W, bands_ref, E, x0, 1e-10) for x0 in x0s]
+    assert calls == []
+    assert got == want
+
+
+def test_regular_anchor_refuses_a_cut_off_band_and_an_empty_scan(V_ref, W_ref):
+    # below a ceiling of 6 band 1 has no top; at E = 12 every local energy
+    # is above the ceiling
+    low = band_edges(V_ref, 6.0)
+    with pytest.raises(CoverageError, match="band 1 not fully below"):
+        geometry._regular_anchor(W_ref, low, 5.0, 0.0, 1e-10)
+    with pytest.raises(PathError, match="no regular anchor"):
+        geometry._regular_anchor(W_ref, low, 12.0, 0.0, 1e-10)
+
+
+def test_strip_panel_keeps_a_wide_window_off_the_scalar_route(
+        V_ref, bands_ref, monkeypatch):
+    # W = 7 cos at its best n = 1 energy, at Im zeta = 0.1: the panel is
+    # good to ~2e-13, and a node error taken as the mean over the nodes
+    # keeps the bound under tol at most reads (the largest |Delta| at a
+    # node sent 80 of them to the scalar integrator); the bound still
+    # covers the panel's error against mpmath
+    W = AnalyticPotential.cosine(7.0, 0.5)
+    E = best_window_energy(W, bands_ref, 1, 0)
+    panels = []
+    real = geometry.strip_model
+    monkeypatch.setattr(geometry, "strip_model",
+                        lambda *a: panels.append(real(*a)) or panels[-1])
+    for x in np.linspace(0.3, 6.0, 7):
+        complex_momentum(W, bands_ref, E, complex(x, 0.1))
+    assert sum(p.fallbacks for p in panels) <= 8
+    w = W.evaluator()
+    for x in (0.3, 2.2):
+        e = E - w(complex(x, 0.1))
+        value, bound = panels[0].bound(e)
+        assert bound <= 1e-10 * max(1.0, abs(value))
+        assert abs(value - mp_discriminant(V_ref, e, dps=20)) <= bound
 
 
 @pytest.mark.parametrize("side", ["off-axis", "upper"])

@@ -14,7 +14,6 @@ import warnings
 import weakref
 from bisect import bisect_right
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +43,7 @@ from adiaspec import (
 from oracles import (
     kp_band_edges,
     kp_discriminant,
+    mp_discriminant,
     oracle_discriminant,
     oracle_fundamental,
 )
@@ -214,25 +214,6 @@ def test_strong_barrier_discriminant_is_checked_relative_to_its_products(
 
 # ---------------------------------------------------------------------------
 # Chebyshev discriminant model (batched node fill)
-
-
-def mp_discriminant(V, E, dps=25):
-    """Trace of the period map by mpmath's Taylor-series ODE solver at dps
-    digits: independent of DOPRI5, DOP853 and the RK4 oracle.  Real E gives a
-    float, complex E a complex."""
-    with mpmath.workdps(dps):
-        terms = [(2 * mpmath.pi * f, mpmath.mpf(c), mpmath.mpf(s))
-                 for f, c, s in V.coefficients]
-        kind = complex if isinstance(E, complex) else float
-        E = mpmath.mpmathify(E)
-
-        def rhs(x, y):
-            w = sum(c * mpmath.cos(om * x) + s * mpmath.sin(om * x)
-                    for om, c, s in terms) - E
-            return [y[1], w * y[0], y[3], w * y[2]]
-
-        y = mpmath.odefun(rhs, 0, [1, 0, 0, 1])(1)
-        return kind(y[0] + y[3])
 
 
 def test_model_fill_crosses_a_chunk_and_matches_scalar_and_oracle(
@@ -415,6 +396,22 @@ def test_polish_keeps_the_model_root_without_a_direct_step(V_ref, bands_ref,
     assert all(type(r) is float for r in roots)
     assert bands_ref.edges[3:] == roots[3:]
     assert all(e != r for e, r in zip(bands_ref.edges[:3], roots[:3]))
+
+
+def test_polish_reads_every_slope_in_one_model_call(V_ref, bands_ref,
+                                                    monkeypatch):
+    # the model's slopes at the five simple edges below 45 come from one
+    # array read before the Newton steps, and the edges stay as they were
+    sizes = []
+    real = DiscriminantModel.derivative
+
+    def counted(self, E):
+        sizes.append(np.size(E))
+        return real(self, E)
+
+    monkeypatch.setattr(DiscriminantModel, "derivative", counted)
+    assert band_edges(V_ref, 45.0).edges == bands_ref.edges
+    assert sizes == [5]
 
 
 def test_band_model_keeps_band_accuracy_on_a_strong_potential():
