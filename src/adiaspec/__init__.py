@@ -19,8 +19,7 @@ __version__ = "0.1.0"
 # public name -> the module that defines it
 _OWNERS = {name: module for module, names in {
     "actions": "ActionSet AsymptoticLyapunov Coefficient action_with_error "
-               "coefficient_magnitude_window compute_actions "
-               "lyapunov_asymptotic total_T tunneling_action "
+               "compute_actions lyapunov_asymptotic total_T tunneling_action "
                "tunneling_coefficient window_model",
     "cocycle": "CocycleSpec ConjugationReport LyapunovEstimate MatrixFamily "
                "SmallDenominatorWarning cocycle_lyapunov "
@@ -36,11 +35,10 @@ _OWNERS = {name: module for module, names in {
                 "RealBranch StokesLine WindowReport analyze_window "
                 "analyze_windows best_window_energy branch_points "
                 "complex_momentum grid_geometries period_index real_branch "
-                "real_branches sigma_set strip_clearance "
-                "strip_model trace_stokes_line",
+                "real_branches strip_clearance strip_model trace_stokes_line",
     "hill": "BandStructure ComplexDiscriminantModel DiscriminantModel "
             "FundamentalMatrix PeriodicPotential QuasiMomentumValue "
-            "band_edges bloch_floquet discriminant fundamental_matrix "
+            "band_edges discriminant fundamental_matrix "
             "quasimomentum_main",
 }.items() for name in names.split()}
 

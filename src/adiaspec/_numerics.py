@@ -5,7 +5,8 @@
   array-valued models.
 * ``gauss_kronrod``: globally adaptive 10-point Gauss / 21-point Kronrod
   quadrature, the QK21 rule and error estimate of QUADPACK (Piessens et
-  al., 1983), bisecting the subinterval with the largest error.
+  al., 1983), on many intervals at once: their first panels in one
+  integrand call, then the subinterval with the largest error bisected.
 * ``CubicHermite``: piecewise cubic Hermite interpolation with given
   slopes.
 """
@@ -123,16 +124,14 @@ _G[1:10:2] = _WG
 GAUSS_WEIGHTS = np.concatenate([_G[:-1], _G[::-1]])
 
 
-def qk21(f, a: float, b: float) -> tuple[float, float]:
-    """(K21 value, QUADPACK error estimate) of f on [a, b].
+def _kronrod_sums(fv, half: float) -> tuple[float, float]:
+    """(K21 value, QUADPACK error estimate) of a panel of half-width `half`
+    from the integrand's values fv at its 21 nodes.
 
-    f takes the 21 nodes as one array.  The error is |K - G| scaled as in
-    dqk21: resasc min(1, (200 |K - G| / resasc)^1.5), with resasc the
-    K21 integral of |f - mean f|, and floored at 50 eps times the
-    integral of |f|.
+    The error is |K - G| scaled as in dqk21: resasc min(1, (200 |K - G| /
+    resasc)^1.5), with resasc the K21 integral of |f - mean f|, and
+    floored at 50 eps times the integral of |f|.
     """
-    center, half = 0.5 * (a + b), 0.5 * (b - a)
-    fv = np.asarray(f(center + half * KRONROD_NODES), dtype=float)
     resk = float(KRONROD_WEIGHTS @ fv)
     resg = float(GAUSS_WEIGHTS @ fv)
     resabs = float(KRONROD_WEIGHTS @ np.abs(fv)) * abs(half)
@@ -145,15 +144,40 @@ def qk21(f, a: float, b: float) -> tuple[float, float]:
     return resk * half, err
 
 
-def gauss_kronrod(f, a: float, b: float, epsabs: float, epsrel: float,
-                  limit: int = 200) -> tuple[float, float]:
-    """(integral, error estimate) of f over [a, b] by adaptive QK21.
+def _qk21(f, i, a: float, b: float) -> tuple[float, float]:
+    """``_kronrod_sums`` of interval i's subinterval [a, b]."""
+    center, half = 0.5 * (a + b), 0.5 * (b - a)
+    return _kronrod_sums(
+        np.asarray(f(center + half * KRONROD_NODES, i), dtype=float), half)
 
-    The subinterval with the largest error is bisected until the summed
-    error is at most max(epsabs, epsrel |integral|).  ConvergenceFailure
-    once `limit` subintervals have not reached it.
+
+def gauss_kronrod(f, a, b, epsabs: float, epsrel: float,
+                  limit: int = 200) -> list[tuple[float, float]]:
+    """(integral, error estimate) of f over each interval [a_i, b_i] by
+    adaptive QK21; a and b broadcast, read flat.
+
+    f(u, i) takes points u and the index i of their intervals, as in
+    ``bracketed_roots``: first i is ``...`` and u holds the 21 nodes of
+    every interval's first panel, one row each; then i is one interval
+    and u 21 of its nodes.  While an interval's summed error exceeds
+    max(epsabs, epsrel |integral|), its subinterval with the largest
+    error is bisected; ConvergenceFailure once `limit` subintervals have
+    not reached it.
     """
-    value, err = qk21(f, a, b)
+    a, b = (np.ravel(v) for v in np.broadcast_arrays(
+        np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
+    center, half = 0.5 * (a + b), 0.5 * (b - a)
+    fv = np.asarray(f(center[:, None] + half[:, None] * KRONROD_NODES, ...),
+                    dtype=float)
+    return [_bisect(f, i, float(a[i]), float(b[i]),
+                    *_kronrod_sums(fv[i], float(half[i])),
+                    epsabs=epsabs, epsrel=epsrel, limit=limit)
+            for i in range(len(a))]
+
+
+def _bisect(f, i, a: float, b: float, value: float, err: float, *,
+            epsabs: float, epsrel: float, limit: int) -> tuple[float, float]:
+    """Interval i of ``gauss_kronrod`` from its first panel's (value, err)."""
     # heap of (-error, a, b, value) over the current subintervals
     heap = [(-err, a, b, value)]
     total, total_err = value, err
@@ -165,8 +189,8 @@ def gauss_kronrod(f, a: float, b: float, epsabs: float, epsrel: float,
                 f"epsrel {epsrel:.3g} |S|)", achieved=total_err)
         neg_err, lo, hi, val = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        v1, e1 = qk21(f, lo, mid)
-        v2, e2 = qk21(f, mid, hi)
+        v1, e1 = _qk21(f, i, lo, mid)
+        v2, e2 = _qk21(f, i, mid, hi)
         heapq.heappush(heap, (-e1, lo, mid, v1))
         heapq.heappush(heap, (-e2, mid, hi, v2))
         total += v1 + v2 - val

@@ -99,27 +99,30 @@ def window_model(bands: BandStructure, W: AnalyticPotential,
     return bands.discriminant_model().reaching(E_lo - W.w_plus)
 
 
-def _im_kappa_factory(model: DiscriminantModel, geom, label: GapLabel):
-    """Integrand Im kappa(zeta + i0) on the pre-gap, with branch validation;
-    zeta is one point or an array of points.
+def _im_kappa_factory(model: DiscriminantModel, geom, labels):
+    """Integrand Im kappa(zeta + i0) on pre-gaps, with branch validation:
+    im_kappa(zeta, i) takes points zeta of the pre-gaps labels[i], with i
+    an index into `labels` or ``...`` and one row of zeta per label.
 
     The local energy must stay in the spectral gap carrying the label's
     index (below the spectrum for index 0) at every point; leaving it
     means the wrong branch or a broken geometry, not a quadrature problem.
     """
     E, W = geom.energy, geom.W
-    gap_lo, gap_hi = geom.bands.gap(label.index)
+    gap_lo, gap_hi = np.array([geom.bands.gap(lab.index) for lab in labels]).T
     slack = 1e-9 * max(1.0, abs(E))
 
-    def im_kappa(zeta):
+    def im_kappa(zeta, i):
         loc_E = E - W.value(zeta)
-        outside = np.logical_not((gap_lo - slack <= loc_E)
-                                 & (loc_E <= gap_hi + slack))
+        outside = np.logical_not((gap_lo[i, None] - slack <= loc_E)
+                                 & (loc_E <= gap_hi[i, None] + slack))
         if np.any(outside):
             k = np.flatnonzero(outside)[0]
+            j = np.broadcast_to(np.arange(len(labels))[i, None],
+                                outside.shape).flat[k]
             raise BranchSelectionError(
                 f"local energy {np.ravel(loc_E)[k]} left spectral gap "
-                f"{label.index} [{gap_lo}, {gap_hi}] at "
+                f"{labels[j].index} [{gap_lo[j]}, {gap_hi[j]}] at "
                 f"zeta={np.ravel(zeta)[k]}; wrong side or geometry"
             )
         half = np.abs(model(loc_E)) / 2.0
@@ -150,40 +153,53 @@ def action_with_error(geom: IsoEnergyGeometry, label: GapLabel,
     """(S, quadrature error) of one pre-gap, as ``tunneling_action``."""
     if label not in geom.gap_labels:
         raise InvalidInputError(f"{label} is not a pre-gap of this geometry")
-    return _action(window_model(geom.bands, geom.W, geom.energy), geom,
-                   label, side, tol)
+    [result] = _actions(window_model(geom.bands, geom.W, geom.energy), geom,
+                        [label], side, tol)
+    return result
 
 
-def _action(model, geom, label: GapLabel,
-            side: str, tol: float) -> tuple[float, float]:
-    """(S, quadrature error) of one pre-gap through a window model."""
+def _actions(model, geom, labels, side: str,
+             tol: float) -> list[tuple[float, float]]:
+    """(S, quadrature error) of each pre-gap of `labels` through a window
+    model."""
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidInputError(f"quadrature tol must be positive, got {tol}")
     # the quadrature tolerances below are their values at the default
     # tol = 1e-10, where scale is exactly 1.0 (0.1 * 1e-10 is not 1e-11)
     scale = tol / 1e-10
-    a, b = geom.pre_gap(label)
-    if not b > a:
-        raise InvalidInputError(f"pre-gap {label} has no interior")
-    im_kappa = _im_kappa_factory(model, geom, label)
+    # both halves of every pre-gap, left zeta = a + u^2 and right
+    # zeta = b - u^2: (edge, sign of u^2, end of u)
+    halves = []
+    for label in labels:
+        a, b = geom.pre_gap(label)
+        if not b > a:
+            raise InvalidInputError(f"pre-gap {label} has no interior")
+        mid = 0.5 * (a + b)
+        halves += [(edge, sgn, math.sqrt(abs(mid - edge)))
+                   for edge, sgn in ((a, 1.0), (b, -1.0))]
     if side not in ("+i0", "-i0"):
         raise InvalidInputError(f"side must be '+i0' or '-i0', got {side!r}")
-    # '+i0': Im kappa(zeta + i0) by adaptive Gauss-Kronrod; '-i0': the
-    # mirrored Im kappa(zeta - i0) = -Im kappa(zeta + i0) by Gauss-Legendre
-    # doubling, its sign flipped back
+    edge, sgn, ulim = (np.array(c) for c in zip(*halves))
+    im_kappa = _im_kappa_factory(model, geom, [lab for lab in labels
+                                               for _ in (0, 1)])
+    # '+i0': Im kappa(zeta + i0) by adaptive Gauss-Kronrod, every half's
+    # first panel in one read; '-i0': the mirrored Im kappa(zeta - i0) =
+    # -Im kappa(zeta + i0) by Gauss-Legendre doubling per half, its sign
+    # flipped back
     sign = 1.0 if side == "+i0" else -1.0
-    mid = 0.5 * (a + b)
-    total, err = 0.0, 0.0
-    # left half: zeta = a + u^2; right half: zeta = b - u^2
-    for edge, sgn in ((a, 1.0), (b, -1.0)):
-        f = lambda u: 2.0 * u * (sign * im_kappa(edge + sgn * u * u))
-        ulim = math.sqrt(abs(mid - edge))
-        val, e = (gauss_kronrod(f, 0.0, ulim, epsabs=1e-12 * scale,
-                                epsrel=1e-11 * scale, limit=200) if sign > 0
-                  else _gauss_doubling(f, 0.0, ulim, rtol=1e-12 * scale))
-        total += val
-        err += e
-    return 2.0 * sign * total, 2.0 * err
+
+    def f(u, i):
+        zeta = edge[i, None] + sgn[i, None] * u * u
+        return 2.0 * u * (sign * im_kappa(zeta, i))
+
+    if sign > 0:
+        parts = gauss_kronrod(f, 0.0, ulim, epsabs=1e-12 * scale,
+                              epsrel=1e-11 * scale, limit=200)
+    else:
+        parts = [_gauss_doubling(lambda u: f(u, i), 0.0, float(ulim[i]),
+                                 rtol=1e-12 * scale) for i in range(len(ulim))]
+    return [(2.0 * sign * (v1 + v2), 2.0 * (e1 + e2))
+            for (v1, e1), (v2, e2) in zip(parts[::2], parts[1::2])]
 
 
 def _gauss_doubling(f, a: float, b: float, rtol: float = 1e-12,
@@ -221,10 +237,9 @@ def compute_actions(geom: IsoEnergyGeometry, side: str = "+i0",
     window), else ``window_model`` at this energy."""
     if model is None:
         model = window_model(geom.bands, geom.W, geom.energy)
-    entries = []
-    for label in geom.gap_labels:
-        s, e = _action(model, geom, label, side, tol)
-        entries.append((label, s, e))
+    entries = [(label, s, e) for label, (s, e) in
+               zip(geom.gap_labels,
+                   _actions(model, geom, geom.gap_labels, side, tol))]
     total = sum(v for _, v, _ in entries)
     return ActionSet(energy=geom.energy, entries=tuple(entries),
                      total_action=total)
@@ -276,12 +291,3 @@ def lyapunov_asymptotic(actions: ActionSet, epsilon: float) -> AsymptoticLyapuno
     return AsymptoticLyapunov(energy=actions.energy, theta_asym=via_total,
                               per_gap=per_gap)
 
-
-def coefficient_magnitude_window(T: float, C: float) -> tuple[float, float]:
-    """Admissible magnitude window [1/(C T), C/T] for the dominant model
-    coefficients, given the total tunneling coefficient T."""
-    if not T > 0:
-        raise InvalidInputError("T must be positive")
-    if not C > 1:
-        raise InvalidInputError("C must exceed 1")
-    return 1.0 / (C * T), C / T

@@ -414,7 +414,7 @@ def cmd_geometry(cfg: RunConfig, seed: int, energy: float | None = None) -> int:
                 for branch in geometry_mod.real_branches(geom, j):
                     name = str(branch.label).replace("+", "p").replace("-", "m")
                     _write_csv(cfg, seed, f"branch_{name}.csv", ["kappa", "zeta"],
-                               [[k, zv] for k, zv in branch.table()])
+                               branch.table().tolist())
     _write_json(cfg, seed, "geometry.json", payload)
     return EXIT_OK
 
@@ -500,7 +500,8 @@ def cmd_stokes(cfg: RunConfig, seed: int) -> int:
             "level_drift": line.level_drift(),
             "fallbacks": line.fallbacks,
         })
-        for i, (p, k) in enumerate(zip(line.points, line.kappa)):
+        for i, (p, k) in enumerate(zip(line.points.tolist(),
+                                       line.kappa.tolist())):
             rows.append([idx, i, p.real, p.imag, k.real, k.imag])
     _write_csv(cfg, seed, "stokes.csv", ["trace", "node", "re_zeta", "im_zeta",
                                          "re_kappa", "im_kappa"], rows)

@@ -817,8 +817,8 @@ def trace_stokes_line(geom: IsoEnergyGeometry, start, family: str = "kappa",
     ``strip_model(bands, W, E, tol)``, a bounded Chebyshev panel that
     falls back to the scalar integrator wherever its error bound exceeds
     `tol`; ``fallbacks`` counts those points.  Each accepted step
-    evaluates it 12 times: every point is evaluated once, and the end of
-    a step serves the start of the next.
+    evaluates it 11 times: the end of a step carries its tangent into the
+    next step's first stage, and the full step does not read its end.
     """
     if family not in ("kappa", "kappa-pi"):
         raise InvalidInputError(f"unknown family {family!r}")
@@ -865,21 +865,20 @@ def trace_stokes_line(geom: IsoEnergyGeometry, start, family: str = "kappa",
             raise StallError("tangent field vanished (level line terminates)")
         return direction * u / mag, k
 
-    def rk4_step(p: complex, d: complex, k_ref: complex, h: float):
-        # classic RK4 on the unit field from p, where the discriminant is d;
-        # returns the end point with its momentum and discriminant
-        f1, k1 = tangent(d, k_ref)
+    def rk4_step(p: complex, t1, h: float, end: bool = True):
+        # classic RK4 on the unit field from p, whose (tangent, momentum)
+        # is t1; returns the end point and, if `end`, its (tangent, momentum)
+        f1, k1 = t1
         f2, _ = tangent(delta_of(p + 0.5 * h * f1), k1)
         f3, _ = tangent(delta_of(p + 0.5 * h * f2), k1)
         f4, _ = tangent(delta_of(p + h * f3), k1)
         p_new = p + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-        d_new = delta_of(p_new)
-        _, k_new = tangent(d_new, k1)
-        return p_new, k_new, d_new
+        return p_new, tangent(delta_of(p_new), k1) if end else None
 
     pts = [z0]
     ks = [complex(k_cur)]
-    d_cur = delta_of(z0)
+    d0 = delta_of(z0)
+    t_cur = None  # (tangent, momentum) at pts[-1], carried from its step
     mids: list[complex] = []
     mid_ks: list[complex] = []
     hs: list[float] = []
@@ -897,12 +896,15 @@ def trace_stokes_line(geom: IsoEnergyGeometry, start, family: str = "kappa",
             reason = "branch-point"
             break
         h = min(h, max_length - length + 1e-12)
-        p0, k0c = pts[-1], ks[-1]
+        p0 = pts[-1]
         try:
-            # one full step and two half steps
-            full, _, _ = rk4_step(p0, d_cur, k0c, h)
-            half1, k_half, d_half = rk4_step(p0, d_cur, k0c, h / 2.0)
-            half2, k_end, d_end = rk4_step(half1, d_half, k_half, h / 2.0)
+            t_cur = t_cur or tangent(d0, ks[-1])
+            # one full step and two half steps, all from t_cur; the full
+            # step's stage-4 tangent checks the momentum jump across h, so
+            # its end is not read
+            full, _ = rk4_step(p0, t_cur, h, end=False)
+            half1, t_half = rk4_step(p0, t_cur, h / 2.0)
+            half2, t_end = rk4_step(half1, t_half, h / 2.0)
         except (PathError, StallError) as exc:
             if h > 1e-9:
                 h /= 2.0
@@ -917,10 +919,10 @@ def trace_stokes_line(geom: IsoEnergyGeometry, start, family: str = "kappa",
                 break
             continue
         pts.append(half2)
-        ks.append(k_end)
-        d_cur = d_end
+        ks.append(t_end[1])
+        t_cur = t_end
         mids.append(half1)
-        mid_ks.append(k_half)
+        mid_ks.append(t_half[1])
         hs.append(h)
         length += h
         if err < (1e-10 + 1e-8 * h) / 32.0:
@@ -959,23 +961,3 @@ def period_index(crossing_values) -> tuple[int, Fraction]:
     index = Fraction(alt / math.pi).limit_denominator(1_000_000)
     return sign, index
 
-
-def sigma_set(bands: BandStructure, w_minus: float, w_plus: float,
-              include_partial: bool = True) -> tuple[tuple[float, float], ...]:
-    """Limit spectrum: union of bands thickened by the range of W.
-
-    Each band [a, b] contributes [a + w_minus, b + w_plus]; overlapping or
-    touching contributions are merged.
-    """
-    if not w_minus <= w_plus:
-        raise InvalidInputError("need w_minus <= w_plus")
-    raw = [(a + w_minus, b + w_plus)
-           for a, b in bands.band_intervals(include_partial=include_partial)]
-    raw.sort()
-    merged: list[list[float]] = []
-    for a, b in raw:
-        if merged and a <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
-    return tuple((a, b) for a, b in merged)

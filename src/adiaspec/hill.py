@@ -31,7 +31,6 @@ from .errors import (
     ConsistencyError,
     CoverageError,
     CutCrossingError,
-    DegeneratePointError,
     InvalidInputError,
     PathError,
     ResolutionFailure,
@@ -425,9 +424,9 @@ class DiscriminantModel:
 
     def _sum(self, coef: np.ndarray, E):
         """The panel series with coefficient columns `coef` at E, a float
-        or an array, after the range check."""
+        or an array of any shape, after the range check."""
         arr = np.asarray(E, dtype=float)
-        xs = np.atleast_1d(arr)
+        xs = arr.ravel()
         if xs.size:
             self._check_range(xs.min(), xs.max())
         idx = np.clip(np.searchsorted(self._bounds, xs, side="right") - 1, 0,
@@ -438,7 +437,7 @@ class DiscriminantModel:
             off, scl = self._maps[j].T
             out[i:i + _ode.CHUNK] = _clenshaw(coef[:, j],
                                               off + scl * xs[i:i + _ode.CHUNK])
-        return float(out[0]) if arr.ndim == 0 else out
+        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     def derivative(self, E):
         """d/dE of the discriminant, the derivative of the panels' series;
@@ -517,8 +516,9 @@ class ComplexDiscriminantModel:
     coefficients c_n as the tail.  Where the bound exceeds
     tol * max(1, |value|), as above the scan's reach, the scalar
     ``discriminant`` at `tol` is returned instead and counted in
-    ``fallbacks``.  A panel that has not reached its plateau at degree 256
-    is not used at all.
+    ``fallbacks``.  At rho up to rho*, found when built as the largest
+    rho whose bound is tol / 2, the bound at rho* is returned unsummed.
+    A panel that has not reached its plateau at degree 256 is not used.
     """
 
     def __init__(self, model: DiscriminantModel, lo, hi, tol: float):
@@ -547,6 +547,18 @@ class ComplexDiscriminantModel:
                     np.mean(np.maximum(1.0, np.abs(values))))
                 self._coef = coef[:keep].tolist()
                 self._weights = [eta] * keep + np.abs(coef[keep:]).tolist()
+                # the bound grows with rho: rho* is the largest rho in
+                # [1, 2], to 2^-40, whose bound is at most tol / 2 (0 if
+                # the bound at 1 is not)
+                lo, hi = 1.0, 2.0
+                for _ in range(40):
+                    mid = 0.5 * (lo + hi)
+                    if self._tail(mid) <= 0.5 * tol:
+                        lo = mid
+                    else:
+                        hi = mid
+                self._err_star = self._tail(lo)
+                self._rho_star = lo if self._err_star <= 0.5 * tol else 0.0
                 return
 
     def bound(self, E: complex) -> tuple[complex, float]:
@@ -560,10 +572,15 @@ class ComplexDiscriminantModel:
         value = x * b1 - b2 + self._coef[0]
         s = cmath.sqrt(x - 1.0) * cmath.sqrt(x + 1.0)
         rho = max(abs(x + s), abs(x - s))
+        return value, (self._err_star if rho <= self._rho_star
+                       else self._tail(rho))
+
+    def _tail(self, rho: float) -> float:
+        """The error bound at the ellipse parameter rho, by Horner's rule."""
         err = 0.0
         for w in reversed(self._weights):
             err = err * rho + w
-        return value, err
+        return err
 
     def __call__(self, E) -> complex:
         value, err = self.bound(E)
@@ -637,13 +654,6 @@ class BandStructure:
         if not 1 <= n <= len(self.gap_open):
             raise CoverageError(f"gap {n} not resolved below ceiling {self.ceiling}")
         return self.gap_open[n - 1]
-
-    def band_intervals(self, include_partial: bool = False):
-        """Complete bands as (lo, hi) pairs; optionally the cut-off last one."""
-        out = [self.band(n) for n in range(1, self.num_complete_bands + 1)]
-        if include_partial and len(self.edges) % 2 == 1:
-            out.append((self.edges[-1], self.ceiling))
-        return out
 
     def locate(self, E: float, atol: float | None = None):
         """Classify a real energy: ('below',), ('edge', j), ('band', n),
@@ -957,44 +967,3 @@ def quasimomentum_main(bands: BandStructure, E, side: str = "+i0",
     k = _track_momentum(delta_of, complex(anchor), complex(k0), complex(E_re, E_im))
     return QuasiMomentumValue(value=k, energy=complex(E_re, E_im))
 
-
-# ---------------------------------------------------------------------------
-# Floquet multipliers
-
-
-def bloch_floquet(V: PeriodicPotential, E, tol: float = 1e-10):
-    """Floquet multiplier and Bloch direction of the period map at E.
-
-    Returns (multiplier, direction) where direction is the eigenvector
-    normalized to unit first component.  Off the bands the growing
-    solution is selected (|multiplier| > 1); on a band the eigenvalue
-    with nonnegative imaginary part is returned.  Energies within `tol`
-    of a band edge are rejected: the period map is then a Jordan block
-    and no eigenbasis exists.
-    """
-    fm = fundamental_matrix(V, E, 0.0, 1.0, tol)
-    m = fm.matrix
-    tr = m[0, 0] + m[1, 1]
-    disc = tr * tr - 4.0
-    if abs(disc) <= 100.0 * tol * max(1.0, abs(tr)):
-        raise DegeneratePointError(
-            f"energy {E} is at a band edge within tolerance; period map is defective"
-        )
-    r = cmath.sqrt(complex(disc))
-    cand = [(tr + r) / 2.0, (tr - r) / 2.0]
-    mags = [abs(c) for c in cand]
-    if abs(mags[0] - mags[1]) <= 1e-9 * max(mags):
-        lam = cand[0] if cand[0].imag >= 0 else cand[1]
-    else:
-        lam = cand[0] if mags[0] > mags[1] else cand[1]
-    if abs(lam.imag) < 1e-14 * abs(lam.real):
-        lam = complex(lam.real, 0.0)
-    # eigenvector from the better-conditioned row
-    v1 = (complex(m[0, 1]), lam - complex(m[0, 0]))
-    v2 = (lam - complex(m[1, 1]), complex(m[1, 0]))
-    v = v1 if abs(v1[0]) + abs(v1[1]) >= abs(v2[0]) + abs(v2[1]) else v2
-    norm = math.hypot(abs(v[0]), abs(v[1]))
-    if abs(v[0]) < 1e-12 * norm:
-        raise DegeneratePointError("Bloch direction has vanishing first component")
-    direction = np.array([1.0 + 0.0j, v[1] / v[0]])
-    return lam, direction

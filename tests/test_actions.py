@@ -21,10 +21,8 @@ from adiaspec import (
     analyze_window,
     best_window_energy,
     branch_points,
-    coefficient_magnitude_window,
     compute_actions,
     lyapunov_asymptotic,
-    model_matrix,
     total_T,
     tunneling_action,
     tunneling_coefficient,
@@ -95,6 +93,18 @@ def test_cross_check_side_reads_the_model_once_per_rule_level(
     assert counted.reads <= 10
     assert acts.total_action == pytest.approx(
         compute_actions(geom_ref).total_action, rel=1e-12)
+
+
+def test_plus_side_reads_the_model_once_per_geometry(W_ref, bands_ref,
+                                                    geom_ref):
+    # the first panel of both halves of every pre-gap goes through one
+    # model read, and meets the default tolerance on the reference
+    counted = _RipplingModel(window_model(bands_ref, W_ref, geom_ref.energy),
+                             ripple=0.0)
+    acts = compute_actions(geom_ref, model=counted)
+    assert counted.reads == 1
+    assert counted.calls == 21 * 2 * len(geom_ref.gap_labels)
+    assert acts == compute_actions(geom_ref)
 
 
 def test_actions_against_brute_force_oracle(V_ref, W_ref, bands_ref, E_ref,
@@ -322,35 +332,3 @@ def test_two_forms_of_the_exponent_agree(actions, eps):
         -tunneling_coefficient(s, eps).log_value for s in actions)
     assert th == pytest.approx(log_form, rel=1e-14)
 
-
-# ---------------------------------------------------------------------------
-# coefficient magnitude window
-
-
-def test_window_example_values():
-    assert coefficient_magnitude_window(1.0, 2.0) == (0.5, 2.0)
-
-
-def test_window_scales_inversely_with_T():
-    T1, _ = total_T(_action_set(1.0, [2.0]), 0.5)
-    T2, _ = total_T(_action_set(1.0, [4.0]), 0.5)
-    assert T2 == pytest.approx(T1**2, rel=1e-12)
-    lo1, _ = coefficient_magnitude_window(T1, 2.0)
-    lo2, _ = coefficient_magnitude_window(T2, 2.0)
-    assert lo2 == pytest.approx(lo1 * (1.0 / T1), rel=1e-12)
-
-
-def test_window_rejects_small_C():
-    with pytest.raises(InvalidInputError):
-        coefficient_magnitude_window(1.0, 0.9)
-
-
-def test_model_coefficients_at_window_center_pass(acts_ref):
-    T, _ = total_T(acts_ref, 1.0)
-    lo, hi = coefficient_magnitude_window(T, 2.0)
-    center = 1.0 / T
-    assert lo <= center <= hi
-    family = model_matrix(center, 0.0, center, 0.0)
-    assert abs(family.parameters[0]) == pytest.approx(center, rel=1e-15)
-    assert lo <= abs(family.parameters[0]) <= hi
-    assert np.all(np.isfinite(family.evaluator(0.3)))

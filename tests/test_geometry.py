@@ -43,7 +43,6 @@ from adiaspec import (
     real_branch,
     real_branches,
     quasimomentum_main,
-    sigma_set,
     strip_clearance,
     strip_model,
     trace_stokes_line,
@@ -774,7 +773,8 @@ def test_stokes_step_evaluates_the_discriminant_twelve_times(geom_ref,
                                                              monkeypatch):
     # on a pre-band kappa is real, so the line runs straight along the real
     # axis, no step is rejected, and the set-up before the first step does
-    # not depend on max_length
+    # not depend on max_length; a step reads 11 points, its full step
+    # sharing its first stage and not reading its end
     start = pre_band_midpoint(geom_ref)
     calls = []
     real = hill.ComplexDiscriminantModel.__call__
@@ -787,7 +787,63 @@ def test_stokes_step_evaluates_the_discriminant_twelve_times(geom_ref,
         counts.append((len(calls), len(line.steps)))
     (c1, n1), (c2, n2) = counts
     assert n2 > n1
-    assert c2 - c1 == 12 * (n2 - n1)
+    assert c2 - c1 == 11 * (n2 - n1)
+
+
+def _ellipse_parameter(panel, e) -> float:
+    # rho of the energy e on the panel, as ``bound`` forms it
+    x = (complex(e) - panel._mid) / panel._half
+    s = cmath.sqrt(x - 1.0) * cmath.sqrt(x + 1.0)
+    return max(abs(x + s), abs(x - s))
+
+
+@pytest.mark.parametrize("amplitude", [4.8, 7.0])
+def test_strip_panel_bound_inside_the_acceptance_radius_is_under_tol(
+        bands_ref, amplitude):
+    # over a grid of the strip |Im zeta| <= 0.5, a point inside rho* gets
+    # the bound at rho* without the sum, and its own bound is below it
+    W = AnalyticPotential.cosine(amplitude, 0.5)
+    E = best_window_energy(W, bands_ref, 1, 0)
+    tol = 1e-9
+    panel = strip_model(bands_ref, W, E, tol)
+    zetas = (np.linspace(0.0, 2.0 * math.pi, 64)[:, None]
+             + 1j * np.linspace(-0.5, 0.5, 21))
+    inside = 0
+    for e in (E - W.value(zetas)).ravel():
+        rho = _ellipse_parameter(panel, e)
+        _, bound = panel.bound(e)
+        if rho <= panel._rho_star:
+            inside += 1
+            assert panel._tail(rho) <= bound <= 0.5 * tol
+        else:
+            assert bound == panel._tail(rho)
+    assert 0 < inside < zetas.size
+
+
+def test_patched_bound_sends_every_strip_read_to_the_scalar_route(
+        V_ref, W_ref, bands_ref, E_ref, monkeypatch):
+    # the acceptance radius lives in `bound`: a patched bound hands over
+    # points the radius would accept
+    panel = strip_model(bands_ref, W_ref, E_ref, 1e-9)
+    Es = [E_ref - W_ref.value(complex(x, 0.05)) for x in (0.5, 1.5, 3.0)]
+    assert all(_ellipse_parameter(panel, e) <= panel._rho_star for e in Es)
+    monkeypatch.setattr(hill.ComplexDiscriminantModel, "bound",
+                        lambda self, E: (complex("nan"), math.inf))
+    assert [panel(e) for e in Es] == [hill.discriminant(V_ref, e, 1e-9)
+                                      for e in Es]
+    assert panel.fallbacks == len(Es)
+
+
+def test_no_acceptance_radius_where_the_bound_at_one_is_over_half_tol(
+        bands_ref):
+    # W = 7 cos at tol 1e-10: the bound is 7.8e-11 already at rho = 1, so
+    # no rho* exists and every read sums its bound
+    W = AnalyticPotential.cosine(7.0, 0.5)
+    E = best_window_energy(W, bands_ref, 1, 0)
+    panel = strip_model(bands_ref, W, E, 1e-10)
+    assert panel._tail(1.0) > 0.5e-10 and panel._rho_star == 0.0
+    e = E - W.value(complex(2.0, 0.05))
+    assert panel.bound(e)[1] == panel._tail(_ellipse_parameter(panel, e))
 
 
 def test_piecewise_level_line_solves_the_closed_form_dispersion(bands_kp):
@@ -988,16 +1044,6 @@ def test_period_index_pair_insertion_invariance(values, r, pos):
     pos = min(pos, len(values))
     inserted = values[:pos] + [r, r] + values[pos:]
     assert period_index(inserted) == period_index(values)
-
-
-def test_sigma_set_examples():
-    one = BandStructure(edges=(0.0, 1.0), gap_open=(), ceiling=2.0,
-                        edge_tol=1e-10)
-    assert sigma_set(one, 0.0, 0.0) == ((0.0, 1.0),)
-    assert sigma_set(one, -1.0, 1.0) == ((-1.0, 2.0),)
-    two = BandStructure(edges=(0.0, 1.0, 2.0, 3.0), gap_open=(True,),
-                        ceiling=4.0, edge_tol=1e-10)
-    assert sigma_set(two, -0.6, 0.6) == ((-0.6, 3.6),)
 
 
 def test_hand_built_band_table_has_no_operator(W_ref):

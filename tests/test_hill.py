@@ -23,14 +23,12 @@ from scipy.optimize import brentq
 from adiaspec import (
     ComplexDiscriminantModel,
     ConsistencyError,
-    DegeneratePointError,
     DiscriminantModel,
     InvalidInputError,
     PeriodicPotential,
     ResolutionFailure,
     _ode,
     band_edges,
-    bloch_floquet,
     branch_points,
     compute_actions,
     discriminant,
@@ -436,7 +434,8 @@ def test_band_model_keeps_band_accuracy_on_a_strong_potential():
 
 def test_scalar_model_calls_match_the_array_path_bit_for_bit(V_ref, V_kp):
     # Python floats and np.float64 take the scalar route: seeded points,
-    # every panel boundary and both ends of the range slack
+    # every panel boundary and both ends of the range slack; an array of
+    # any shape is read point by point as the flat one
     rng = np.random.default_rng(20)
     for V in (V_ref, V_kp):
         model = DiscriminantModel(V, -2.5, 17.5)
@@ -444,6 +443,9 @@ def test_scalar_model_calls_match_the_array_path_bit_for_bit(V_ref, V_kp):
                              model._bounds,
                              [model.lo - 1e-9, model.hi + 1e-9]])
         want = model(Es)
+        grid = model(Es[:500].reshape(20, 25))
+        assert grid.shape == (20, 25)
+        assert grid.tobytes() == want[:500].tobytes()
         for cast in (float, np.float64):
             got = np.array([model(cast(E)) for E in Es])
             assert got.tobytes() == want.tobytes()
@@ -934,33 +936,3 @@ def test_complex_energy_momentum_meets_the_gap_boundary_value(bands_ref):
     assert dist[0] > dist[1] > dist[2]
     assert dist[2] < 1e-7
 
-
-# ---------------------------------------------------------------------------
-# Floquet multipliers
-
-
-def test_free_multiplier_below_spectrum(V_zero):
-    lam, vec = bloch_floquet(V_zero, -1.0)
-    assert lam == pytest.approx(math.e, abs=1e-10)
-    assert vec[0] == pytest.approx(1.0, abs=1e-12)
-    assert vec[1] == pytest.approx(1.0, abs=1e-10)
-
-
-def test_free_multiplier_on_band(V_zero):
-    lam, _ = bloch_floquet(V_zero, math.pi**2 / 4.0)
-    assert lam == pytest.approx(1j, abs=1e-10)
-
-
-def test_gap_multiplier_consistent_with_momentum(V_kp, bands_kp):
-    mid = 0.5 * (bands_kp.edges[1] + bands_kp.edges[2])
-    lam, vec = bloch_floquet(V_kp, mid)
-    assert abs(lam) > 1.0
-    k = quasimomentum_main(bands_kp, mid).value
-    assert lam * cmath.exp(1j * k) == pytest.approx(1.0, abs=1e-8)
-    P = fundamental_matrix(V_kp, mid).matrix
-    assert np.allclose(P @ np.asarray(vec), lam * np.asarray(vec), atol=1e-8)
-
-
-def test_multiplier_degenerate_at_edge(V_kp, bands_kp):
-    with pytest.raises(DegeneratePointError):
-        bloch_floquet(V_kp, bands_kp.edges[1])

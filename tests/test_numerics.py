@@ -46,26 +46,28 @@ def test_kronrod_and_gauss_rules_are_exact_to_their_degree():
     assert np.max(np.abs(_numerics.GAUSS_WEIGHTS[1::2] - weights)) <= 1e-15
 
 
-def _half_integrands(geom):
-    """The '+i0' action integrands, both halves of every pre-gap, with
-    their u ranges, as ``actions._action`` builds them."""
-    model = window_model(geom.bands, geom.W, geom.energy)
+def _half_integrands(geom, model=None):
+    """The '+i0' action integrands f(u, i) of one interval, both halves of
+    every pre-gap, with their u ranges, as ``actions._actions`` builds
+    them."""
+    if model is None:
+        model = window_model(geom.bands, geom.W, geom.energy)
     for label in geom.gap_labels:
-        im_kappa = actions_mod._im_kappa_factory(model, geom, label)
+        im_kappa = actions_mod._im_kappa_factory(model, geom, [label])
         a, b = geom.pre_gap(label)
         mid = 0.5 * (a + b)
         for edge, sgn in ((a, 1.0), (b, -1.0)):
-            def f(u, edge=edge, sgn=sgn, im_kappa=im_kappa):
-                return 2.0 * u * im_kappa(edge + sgn * u * u)
+            def f(u, i, edge=edge, sgn=sgn, im_kappa=im_kappa):
+                return 2.0 * u * im_kappa(edge + sgn * u * u, i)
             yield label, f, math.sqrt(abs(mid - edge))
 
 
 def test_gauss_kronrod_matches_quad_on_every_reference_pre_gap(geom_ref):
     for _, f, ulim in _half_integrands(geom_ref):
-        ours, err = _numerics.gauss_kronrod(f, 0.0, ulim, epsabs=1e-12,
-                                            epsrel=1e-11, limit=200)
+        [(ours, err)] = _numerics.gauss_kronrod(f, 0.0, ulim, epsabs=1e-12,
+                                                epsrel=1e-11, limit=200)
         want, want_err = scipy_integrate.quad(
-            lambda u: float(f(np.array([u]))[0]), 0.0, ulim,
+            lambda u: float(f(np.array([u]), 0)[0]), 0.0, ulim,
             epsabs=1e-12, epsrel=1e-11, limit=200)
         assert abs(ours - want) <= 1e-13 * abs(want)
         # the same first rule and error formula
@@ -73,12 +75,59 @@ def test_gauss_kronrod_matches_quad_on_every_reference_pre_gap(geom_ref):
 
 
 def test_gauss_kronrod_raises_at_the_subinterval_limit():
-    # |u - 1/3| has a kink the bisection never lands on
-    with pytest.raises(ConvergenceFailure, match="after 20 subintervals"):
-        _numerics.gauss_kronrod(lambda u: np.abs(u - 1.0 / 3.0), 0.0, 1.0,
-                                epsabs=1e-14, epsrel=1e-14, limit=20)
-    value, _ = _numerics.gauss_kronrod(np.exp, 0.0, 1.0, 1e-14, 1e-13)
+    # |u - 1/3| has a kink the bisection never lands on, alone or beside
+    # an interval its first panel resolves
+    def kink(u, i):
+        return np.abs(u - 1.0 / 3.0)
+
+    for a, b in ((0.0, 1.0), ([0.5, 0.0], 1.0)):
+        with pytest.raises(ConvergenceFailure, match="after 20 subintervals"):
+            _numerics.gauss_kronrod(kink, a, b, epsabs=1e-14, epsrel=1e-14,
+                                    limit=20)
+    [(value, _)] = _numerics.gauss_kronrod(lambda u, i: np.exp(u), 0.0, 1.0,
+                                           1e-14, 1e-13)
     assert value == pytest.approx(math.e - 1.0, rel=1e-15)
+
+
+def test_gauss_kronrod_refines_only_the_intervals_that_need_it():
+    # |u + 1| is resolved by its first panel, |u - 1/3| is not: the array
+    # form reads both first panels at once, refines the kink alone, and
+    # returns what one call per interval does
+    def kinks(*c):
+        def f(u, i):
+            calls.append(i)
+            return np.abs(u - np.array(c)[i, None])
+        return f
+
+    calls = []
+    got = _numerics.gauss_kronrod(kinks(-1.0, 1.0 / 3.0), 0.0, [1.0, 1.0],
+                                  1e-10, 1e-10)
+    assert calls[0] is ... and set(calls[1:]) == {1}
+    assert [_numerics.gauss_kronrod(kinks(c), 0.0, 1.0, 1e-10, 1e-10)[0]
+            for c in (-1.0, 1.0 / 3.0)] == got
+
+
+@pytest.mark.parametrize("ripple, tol", [(0.0, 1e-10), (1e-9, 1e-10),
+                                         (1e-6, 1e-8)])
+def test_batched_actions_equal_one_interval_calls_bit_for_bit(
+        geom_ref, ripple, tol):
+    # every half's first panel in one read, then the halves that miss the
+    # tolerance refined alone: the same sums as one call per half, also
+    # where the ripple makes the refinement run (on the reference itself
+    # the first panel meets every tol down to 2e-13, and 1e-13 is refused)
+    from test_actions import _RipplingModel
+    model = _RipplingModel(window_model(geom_ref.bands, geom_ref.W,
+                                        geom_ref.energy), ripple=ripple)
+    got = actions_mod.compute_actions(geom_ref, tol=tol, model=model)
+    reads = model.reads
+    scale = tol / 1e-10
+    halves = [_numerics.gauss_kronrod(f, 0.0, ulim, epsabs=1e-12 * scale,
+                                      epsrel=1e-11 * scale)[0]
+              for _, f, ulim in _half_integrands(geom_ref, model)]
+    want = [(2.0 * (v1 + v2), 2.0 * (e1 + e2))
+            for (v1, e1), (v2, e2) in zip(halves[::2], halves[1::2])]
+    assert [(s, e) for _, s, e in got.entries] == want
+    assert (reads == 1) == (ripple == 0.0)
 
 
 def test_unreachable_plus_side_tolerance_exits_numeric(geom_ref):
