@@ -162,7 +162,11 @@ def gauss_kronrod(f, a, b, epsabs: float, epsrel: float,
     and u 21 of its nodes.  While an interval's summed error exceeds
     max(epsabs, epsrel |integral|), its subinterval with the largest
     error is bisected; ConvergenceFailure once `limit` subintervals have
-    not reached it.
+    not reached it, and before any bisection when no subdivision can: the
+    summed error never falls below 50 eps |integral| (each subinterval's
+    is at least 50 eps times its K21 integral of |f|, at least |its
+    value|, the weights being positive), so a target below that for every
+    integral within twice the first panel's error of its value is refused.
     """
     a, b = (np.ravel(v) for v in np.broadcast_arrays(
         np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
@@ -178,6 +182,12 @@ def gauss_kronrod(f, a, b, epsabs: float, epsrel: float,
 def _bisect(f, i, a: float, b: float, value: float, err: float, *,
             epsabs: float, epsrel: float, limit: int) -> tuple[float, float]:
     """Interval i of ``gauss_kronrod`` from its first panel's (value, err)."""
+    low = abs(value) - 2.0 * err
+    if max(epsabs, epsrel * low) < 50.0 * _EPS * low:
+        raise ConvergenceFailure(
+            f"adaptive Gauss-Kronrod on [{a}, {b}] cannot reach max(epsabs "
+            f"{epsabs:.3g}, epsrel {epsrel:.3g} |S|): its error stays above "
+            f"50 eps |S| >= {50.0 * _EPS * low:.3g}", achieved=err)
     # heap of (-error, a, b, value) over the current subintervals
     heap = [(-err, a, b, value)]
     total, total_err = value, err

@@ -158,8 +158,9 @@ _MAX_STEPS = 5_000_000
 # thread count.  cocycle._log_norms, the product kernel of both
 # Lyapunov exponents, reads each run's factors (cocycle factors, or unit
 # blocks from a direct run's phase model) in chunks of this size too (of
-# 512, 2048 and 16384, the fastest to read and fold Herman factors), and
-# scans at most this many block products of stride factors at once
+# 512, 2048 and 16384, the fastest to read and fold Herman factors),
+# folds at most two chunks' worth of factors in one call, and scans at
+# most this many block products of stride factors at once
 CHUNK = 2048
 # transfer_batch gives up after this many step counts, each one between
 # _MIN_GROWTH and _MAX_GROWTH times the one before
@@ -389,33 +390,46 @@ def _step(t0, t1, n):
 
 
 def _mul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Rows (a, b, c, d) of the elementwise 2x2 products left @ right."""
+    """Rows (a, b, c, d) of the elementwise 2x2 products left @ right, of
+    left's shape (4, ...); right broadcasts against it.  Each row is
+    written in place into the one output array, the second product of a
+    row through one scratch row: the same operations, and so the same
+    bits, as four fresh row expressions, without their temporaries."""
     a, b, c, d = left
     e, f, g, h = right
-    return np.array([a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h])
+    out = np.empty(left.shape, np.result_type(left, right))
+    t = np.empty_like(out[0])
+    for o, (x, y, u, v) in zip(out, ((a, e, b, g), (a, f, b, h),
+                                     (c, e, d, g), (c, f, d, h))):
+        np.multiply(x, y, out=o)
+        np.add(o, np.multiply(u, v, out=t), out=o)
+    return out
 
 
 def _fold(rows: np.ndarray, stride: int) -> np.ndarray:
-    """Products of each run of ``stride`` consecutive columns of ``rows``
-    (the last run may be shorter), later factors on the left.
+    """Products of each run of ``stride`` consecutive factors along the
+    last axis of ``rows`` (4, ..., n) (the last run may be shorter), later
+    factors on the left, as (4, ..., ceil(n / stride)): the leading axes
+    are independent sequences folded in the same call.
 
     The runs are multiplied together as a pairwise tree: log2(stride)
     batched products, no rescaling.
     """
-    n = rows.shape[1]
+    n = rows.shape[-1]
     cut = n - n % stride
-    groups = [rows[:, :cut].reshape(4, -1, stride)] if cut else []
+    groups = ([rows[..., :cut].reshape(rows.shape[:-1] + (-1, stride))]
+              if cut else [])
     if cut < n:
-        groups.append(rows[:, None, cut:])
+        groups.append(rows[..., None, cut:])
     out = []
     for g in groups:
-        while g.shape[2] > 1:
-            w = g.shape[2]
-            pairs = _mul(g[:, :, 1::2], g[:, :, 0:w - 1:2])
+        while g.shape[-1] > 1:
+            w = g.shape[-1]
+            pairs = _mul(g[..., 1::2], g[..., 0:w - 1:2])
             g = pairs if w % 2 == 0 else np.concatenate(
-                [pairs, g[:, :, -1:]], axis=2)
-        out.append(g[:, :, 0])
-    return np.concatenate(out, axis=1)
+                [pairs, g[..., -1:]], axis=-1)
+        out.append(g[..., 0])
+    return out[0] if len(out) == 1 else np.concatenate(out, axis=-1)
 
 
 def _fixed_steps(w, w0, t0, t1, n, y, rtol, atol):

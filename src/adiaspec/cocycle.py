@@ -14,10 +14,11 @@ one table rotation, `_rotation`; a family given by an evaluator alone is
 evaluated point by point.  Both routes go through one renormalised-product
 kernel, `_log_norms`, over all z samples at once: it reads factors in
 chunks of at most ``_ode.CHUNK`` columns (a, b, c, d), multiplies each
-run of `stride` of them as a pairwise tree (``_ode._fold``) and
-renormalises a batch of these block products by one log-depth prefix
-scan.  The stride is ``renorm_stride`` cocycle factors, or a number of
-unit blocks derived from the phase model's norm bound.
+run of `stride` of them as a pairwise tree (``_ode._fold``, a group of
+runs in one call) and renormalises a batch of these block products by
+one work-efficient prefix scan (`_prefix`).  The stride is
+``renorm_stride`` cocycle factors, or a number of unit blocks derived
+from the phase model's norm bound.
 The bridge is Theta = (eps / 2 pi) theta, plus the model matrix M0 and
 a Herman-type lower-bound checker for families with a dominant
 oscillating mode.
@@ -33,9 +34,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 # numpy loads these two on first use (PhaseModel's FFT, herman_family's
-# generator); load them with this module, so that a command's run time
-# holds no import.  Only cocycle and verify import this module, so only
-# they pay the ~17 ms
+# generator); load them with this module, so that no computation holds
+# that import.  The commands that use this module, cocycle and verify,
+# import it when they run, so the ~15 ms (numpy.random ~13 of them) fall
+# in their run time; verify loads numpy.random although only
+# herman_family uses it
 import numpy.fft  # noqa: F401
 import numpy.random  # noqa: F401
 
@@ -367,46 +370,90 @@ def _unit(rows: np.ndarray) -> np.ndarray:
     return rows * (1.0 / _norms(rows))
 
 
+def _prefix(B: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """P_k = unit(B_k ... B_0 F) along the last axis of the (4, runs, n)
+    block products B, F each run's (4, runs, 1) unit product before them.
+
+    A work-efficient scan on unit() inputs, so that blocks of any
+    representable norm stay finite: the pair products of X_0 = unit(B_0 F),
+    X_1 = unit(B_1), ..., then of their pairs, up to one entry; then down
+    the levels, the prefix of a level's pairs gives its odd entries, and
+    each even entry 2i > 0 is its own X times the prefix of pair i - 1.
+    About 2 n products in 2 log2(n) steps.
+    """
+    X = _unit(B)
+    X[:, :, :1] = _unit(_ode._mul(X[:, :, :1], F))
+    levels = [X]
+    while X.shape[2] > 1:
+        n = X.shape[2]
+        X = _unit(_ode._mul(X[:, :, 1::2], X[:, :, 0:n - 1:2]))
+        levels.append(X)
+    P = levels.pop()
+    while levels:
+        X = levels.pop()
+        X[:, :, 1::2] = P
+        if X.shape[2] > 2:
+            X[:, :, 2::2] = _unit(_ode._mul(X[:, :, 2::2],
+                                            P[:, :, :(X.shape[2] - 1) // 2]))
+        P = X
+    return P
+
+
 def _log_norms(rows_of, zs: tuple, N: int, stride: int) -> np.ndarray:
     """Logs of the rescalings of the renormalised products of N 2x2
     factors, one product per run r (phase zs[r]), as (runs, blocks).
 
     ``rows_of(r, n0, n1)`` returns run r's factors n0 <= k < n1 as (4, n)
-    columns (a, b, c, d), n0 on a multiple of `stride`, n1 - n0 <=
-    ``_ode.CHUNK``.  ``_ode._fold`` makes each run of `stride` factors
-    (the last may be shorter) one block product B_k.  A batch holds whole
-    pieces, q = max(1, ``_ode.CHUNK // stride``) B_k each, of up to
-    ``_ode.CHUNK // q`` runs, at most ``_ode.CHUNK`` B_k in all; the scan S_k <- unit(S_k S_(k-d)), d = 1, 2, 4, ..., makes
-    S_k = unit(B_k ... B_0), and with F a run's unit product before the
-    batch, block k's log is log ||B_k unit(S_(k-1) F)||_F, so the logs sum
-    to log ||P_N||.  DegeneracyError names the factor and the z after
-    which a norm is 0 or not finite.
+    columns (a, b, c, d), n1 - n0 <= ``_ode.CHUNK``; they are read in
+    pieces of q = max(1, ``_ode.CHUNK // stride``) blocks of `stride`
+    factors from multiples of q `stride` (a block longer than a chunk in
+    chunks from its start).  ``_ode._fold`` makes each run of `stride`
+    factors (the last may be shorter) one block product B_k, one call for
+    a group of runs, or of one run's pieces, of at most 2 ``_ode.CHUNK``
+    factors.  A batch holds whole pieces of up to ``_ode.CHUNK // q``
+    runs, at most ``_ode.CHUNK`` B_k in all; with F a run's unit product
+    before the batch, `_prefix` makes P_k = unit(B_k ... B_0 F), and block
+    k's log is log ||B_k P_(k-1)||_F (P_(-1) = F), so the logs sum to
+    log ||P_N||.  DegeneracyError names the factor and the z after which a
+    norm is 0 or not finite.
     """
-    q = max(1, _ode.CHUNK // stride)  # blocks of a piece of factors
-    w, group = q * stride, max(1, _ode.CHUNK // q)
+    C = _ode.CHUNK
+    q = max(1, C // stride)  # blocks of a piece of factors
+    w, group = q * stride, max(1, C // q)
 
-    def products(r: int, p0: int, p1: int) -> np.ndarray:
-        # block products of run r's factors p0 <= k < p1, at most w of them
-        return functools.reduce(lambda x, y: _ode._mul(y, x), (
-            _ode._fold(rows_of(r, n0, min(n0 + _ode.CHUNK, p1)), stride)
-            for n0 in range(p0, p1, _ode.CHUNK)))
+    def read(runs: range, n0: int, n1: int) -> np.ndarray:
+        return np.stack([rows_of(r, n0, n1) for r in runs], axis=1)
+
+    def products(runs: range, p0: int, p1: int) -> np.ndarray:
+        # block products of the runs' factors p0 <= k < p1, whole pieces,
+        # or one piece of one block past C factors, as (4, runs, blocks)
+        if w > C:  # the block's reads of C, folded each and multiplied
+            return functools.reduce(lambda x, y: _ode._mul(y, x), (
+                _ode._fold(read(runs, n0, min(n0 + C, p1)), stride)
+                for n0 in range(p0, p1, C)))
+        reads = [read(runs, n0, min(n0 + w, p1)) for n0 in range(p0, p1, w)]
+        return _ode._fold(reads[0] if len(reads) == 1 else
+                          np.concatenate(reads, axis=2), stride)
 
     out = np.empty((len(zs), -(-N // stride)))
     for r0 in range(0, len(zs), group):
         runs = range(r0, min(r0 + group, len(zs)))
-        span = max(1, _ode.CHUNK // (q * len(runs))) * w  # a run's batch
+        span = max(1, C // (q * len(runs))) * w  # a run's batch
+        # runs and pieces of one fold, at most 2 C factors (256 KiB
+        # complex); folds of 4 C faulted in fresh pages on every batch
+        # (5,575 minor faults a call at the cocycle benchmark's shape,
+        # against 121), the heap freed after each being trimmed
+        folded = max(1, 2 * C // span)
+        fold = w if w > C else max(1, 2 * C // (folded * w)) * w
         F = np.tile(np.eye(2).reshape(4, 1, 1), (1, len(runs), 1))
         for b0 in range(0, N, span):
             b1 = min(b0 + span, N)
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                B = np.stack([np.concatenate(
-                    [products(r, p0, min(p0 + w, b1)) for p0 in range(b0, b1, w)],
-                    axis=1) for r in runs], axis=1)
-                S, d = _unit(B), 1
-                while d < S.shape[2]:
-                    S[:, :, d:] = _unit(_ode._mul(S[:, :, d:], S[:, :, :-d]))
-                    d *= 2
-                P = _unit(_ode._mul(S, F))  # P_k = unit(S_k F)
+                B = np.concatenate([np.concatenate(
+                    [products(runs[i:i + folded], p0, min(p0 + fold, b1))
+                     for p0 in range(b0, b1, fold)], axis=2)
+                    for i in range(0, len(runs), folded)], axis=1)
+                P = _prefix(B, F)
                 nrm = _norms(_ode._mul(B, np.concatenate(
                     [F, P[:, :, :-1]], axis=2)))
             for r, k in np.argwhere(~((nrm > 0.0) & (nrm < math.inf)))[:1]:

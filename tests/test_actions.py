@@ -107,6 +107,23 @@ def test_plus_side_reads_the_model_once_per_geometry(W_ref, bands_ref,
     assert acts == compute_actions(geom_ref)
 
 
+def test_unreachable_plus_side_tolerance_is_refused_before_bisecting(
+        W_ref, bands_ref, geom_ref):
+    # tol 1e-13 asks rtol 1e-14 of the pre-gap halves, below QK21's error
+    # floor of 50 eps |S| on g0's: refused from the first panels (it took
+    # 399 reads to reach the subinterval limit); at 2e-13 the first panels
+    # meet the target, and the actions are those of the default tol
+    model = window_model(bands_ref, W_ref, geom_ref.energy)
+    counted = _RipplingModel(model, ripple=0.0)
+    with pytest.raises(ConvergenceFailure, match="cannot reach"):
+        compute_actions(geom_ref, tol=1e-13, model=counted)
+    assert counted.reads <= 2
+    counted = _RipplingModel(model, ripple=0.0)
+    tight = compute_actions(geom_ref, tol=2e-13, model=counted)
+    assert counted.reads == 1
+    assert tight.entries == compute_actions(geom_ref).entries
+
+
 def test_actions_against_brute_force_oracle(V_ref, W_ref, bands_ref, E_ref,
                                             geom_ref, acts_ref):
     model = chebyshev_discriminant(V_ref, E_ref - 4.8, E_ref + 4.8,

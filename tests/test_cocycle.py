@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -308,6 +309,70 @@ def test_scan_matches_sequential_block_oracle(stride):
         assert np.abs(got - logs).max() <= 1e-13 * max(1.0, np.abs(logs).max())
     theta = math.fsum(np.concatenate(want)) / (N * len(SCAN_ZS))
     assert abs(est.value - theta) <= 1e-12 * abs(theta)
+
+
+def doubling_scan(B, F):
+    """The log-depth scan `_prefix` replaced: S_k <- unit(S_k S_(k-d)), d =
+    1, 2, 4, ..., from S = unit(B), then P_k = unit(S_k F)."""
+    S, d = cocycle._unit(B), 1
+    while d < S.shape[2]:
+        S[:, :, d:] = cocycle._unit(_ode._mul(S[:, :, d:], S[:, :, :-d]))
+        d *= 2
+    return cocycle._unit(_ode._mul(S, F))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 255, 256, 257])
+def test_prefix_matches_the_doubling_scan_and_the_sequential_product(n):
+    # three runs of n complex blocks of norms 1e-100 to 1e200, past the
+    # square range, after a unit carry F
+    rng = np.random.default_rng(n)
+    B = ((rng.standard_normal((4, 3, n)) + 1j * rng.standard_normal((4, 3, n)))
+         * 10.0 ** rng.uniform(-100.0, 200.0, (1, 3, n)))
+    F = cocycle._unit(rng.standard_normal((4, 3, 1))
+                      + 1j * rng.standard_normal((4, 3, 1)))
+    got = cocycle._prefix(B.copy(), F)
+    want, p = np.empty_like(got), F[:, :, 0]
+    for k in range(n):
+        p = want[:, :, k] = cocycle._unit(_ode._mul(B[:, :, k], p))
+    assert got.shape == B.shape and np.isfinite(got).all()
+    assert np.abs(got - want).max() <= 1e-13
+    assert np.abs(got - doubling_scan(B.copy(), F)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 255, 256, 257, CHUNK + 6])
+def test_batches_of_any_length_match_the_block_oracle(n):
+    # one z at stride 8 scans up to CHUNK blocks a batch: N = 8 n is one
+    # batch of n blocks; CHUNK + 6 blocks, the last of 3 factors, are a
+    # full batch and a short last one
+    N, stride = 8 * n - (5 if n > CHUNK else 0), 8
+    fam = herman_family(3.0, 1, 0.5, 0.3, 0.1, 0.1, seed=8)
+    est = run(fam, N=N, z0=0.29, stride=stride)
+    logs = block_oracle(orbit_factors(fam, H_REF, 0.29, N), N, stride)
+    assert est.per_block.shape == logs.shape == (n,)
+    assert np.abs(est.per_block - logs).max() <= 1e-13 * max(
+        1.0, np.abs(logs).max())
+
+
+def test_kernel_heap_peak_at_the_cocycle_workload_shape():
+    # 8 z samples of 40,000 factors at stride 8: 1.23 MiB with two runs
+    # a fold, 1.26 MiB with one, 1.69 MiB with four; a wider fold or
+    # batch shows here
+    fam = herman_family(3.0, 1, 0.5, 0.3, 0.1, 0.2, seed=7151)
+    spec = CocycleSpec(family=fam, h=H_REF, N=40000, renorm_stride=8,
+                       z_samples=default_z_samples(8))
+    cocycle_lyapunov(spec)
+    outer = tracemalloc.is_tracing()
+    if not outer:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        cocycle_lyapunov(spec)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not outer:
+            tracemalloc.stop()
+    assert peak <= 2 * 2**20
 
 
 def test_multi_z_run_equals_single_z_runs():

@@ -326,3 +326,49 @@ def test_block_transfers_at_tol_1e8_within_1e10_of_a_tight_run(V_ref, W_ref,
     tight = cocycle._block_transfers(V_ref, W_ref, 0.2, E_ref, 0.37, phases,
                                      1e-13)
     assert np.abs(G - tight).max() <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the 2x2 product and fold of the product kernel
+
+
+def four_temporaries(left, right):
+    """The elementwise 2x2 product as four fresh row expressions."""
+    a, b, c, d = left
+    e, f, g, h = right
+    return np.array([a * e + b * g, a * f + b * h, c * e + d * g,
+                     c * f + d * h])
+
+
+def _rows(rng, shape, complex_: bool):
+    x = rng.standard_normal(shape)
+    return x + 1j * rng.standard_normal(shape) if complex_ else x
+
+
+@pytest.mark.parametrize("kinds", [(False, False), (True, True),
+                                   (False, True), (True, False)])
+def test_mul_writes_the_four_temporary_product_bit_for_bit(kinds):
+    # real and complex rows, strided halves as the fold passes them, and
+    # the kernel's (4, runs, 1) carry on the right
+    rng = np.random.default_rng(11)
+    left, right = (_rows(rng, (4, 3, 258), k) for k in kinds)
+    carry = _rows(rng, (4, 3, 1), kinds[1])
+    for x, y in ((left, right), (left[..., 1::2], left[..., 0::2]),
+                 (left, carry)):
+        got, want = _ode._mul(x, y), four_temporaries(x, y)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("stride, n", [(8, 8 * 37), (8, 8 * 37 + 5),
+                                       (7, 40), (1, 9), (64, 30)])
+def test_grouped_fold_equals_per_run_folds_bit_for_bit(stride, n):
+    rng = np.random.default_rng(stride + n)
+    for complex_ in (False, True):
+        rows = _rows(rng, (4, 2, 3, n), complex_)
+        got = _ode._fold(rows, stride)
+        assert got.shape == (4, 2, 3, -(-n // stride))
+        for i in range(2):
+            for j in range(3):
+                assert (got[:, i, j].tobytes()
+                        == _ode._fold(rows[:, i, j], stride).tobytes())
