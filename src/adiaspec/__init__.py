@@ -37,7 +37,7 @@ _OWNERS = {name: module for module, names in {
                 "complex_momentum grid_geometries period_index real_branch "
                 "real_branches strip_clearance strip_model trace_stokes_line",
     "hill": "BandStructure ComplexDiscriminantModel DiscriminantModel "
-            "FundamentalMatrix PeriodicPotential QuasiMomentumValue "
+            "PeriodicPotential QuasiMomentumValue "
             "band_edges discriminant fundamental_matrix "
             "quasimomentum_main",
 }.items() for name in names.split()}

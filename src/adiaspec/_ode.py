@@ -11,31 +11,31 @@ ever evaluated at real x.
 Three integration routes live here, two on Dormand-Prince tableaux:
 
 * ``propagate``: Dormand-Prince 5(4) (DOPRI5) on four scalars with
-  per-step error control, for single smooth-potential solves (one-period
-  Floquet maps, the band-edge polish, complex-energy continuation);
+  per-step error control, for the band-edge polish alone
+  (``hill._polish_trace``), whose edges are the recorded ones;
 * ``transfer_batch``: Dormand-Prince 8(5, 3) (DOP853) with a fixed step,
   advancing a whole batch of independent problems over one shared
   interval as numpy arrays, for the phase nodes and sampled unit blocks
-  of a direct run's phase model and the many real energies of a
-  Chebyshev discriminant model of trigonometric V.  The interval is cut
-  into equal segments that run side by side as extra batch members, each
-  from the identity, and their propagators are multiplied in order
-  (``_fold``).  Every step of every member and segment passes Hairer's
-  combined 5th/3rd-order error test in ``propagate``'s scaled-RMS units,
-  scaled by that segment's own state.  A step keeps the state and its
-  thirteen stage derivatives in one buffer and forms each stage state,
-  the solution and the two error estimates as products of tableau rows
-  with it.  At equal tolerance it is the more accurate: on the reference
-  trig V, unit blocks at tol 1e-8 land within 1.7e-11 of a tol-1e-13
-  integration, where DOPRI5 steps land within 2.4e-10, and discriminants
-  at tol 1e-10 are within 1.3e-12 (real E) and 1.5e-13 (complex E) of
-  mpmath's, against 1.1e-11 for DOPRI5 steps; at tol 1e-12 both are near
-  rounding (5.1e-14 against 3.0e-14 on real E, 5.1e-15 against 2.9e-14
-  complex);
+  of a direct run's phase model and every period map of trigonometric V
+  in ``hill``: the many real energies of a Chebyshev discriminant model
+  and the one real or complex energy of ``fundamental_matrix``.  The
+  interval is cut into equal segments that run side by side as extra
+  batch members, each from the identity, and their propagators are
+  multiplied in order (``_fold``).  Every step of every member and
+  segment passes Hairer's combined 5th/3rd-order error test in
+  ``propagate``'s scaled-RMS units, scaled by that segment's own state.
+  A step keeps the state and its thirteen stage derivatives in one
+  buffer and forms each stage state, the solution and the two error
+  estimates as products of tableau rows with it.  At equal tolerance it
+  is the more accurate: on the reference trig V, unit blocks at tol 1e-8
+  land within 1.7e-11 of a tol-1e-13 integration, where DOPRI5 steps
+  land within 2.4e-10, and discriminants at tol 1e-10 are within 1.3e-12
+  (real E) and 1.5e-13 (complex E) of mpmath's, against 1.1e-11 for
+  DOPRI5 steps; at tol 1e-12 both are near rounding (5.1e-14 against
+  3.0e-14 on real E, 5.1e-15 against 2.9e-14 complex);
 * ``constant_coefficient_step``: the exact whole-interval propagator for a
   constant potential at an array of energies, which ``hill`` multiplies
-  segment by segment into the one exact product for piecewise data: its
-  scalar discriminant and the fill of its Chebyshev model's panels.
+  segment by segment into the one exact period map for piecewise data.
 """
 
 from __future__ import annotations
@@ -170,8 +170,9 @@ _MIN_GROWTH, _MAX_GROWTH = 1.25, 10.0
 _MAX_SEGMENTS = 16
 
 
-def propagate(q, E, x0, x1, rtol=1e-10, atol=1e-12, y0=(1.0, 0.0, 0.0, 1.0)):
-    """Integrate the fundamental system from x0 to x1.
+def propagate(q, E, x0, x1, rtol=1e-10, y0=(1.0, 0.0, 0.0, 1.0)):
+    """Integrate the fundamental system from x0 to x1, at absolute
+    tolerance atol = 1e-2 rtol.
 
     q is a callable giving the (real) potential at real x.  Returns
     ``(y, err_accum, nsteps)`` where y is the final 4-tuple, err_accum a
@@ -183,6 +184,7 @@ def propagate(q, E, x0, x1, rtol=1e-10, atol=1e-12, y0=(1.0, 0.0, 0.0, 1.0)):
     """
     if not (x1 > x0):
         raise InvalidInputError(f"need x1 > x0, got [{x0}, {x1}]")
+    atol = 1e-2 * rtol
     a, b, c, d = y0
     x = x0
     w = q(x) - E
@@ -300,8 +302,9 @@ def segment_count(members: int) -> int:
     return S
 
 
-def transfer_batch(w, t0, t1, y0, rtol=1e-10, atol=1e-12):
-    """Advance a batch of fundamental systems over the shared interval [t0, t1].
+def transfer_batch(w, t0, t1, y0, rtol=1e-10):
+    """Advance a batch of fundamental systems over the shared interval
+    [t0, t1], at absolute tolerance atol = 1e-2 rtol.
 
     ``y0`` is the initial state, shape (4, ...), rows (a, b, c, d), and is
     not modified.  Returns the final state, of the shape of ``y0`` and
@@ -364,7 +367,7 @@ def transfer_batch(w, t0, t1, y0, rtol=1e-10, atol=1e-12):
             raise ConvergenceFailure(
                 f"{n} fixed steps on [{float(np.min(t))}, {t1}] per segment "
                 f"exceed the step budget of {_MAX_STEPS}", achieved=err)
-        y, err, i = _fixed_steps(w, w0, t, ends, n, y, rtol, atol)
+        y, err, i = _fixed_steps(w, w0, t, ends, n, y, rtol, 1e-2 * rtol)
         if err is None:
             # member-major columns, the segments of a member consecutive
             P = np.moveaxis(y.reshape(4, S, -1), 1, 2).reshape(4, -1)

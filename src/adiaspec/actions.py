@@ -202,17 +202,21 @@ def _actions(model, geom, labels, side: str,
             for (v1, e1), (v2, e2) in zip(parts[::2], parts[1::2])]
 
 
-def _gauss_doubling(f, a: float, b: float, rtol: float = 1e-12,
-                    max_level: int = 10) -> tuple[float, float]:
+# most panel-doubling levels of _gauss_doubling: 16 * 2^9 nodes at the last
+_GAUSS_LEVELS = 10
+
+
+def _gauss_doubling(f, a: float, b: float,
+                    rtol: float = 1e-12) -> tuple[float, float]:
     """Composite Gauss-Legendre with panel doubling until two levels agree
     to rtol * max(1, |total|); ConvergenceFailure if they still do not
-    after ``max_level`` levels.  f takes all 16 * 2^level nodes of a level
+    after ``_GAUSS_LEVELS`` levels.  f takes all 16 * 2^level nodes of a level
     as one 1-D array.  A tolerance within a few ulps of the total is out of
     reach: an exact tie of two levels there is rounding, not convergence,
     and never counts."""
     nodes, weights = np.polynomial.legendre.leggauss(16)
     previous, diff = None, math.inf
-    for level in range(max_level):
+    for level in range(_GAUSS_LEVELS):
         edges = np.linspace(a, b, 2 ** level + 1)
         half = 0.5 * (edges[1:] - edges[:-1])
         center = 0.5 * (edges[1:] + edges[:-1])
@@ -226,7 +230,7 @@ def _gauss_doubling(f, a: float, b: float, rtol: float = 1e-12,
         previous = total
     raise ConvergenceFailure(
         f"Gauss-Legendre doubling on [{a}, {b}] still changes by {diff:.3g} "
-        f"after {max_level} levels, above rtol {rtol:.3g}", achieved=diff)
+        f"after {_GAUSS_LEVELS} levels, above rtol {rtol:.3g}", achieved=diff)
 
 
 def compute_actions(geom: IsoEnergyGeometry, side: str = "+i0",

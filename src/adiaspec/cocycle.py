@@ -288,15 +288,15 @@ def default_z_samples(count: int = 8) -> tuple:
     return tuple((0.5 + i) / count for i in range(count))
 
 
-def small_denominator(h: float, tol: float = 1e-6, qmax: int = 20):
-    """Smallest denominator q < qmax with |h - p/q| < tol, else None."""
+def small_denominator(h: float):
+    """Smallest denominator q < 20 with |h - p/q| < 1e-6, else None."""
     x = h % 1.0
     p_prev, q_prev, p_cur, q_cur = 1, 0, int(math.floor(x)), 1
     frac = x - math.floor(x)
     for _ in range(64):
-        if abs(x - p_cur / q_cur) < tol and q_cur < qmax:
+        if abs(x - p_cur / q_cur) < 1e-6 and q_cur < 20:
             return q_cur
-        if q_cur >= qmax or frac == 0.0:
+        if q_cur >= 20 or frac == 0.0:
             break
         a = math.floor(1.0 / frac)
         frac = 1.0 / frac - a
@@ -681,7 +681,7 @@ def _block_transfers(V: PeriodicPotential, W, epsilon: float, E, z: float,
                 out = out + P * np.cos(om * t) + Q * np.sin(om * t)
             return out
 
-        y = _ode.transfer_batch(w, t0, t1, y, rtol=tol, atol=tol * 1e-2)
+        y = _ode.transfer_batch(w, t0, t1, y, rtol=tol)
     return y
 
 

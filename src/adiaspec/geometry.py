@@ -457,22 +457,23 @@ def strip_clearance(W: AnalyticPotential, bands: BandStructure,
 
 
 def branch_points(W: AnalyticPotential, bands: BandStructure,
-                  report: WindowReport, *, xtol: float = 1e-12) -> IsoEnergyGeometry:
+                  report: WindowReport) -> IsoEnergyGeometry:
     """Solve W(zeta) = E - E_j on both monotone half-periods for every
     in-window edge and assemble the pre-band/pre-gap families: the one
     report case of ``grid_geometries``."""
-    return grid_geometries(W, bands, [report], xtol=xtol)[0]
+    return grid_geometries(W, bands, [report])[0]
 
 
-def grid_geometries(W: AnalyticPotential, bands: BandStructure, reports, *,
-                    xtol: float = 1e-12) -> tuple[IsoEnergyGeometry, ...]:
+def grid_geometries(W: AnalyticPotential, bands: BandStructure,
+                    reports) -> tuple[IsoEnergyGeometry, ...]:
     """``branch_points`` at every report's energy, in order.
 
     Requires all-clear window reports of one band block (n, m), checked
     before any solve.  The branch points of every (energy, edge) pair come
     from one ``_invert_w`` call per half-period, whose brackets iterate
-    independently.  The interlacing of each energy's branch points and the
-    tiling of its period are validated before returning.
+    independently to xtol = 1e-12.  The interlacing of each energy's
+    branch points and the tiling of its period are validated before
+    returning.
     """
     for rep in reports:
         if not rep.all_ok:
@@ -487,7 +488,7 @@ def grid_geometries(W: AnalyticPotential, bands: BandStructure, reports, *,
     js = range(2 * n - 1, 2 * (n + m) + 1)
     energies = np.array([rep.energy for rep in reports])
     targets = energies[:, None] - np.array([bands.edge(j) for j in js])
-    zm, zp = (_invert_w(W, targets, side, xtol).tolist() for side in "-+")
+    zm, zp = (_invert_w(W, targets, side, 1e-12).tolist() for side in "-+")
     return tuple(_geometry(W, bands, rep, js, a, b)
                  for rep, a, b in zip(reports, zm, zp))
 
@@ -734,7 +735,7 @@ class StokesLine:
     ``points``/``kappa`` sample the accepted nodes, ``mids``/``mid_kappa``
     the step midpoints (used for Simpson-type level integration).  `reason`
     records why tracing stopped; `fallbacks` counts the discriminant values
-    the trace's strip panel left to the scalar integrator.
+    the trace's strip panel left to a direct period-map read.
     """
 
     family: str
@@ -815,8 +816,8 @@ def trace_stokes_line(geom: IsoEnergyGeometry, start, family: str = "kappa",
 
     The discriminant at E - W(zeta) comes from the trace's own
     ``strip_model(bands, W, E, tol)``, a bounded Chebyshev panel that
-    falls back to the scalar integrator wherever its error bound exceeds
-    `tol`; ``fallbacks`` counts those points.  Each accepted step
+    falls back to a direct period-map read wherever its error bound
+    exceeds `tol`; ``fallbacks`` counts those points.  Each accepted step
     evaluates it 11 times: the end of a step carries its tangent into the
     next step's first stage, and the full step does not read its end.
     """

@@ -159,84 +159,57 @@ class PeriodicPotential:
 # fundamental matrix and discriminant
 
 
-@dataclass(frozen=True)
-class FundamentalMatrix:
-    """Propagator of the fundamental system over [x0, x1]."""
-
-    matrix: np.ndarray
-    energy: complex
-    x0: float
-    x1: float
-
-
-def _propagate_piecewise(V: PeriodicPotential, E, x0: float, x1: float):
-    """Exact segment-product propagation for piecewise-constant V at an
-    array of energies E (or one), each segment one vectorised
-    ``_ode.constant_coefficient_step``, as the segment walk does not
-    depend on E: the rows (a, b, c, d) and an error bound, of E's shape."""
+def _propagate_piecewise(V: PeriodicPotential, E):
+    """Exact period map of piecewise-constant V at an array of energies E
+    (or one): the segments of [0, 1) multiplied in order, each one
+    vectorised ``_ode.constant_coefficient_step``, as the segment walk
+    does not depend on E.  The rows (a, b, c, d), of E's shape."""
     E = np.asarray(E, dtype=np.result_type(E, float))
     a, b = np.ones_like(E), np.zeros_like(E)
     c, d = b, a
-    x = x0
-    nseg = 0
-    while x < x1 - 1e-15 * max(1.0, abs(x1)):
-        base = math.floor(x)
-        t = x - base
-        value = V.segments[-1][1]
-        nxt = base + 1.0
-        for bp, v in V.segments:
-            if t >= bp - 1e-15:
-                value = v
-            else:
-                nxt = base + bp
-                break
-        end = min(nxt, x1)
-        length = end - x
-        if length > 0:
-            w = value - E
-            C, S = _ode.constant_coefficient_step(w, length)
-            a, c = C * a + S * c, w * S * a + C * c
-            b, d = C * b + S * d, w * S * b + C * d
-            nseg += 1
-        x = end
-    scale = np.maximum(np.max(np.abs([a, b, c, d]), axis=0), 1.0)
-    return (a, b, c, d), 4e-16 * nseg * scale
+    ends = [bp for bp, _ in V.segments[1:]] + [1.0]
+    for (start, value), end in zip(V.segments, ends):
+        w = value - E
+        C, S = _ode.constant_coefficient_step(w, end - start)
+        a, c = C * a + S * c, w * S * a + C * c
+        b, d = C * b + S * d, w * S * b + C * d
+    return a, b, c, d
 
 
-def fundamental_matrix(V: PeriodicPotential, E, x0: float = 0.0, x1: float = 1.0,
-                       tol: float = 1e-10) -> FundamentalMatrix:
-    """Propagator of -psi'' + V psi = E psi from x0 to x1 (columns are the
-    solutions with initial data (1,0) and (0,1)).
+def _period_maps(V: PeriodicPotential, energies: np.ndarray, tol: float):
+    """Rows (a, b, c, d) of the period map of -psi'' + V psi = E psi at a
+    1-D array of real or complex energies, columns the solutions with
+    initial data (1, 0) and (0, 1).
 
-    Piecewise-constant potentials are composed from exact per-segment
-    propagators split precisely at the breakpoints; trigonometric sums go
-    through an adaptive embedded Runge-Kutta integration with per-step
-    error control at the requested tolerance.
+    Piecewise-constant V takes the exact segment product, all energies at
+    once.  Otherwise the energies go through ``_ode.transfer_batch``
+    together, in chunks of at most ``_ode.CHUNK``: fixed-step DOP853 on
+    segments of the period side by side, in which every step of every
+    energy and segment passes the kernel's error test at rtol = tol; after
+    a failed step the chunk keeps the steps it has accepted and goes on
+    from there with a finer step.  V is sampled once per stage node of
+    each segment and shared by all energies.
+
+    Neither route keeps an accumulated error estimate, and each entry is
+    accurate relative to its own size, so ad - bc rounds relative to the
+    products ad and bc: ConsistencyError where |ad - bc - 1| exceeds
+    10 max(tol, 1e-13) max(1, |a|, |d|, |ad| + |bc|).
     """
-    if not (x1 > x0):
-        raise InvalidInputError(f"need x1 > x0, got [{x0}, {x1}]")
-    E = complex(E) if isinstance(E, complex) and E.imag != 0.0 else float(np.real(E))
-    if not math.isfinite(abs(E)):
-        raise InvalidInputError("non-finite energy")
-    if not (tol > 0):
-        raise InvalidInputError("tolerance must be positive")
     if V.kind == "piecewise-constant":
-        rows, err = _propagate_piecewise(V, E, x0, x1)
-        (a, b, c, d), err = (r.item() for r in rows), err.item()
-        # each entry of the exact product is accurate relative to its own
-        # size, so ad - bc rounds relative to the products ad and bc, as in
-        # _discriminant_batch
-        products = abs(a * d) + abs(b * c)
+        a, b, c, d = _propagate_piecewise(V, energies)
     else:
-        q = V.evaluator()
-        (a, b, c, d), err, _ = _ode.propagate(
-            q, E, x0, x1, rtol=tol, atol=tol * 1e-2
-        )
-        products = 0.0
-    m = np.array([[a, b], [c, d]])
-    _check_unimodular(a, b, c, d, 10.0 * max(tol, 1e-13)
-                      * max(1.0, abs(a), abs(d), products) + 1e4 * err)
-    return FundamentalMatrix(matrix=m, energy=E, x0=x0, x1=x1)
+        q = V.array_evaluator()
+        rows = np.empty((4, len(energies)), np.result_type(energies, float))
+        for i in range(0, len(energies), _ode.CHUNK):
+            Es = energies[i:i + _ode.CHUNK]
+            y0 = np.zeros((4, len(Es)))
+            y0[0] = y0[3] = 1.0
+            rows[:, i:i + len(Es)] = _ode.transfer_batch(
+                lambda t: q(t) - Es, 0.0, 1.0, y0, rtol=tol)
+        a, b, c, d = rows
+    scale = np.maximum.reduce([np.abs(a), np.abs(d), np.abs(a * d) + np.abs(b * c)])
+    _check_unimodular(a, b, c, d, 10.0 * max(tol, 1e-13) * np.maximum(scale, 1.0))
+    return a, b, c, d
 
 
 def _check_unimodular(a, b, c, d, bound) -> None:
@@ -249,44 +222,44 @@ def _check_unimodular(a, b, c, d, bound) -> None:
         )
 
 
+def fundamental_matrix(V: PeriodicPotential, E, tol: float = 1e-10) -> np.ndarray:
+    """Period map of -psi'' + V psi = E psi over [0, 1] as a 2x2 array
+    (columns are the solutions with initial data (1,0) and (0,1)): the
+    one-energy read of ``_period_maps``, real for real E."""
+    E = complex(E) if isinstance(E, complex) and E.imag != 0.0 else float(np.real(E))
+    if not math.isfinite(abs(E)):
+        raise InvalidInputError("non-finite energy")
+    if not (tol > 0):
+        raise InvalidInputError("tolerance must be positive")
+    return np.reshape(_period_maps(V, np.array([E]), tol), (2, 2))
+
+
 def discriminant(V: PeriodicPotential, E, tol: float = 1e-10):
     """Trace of the period map at energy E (real for real E), from
     `fundamental_matrix` and its input checks."""
-    m = fundamental_matrix(V, E, 0.0, 1.0, tol).matrix
+    m = fundamental_matrix(V, E, tol)
     return m[0, 0] + m[1, 1]
 
 
 def _discriminant_batch(V: PeriodicPotential, energies: np.ndarray,
                         tol: float) -> np.ndarray:
-    """Discriminant of V at many real energies.
+    """Discriminant of V at many real energies: the traces of
+    ``_period_maps``."""
+    a, _, _, d = _period_maps(V, energies, tol)
+    return a + d
 
-    Piecewise-constant V takes the exact product, all energies at once.
-    Otherwise the energies go through ``_ode.transfer_batch`` together, in
-    chunks of at most ``_ode.CHUNK``: fixed-step DOP853 on segments of the
-    period side by side, in which every step of every energy and segment
-    passes the kernel's error test at rtol = tol, atol = tol * 1e-2; after
-    a failed step the chunk keeps the steps it has accepted and goes on
-    from there with a finer step.  V is sampled once per stage node of
-    each segment and shared by all energies.
-    """
+
+def _polish_trace(V: PeriodicPotential, E: float, tol: float):
+    """The discriminant that the band-edge polish steps on: for
+    trigonometric V the adaptive scalar DOPRI5 ``_ode.propagate`` at
+    rtol = tol, checked for unimodularity against its accumulated error
+    estimate; for piecewise-constant V ``discriminant``."""
     if V.kind == "piecewise-constant":
-        (a, _, _, d), _ = _propagate_piecewise(V, energies, 0.0, 1.0)
-        return a + d
-    q = V.array_evaluator()
-    out = np.empty(len(energies))
-    for i in range(0, len(energies), _ode.CHUNK):
-        Es = energies[i:i + _ode.CHUNK]
-        y0 = np.zeros((4, len(Es)))
-        y0[0] = y0[3] = 1.0
-        a, b, c, d = _ode.transfer_batch(lambda t: q(t) - Es, 0.0, 1.0, y0,
-                                         rtol=tol, atol=tol * 1e-2)
-        # the batch keeps no accumulated error estimate; each entry is
-        # accurate relative to its own size, so the bound scales with the
-        # products ad and bc whose difference is checked
-        scale = np.maximum.reduce([np.abs(a), np.abs(d), np.abs(a * d) + np.abs(b * c)])
-        _check_unimodular(a, b, c, d, 10.0 * max(tol, 1e-13) * np.maximum(scale, 1.0))
-        out[i:i + len(Es)] = a + d
-    return out
+        return discriminant(V, E, tol)
+    (a, b, c, d), err, _ = _ode.propagate(V.evaluator(), E, 0.0, 1.0, rtol=tol)
+    _check_unimodular(a, b, c, d, 10.0 * max(tol, 1e-13)
+                      * max(1.0, abs(a), abs(d)) + 1e4 * err)
+    return a + d
 
 
 def _interpolation_coefficients(values: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -514,8 +487,8 @@ class ComplexDiscriminantModel:
     the kept degree, eta = 2 node_tol mean_k max(1, |Delta_k|) the
     coefficient error implied by node_tol at the nodes x_k and the dropped
     coefficients c_n as the tail.  Where the bound exceeds
-    tol * max(1, |value|), as above the scan's reach, the scalar
-    ``discriminant`` at `tol` is returned instead and counted in
+    tol * max(1, |value|), as above the scan's reach, a direct period-map
+    read, ``discriminant`` at `tol`, is returned instead and counted in
     ``fallbacks``.  At rho up to rho*, found when built as the largest
     rho whose bound is tol / 2, the bound at rho* is returned unsummed.
     A panel that has not reached its plateau at degree 256 is not used.
@@ -745,7 +718,7 @@ def band_edges(V: PeriodicPotential, ceiling: float, tol: float = 1e-10) -> Band
     the noise level 4e-9 is a closed gap, recorded as a repeated edge with
     its flag False; it replaces the simple roots its double root splits
     into, those within 1e-4 max(1, |d|) of d.  Each simple root r then
-    takes one Newton step on the adaptive integrator's f = trace^2 - 4
+    takes one Newton step on f = trace^2 - 4 of ``_polish_trace``
     with the model's slope (all slopes in one read), kept where it moves r
     by less than 100 max(tol, 1e-12) max(1, |r|).
     """
@@ -796,7 +769,7 @@ def band_edges(V: PeriodicPotential, ceiling: float, tol: float = 1e-10) -> Band
         # window r +- w, where a direct root is sought, keeps r
         w = 100.0 * max(tol, 1e-12) * max(1.0, abs(r))
         try:
-            t = discriminant(V, r, tol)
+            t = _polish_trace(V, r, tol)
         except ConsistencyError:
             return r
         slope = 2.0 * t * dt

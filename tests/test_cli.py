@@ -661,7 +661,7 @@ def test_stokes_integrates_nothing_after_the_band_scan(tmp_path, monkeypatch):
     # scan alone
     calls = []
     for owner, name in ((_ode, "transfer_batch"), (_ode, "propagate"),
-                        (hill, "discriminant")):
+                        (hill, "_polish_trace")):
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, _real=real, _name=name, **k:
                             calls.append(_name) or _real(*a, **k))
@@ -673,7 +673,44 @@ def test_stokes_integrates_nothing_after_the_band_scan(tmp_path, monkeypatch):
     c = load_config(cfg)
     hill.band_edges(c.potential_v, c.ceiling, tol=c.tol_edge)
     assert run == calls
-    assert "transfer_batch" in calls and "discriminant" in calls
+    assert "transfer_batch" in calls and "_polish_trace" in calls
+
+
+@pytest.mark.parametrize("command", ["bands", "geometry", "actions", "stokes",
+                                     "cocycle", "verify"])
+def test_the_scalar_integrator_runs_only_in_the_edge_polish(tmp_path,
+                                                            monkeypatch,
+                                                            command):
+    # every other read of the period map is batched: the adaptive DOPRI5
+    # propagate runs once per simple edge of a band scan (five below the
+    # reference ceiling), inside the polish's read, and nowhere else
+    scans, inside, outside, polishing = [], [], [], []
+    band_edges, polish_trace = hill.band_edges, hill._polish_trace
+    propagate = _ode.propagate
+
+    def scan(*args, **kwargs):
+        scans.append(args[1])
+        return band_edges(*args, **kwargs)
+
+    def polish(*args, **kwargs):
+        polishing.append(True)
+        try:
+            return polish_trace(*args, **kwargs)
+        finally:
+            polishing.pop()
+
+    def counted(*args, **kwargs):
+        (inside if polishing else outside).append(args[1])
+        return propagate(*args, **kwargs)
+
+    monkeypatch.setattr(hill, "band_edges", scan)
+    monkeypatch.setattr(hill, "_polish_trace", polish)
+    monkeypatch.setattr(_ode, "propagate", counted)
+    cfg, _ = prepare(tmp_path)
+    assert main([command, "--config", cfg]) == 0
+    assert outside == []
+    assert len(inside) == 5 * len(scans)
+    assert (scans == []) == (command == "cocycle")
 
 
 def test_stokes_json_counts_each_trace_fallbacks(tmp_path, monkeypatch):

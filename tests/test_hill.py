@@ -54,17 +54,17 @@ KP_SEGMENTS = [(0.0, 0.5, 0.0), (0.5, 1.0, 6.0)]
 
 
 def test_free_period_map_at_antiperiodic_energy(V_zero):
-    got = fundamental_matrix(V_zero, math.pi**2).matrix
+    got = fundamental_matrix(V_zero, math.pi**2)
     assert np.allclose(got, [[-1.0, 0.0], [0.0, -1.0]], atol=1e-9)
 
 
 def test_free_period_map_at_zero_energy(V_zero):
-    got = fundamental_matrix(V_zero, 0.0).matrix
+    got = fundamental_matrix(V_zero, 0.0)
     assert np.allclose(got, [[1.0, 1.0], [0.0, 1.0]], atol=1e-9)
 
 
 def test_period_map_matches_fixed_step_oracle(V_ref):
-    got = fundamental_matrix(V_ref, 1.0, tol=1e-11).matrix
+    got = fundamental_matrix(V_ref, 1.0, tol=1e-11)
     want = oracle_fundamental(V_ref, np.array([1.0]), steps=100_000)[..., 0]
     assert np.max(np.abs(got - want)) < 1e-9
 
@@ -82,15 +82,13 @@ def test_unit_wronskian_on_random_draws():
             V = PeriodicPotential.piecewise(
                 [(0.0, rng.uniform(0, 8)), (b, rng.uniform(0, 8))])
         E = complex(rng.uniform(-5, 40), rng.uniform(-2, 2))
-        x0 = float(rng.uniform(-1.3, 0.7))
-        x1 = x0 + float(rng.uniform(0.1, 2.0))
-        M = fundamental_matrix(V, E, x0, x1, tol=tol).matrix
+        M = fundamental_matrix(V, E, tol=tol)
         assert abs(np.linalg.det(M) - 1.0) <= 10 * tol
 
 
 def test_real_energy_gives_real_entries(V_ref, V_kp):
     for V in (V_ref, V_kp):
-        M = fundamental_matrix(V, 7.3).matrix
+        M = fundamental_matrix(V, 7.3)
         assert np.max(np.abs(np.imag(M))) < 1e-10
 
 
@@ -166,6 +164,23 @@ def test_discriminant_vs_oracle_complex_energies(V_ref):
         want = oracle_discriminant(V_ref, np.array([E]), steps=6000)[0]
         assert discriminant(V_ref, E, tol=1e-11) == pytest.approx(want,
                                                                   abs=1e-9)
+
+
+def test_public_discriminant_is_the_batched_kernel_to_mpmath(V_ref):
+    # one-energy reads go through the batched DOP853 period map: at tol
+    # 1e-10 within 2e-11 of mpmath at real and complex energies, where
+    # adaptive DOPRI5 steps missed by 8.6e-11
+    for E in (4.4, 1.0, 30.0, 4.4 + 2.5j, -1.0 + 2.5j, 9.8 - 2.5j):
+        got = discriminant(V_ref, E, 1e-10)
+        assert abs(got - mp_discriminant(V_ref, E, dps=18)) < 2e-11
+
+
+def test_one_energy_reads_at_a_tight_tolerance_are_accepted():
+    # entries up to ~1e4 below the spectrum: the unimodularity bound of a
+    # one-energy read scales with |ad| + |bc| and refuses none of them
+    V = PeriodicPotential.trig([(1, 120.0, 0.0), (2, 36.0, 12.0)])
+    for E in np.linspace(-98.13, 53.0, 201):
+        assert math.isfinite(discriminant(V, float(E), 1e-14))
 
 
 def test_kronig_penney_closed_form_discriminant(V_kp):
@@ -365,7 +380,7 @@ def test_polished_edges_match_brentq_on_the_direct_discriminant(coefficients):
     bands = band_edges(V, 45.0, tol)
 
     def f(E):
-        return discriminant(V, E, tol) ** 2 - 4.0
+        return hill._polish_trace(V, E, tol) ** 2 - 4.0
 
     polished = 0
     for e in bands.edges:
@@ -389,7 +404,7 @@ def test_polish_keeps_the_model_root_without_a_direct_step(V_ref, bands_ref,
             raise ConsistencyError("propagator determinant drifted")
         return math.nan
 
-    monkeypatch.setattr(hill, "discriminant", unusable)
+    monkeypatch.setattr(hill, "_polish_trace", unusable)
     roots = band_edges(V_ref, 45.0).edges
     assert all(type(r) is float for r in roots)
     assert bands_ref.edges[3:] == roots[3:]
@@ -742,7 +757,7 @@ def test_unpolished_edges_are_the_model_roots(name, monkeypatch):
     def refused(*args, **kwargs):
         raise ConsistencyError("propagator determinant drifted")
 
-    monkeypatch.setattr(hill, "discriminant", refused)
+    monkeypatch.setattr(hill, "_polish_trace", refused)
     V, ceiling, count, _ = EDGE_SCANS[name]
     bands = band_edges(V, ceiling)
     model = bands.discriminant_model()

@@ -227,14 +227,14 @@ def test_bracketed_roots_evaluate_only_open_brackets(geom_ref, monkeypatch):
 def test_band_edge_polish_makes_one_direct_call_per_simple_edge(V_ref,
                                                                 monkeypatch):
     from adiaspec import hill
-    original = hill.discriminant
+    original = hill._polish_trace
     direct = [0]
 
     def counted(*args, **kwargs):
         direct[0] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(hill, "discriminant", counted)
+    monkeypatch.setattr(hill, "_polish_trace", counted)
     bands = band_edges(V_ref, 45.0, 1e-10)
     # the five edges below 45 are all simple roots of the model
     assert len(bands.edges) == 5
